@@ -15,9 +15,13 @@ over the Fig 3 Product A workload in four evaluator modes:
 
 The recommended configurations and final workload costs must be
 identical in every mode -- the fast path and the process pool are pure
-optimizations.  The headline claim checked here (and by the CI perf
-smoke job) is deterministic, not wall-clock: warm runs make at least 5x
-fewer uncached optimizer calls than the seed behaviour.
+optimizations.  The headline claims checked here (and by the CI perf
+smoke job) are deterministic, not wall-clock: warm runs make at least 5x
+fewer uncached optimizer calls than the seed behaviour, and cold
+AutoAdmin and Extend make at least 5x fewer plan requests
+(``whatif.evaluations``) than costing every scored configuration over the
+whole workload would (``configs_scored x statements``) -- the
+incremental :class:`~repro.optimizer.WorkloadCoster` at work.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import time
 import pytest
 
 from repro.baselines import ALL_ALGORITHMS
+from repro.obs import get_registry
 from repro.optimizer import CostEvaluator
 from repro.optimizer.analysis_cache import analysis_cache_info
 from repro.workloads.production import PRODUCTS, build_product
@@ -41,9 +46,19 @@ BUDGET = 256 << 20
 #: The acceptance bar: warm fast-path runs vs. seed-behaviour runs.
 MIN_CALL_REDUCTION = 5.0
 
+#: The acceptance bar: cold plan requests vs. whole-workload costing of
+#: every scored configuration.
+MIN_REQUEST_REDUCTION = 5.0
+
+
+def _count(name: str) -> int:
+    return int(get_registry().counter(name).value())
+
 
 def _run(algorithm: str, product, evaluator) -> dict:
     algo = ALL_ALGORITHMS[algorithm](product.db)
+    requests = _count("whatif.evaluations")
+    scored = _count("whatif.coster.scored")
     start = time.perf_counter()
     result = algo.select(product.workload, BUDGET, evaluator=evaluator)
     wall = time.perf_counter() - start
@@ -51,6 +66,8 @@ def _run(algorithm: str, product, evaluator) -> dict:
         "algorithm": algorithm,
         "wall_seconds": round(wall, 3),
         "optimizer_calls": result.optimizer_calls,
+        "plan_requests": _count("whatif.evaluations") - requests,
+        "configs_scored": _count("whatif.coster.scored") - scored,
         "cost_after": result.cost_after,
         "indexes": sorted(
             f"{i.table}({','.join(i.columns)})" for i in result.indexes
@@ -119,10 +136,13 @@ def run_bench(jobs: int) -> dict:
         name: {mode: runs[i] for mode, runs in modes.items()}
         for i, name in enumerate(ALGORITHMS)
     }
+    statements = len(product.workload.pairs())
     comparisons = {}
     for name, runs in by_algo.items():
         legacy_calls = runs["legacy"]["optimizer_calls"]
         comparisons[name] = {
+            "cold_plan_requests": runs["cold"]["plan_requests"],
+            "cold_full_costing_requests": runs["cold"]["configs_scored"] * statements,
             "legacy_calls": legacy_calls,
             "cold_calls": runs["cold"]["optimizer_calls"],
             "warm_calls": runs["warm"]["optimizer_calls"],
@@ -138,6 +158,7 @@ def run_bench(jobs: int) -> dict:
     return {
         "product": PRODUCT,
         "budget_bytes": BUDGET,
+        "statements": statements,
         "jobs": jobs,
         "modes": modes,
         "comparisons": comparisons,
@@ -153,7 +174,7 @@ def test_bench_perf(benchmark):
 
     print_header(
         f"What-if fast path -- product {PRODUCT}, jobs={jobs} "
-        "(optimizer calls per advisor run)"
+        "(optimizer calls and plan requests per advisor run)"
     )
     rows = []
     for name, comp in results["comparisons"].items():
@@ -166,12 +187,16 @@ def test_bench_perf(benchmark):
             f'{comp["warm_reduction"]}x',
             f'{stats["hit_rate"] * 100:.1f}%',
             stats["canonical_hits"], stats["evictions"],
+            runs["cold"]["configs_scored"],
+            runs["cold"]["plan_requests"],
             f'{runs["legacy"]["wall_seconds"]}s',
+            f'{runs["cold"]["wall_seconds"]}s',
             f'{runs["parallel"]["wall_seconds"]}s',
         ])
     print_table(
         ["algo", "legacy", "cold", "warm", "warm redux", "hit rate",
-         "canonical", "evict", "t legacy", "t parallel"],
+         "canonical", "evict", "scored", "requests", "t legacy", "t cold",
+         "t parallel"],
         rows,
     )
     save_results("bench_perf", results)
@@ -186,4 +211,11 @@ def test_bench_perf(benchmark):
         comp = results["comparisons"][name]
         assert (
             comp["warm_calls"] * MIN_CALL_REDUCTION <= comp["legacy_calls"]
+        ), (name, comp)
+    # Greedy moves re-plan only the statements a changed index can affect.
+    for name in ("autoadmin", "extend"):
+        comp = results["comparisons"][name]
+        assert (
+            comp["cold_plan_requests"] * MIN_REQUEST_REDUCTION
+            <= comp["cold_full_costing_requests"]
         ), (name, comp)

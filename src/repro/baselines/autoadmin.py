@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..catalog import Index
-from ..optimizer import CostEvaluator
+from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload
 from .base import SelectionAlgorithm
 from .cost_eval import per_query_candidates
@@ -47,7 +47,8 @@ class AutoAdminAlgorithm(SelectionAlgorithm):
 
         chosen: list[Index] = []
         used_bytes = 0
-        current_cost = evaluator.workload_cost(pairs, chosen)
+        coster = WorkloadCoster(evaluator, pairs, chosen)
+        current_cost = coster.cost(chosen)
         while True:
             best: Optional[tuple[float, Index, float]] = None
             for candidate in pool.values():
@@ -56,7 +57,7 @@ class AutoAdminAlgorithm(SelectionAlgorithm):
                 size = self.db.index_size_bytes(candidate)
                 if used_bytes + size > budget_bytes:
                     continue
-                cost = evaluator.workload_cost(pairs, chosen + [candidate])
+                cost = coster.cost(chosen + [candidate])
                 gain = current_cost - cost
                 if gain > 0 and (best is None or gain > best[0]):
                     best = (gain, candidate, cost)
@@ -64,5 +65,6 @@ class AutoAdminAlgorithm(SelectionAlgorithm):
                 return chosen
             _gain, candidate, cost = best
             chosen.append(candidate)
+            coster.rebase(chosen)
             used_bytes += self.db.index_size_bytes(candidate)
             current_cost = cost

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from ..catalog import Index
-from ..optimizer import CostEvaluator
+from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload
 from .base import SelectionAlgorithm
 from .cost_eval import config_size, per_query_candidates
@@ -70,7 +70,8 @@ class Db2AdvisAlgorithm(SelectionAlgorithm):
         # Random-variation improvement: swap one in/out, keep if better.
         rng = random.Random(self.seed)
         outside = [c for c in pool.values() if c not in chosen]
-        best_cost = evaluator.workload_cost(pairs, chosen)
+        coster = WorkloadCoster(evaluator, pairs, chosen)
+        best_cost = coster.cost(chosen)
         for _ in range(self.swap_rounds):
             if not outside or not chosen:
                 break
@@ -79,9 +80,10 @@ class Db2AdvisAlgorithm(SelectionAlgorithm):
             trial = [c for c in chosen if c.key != outgoing.key] + [incoming]
             if config_size(self.db, trial) > budget_bytes:
                 continue
-            cost = evaluator.workload_cost(pairs, trial)
+            cost = coster.cost(trial)
             if cost < best_cost:
                 best_cost = cost
                 outside = [c for c in outside if c.key != incoming.key] + [outgoing]
                 chosen = trial
+                coster.rebase(chosen)
         return chosen

@@ -10,7 +10,7 @@ reproduction's expensive "DBA oracle" for the Table II experiments.
 from __future__ import annotations
 
 from ..catalog import Index
-from ..optimizer import CostEvaluator
+from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload
 from .base import SelectionAlgorithm
 from .cost_eval import candidate_pool, config_size
@@ -30,14 +30,15 @@ class DropAlgorithm(SelectionAlgorithm):
         current = candidate_pool(
             evaluator, workload, self.max_width, with_permutations=False
         )
-        current_cost = evaluator.workload_cost(pairs, current)
+        coster = WorkloadCoster(evaluator, pairs, current)
+        current_cost = coster.cost(current)
         while current:
             over_budget = config_size(self.db, current) > budget_bytes
             best_drop = None
             best_cost = None
             for candidate in current:
-                trial = [c for c in current if c.name != candidate.name]
-                cost = evaluator.workload_cost(pairs, trial)
+                trial = [c for c in current if c.key != candidate.key]
+                cost = coster.cost(trial)
                 if best_cost is None or cost < best_cost:
                     best_cost = cost
                     best_drop = candidate
@@ -45,7 +46,8 @@ class DropAlgorithm(SelectionAlgorithm):
             # Keep dropping while forced by budget or while cost does not
             # get worse (removing a useless index is free).
             if over_budget or best_cost <= current_cost:
-                current = [c for c in current if c.name != best_drop.name]
+                current = [c for c in current if c.key != best_drop.key]
+                coster.rebase(current)
                 current_cost = best_cost
             else:
                 break

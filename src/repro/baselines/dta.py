@@ -16,7 +16,7 @@ import time
 from typing import Optional
 
 from ..catalog import Index
-from ..optimizer import CostEvaluator
+from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload
 from .base import SelectionAlgorithm
 from .cost_eval import per_query_candidates
@@ -74,7 +74,8 @@ class DtaAlgorithm(SelectionAlgorithm):
         # Phase 2: anytime greedy enumeration over the pool.
         chosen: list[Index] = []
         used_bytes = 0
-        current_cost = evaluator.workload_cost(pairs, chosen)
+        coster = WorkloadCoster(evaluator, pairs, chosen)
+        current_cost = coster.cost(chosen)
         candidates = list(pool.values())
         while time.perf_counter() <= deadline:
             best: Optional[tuple[float, Index, float]] = None
@@ -84,7 +85,7 @@ class DtaAlgorithm(SelectionAlgorithm):
                 size = self.db.index_size_bytes(candidate)
                 if used_bytes + size > budget_bytes:
                     continue
-                cost = evaluator.workload_cost(pairs, chosen + [candidate])
+                cost = coster.cost(chosen + [candidate])
                 gain = current_cost - cost
                 if gain > 0 and (best is None or gain > best[0]):
                     best = (gain, candidate, cost)
@@ -94,6 +95,7 @@ class DtaAlgorithm(SelectionAlgorithm):
                 break
             _gain, candidate, cost = best
             chosen.append(candidate)
+            coster.rebase(chosen)
             used_bytes += self.db.index_size_bytes(candidate)
             current_cost = cost
         return chosen

@@ -17,7 +17,7 @@ import time
 from typing import Optional
 
 from ..catalog import Index
-from ..optimizer import CostEvaluator
+from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload
 from .base import SelectionAlgorithm
 from .cost_eval import indexable_columns, single_column_candidates
@@ -52,17 +52,18 @@ class ExtendAlgorithm(SelectionAlgorithm):
 
         chosen: list[Index] = []
         used_bytes = 0
-        current_cost = evaluator.workload_cost(pairs, chosen)
+        coster = WorkloadCoster(evaluator, pairs, chosen)
+        current_cost = coster.cost(chosen)
         while time.perf_counter() <= deadline:
             best: Optional[tuple[float, float, Optional[Index], Index]] = None
             # Move type 1: add a new single-column index.
             for candidate in singles:
-                if any(c.name == candidate.name for c in chosen):
+                if any(c.key == candidate.key for c in chosen):
                     continue
                 size = self.db.index_size_bytes(candidate)
                 if used_bytes + size > budget_bytes:
                     continue
-                cost = evaluator.workload_cost(pairs, chosen + [candidate])
+                cost = coster.cost(chosen + [candidate])
                 ratio = (current_cost - cost) / max(1, size)
                 if ratio > self.min_ratio and (best is None or ratio > best[0]):
                     best = (ratio, cost, None, candidate)
@@ -79,8 +80,8 @@ class ExtendAlgorithm(SelectionAlgorithm):
                     size_delta = self.db.index_size_bytes(extended) - self.db.index_size_bytes(existing)
                     if used_bytes + size_delta > budget_bytes:
                         continue
-                    trial = [c for c in chosen if c.name != existing.name]
-                    cost = evaluator.workload_cost(pairs, trial + [extended])
+                    trial = [c for c in chosen if c.key != existing.key]
+                    cost = coster.cost(trial + [extended])
                     ratio = (current_cost - cost) / max(1, size_delta)
                     if ratio > self.min_ratio and (best is None or ratio > best[0]):
                         best = (ratio, cost, existing, extended)
@@ -88,9 +89,10 @@ class ExtendAlgorithm(SelectionAlgorithm):
                 return chosen
             _ratio, cost, replaced, added = best
             if replaced is not None:
-                chosen = [c for c in chosen if c.name != replaced.name]
+                chosen = [c for c in chosen if c.key != replaced.key]
                 used_bytes -= self.db.index_size_bytes(replaced)
             chosen.append(added)
+            coster.rebase(chosen)
             used_bytes += self.db.index_size_bytes(added)
             current_cost = cost
         return chosen   # anytime cutoff hit

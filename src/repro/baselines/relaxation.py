@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..catalog import Index
-from ..optimizer import CostEvaluator
+from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload
 from .base import SelectionAlgorithm
 from .cost_eval import candidate_pool, config_size
@@ -36,20 +36,19 @@ class RelaxationAlgorithm(SelectionAlgorithm):
         current = candidate_pool(
             evaluator, workload, self.max_width, with_permutations=False
         )
-        current_cost = evaluator.workload_cost(pairs, current)
+        coster = WorkloadCoster(evaluator, pairs, current)
+        current_cost = coster.cost(current)
         for _ in range(self.max_steps):
             size = config_size(self.db, current)
             if size <= budget_bytes:
                 # Within budget: only keep relaxing while it does not hurt.
-                improved = self._free_relaxation(evaluator, pairs, current, current_cost)
-                if improved is None:
-                    return current
-                current, current_cost = improved
-                continue
-            step = self._cheapest_relaxation(evaluator, pairs, current)
+                step = self._free_relaxation(coster, current, current_cost)
+            else:
+                step = self._cheapest_relaxation(coster, current)
             if step is None:
                 return current
             current, current_cost = step
+            coster.rebase(current)
         return current
 
     def _transformations(self, current: list[Index]) -> list[list[Index]]:
@@ -57,12 +56,12 @@ class RelaxationAlgorithm(SelectionAlgorithm):
         out: list[list[Index]] = []
         for index in current:
             # Removal.
-            out.append([c for c in current if c.name != index.name])
+            out.append([c for c in current if c.key != index.key])
             # Prefixing (truncate the last column).
             if index.width > 1:
                 prefixed = Index(index.table, index.columns[:-1], dataless=True)
-                trial = [c for c in current if c.name != index.name]
-                if all(c.name != prefixed.name for c in trial):
+                trial = [c for c in current if c.key != index.key]
+                if all(c.key != prefixed.key for c in trial):
                     trial.append(prefixed)
                 out.append(trial)
         # Merging two indexes on one table: union of columns, first's order.
@@ -76,16 +75,14 @@ class RelaxationAlgorithm(SelectionAlgorithm):
                 if len(merged_cols) > self.max_width + 1:
                     continue
                 merged = Index(a.table, merged_cols, dataless=True)
-                trial = [
-                    c for c in current if c.name not in (a.name, b.name)
-                ]
-                if all(c.name != merged.name for c in trial):
+                trial = [c for c in current if c.key not in (a.key, b.key)]
+                if all(c.key != merged.key for c in trial):
                     trial.append(merged)
                 out.append(trial)
         return out
 
     def _cheapest_relaxation(
-        self, evaluator: CostEvaluator, pairs, current: list[Index]
+        self, coster: WorkloadCoster, current: list[Index]
     ) -> Optional[tuple[list[Index], float]]:
         base_size = config_size(self.db, current)
         best: Optional[tuple[float, list[Index], float]] = None
@@ -93,7 +90,7 @@ class RelaxationAlgorithm(SelectionAlgorithm):
             reclaimed = base_size - config_size(self.db, trial)
             if reclaimed <= 0:
                 continue
-            cost = evaluator.workload_cost(pairs, trial)
+            cost = coster.cost(trial)
             penalty = cost / max(1, reclaimed)
             if best is None or penalty < best[0]:
                 best = (penalty, trial, cost)
@@ -102,12 +99,12 @@ class RelaxationAlgorithm(SelectionAlgorithm):
         return best[1], best[2]
 
     def _free_relaxation(
-        self, evaluator: CostEvaluator, pairs, current: list[Index], current_cost: float
+        self, coster: WorkloadCoster, current: list[Index], current_cost: float
     ) -> Optional[tuple[list[Index], float]]:
         for trial in self._transformations(current):
             if len(trial) >= len(current) and config_size(self.db, trial) >= config_size(self.db, current):
                 continue
-            cost = evaluator.workload_cost(pairs, trial)
+            cost = coster.cost(trial)
             if cost <= current_cost:
                 return trial, cost
         return None

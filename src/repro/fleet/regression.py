@@ -13,16 +13,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..catalog import Index
-from ..obs import RegressionFlagged, counter, emit
+from ..obs import BoundMetric, RegressionFlagged, emit
 from ..sqlparser import ast, parse
 from ..workload import WorkloadMonitor
 
-_WINDOWS = counter(
-    "regression.windows_observed", "observation windows processed"
-).labels()
-_EVENTS = counter(
-    "regression.events_detected", "per-query regressions flagged"
-).labels()
+_WINDOWS = BoundMetric(
+    "counter", "regression.windows_observed", "observation windows processed"
+)
+_EVENTS = BoundMetric(
+    "counter", "regression.events_detected", "per-query regressions flagged"
+)
 
 
 def _referenced_tables(*sql_texts: str) -> set[str]:

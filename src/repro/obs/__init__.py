@@ -43,6 +43,7 @@ from .events import (
     set_journal,
 )
 from .metrics import (
+    BoundMetric,
     Counter,
     Gauge,
     Histogram,
@@ -85,6 +86,7 @@ from .tracer import (
 
 __all__ = [
     "AdvisorDecision",
+    "BoundMetric",
     "Counter",
     "CycleEnd",
     "CycleStart",

@@ -5,10 +5,12 @@ tracer answers *where did the time go*, the registry answers *how often
 and how much* -- optimizer invocations per advisor phase, what-if cache
 hit rates, page I/O bridged from the executor.
 
-Metrics are identified by name and free-form labels.  Hot paths bind a
-label set once (``_CALLS = counter("optimizer.calls").labels()``) and pay
-one lock + one float add per event, which keeps instrumentation overhead
-well under the 5% budget of the advisor benches.
+Metrics are identified by name and free-form labels.  Hot paths hold a
+:class:`BoundMetric` (``_CALLS = BoundMetric("counter", "optimizer.calls",
+kind="select")``): it resolves the labeled child once per registry and
+re-binds after :func:`set_registry`, so an event costs one identity check
+plus one lock + one float add, and never counts into a swapped-out
+registry.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "BoundMetric",
     "get_registry",
     "set_registry",
     "counter",
@@ -431,8 +434,8 @@ def get_registry() -> MetricsRegistry:
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     """Swap the process-wide registry.
 
-    Note: hot paths bind children from the registry current at *import*
-    time; prefer :meth:`MetricsRegistry.reset` for per-run isolation.
+    Every :class:`BoundMetric` re-binds to *registry* on its next event,
+    so library metrics count into the new registry from the swap on.
     """
     global _registry
     previous = _registry
@@ -450,3 +453,41 @@ def gauge(name: str, help: str = "") -> Gauge:
 
 def histogram(name: str, help: str = "") -> Histogram:
     return get_registry().histogram(name, help)
+
+
+class BoundMetric:
+    """A labeled metric child, bound once per registry (the hot-path handle).
+
+    ``BoundMetric("counter", "whatif.cache_hits", "help")`` registers the
+    metric in the current registry and binds its child for *labels*.  Each
+    event checks that the process registry is still the bound one and
+    re-binds after a :func:`set_registry` swap, so the handle never counts
+    into a stale registry and never pays a registry lock or a label sort
+    on the hot path.
+    """
+
+    __slots__ = ("_kind", "_name", "_help", "_labels", "_bound")
+
+    def __init__(self, kind: str, name: str, help: str = "", /, **labels: Any):
+        self._kind = kind
+        self._name = name
+        self._help = help
+        self._labels = labels
+        self._bound: tuple[Optional[MetricsRegistry], Any] = (None, None)
+        self.child()
+
+    def child(self):
+        """The child in the current process registry."""
+        registry, child = self._bound
+        if registry is not _registry:
+            registry = _registry
+            metric = getattr(registry, self._kind)(self._name, self._help)
+            child = metric.labels(**self._labels)
+            self._bound = (registry, child)
+        return child
+
+    def inc(self, amount: float = 1.0) -> None:
+        self.child().inc(amount)
+
+    def observe(self, value: float) -> None:
+        self.child().observe(value)

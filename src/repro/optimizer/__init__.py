@@ -7,11 +7,12 @@ from .plan import AccessPath, JoinStep, Plan
 from .query_info import JoinEdge, OrderColumn, QueryInfo, ResolutionError, analyze_query
 from .selectivity import atomic_selectivity, constant_value, expr_selectivity
 from .switches import DEFAULT_SWITCHES, OptimizerSwitches
-from .what_if import CostEvaluator
+from .what_if import CostEvaluator, WorkloadCoster
 
 __all__ = [
     "Optimizer",
     "CostEvaluator",
+    "WorkloadCoster",
     "Plan",
     "AccessPath",
     "JoinStep",

@@ -8,36 +8,34 @@ and the table/column structure of the schema -- never on the index
 configuration or the statistics -- so one interned :class:`QueryInfo`
 per (schema shape, statement) serves them all.
 
-The cache is a bounded LRU keyed by ``(schema_fingerprint, sql_text)``.
-The fingerprint covers table names, column names and primary keys (the
-inputs of name resolution); schema *clones* made by
-``Database.stats_clone`` share the fingerprint and therefore the cache
-entries.  ``QueryInfo`` objects are treated as immutable after analysis.
+The cache is a bounded LRU keyed by ``(schema_token, sql_text)``.  The
+token is interned per schema fingerprint -- table names, column names
+and primary keys, the inputs of name resolution -- so schema *clones*
+made by ``Database.stats_clone`` share the cache entries, and it hashes
+by identity, so a lookup costs O(1) however many tables the schema has.
+``QueryInfo`` objects are treated as immutable after analysis.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from typing import Callable, Hashable, Optional
 
 from ..catalog import Schema
-from ..obs import counter
+from ..obs import BoundMetric
 from ..sqlparser import ast, parse
 from .query_info import QueryInfo, analyze_query
 
-__all__ = ["LRUCache", "analyze_cached", "analysis_cache_info", "clear_analysis_cache", "schema_fingerprint"]
+__all__ = ["LRUCache", "analyze_cached", "analysis_cache_info", "clear_analysis_cache", "schema_token"]
 
 #: Process-wide bound on interned analyses.
 ANALYSIS_CACHE_SIZE = 4096
 
 
-# Metric handles resolve at call time so ``set_registry`` swaps keep
-# counting into the current registry (see the note in ``what_if``).
-
-def _analyze_hits():
-    return counter(
-        "analyze.cache_hits", "interned parse/analyze cache hits"
-    ).labels()
+_ANALYZE_HITS = BoundMetric(
+    "counter", "analyze.cache_hits", "interned parse/analyze cache hits"
+)
 
 
 class LRUCache:
@@ -88,23 +86,35 @@ class LRUCache:
         self._data.clear()
 
 
-def schema_fingerprint(schema: Schema) -> tuple:
-    """Structural fingerprint of the name-resolution inputs of *schema*.
+class _SchemaToken:
+    """Interned stand-in for one schema fingerprint; hashes by identity."""
+
+    __slots__ = ("__weakref__",)
+
+
+# Held weakly: the table never outgrows the live schemas plus the cache's
+# own keys, however many schemas a process builds.
+_tokens: "weakref.WeakValueDictionary[tuple, _SchemaToken]" = weakref.WeakValueDictionary()
+
+
+def schema_token(schema: Schema) -> _SchemaToken:
+    """The interned token of *schema*'s name-resolution inputs.
 
     Cached on the schema instance; invalidated when a table is added
     (index DDL does not affect analysis, so index changes keep it).
     """
-    cached = getattr(schema, "_analysis_fingerprint", None)
+    cached = getattr(schema, "_analysis_token", None)
     if cached is not None and cached[0] == len(schema.tables):
         return cached[1]
     fingerprint = tuple(
         (name, tuple(table.column_names), tuple(table.primary_key))
         for name, table in sorted(schema.tables.items())
     )
-    # (table count, fingerprint): the count guards against add_table on a
-    # schema whose fingerprint was already computed.
-    schema._analysis_fingerprint = (len(schema.tables), fingerprint)
-    return fingerprint
+    token = _tokens.setdefault(fingerprint, _SchemaToken())
+    # (table count, token): the count guards against add_table on a
+    # schema whose token was already computed.
+    schema._analysis_token = (len(schema.tables), token)
+    return token
 
 
 _cache = LRUCache(ANALYSIS_CACHE_SIZE)
@@ -128,11 +138,11 @@ def analyze_cached(schema: Schema, stmt) -> QueryInfo:
     else:
         parsed = stmt
         text = stmt.to_sql()
-    key = (schema_fingerprint(schema), text)
+    key = (schema_token(schema), text)
     info = _cache.get(key)
     if info is not None:
         _hits += 1
-        _analyze_hits().inc()
+        _ANALYZE_HITS.inc()
         return info
     if parsed is None:
         parsed = parse(text)

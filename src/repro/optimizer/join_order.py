@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from ..catalog import Index, Schema, Table
 from ..engine.pages import CostParams
-from ..obs import counter
+from ..obs import BoundMetric
 from ..sqlparser import ast
 from ..stats import ColumnStats, StatsCatalog
 from .access_path import ProbeContext, best_no_index_cost, best_path, enumerate_paths
@@ -31,12 +31,12 @@ from .switches import DEFAULT_SWITCHES, OptimizerSwitches
 #: Maximum bindings handled by exhaustive DP; larger queries go greedy.
 DP_LIMIT = 10
 
-_ENUM = counter(
-    "optimizer.join_enumeration", "join-order strategy per planned join query"
+_ENUM_DP = BoundMetric(
+    "counter", "optimizer.join_enumeration",
+    "join-order strategy per planned join query", strategy="dp",
 )
-_ENUM_DP = _ENUM.labels(strategy="dp")
-_ENUM_GREEDY = _ENUM.labels(strategy="greedy")
-_ENUM_STRAIGHT = _ENUM.labels(strategy="straight")
+_ENUM_GREEDY = BoundMetric("counter", "optimizer.join_enumeration", strategy="greedy")
+_ENUM_STRAIGHT = BoundMetric("counter", "optimizer.join_enumeration", strategy="straight")
 
 
 class SelectPlanner:

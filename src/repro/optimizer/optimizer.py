@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 from ..catalog import Index
 from ..engine import Database
-from ..obs import counter, histogram
+from ..obs import BoundMetric
 from ..sqlparser import ast, parse
 from .cost_model import affected_rows, dml_base_cost, maintenance_cost
 from .join_order import SelectPlanner
@@ -27,14 +27,14 @@ from .query_info import QueryInfo, analyze_query
 
 Statement = Union[str, ast.Statement, QueryInfo]
 
-# Bound metric children: one dict lookup at import, one add per event.
-_CALLS_SELECT = counter(
-    "optimizer.calls", "optimizer invocations by statement kind"
-).labels(kind="select")
-_CALLS_DML = counter("optimizer.calls").labels(kind="dml")
-_PLAN_COST = histogram(
-    "optimizer.plan_cost", "total estimated cost per produced plan"
-).labels()
+_CALLS_SELECT = BoundMetric(
+    "counter", "optimizer.calls", "optimizer invocations by statement kind",
+    kind="select",
+)
+_CALLS_DML = BoundMetric("counter", "optimizer.calls", kind="dml")
+_PLAN_COST = BoundMetric(
+    "histogram", "optimizer.plan_cost", "total estimated cost per produced plan"
+)
 
 
 class Optimizer:

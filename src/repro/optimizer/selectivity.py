@@ -11,24 +11,21 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..obs import counter
+from ..obs import BoundMetric
 from ..sqlparser import ast
 from ..sqlparser.predicates import AtomicPredicate, classify_atomic
 from ..stats import ColumnStats
 from ..stats.column_stats import DEFAULT_RANGE_SELECTIVITY
 
-_SEL_ATOMIC = counter(
-    "optimizer.selectivity.calls", "selectivity estimations by entry point"
-).labels(entry="atomic")
-_SEL_EXPR = counter("optimizer.selectivity.calls").labels(entry="expr")
-
-
-def _sel_memo_hits():
-    # Call-time binding: keeps counting into the registry current after a
-    # ``set_registry`` swap (same rationale as the what-if counters).
-    return counter(
-        "selectivity.memo_hits", "per-(column, op, value) selectivity memo hits"
-    ).labels()
+_SEL_ATOMIC = BoundMetric(
+    "counter", "optimizer.selectivity.calls",
+    "selectivity estimations by entry point", entry="atomic",
+)
+_SEL_EXPR = BoundMetric("counter", "optimizer.selectivity.calls", entry="expr")
+_SEL_MEMO_HITS = BoundMetric(
+    "counter", "selectivity.memo_hits",
+    "per-(column, op, value) selectivity memo hits",
+)
 
 #: Floor applied to conjunctions so long predicate chains never hit zero.
 MIN_SELECTIVITY = 1e-9
@@ -141,7 +138,7 @@ def atomic_selectivity(pred: AtomicPredicate, stats: ColumnStats) -> float:
     memo = _stats_memo(stats)
     cached = memo.get(key)
     if cached is not None:
-        _sel_memo_hits().inc()
+        _SEL_MEMO_HITS.inc()
         return cached
     sel = _atomic_selectivity_uncached(pred, stats)
     memo[key] = sel
@@ -220,7 +217,7 @@ def combined_range_selectivity(
         memo = _stats_memo(stats)
         cached = memo.get(memo_key)
         if cached is not None:
-            _sel_memo_hits().inc()
+            _SEL_MEMO_HITS.inc()
             return cached
     sel = _combined_range_selectivity_uncached(preds, stats)
     if memo_key is not None:

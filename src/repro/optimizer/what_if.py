@@ -28,6 +28,10 @@ tiered fast path:
 Both tiers are bounded; evictions and hits are exported as ``whatif.*``
 counters (docs/OBSERVABILITY.md).  Set ``REPRO_WHATIF_FASTPATH=0`` to
 fall back to the seed behaviour (exact table-projected cache only).
+
+:class:`WorkloadCoster` lifts the relevance rule to whole workloads: a
+greedy move that adds, drops or replaces a few indexes re-plans only the
+statements one of those indexes is relevant to.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Collection, Iterable, Optional
 
 from ..catalog import Index
 from ..engine import Database
-from ..obs import counter, histogram, profile
+from ..obs import BoundMetric, profile
 from ..sqlparser import ast
 from .analysis_cache import LRUCache, analyze_cached
 from .optimizer import Optimizer, Statement
@@ -50,44 +54,45 @@ DEFAULT_PLAN_CACHE_SIZE = 8192
 #: Bound on canonical entries kept per statement (L2).
 CANONICAL_ENTRIES_PER_STATEMENT = 16
 
-# Metric handles are resolved at call time: binding them at import time
-# would pin them to whatever registry was current when this module first
-# loaded, silently diverging from ``CostEvaluator.cache_hits`` after a
-# ``set_registry`` swap.
-
-
-def _whatif_evals():
-    return counter(
-        "whatif.evaluations", "what-if plan requests (cached + uncached)"
-    ).labels()
-
-
-def _whatif_hits():
-    return counter("whatif.cache_hits", "what-if plan cache hits").labels()
-
-
-def _whatif_canonical_hits():
-    return counter(
-        "whatif.canonical_hits",
-        "what-if hits served by the canonical used(C)⊆C'⊆C rule",
-    ).labels()
-
-
-def _whatif_evictions():
-    return counter(
-        "whatif.cache_evictions", "what-if plan cache LRU evictions"
-    ).labels()
-
-
-def _whatif_cost():
-    return histogram(
-        "whatif.plan_cost", "plan costs of uncached what-if evaluations"
-    ).labels()
+_EVALS = BoundMetric(
+    "counter", "whatif.evaluations", "what-if plan requests (cached + uncached)"
+)
+_HITS = BoundMetric("counter", "whatif.cache_hits", "what-if plan cache hits")
+_CANONICAL_HITS = BoundMetric(
+    "counter", "whatif.canonical_hits",
+    "what-if hits served by the canonical used(C)⊆C'⊆C rule",
+)
+_EVICTIONS = BoundMetric(
+    "counter", "whatif.cache_evictions", "what-if plan cache LRU evictions"
+)
+_PLAN_COST = BoundMetric(
+    "histogram", "whatif.plan_cost", "plan costs of uncached what-if evaluations"
+)
+_SCORED = BoundMetric(
+    "counter", "whatif.coster.scored",
+    "configurations scored incrementally by WorkloadCoster",
+)
 
 
 def fast_path_default() -> bool:
     """The process default for the what-if fast path (env-overridable)."""
     return os.environ.get("REPRO_WHATIF_FASTPATH", "1") != "0"
+
+
+def relevance(info: QueryInfo, fast_path: bool) -> dict[str, Optional[frozenset]]:
+    """The relevance rule: which indexes can change *info*'s plan.
+
+    Maps each table to the key columns that make an index on it relevant,
+    or to None when every index on the table is (DML always: each index
+    on the written table pays maintenance; every statement with the fast
+    path off).  An index is relevant iff its table is mapped and, for a
+    column set, one of its key columns is in it.  Both
+    :meth:`CostEvaluator.plan` and :class:`WorkloadCoster` project
+    configurations through this one function.
+    """
+    if fast_path and isinstance(info.stmt, ast.Select):
+        return info.usable_columns()
+    return dict.fromkeys(info.bindings.values())
 
 
 class CostEvaluator:
@@ -149,7 +154,7 @@ class CostEvaluator:
 
     def _record_eviction(self, _key, _plan) -> None:
         self.cache_evictions += 1
-        _whatif_evictions().inc()
+        _EVICTIONS.inc()
 
     def cache_stats(self) -> dict:
         """Cache-tier snapshot (bench_perf / obs-report material)."""
@@ -173,15 +178,13 @@ class CostEvaluator:
         """Project *config* onto the indexes that can affect *info*'s plan."""
         if not config:
             return []
-        if self.fast_path and isinstance(info.stmt, ast.Select):
-            usable = info.usable_columns()
-            return [
-                idx.as_dataless()
-                for idx in config
-                if not usable.get(idx.table, _EMPTY).isdisjoint(idx.columns)
-            ]
-        tables = set(info.bindings.values())
-        return [idx.as_dataless() for idx in config if idx.table in tables]
+        rule = relevance(info, self.fast_path)
+        out = []
+        for idx in config:
+            columns = rule.get(idx.table, _EMPTY)
+            if columns is None or not columns.isdisjoint(idx.columns):
+                out.append(idx.as_dataless())
+        return out
 
     def plan(self, stmt: Statement, config: Collection[Index] = ()) -> Plan:
         """Plan *stmt* under hypothetical configuration *config*."""
@@ -190,11 +193,11 @@ class CostEvaluator:
         sql = info.cache_sql or info.stmt.to_sql()
         relevant_keys = frozenset(idx.key for idx in relevant)
         key = (sql, relevant_keys)
-        _whatif_evals().inc()
+        _EVALS.inc()
         cached = self._plan_cache.get(key)
         if cached is not None:
             self.cache_hits += 1
-            _whatif_hits().inc()
+            _HITS.inc()
             return cached
         is_select = isinstance(info.stmt, ast.Select)
         if self.fast_path and is_select and relevant:
@@ -202,8 +205,8 @@ class CostEvaluator:
             if canonical is not None:
                 self.cache_hits += 1
                 self.canonical_hits += 1
-                _whatif_hits().inc()
-                _whatif_canonical_hits().inc()
+                _HITS.inc()
+                _CANONICAL_HITS.inc()
                 # Promote to an exact entry: the next identical lookup is O(1).
                 self._plan_cache.put(key, canonical)
                 return canonical
@@ -214,7 +217,7 @@ class CostEvaluator:
                 idx.key for idx in relevant if idx.name in plan.used_indexes
             )
             self._canonical_store(sql, used_keys, relevant_keys, plan)
-        _whatif_cost().observe(plan.total_cost)
+        _PLAN_COST.observe(plan.total_cost)
         return plan
 
     def _canonical_lookup(
@@ -250,7 +253,7 @@ class CostEvaluator:
         if len(entries) > CANONICAL_ENTRIES_PER_STATEMENT:
             entries.pop(0)
             self.cache_evictions += 1
-            _whatif_evictions().inc()
+            _EVICTIONS.inc()
 
     # -- costs --------------------------------------------------------------
 
@@ -265,11 +268,25 @@ class CostEvaluator:
     ) -> float:
         """Weighted workload cost: ``sum w_q * cost(q, X)`` (Eq. 1).
 
+        The weighted sum is accumulated in query order, so the result is
+        the same float however the per-query costs were obtained
+        (:meth:`statement_costs`, :class:`WorkloadCoster`).
+        """
+        items = list(queries)
+        return weighted_sum(items, self.statement_costs(items, config, jobs))
+
+    def statement_costs(
+        self,
+        queries: Iterable[tuple[Statement, float]],
+        config: Collection[Index] = (),
+        jobs: Optional[int] = None,
+    ) -> list[float]:
+        """Per-query costs under *config*, in query order.
+
         With ``jobs > 1`` the per-query plans are computed by a process
-        pool (deterministic chunking; the weighted sum is accumulated in
-        the original query order, so the result is bit-identical to the
-        serial one).  Workers ship their new plan-cache entries back, so
-        later serial lookups still hit.
+        pool (deterministic chunking, bit-identical costs).  Workers ship
+        their new plan-cache entries back, so later serial lookups still
+        hit.
         """
         items = list(queries)
         n_jobs = self.jobs if jobs is None else max(1, int(jobs))
@@ -277,13 +294,8 @@ class CostEvaluator:
             if n_jobs > 1 and len(items) > 1:
                 costs = self._parallel_costs(items, config, n_jobs)
                 if costs is not None:
-                    return sum(
-                        weight * cost
-                        for (_stmt, weight), cost in zip(items, costs)
-                    )
-            return sum(
-                weight * self.cost(stmt, config) for stmt, weight in items
-            )
+                    return costs
+            return [self.cost(stmt, config) for stmt, _weight in items]
 
     def _parallel_costs(
         self,
@@ -370,6 +382,80 @@ class CostEvaluator:
         plan = self.plan(stmt, config)
         used = plan.used_indexes
         return [idx for idx in config if idx.name in used]
+
+
+def weighted_sum(items: list[tuple[Statement, float]], costs: list[float]) -> float:
+    """``sum w_q * cost_q`` accumulated in query order (Eq. 1)."""
+    return sum(weight * cost for (_stmt, weight), cost in zip(items, costs))
+
+
+class WorkloadCoster:
+    """Incremental workload costing for greedy configuration moves.
+
+    Holds the per-statement cost vector of a *base* configuration and an
+    inverted map from what an index touches -- ``(table, column)`` for a
+    column-level :func:`relevance` entry, ``(table, None)`` for a
+    table-level one -- to statement positions.  :meth:`cost` diffs a
+    configuration against the base by :attr:`Index.key` and re-plans only
+    the statements a changed index is relevant to.
+
+    Every other statement's relevant subset, and with it its plan-cache
+    key, is the same as under the base, so its base cost is exactly what
+    :meth:`CostEvaluator.cost` would return; the vector is re-summed in
+    query order, so ``coster.cost(X) == evaluator.workload_cost(queries,
+    X)`` bit for bit.  :meth:`rebase` commits an accepted move.
+    """
+
+    def __init__(
+        self,
+        evaluator: CostEvaluator,
+        queries: Iterable[tuple[Statement, float]],
+        base: Collection[Index] = (),
+    ):
+        self._evaluator = evaluator
+        self._items = [
+            (evaluator.analyze(stmt), weight) for stmt, weight in queries
+        ]
+        self._listeners: dict[tuple, list[int]] = {}
+        for pos, (info, _weight) in enumerate(self._items):
+            for table, columns in relevance(info, evaluator.fast_path).items():
+                for column in (None,) if columns is None else columns:
+                    self._listeners.setdefault((table, column), []).append(pos)
+        self._base_keys = frozenset(idx.key for idx in base)
+        self._costs = evaluator.statement_costs(self._items, base)
+
+    def _affected(self, changed: Iterable[tuple]) -> list[int]:
+        """Positions of statements some changed index key is relevant to."""
+        listeners = self._listeners
+        out: set[int] = set()
+        for table, columns, _unique in changed:
+            out.update(listeners.get((table, None), ()))
+            for column in columns:
+                out.update(listeners.get((table, column), ()))
+        return sorted(out)
+
+    def costs(self, config: Collection[Index]) -> list[float]:
+        """Per-statement costs under *config* (only affected ones re-planned)."""
+        keys = frozenset(idx.key for idx in config)
+        positions = self._affected(keys ^ self._base_keys)
+        costs = list(self._costs)
+        if positions:
+            fresh = self._evaluator.statement_costs(
+                [self._items[pos] for pos in positions], config
+            )
+            for pos, cost in zip(positions, fresh):
+                costs[pos] = cost
+        return costs
+
+    def cost(self, config: Collection[Index]) -> float:
+        """``evaluator.workload_cost(queries, config)``, incrementally."""
+        _SCORED.inc()
+        return weighted_sum(self._items, self.costs(config))
+
+    def rebase(self, config: Collection[Index]) -> None:
+        """Make *config* the base later moves are diffed against."""
+        self._costs = self.costs(config)
+        self._base_keys = frozenset(idx.key for idx in config)
 
 
 _EMPTY: frozenset = frozenset()

@@ -9,10 +9,12 @@ from repro.baselines import (
     DropAlgorithm,
     ExtendAlgorithm,
     NoIndexAlgorithm,
+    RelaxationAlgorithm,
     indexable_columns,
     per_query_candidates,
     single_column_candidates,
 )
+from repro.catalog import Index
 from repro.optimizer import CostEvaluator
 from repro.workload import Workload
 
@@ -146,3 +148,38 @@ def test_dta_time_limit_caps_runtime(db):
     result = fast.select(workload(), BUDGET)
     # With no time at all, phase 2 cannot add anything.
     assert result.runtime_seconds < 5.0
+
+
+def _colliding_db():
+    """Two tables whose single-column indexes share a formatted name:
+    ``a_b(c)`` and ``a(b_c)`` are both ``idx_a_b_c``."""
+    from repro.catalog import Column, INT, Table
+    from repro.engine import Database
+
+    db = Database.from_tables([
+        Table("a_b", [Column("id", INT), Column("c", INT), Column("v", INT)], ("id",)),
+        Table("a", [Column("id", INT), Column("b_c", INT), Column("v", INT)], ("id",)),
+    ])
+    db.load_rows("a_b", [{"id": i, "c": i % 500, "v": i} for i in range(2000)])
+    db.load_rows("a", [{"id": i, "b_c": i % 700, "v": i} for i in range(3000)])
+    db.analyze()
+    return db
+
+
+def test_greedy_membership_is_keyed_not_named():
+    db = _colliding_db()
+    w = Workload.from_sql([
+        ("SELECT v FROM a_b WHERE c = 7", 10.0),
+        ("SELECT v FROM a WHERE b_c = 7", 10.0),
+    ])
+    pair = {("a_b", ("c",), False), ("a", ("b_c",), False)}
+    assert len({Index(t, c).name for t, c, _u in pair}) == 1
+    # Ample budget: Extend adds both colliding indexes.
+    extend = ExtendAlgorithm(db, max_width=1).select(w, BUDGET)
+    assert {idx.key for idx in extend.indexes} == pair
+    # Room for one: Drop and Relaxation drop one index, not both.
+    one = max(db.index_size_bytes(Index(t, c)) for t, c, _u in pair)
+    for algo in (DropAlgorithm(db, max_width=1), RelaxationAlgorithm(db, max_width=1)):
+        result = algo.select(w, one)
+        assert len(result.indexes) == 1, algo.name
+        assert {idx.key for idx in result.indexes} <= pair

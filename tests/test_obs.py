@@ -10,6 +10,7 @@ import pytest
 from repro.core import AimAdvisor
 from repro.engine import ExecutionMetrics, INNODB
 from repro.obs import (
+    BoundMetric,
     MetricsRegistry,
     Tracer,
     get_registry,
@@ -17,6 +18,7 @@ from repro.obs import (
     load_chrome_trace,
     record_execution_metrics,
     reset_telemetry,
+    set_registry,
     set_tracer,
     telemetry_snapshot,
     trace,
@@ -505,3 +507,24 @@ def test_merge_state_empty_and_missing_sections():
     registry.counter("c").inc()
     registry.merge_state({"counters": [], "gauges": [], "histograms": []})
     assert registry.counter("c").value() == 1
+
+
+def test_bound_metric_rebinds_after_registry_swap():
+    previous = get_registry()
+    first = MetricsRegistry()
+    second = MetricsRegistry()
+    set_registry(first)
+    try:
+        handle = BoundMetric("counter", "test.bound", "help", kind="x")
+        handle.inc()
+        set_registry(second)
+        handle.inc(2)
+        assert first.counter("test.bound").value(kind="x") == 1
+        assert second.counter("test.bound").value(kind="x") == 2
+        assert handle.child().value == 2
+        # Resetting in place keeps the bound child valid.
+        second.reset()
+        handle.inc()
+        assert second.counter("test.bound").value(kind="x") == 1
+    finally:
+        set_registry(previous)

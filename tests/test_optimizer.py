@@ -78,11 +78,15 @@ def test_cost_evaluator_caches_plans(db):
     assert ev.cache_hits >= 1
 
 
-def test_cache_hits_metric_tracks_instance_counter(db):
-    # The whatif.cache_hits registry counter must move in lockstep with
-    # CostEvaluator.cache_hits even after the process registry is
-    # swapped (import-time metric handles would keep pointing at the
-    # old registry).
+@pytest.mark.parametrize(
+    "metric, attribute",
+    [("whatif.cache_hits", "cache_hits"), ("optimizer.calls", "optimizer_calls")],
+    ids=["whatif.cache_hits", "optimizer.calls"],
+)
+def test_cache_hits_metric_tracks_instance_counter(db, metric, attribute):
+    # Registry counters must move in lockstep with the evaluator's
+    # instance counters even after the process registry is swapped
+    # (handles bound to the old registry would keep counting there).
     from repro.obs import MetricsRegistry, get_registry, set_registry
 
     previous = get_registry()
@@ -95,8 +99,8 @@ def test_cache_hits_metric_tracks_instance_counter(db):
         ev.cost(sql)
         ev.cost(sql)
         assert ev.cache_hits == 2
-        metric = fresh.counter("whatif.cache_hits").labels()
-        assert metric.value == ev.cache_hits
+        children = fresh.counter(metric).children().values()
+        assert sum(child.value for child in children) == getattr(ev, attribute)
     finally:
         set_registry(previous)
 

@@ -9,17 +9,23 @@ corpus and through full advisor runs.
 
 from __future__ import annotations
 
+import gc
+import random
+
 import pytest
 
 from repro.baselines import ALL_ALGORITHMS
 from repro.baselines.cost_eval import candidate_pool
+from repro.catalog import INT, Column, Table
 from repro.core import AimAdvisor, AimConfig
-from repro.optimizer import CostEvaluator
+from repro.optimizer import CostEvaluator, WorkloadCoster, analysis_cache
 from repro.qa.generator import generate_case
 from repro.workload import Workload
 
 CORPUS_CASES = 200
 MAX_POOL = 6
+COSTER_CASES = 60
+COSTER_MOVES = 20
 
 BUDGET = 20 << 20
 
@@ -69,6 +75,72 @@ def test_corpus_lru_eviction_invariance():
                     )
         total_evictions += small.cache_evictions
     assert total_evictions > 0
+
+
+def _random_move(rng: random.Random, base: list, pool: list) -> list:
+    """*base* after one random greedy move: add, drop or replace an index."""
+    keys = {idx.key for idx in base}
+    outside = [idx for idx in pool if idx.key not in keys]
+    kind = rng.choice(["add", "drop", "replace"])
+    config = list(base)
+    if kind in ("drop", "replace") and config:
+        config.pop(rng.randrange(len(config)))
+    if kind in ("add", "replace") and outside:
+        config.append(rng.choice(outside))
+    return config
+
+
+@pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "legacy"])
+def test_workload_coster_matches_workload_cost(fast_path):
+    """Random add/drop/replace moves over SELECT + DML workloads: the
+    incremental coster equals whole-workload costing bit for bit, both on
+    its own evaluator and on an independent one."""
+    for seed in range(COSTER_CASES):
+        case = generate_case(seed)
+        db = case.database(with_storage=False)
+        pairs = [(sql, 1.0 + i % 3 / 2) for i, sql in enumerate(case.statements)]
+        evaluator = CostEvaluator(db, fast_path=fast_path)
+        reference = CostEvaluator(db, fast_path=fast_path)
+        pool = candidate_pool(evaluator, Workload.from_sql(pairs), max_width=2)
+        rng = random.Random(seed)
+        base: list = []
+        coster = WorkloadCoster(evaluator, pairs, base)
+        for _move in range(COSTER_MOVES):
+            config = _random_move(rng, base, pool)
+            cost = coster.cost(config)
+            assert cost == reference.workload_cost(pairs, config), (seed, config)
+            assert cost == evaluator.workload_cost(pairs, config), (seed, config)
+            if rng.random() < 0.5:
+                base = config
+                coster.rebase(base)
+
+
+def test_analysis_key_shared_by_clones_and_invalidated(db):
+    """Schema clones share interned analyses, add_table invalidates, and
+    clearing the cache leaves no stale entry or token behind."""
+    sql = "SELECT name FROM users WHERE city = 'c1'"
+    analysis_cache.clear_analysis_cache()
+    info = analysis_cache.analyze_cached(db.schema, sql)
+    clone = db.stats_clone()
+    assert analysis_cache.schema_token(clone.schema) is analysis_cache.schema_token(db.schema)
+    assert analysis_cache.analyze_cached(clone.schema, sql) is info
+    assert analysis_cache.analysis_cache_info() == {"hits": 1, "misses": 1, "size": 1}
+
+    clone.schema.add_table(Table("extra", [Column("id", INT)], ("id",)))
+    assert analysis_cache.schema_token(clone.schema) is not analysis_cache.schema_token(db.schema)
+    assert analysis_cache.analyze_cached(clone.schema, sql) is not info
+
+    analysis_cache.clear_analysis_cache()
+    assert analysis_cache.analysis_cache_info() == {"hits": 0, "misses": 0, "size": 0}
+    assert analysis_cache.analyze_cached(db.schema, sql) is not info
+    assert analysis_cache.analysis_cache_info()["misses"] == 1
+
+    # Tokens live only as long as a schema or a cache key holds them.
+    tokens = len(analysis_cache._tokens)
+    del clone
+    analysis_cache.clear_analysis_cache()
+    gc.collect()
+    assert len(analysis_cache._tokens) < tokens
 
 
 def _workload() -> Workload:
