@@ -33,9 +33,12 @@ class Table:
     row_overhead: int = 20
 
     _by_name: dict[str, Column] = field(init=False, repr=False)
+    #: Column names in order; computed once (read per stored row).
+    column_names: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._by_name = {col.name: col for col in self.columns}
+        self.column_names = tuple(self._by_name)
         if len(self._by_name) != len(self.columns):
             raise CatalogError(f"duplicate column names in table {self.name}")
         if not self.primary_key:
@@ -56,10 +59,6 @@ class Table:
     def has_column(self, name: str) -> bool:
         """True if the table defines a column with this name."""
         return name in self._by_name
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(col.name for col in self.columns)
 
     @property
     def row_width(self) -> int:

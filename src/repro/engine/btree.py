@@ -1,59 +1,54 @@
 """Sorted secondary index structure.
 
 A :class:`SortedIndex` emulates a B+ tree with a sorted array of
-``(key_tuple, row_id)`` entries and binary search.  It supports the access
+``(key, row_id)`` entries and binary search.  It supports the access
 patterns the executor needs: equality/prefix probes, bounded range scans
-and full in-order scans.  NULLs sort before every non-NULL value
-(MySQL/InnoDB semantics).
+and full in-order scans, forward or backward.  NULLs sort before every
+non-NULL value (MySQL/InnoDB semantics).
+
+Keys are stored flat, one ``(rank, value)`` pair per column (see
+:func:`wrap_key`).  Every pair has the same width, so flat tuples compare
+column by column, ranks first, and sort, ``bisect`` and equality run
+natively instead of calling a Python comparison per value.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Sequence
+
+#: Rank sentinel above every real rank: ``prefix + (_ABOVE,)`` sorts after
+#: all keys extending *prefix*.
+_ABOVE = 3
 
 
-class _KeyWrapper:
-    """Total-order wrapper making heterogeneous/NULL keys comparable.
-
-    Values compare by (type rank, value): NULL < numbers < strings.  This
-    keeps bisect happy on mixed data without custom comparators everywhere.
-    """
-
-    __slots__ = ("rank", "value")
-
-    def __init__(self, value: Any):
-        if value is None:
-            self.rank, self.value = 0, 0
-        elif isinstance(value, bool):
-            self.rank, self.value = 1, int(value)
-        elif isinstance(value, (int, float)):
-            self.rank, self.value = 1, value
+def wrap_key(values: Iterable[Any]) -> tuple:
+    """Flatten a key tuple into ``(rank0, v0, rank1, v1, ...)``: NULL ->
+    ``(0, 0)``, bool -> ``(1, int(v))``, number -> ``(1, v)``, anything
+    else -> ``(2, str(v))``, so NULL < numbers < strings."""
+    flat: list = []
+    for v in values:
+        cls = v.__class__
+        if cls is int or cls is float:   # exact-type checks first: cheapest
+            flat += (1, v)
+        elif cls is str:
+            flat += (2, v)
+        elif v is None:
+            flat += (0, 0)
+        elif isinstance(v, (int, float)):   # bool and other number subclasses
+            flat += (1, int(v) if cls is bool else v)
         else:
-            self.rank, self.value = 2, str(value)
-
-    def __lt__(self, other: "_KeyWrapper") -> bool:
-        if self.rank != other.rank:
-            return self.rank < other.rank
-        return self.value < other.value
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _KeyWrapper)
-            and self.rank == other.rank
-            and self.value == other.value
-        )
-
-    def __le__(self, other: "_KeyWrapper") -> bool:
-        return self == other or self < other
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.value))
+            flat += (2, str(v))
+    return tuple(flat)
 
 
-def wrap_key(values: Sequence[Any]) -> tuple[_KeyWrapper, ...]:
-    """Wrap a key tuple for total-order comparison."""
-    return tuple(_KeyWrapper(v) for v in values)
+def unwrap_key(flat: Sequence[Any]) -> tuple:
+    """Column values of a flat key, as the index compares them
+    (NULL -> ``None``, bool -> int, non-numbers -> str)."""
+    return tuple(
+        None if rank == 0 else value
+        for rank, value in zip(flat[::2], flat[1::2])
+    )
 
 
 class SortedIndex:
@@ -68,13 +63,25 @@ class SortedIndex:
         self.n_key_columns = n_key_columns
         self._entries: list[tuple[tuple, int]] = []
 
+    @classmethod
+    def bulk_load(
+        cls, n_key_columns: int, entries: Iterable[tuple[Sequence[Any], int]]
+    ) -> "SortedIndex":
+        """Build an index from raw ``(key, row_id)`` entries with one sort.
+
+        ``(key, row_id)`` pairs are unique, so the result equals inserting
+        the entries one by one, entry for entry.
+        """
+        index = cls(n_key_columns)
+        index._entries = sorted((wrap_key(key), row_id) for key, row_id in entries)
+        return index
+
     def __len__(self) -> int:
         return len(self._entries)
 
     def insert(self, key: Sequence[Any], row_id: int) -> None:
         """Insert an entry (duplicates allowed; ties broken by row id)."""
-        entry = (wrap_key(key), row_id)
-        bisect.insort(self._entries, entry)
+        bisect.insort(self._entries, (wrap_key(key), row_id))
 
     def delete(self, key: Sequence[Any], row_id: int) -> bool:
         """Remove an entry; returns False if it was not present."""
@@ -92,47 +99,36 @@ class SortedIndex:
         high: Any = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
+        reverse: bool = False,
     ) -> Iterator[tuple[tuple, int]]:
         """Scan entries matching an equality *prefix*, optionally bounded
-        on the next key column by [low, high].
+        on the next key column by [low, high] (``None`` = unbounded).
 
-        Yields ``(raw_key_wrappers, row_id)`` pairs in key order.
+        Yields ``(flat_key, row_id)`` pairs in key order, or in reverse
+        key order with ``reverse=True``.
         """
-        wrapped_prefix = wrap_key(prefix)
-        k = len(wrapped_prefix)
-        wrapped_low = _KeyWrapper(low) if low is not None else None
-        wrapped_high = _KeyWrapper(high) if high is not None else None
-        if wrapped_low is not None:
-            # Seek directly to the low bound within the prefix range.
-            start = bisect.bisect_left(
-                self._entries, (wrapped_prefix + (wrapped_low,), -1)
-            )
+        flat = wrap_key(prefix)
+        lo_key = flat
+        if low is not None:
+            lo_key = flat + wrap_key((low,))
+            if not low_inclusive:
+                lo_key += (_ABOVE,)
+        if high is None:
+            hi_key = flat + (_ABOVE,)
         else:
-            start = bisect.bisect_left(self._entries, (wrapped_prefix, -1))
-        for pos in range(start, len(self._entries)):
-            key, row_id = self._entries[pos]
-            if key[:k] != wrapped_prefix:
-                break
-            if k < len(key):
-                bound_val = key[k]
-                if wrapped_low is not None:
-                    if bound_val < wrapped_low:
-                        continue
-                    if not low_inclusive and bound_val == wrapped_low:
-                        continue
-                if wrapped_high is not None:
-                    if wrapped_high < bound_val:
-                        break
-                    if not high_inclusive and bound_val == wrapped_high:
-                        break
-            yield key, row_id
+            hi_key = flat + wrap_key((high,))
+            if high_inclusive:
+                hi_key += (_ABOVE,)
+        # A one-element probe ``(k,)`` sorts before every entry ``(k, rid)``,
+        # so bisect_left lands on the first entry whose key is >= k.
+        lo = bisect.bisect_left(self._entries, (lo_key,))
+        hi = bisect.bisect_left(self._entries, (hi_key,), lo)
+        positions = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
+        return map(self._entries.__getitem__, positions)
 
     def scan_all(self, reverse: bool = False) -> Iterator[tuple[tuple, int]]:
         """Full scan in key order (or reverse key order)."""
-        if reverse:
-            yield from reversed(self._entries)
-        else:
-            yield from self._entries
+        return self.scan_prefix((), reverse=reverse)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -164,9 +164,7 @@ class Database:
         )
         clone.stats = self.stats
         for table_name, storage in self.storage.items():
-            target = clone._storage_for(table_name)
-            for row in storage.rows.values():
-                target.insert_row(dict(row))
+            clone.load_rows(table_name, storage.rows.values())
         for index in clone.schema.indexes(include_dataless=False):
             clone._storage_for(index.table).build_index(index)
         return clone

@@ -9,6 +9,7 @@ Eq. 8's ``cost_u`` is measured from.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from ..catalog import Index, Table
@@ -117,9 +118,12 @@ class TableStorage:
             )
         if index.name in self.secondary:
             return self.secondary[index.name]
-        structure = SortedIndex(index.width)
-        for row_id, row in self.rows.items():
-            structure.insert(self._index_key(index, row), row_id)
+        # Stored rows hold every column, and the appended PK makes the key
+        # at least two columns wide, so itemgetter always yields a tuple.
+        key_of = itemgetter(*index.columns, *self.table.primary_key)
+        structure = SortedIndex.bulk_load(
+            index.width, ((key_of(row), row_id) for row_id, row in self.rows.items())
+        )
         self.secondary[index.name] = structure
         self.secondary_meta[index.name] = index
         return structure

@@ -636,12 +636,9 @@ class _Pipeline:
             full_prefix = len(prefix) == len(path.eq_columns)
             use_low = low if full_prefix else None
             use_high = high if full_prefix else None
-            if not prefix and use_low is None and use_high is None:
-                scan = structure.scan_all(reverse=reverse)
-            else:
-                scan = structure.scan_prefix(
-                    prefix, use_low, use_high, low_inc, high_inc
-                )
+            scan = structure.scan_prefix(
+                prefix, use_low, use_high, low_inc, high_inc, reverse=reverse
+            )
             for _key, row_id in scan:
                 row = storage.rows.get(row_id)
                 if row is None:

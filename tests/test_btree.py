@@ -1,5 +1,7 @@
 """SortedIndex (B-tree emulation) tests."""
 
+from hypothesis import given, strategies as st
+
 from repro.engine.btree import SortedIndex, wrap_key
 
 
@@ -81,3 +83,103 @@ def test_clear():
     idx = build([((1,), 0)])
     idx.clear()
     assert len(idx) == 0
+
+
+# ---------------------------------------------------------------------------
+# properties over mixed NULL / bool / int / float / str keys
+#
+# The model restates the per-column order directly: NULL < numbers (bools
+# as ints) < strings, each column compared as a (rank, value) pair.
+
+
+def model_pair(v):
+    if v is None:
+        return (0, 0)
+    if isinstance(v, bool):
+        return (1, int(v))
+    if isinstance(v, (int, float)):
+        return (1, v)
+    return (2, str(v))
+
+
+def model_key(key):
+    return tuple(model_pair(v) for v in key)
+
+
+values = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-3, 3, allow_nan=False)
+    | st.text(alphabet="ab", max_size=2)
+)
+keys = st.tuples(values, values)
+
+
+@st.composite
+def entry_lists(draw):
+    """Unique (key, row_id) entries in a random insertion order."""
+    ks = draw(st.lists(keys, max_size=40))
+    rids = draw(st.permutations(range(len(ks))))
+    return list(zip(ks, rids))
+
+
+@given(entry_lists())
+def test_bulk_load_equals_one_by_one_inserts(entries):
+    bulk = SortedIndex.bulk_load(2, entries)
+    one_by_one = build(entries)
+    assert list(bulk.scan_all()) == list(one_by_one.scan_all())
+    expected = [rid for _k, rid in sorted(
+        entries, key=lambda e: (model_key(e[0]), e[1])
+    )]
+    assert [rid for _k, rid in bulk.scan_all()] == expected
+
+
+@given(
+    entry_lists(),
+    st.lists(values, max_size=1),
+    st.none() | values,
+    st.none() | values,
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_scan_prefix_matches_brute_force(
+    entries, prefix, low, high, low_inc, high_inc, reverse
+):
+    index = SortedIndex.bulk_load(2, entries)
+    got = [rid for _k, rid in index.scan_prefix(
+        prefix, low, high, low_inc, high_inc, reverse=reverse
+    )]
+    p, k = model_key(prefix), len(prefix)
+    expected = []
+    for key, rid in sorted(entries, key=lambda e: (model_key(e[0]), e[1])):
+        mk = model_key(key)
+        if mk[:k] != p:
+            continue
+        if low is not None and (
+            mk[k] < model_pair(low) or (not low_inc and mk[k] == model_pair(low))
+        ):
+            continue
+        if high is not None and (
+            mk[k] > model_pair(high) or (not high_inc and mk[k] == model_pair(high))
+        ):
+            continue
+        expected.append(rid)
+    if reverse:
+        expected.reverse()
+    assert got == expected
+
+
+@given(entry_lists(), st.data())
+def test_delete_after_bulk_load(entries, data):
+    index = SortedIndex.bulk_load(2, entries)
+    n = len(entries)
+    drop = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    for (key, rid), gone in zip(entries, drop):
+        if gone:
+            assert index.delete(key, rid) is True
+            assert index.delete(key, rid) is False
+    remaining = [e for e, gone in zip(entries, drop) if not gone]
+    expected = SortedIndex.bulk_load(2, remaining)
+    assert list(index.scan_all()) == list(expected.scan_all())

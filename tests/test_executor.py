@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog import Index
 from repro.executor import Executor
+from repro.workloads.tpch.datagen import load_tpch
 
 
 @pytest.fixture()
@@ -268,3 +269,24 @@ def test_executor_requires_storage():
 def test_parameterized_query_rejected(ex):
     with pytest.raises(ValueError):
         ex.execute("SELECT name FROM users WHERE id = ?")
+
+
+@pytest.mark.parametrize("where, limit", [
+    ("o_custkey = 7", 3),
+    ("o_custkey = 7 AND o_orderdate > 100", 2),
+])
+def test_desc_index_scan_with_eq_prefix_under_limit(where, limit):
+    # The index binds o_custkey by equality and satisfies ORDER BY ... DESC,
+    # so the scan must walk the prefix backwards before LIMIT cuts it.
+    db = load_tpch(0.001, seed=1)
+    ex = Executor(db)
+    sql = (
+        f"SELECT o_orderkey, o_orderdate FROM orders WHERE {where} "
+        f"ORDER BY o_orderdate DESC LIMIT {limit}"
+    )
+    expected = ex.execute(sql).rows
+    db.create_index(Index("orders", ("o_custkey", "o_orderdate")))
+    result = ex.execute(sql)
+    assert result.plan.used_indexes == {"idx_orders_o_custkey_o_orderdate"}
+    assert result.rows == expected
+    assert len(expected) == limit

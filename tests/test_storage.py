@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog import Column, INT, Index, Table, varchar
 from repro.engine import ExecutionMetrics
+from repro.engine.btree import unwrap_key
 from repro.engine.storage import StorageError, TableStorage
 
 
@@ -54,8 +55,8 @@ def test_update_only_touches_affected_indexes():
     idx_b = storage.build_index(Index("t", ("b",)))
     rid = storage.insert_row({"id": 1, "a": 10, "b": "x"})
     storage.update_row(rid, {"a": 20})
-    assert [k[0].value for k, _ in idx_a.scan_all()] == [20]
-    assert [k[0].value for k, _ in idx_b.scan_all()] == ["x"]
+    assert [unwrap_key(k)[0] for k, _ in idx_a.scan_all()] == [20]
+    assert [unwrap_key(k)[0] for k, _ in idx_b.scan_all()] == ["x"]
 
 
 def test_update_missing_row_raises():
@@ -69,7 +70,7 @@ def test_build_index_over_existing_rows():
     for i in range(5):
         storage.insert_row({"id": i, "a": 5 - i, "b": "x"})
     idx = storage.build_index(Index("t", ("a",)))
-    values = [k[0].value for k, _ in idx.scan_all()]
+    values = [unwrap_key(k)[0] for k, _ in idx.scan_all()]
     assert values == [1, 2, 3, 4, 5]
 
 
@@ -105,5 +106,20 @@ def test_secondary_key_includes_pk_for_stability():
     idx = storage.build_index(Index("t", ("a",)))
     storage.insert_row({"id": 2, "a": 1, "b": "x"})
     storage.insert_row({"id": 1, "a": 1, "b": "y"})
-    keys = [tuple(w.value for w in k) for k, _ in idx.scan_all()]
+    keys = [unwrap_key(k) for k, _ in idx.scan_all()]
     assert keys == [(1, 1), (1, 2)]   # same a, ordered by appended PK
+
+
+def test_build_index_matches_insert_path_with_nulls():
+    values = [3, None, 1, None, 3, 2, None, 1]
+    built = make_storage()
+    for i, a in enumerate(values):
+        built.insert_row({"id": i, "a": a, "b": None if a is None else "x"})
+    idx_built = built.build_index(Index("t", ("a", "b")))
+    inserted = make_storage()
+    idx_inserted = inserted.build_index(Index("t", ("a", "b")))
+    for i, a in enumerate(values):
+        inserted.insert_row({"id": i, "a": a, "b": None if a is None else "x"})
+    order = [rid for _k, rid in idx_built.scan_all()]
+    assert order == [rid for _k, rid in idx_inserted.scan_all()]
+    assert order[:3] == [1, 3, 6]   # NULL keys first, tied by PK
