@@ -1,4 +1,4 @@
-"""Plan interpreter executing statements against stored rows."""
+"""Plan execution over stored rows, with expressions compiled per statement."""
 
 from .analyze import ActualPlanStats, q_error, render_explain_analyze
 from .executor import ExecutionResult, Executor

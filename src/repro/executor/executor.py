@@ -1,8 +1,11 @@
-"""Plan interpreter: executes statements against stored rows.
+"""Plan execution: runs statements against stored rows.
 
 The executor asks the optimizer for a plan (materialized indexes only)
-and interprets it: index/seq scans feed a left-deep pipeline of
-nested-loop probes or hash joins, followed by grouping, ordering and
+and prepares it once per statement: every expression is compiled into a
+closure (:mod:`repro.executor.operators`), and each join step gets its
+fused filter, its join-edge checks and the multi-table conjuncts that
+become evaluable there.  Index/seq scans then feed a left-deep pipeline
+of nested-loop probes or hash joins, followed by grouping, ordering and
 projection.  Every operator accounts its work in an
 :class:`~repro.engine.ExecutionMetrics`, which the workload monitor then
 converts into ``cpu_avg`` and the discarded data ratio.
@@ -12,10 +15,12 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from ..engine import Database, ExecutionMetrics
+from ..engine.btree import wrap_key
 from ..engine.storage import TableStorage
 from ..obs import PlanEstimate, emit, profile, record_execution_metrics
 from ..optimizer import Optimizer
@@ -24,7 +29,7 @@ from ..optimizer.query_info import QueryInfo
 from ..optimizer.selectivity import constant_value
 from ..sqlparser import ast, normalize_statement, parse
 from .analyze import ActualPlanStats
-from .operators import Aggregator, ExprEvaluator
+from .operators import Aggregator, Compiled, ExprEvaluator, GroupEvaluator
 
 #: Cap on IN-list cartesian expansion for multi-subrange index scans.
 MAX_SUBRANGES = 200
@@ -100,7 +105,7 @@ class Executor:
         metrics = ExecutionMetrics()
         evaluator = ExprEvaluator(info, self.db.schema)
         pipeline = _Pipeline(
-            self, info, plan, evaluator, metrics, collect_actuals=analyze
+            self.db, info, plan, evaluator, metrics, collect_actuals=analyze
         )
         stream = pipeline.run()
         # Early termination: when the pipeline already delivers rows in
@@ -137,9 +142,10 @@ class Executor:
         metrics: ExecutionMetrics,
     ) -> list[tuple]:
         if stmt.group_by or _has_aggregates(stmt):
-            rows = self._aggregate(stmt, info, evaluator, scopes, metrics)
+            rows = _aggregate(stmt, evaluator, scopes, metrics)
         else:
-            rows = [self._emit(stmt, info, evaluator, scope) for scope in scopes]
+            emit_row = self._emitter(stmt, info, evaluator)
+            rows = [emit_row(scope) for scope in scopes]
             if stmt.distinct:
                 # Keep each surviving row's *own* scope: ORDER BY keys are
                 # computed from scopes, so rows and scopes must stay paired.
@@ -153,148 +159,34 @@ class Executor:
                         unique_scopes.append(scope)
                 rows, scopes = unique, unique_scopes
             if stmt.order_by:
-                rows = self._order(stmt, info, evaluator, scopes, rows, metrics)
+                keys = [evaluator.value(o.expr) for o in stmt.order_by]
+                rows = _sorted_rows(stmt, keys, scopes, rows, metrics)
         rows = self._apply_limit(stmt, rows)
         return rows
 
-    def _emit(self, stmt, info, evaluator, scope) -> tuple:
-        out: list[Any] = []
+    def _emitter(
+        self, stmt: ast.Select, info: QueryInfo, evaluator: ExprEvaluator
+    ) -> Callable[[dict], tuple]:
+        """``scope -> output row``; ``*`` expands each binding's columns."""
+        parts: list[tuple[Optional[str], Any]] = []
         for item in stmt.items:
-            if isinstance(item.expr, ast.Star):
-                bindings = (
-                    [item.expr.table] if item.expr.table else list(info.bindings)
-                )
-                for binding in bindings:
-                    row = scope[binding]
-                    table = self.db.schema.table(info.bindings[binding])
-                    out.extend(row.get(c) for c in table.column_names)
-            else:
-                out.append(evaluator.value(item.expr, scope))
-        return tuple(out)
-
-    def _aggregate(self, stmt, info, evaluator, scopes, metrics) -> list[tuple]:
-        def group_key(scope) -> tuple:
-            return tuple(
-                evaluator.value(expr, scope) if not isinstance(expr, ast.ColumnRef)
-                else evaluator.value(expr, scope)
-                for expr in stmt.group_by
-            )
-
-        groups: dict[tuple, dict] = {}
-        order: list[tuple] = []
-        for scope in scopes:
-            key = group_key(scope) if stmt.group_by else ()
-            state = groups.get(key)
-            if state is None:
-                aggregators = {}
-                for item in stmt.items:
-                    if isinstance(item.expr, ast.Star):
-                        continue
-                    for node in ast.iter_exprs(item.expr):
-                        if isinstance(node, ast.FuncCall) and node.is_aggregate:
-                            aggregators[id(node)] = (node, Aggregator(node))
-                state = {"scope": scope, "aggs": aggregators}
-                groups[key] = state
-                order.append(key)
-            for _node, agg in state["aggs"].values():
-                agg.add(evaluator, scope)
-
-        if not groups and not stmt.group_by:
-            # A global aggregate over zero rows still returns one row
-            # (COUNT(*) = 0, SUM/MIN/MAX/AVG = NULL).
-            aggregators = {}
-            for item in stmt.items:
-                if isinstance(item.expr, ast.Star):
-                    continue
-                for node in ast.iter_exprs(item.expr):
-                    if isinstance(node, ast.FuncCall) and node.is_aggregate:
-                        aggregators[id(node)] = (node, Aggregator(node))
-            groups[()] = {"scope": {}, "aggs": aggregators}
-            order.append(())
-
-        rows = []
-        emitted: list[tuple[tuple, dict]] = [(key, groups[key]) for key in order]
-        if stmt.having is not None:
-            emitted = [
-                (key, state)
-                for key, state in emitted
-                if self._having_ok(stmt.having, evaluator, state)
-            ]
-        for _key, state in emitted:
-            rows.append(self._emit_aggregate(stmt, evaluator, state))
-        if stmt.order_by:
-            rows = self._order_aggregated(stmt, evaluator, emitted, rows, metrics)
-        return rows
-
-    def _agg_value(self, expr: ast.Expr, evaluator, state) -> Any:
-        """Evaluate an expression that may contain aggregate results."""
-        if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
-            entry = state["aggs"].get(id(expr))
-            if entry is not None:
-                return entry[1].result()
-            # Structurally equal aggregate (e.g. in HAVING): match by SQL.
-            for node, agg in state["aggs"].values():
-                if node.to_sql() == expr.to_sql():
-                    return agg.result()
-            fresh = Aggregator(expr)
-            return fresh.result()
-        if isinstance(expr, ast.Arithmetic):
-            left = self._agg_value(expr.left, evaluator, state)
-            right = self._agg_value(expr.right, evaluator, state)
-            if left is None or right is None:
-                return None
-            return evaluator.value(
-                ast.Arithmetic(expr.op, ast.Literal(left), ast.Literal(right)), {}
-            )
-        return evaluator.value(expr, state["scope"])
-
-    def _emit_aggregate(self, stmt, evaluator, state) -> tuple:
-        out = []
-        for item in stmt.items:
-            if isinstance(item.expr, ast.Star):
+            if not isinstance(item.expr, ast.Star):
+                parts.append((None, evaluator.value(item.expr)))
                 continue
-            out.append(self._agg_value(item.expr, evaluator, state))
-        return tuple(out)
+            bindings = [item.expr.table] if item.expr.table else list(info.bindings)
+            for binding in bindings:
+                table = self.db.schema.table(info.bindings[binding])
+                parts.append((binding, table.column_names))
 
-    def _having_ok(self, having: ast.Expr, evaluator, state) -> bool:
-        if isinstance(having, ast.And):
-            return all(self._having_ok(item, evaluator, state) for item in having.items)
-        if isinstance(having, ast.Or):
-            return any(self._having_ok(item, evaluator, state) for item in having.items)
-        if isinstance(having, ast.Not):
-            return not self._having_ok(having.item, evaluator, state)
-        if isinstance(having, ast.Comparison):
-            left = self._agg_value(having.left, evaluator, state)
-            right = self._agg_value(having.right, evaluator, state)
-            if left is None or right is None:
-                return False
-            probe = ast.Comparison(having.op, ast.Literal(left), ast.Literal(right))
-            return evaluator.matches(probe, {})
-        return evaluator.matches(having, state["scope"])
-
-    def _order(self, stmt, info, evaluator, scopes, rows, metrics) -> list[tuple]:
-        keyed = []
-        for scope, row in zip(scopes, rows):
-            key = tuple(
-                _sort_key(evaluator.value(o.expr, scope), o.desc)
-                for o in stmt.order_by
-            )
-            keyed.append((key, row))
-        metrics.sort_rows += len(keyed)
-        keyed.sort(key=lambda pair: pair[0])
-        return [row for _key, row in keyed]
-
-    def _order_aggregated(self, stmt, evaluator, emitted, rows, metrics) -> list[tuple]:
-        keyed = []
-        for (_key, state), row in zip(emitted, rows):
-            key = tuple(
-                _sort_key(self._agg_value(o.expr, evaluator, state), o.desc)
-                for o in stmt.order_by
-            )
-            keyed.append((key, row))
-        metrics.sort_rows += len(keyed)
-        keyed.sort(key=lambda pair: pair[0])
-        return [row for _key, row in keyed]
+        def emit_row(scope: dict) -> tuple:
+            out: list[Any] = []
+            for binding, part in parts:
+                if binding is None:
+                    out.append(part(scope))
+                else:
+                    out.extend(map(scope[binding].get, part))
+            return tuple(out)
+        return emit_row
 
     def _apply_limit(self, stmt, rows: list[tuple]) -> list[tuple]:
         offset = stmt.offset or 0
@@ -324,12 +216,10 @@ class Executor:
         storage = self.db._storage_for(stmt.table.name)
         info = self.optimizer.analyze(stmt)
         evaluator = ExprEvaluator(info, self.db.schema)
+        setters = [(col, evaluator.value(expr)) for col, expr in stmt.assignments]
         for row_id in row_ids:
             scope = {stmt.table.binding: storage.get_row(row_id)}
-            changes = {
-                col: evaluator.value(expr, scope)
-                for col, expr in stmt.assignments
-            }
+            changes = {col: value(scope) for col, value in setters}
             storage.update_row(row_id, changes, metrics)
             metrics.pages_written += 1
         return ExecutionResult(rowcount=len(row_ids), metrics=metrics, plan=plan)
@@ -355,9 +245,8 @@ class Executor:
         plan = self.optimizer.explain(select, materialized_only=True)
         info = plan.info
         evaluator = ExprEvaluator(info, self.db.schema)
-        pipeline = _Pipeline(self, info, plan, evaluator, metrics)
-        return [scope_ids[table_ref.binding] for _scope, scope_ids in
-                pipeline.run_with_ids()], plan
+        pipeline = _Pipeline(self.db, info, plan, evaluator, metrics)
+        return pipeline.row_ids(), plan
 
 
 def _actual_tree(
@@ -413,6 +302,68 @@ def _has_aggregates(stmt: ast.Select) -> bool:
     )
 
 
+def _aggregate(
+    stmt: ast.Select, evaluator: ExprEvaluator, scopes: list[dict],
+    metrics: ExecutionMetrics,
+) -> list[tuple]:
+    """Group *scopes* (first-seen order), then HAVING, projection, ORDER BY."""
+    calls = [
+        node
+        for item in stmt.items
+        if not isinstance(item.expr, ast.Star)
+        for node in ast.iter_exprs(item.expr)
+        if isinstance(node, ast.FuncCall) and node.is_aggregate
+    ]
+    arguments = [
+        None if call.star else evaluator.value(call.args[0]) for call in calls
+    ]
+    group_keys = [evaluator.value(expr) for expr in stmt.group_by]
+    groups: dict[tuple, tuple[dict, list[Aggregator]]] = {}
+    for scope in scopes:
+        key = tuple([group_key(scope) for group_key in group_keys])
+        state = groups.get(key)
+        if state is None:
+            accumulators = [Aggregator(c, a) for c, a in zip(calls, arguments)]
+            state = groups[key] = (scope, accumulators)
+        for accumulator in state[1]:
+            accumulator.add(scope)
+    if not groups and not stmt.group_by:
+        # A global aggregate over zero rows still returns one row
+        # (COUNT(*) = 0, SUM/MIN/MAX/AVG = NULL).
+        groups[()] = ({}, [Aggregator(c, a) for c, a in zip(calls, arguments)])
+
+    group = GroupEvaluator(evaluator, calls)
+    states = list(groups.values())
+    if stmt.having is not None:
+        having = group.test(stmt.having)
+        states = [state for state in states if having(state)]
+    outputs = [
+        group.value(item.expr)
+        for item in stmt.items
+        if not isinstance(item.expr, ast.Star)
+    ]
+    rows = [tuple([output(state) for output in outputs]) for state in states]
+    if stmt.order_by:
+        keys = [group.value(o.expr) for o in stmt.order_by]
+        rows = _sorted_rows(stmt, keys, states, rows, metrics)
+    return rows
+
+
+def _sorted_rows(
+    stmt: ast.Select, keys: list[Compiled], inputs: list, rows: list[tuple],
+    metrics: ExecutionMetrics,
+) -> list[tuple]:
+    """Sort *rows* by ORDER BY *keys* evaluated on their paired *inputs*."""
+    descending = [o.desc for o in stmt.order_by]
+    keyed = [
+        (tuple([_sort_key(key(x), desc) for key, desc in zip(keys, descending)]), row)
+        for x, row in zip(inputs, rows)
+    ]
+    metrics.sort_rows += len(keyed)
+    keyed.sort(key=lambda pair: pair[0])
+    return [row for _key, row in keyed]
+
+
 def _sort_key(value: Any, desc: bool):
     """Total-order sort key with None first and DESC inversion."""
     none_rank = 0 if value is None else 1
@@ -447,19 +398,53 @@ class _Reversed:
         return isinstance(other, _Reversed) and other.value == self.value
 
 
-class _Pipeline:
-    """Interprets a plan's join pipeline, yielding scopes (binding -> row)."""
+class _Step:
+    """One join step, prepared once per statement."""
 
-    def __init__(self, executor: Executor, info: QueryInfo, plan: Plan,
+    __slots__ = (
+        "path", "binding", "join_method", "storage", "node", "filter",
+        "filter_count", "edges", "conjuncts", "eq_sources", "prefixes",
+        "bounds", "reverse",
+    )
+
+    def __init__(self, step: JoinStep, storage: TableStorage,
+                 node: Optional[ActualPlanStats]):
+        self.path = step.path
+        self.binding = step.path.binding
+        self.join_method = step.join_method
+        self.storage = storage
+        self.node = node
+        self.filter: Optional[Compiled] = None    # fused row filter
+        self.filter_count = 0                     # predicates it charges
+        #: (column here, bound binding, its column) per join edge to check.
+        self.edges: list[tuple[str, str, str]] = []
+        #: Multi-table conjuncts whose last binding is this step's.
+        self.conjuncts: list[Compiled] = []
+        #: Per leading eq column of an index path: (constants, None), or
+        #: (None, (binding, column)) for a value taken from the outer row.
+        self.eq_sources: list[tuple[Optional[list], Optional[tuple[str, str]]]] = []
+        self.prefixes: Optional[list[tuple]] = None   # when all constant
+        self.bounds: Optional[tuple] = None           # range, on first scan
+        self.reverse = False
+
+
+class _Pipeline:
+    """Runs a plan's join pipeline, yielding scopes (binding -> row).
+
+    Scans apply their step's fused filter to the bare row and yield the
+    ids of passing rows; join-edge checks and multi-table conjuncts run
+    before a new scope is built.  Counters are charged in bulk, always
+    before a row is yielded, so a consumer that stops early (LIMIT) sees
+    exactly the work done so far.
+    """
+
+    def __init__(self, db: Database, info: QueryInfo, plan: Plan,
                  evaluator: ExprEvaluator, metrics: ExecutionMetrics,
                  collect_actuals: bool = False):
-        self.executor = executor
-        self.db = executor.db
+        self.db = db
         self.info = info
-        self.plan = plan
-        self.evaluator = evaluator
         self.metrics = metrics
-        # EXPLAIN ANALYZE accumulators, one per join step (None when off).
+        # EXPLAIN ANALYZE accumulators, one per join step (empty when off).
         self.nodes: list[ActualPlanStats] = (
             [
                 ActualPlanStats(
@@ -472,30 +457,108 @@ class _Pipeline:
             if collect_actuals
             else []
         )
+        self.steps: list[_Step] = []
+        bound: set[str] = set()
+        for i, step in enumerate(plan.steps):
+            prepared = _Step(
+                step, db._storage_for(step.path.table),
+                self.nodes[i] if self.nodes else None,
+            )
+            self._prepare(prepared, evaluator, bound)
+            self.steps.append(prepared)
+            bound.add(prepared.binding)
+
+    def _prepare(self, step: _Step, evaluator: ExprEvaluator,
+                 bound: set[str]) -> None:
+        info = self.info
+        binding = step.binding
+        filters = info.filters.get(binding, [])
+        step.filter = evaluator.row_filter([pred.expr for pred in filters])
+        step.filter_count = len(filters)
+        for edge in info.join_edges:
+            if edge.touches(binding) and edge.other(binding)[0] in bound:
+                step.edges.append((edge.column_of(binding), *edge.other(binding)))
+        available = bound | {binding}
+        step.conjuncts = [
+            evaluator.predicate(expr)
+            for touched, expr in info.complex_conjuncts
+            if binding in touched and touched <= available
+        ]
+        path = step.path
+        step.reverse = bool(
+            path.order_satisfied
+            and info.order_by
+            and all(o.desc for o in info.order_by)
+        )
+        if path.method == "seq" or path.skip_scan:
+            return
+        # Only a nested-loop probe sees an outer row to take values from.
+        outer = bound if step.join_method == "nlj" else set()
+        for column in path.eq_columns:
+            source = self._eq_source(binding, column, outer)
+            if source is None:
+                break
+            step.eq_sources.append(source)
+        if all(values is not None for values, _edge in step.eq_sources):
+            step.prefixes = _expand_prefixes(
+                [values for values, _edge in step.eq_sources]
+            )
+
+    def _eq_source(self, binding: str, column: str, outer: set[str]):
+        """Where an index scan's equality value for *column* comes from."""
+        for pred in self.info.filters.get(binding, []):
+            if pred.column.column != column:
+                continue
+            if pred.op in ("=", "<=>"):
+                value = constant_value(pred.expr.right)
+                if value is None:
+                    value = constant_value(pred.expr.left)
+                if value is not None:
+                    return [value], None
+            elif pred.op == "IN":
+                values = [constant_value(item) for item in pred.expr.items]
+                if all(v is not None for v in values):
+                    return _distinct_keys(values), None
+            elif pred.op == "IS NULL":
+                return [None], None
+        for edge in self.info.join_edges:
+            if not edge.touches(binding) or edge.column_of(binding) != column:
+                continue
+            other = edge.other(binding)
+            if other[0] in outer:
+                return None, other
+        return None
+
+    # -- the pipeline ----------------------------------------------------------
 
     def run(self) -> Iterator[dict]:
-        for scope, _ids in self.run_with_ids():
-            yield scope
-
-    def run_with_ids(self) -> Iterator[tuple[dict, dict]]:
-        steps = self.plan.steps
-        if not steps:
-            return
-        stream = self._drive(steps[0])
+        if not self.steps:
+            return iter(())
+        stream = self._drive()
         if self.nodes:
             self.nodes[0].loops = 1
             stream = self._observe(stream, self.nodes[0])
-        bound = [steps[0].path.binding]
-        for i, step in enumerate(steps[1:], start=1):
-            stream = self._join(stream, step, tuple(bound), i)
-            if self.nodes:
-                stream = self._observe(stream, self.nodes[i])
-            bound.append(step.path.binding)
-        yield from stream
+        for step in self.steps[1:]:
+            if step.join_method == "hash":
+                stream = self._hash_join(stream, step)
+            else:
+                stream = self._nested_loop(stream, step)
+            if step.node is not None:
+                stream = self._observe(stream, step.node)
+        return stream
+
+    def row_ids(self) -> list[int]:
+        """Ids of the rows a single-table statement (DML WHERE) selects."""
+        step = self.steps[0]
+        rows, binding = step.storage.rows, step.binding
+        return [
+            row_id for row_id in self._scan(step, {})
+            if self._conjuncts_ok(step.conjuncts, {binding: rows[row_id]})
+        ]
 
     def _observe(
         self, stream: Iterator, node: ActualPlanStats
-    ) -> Iterator[tuple[dict, dict]]:
+    ) -> Iterator[dict]:
         """Count rows and inclusive wall time a stage produces/spends."""
         stream = iter(stream)
         while True:
@@ -509,98 +572,119 @@ class _Pipeline:
             node.rows += 1
             yield item
 
-    # -- scans ---------------------------------------------------------------
+    def _drive(self) -> Iterator[dict]:
+        step = self.steps[0]
+        rows, binding, conjuncts = step.storage.rows, step.binding, step.conjuncts
+        for row_id in self._scan(step, {}):
+            scope = {binding: rows[row_id]}
+            if not conjuncts or self._conjuncts_ok(conjuncts, scope):
+                yield scope
 
-    def _drive(self, step: JoinStep) -> Iterator[tuple[dict, dict]]:
-        path = step.path
-        node = self.nodes[0] if self.nodes else None
-        for row, row_id in self._scan(path, {}, node):
-            scope = {path.binding: row}
-            ids = {path.binding: row_id}
-            if self._accept(path.binding, scope, first=True):
-                yield scope, ids
-
-    def _join(
-        self, stream: Iterator, step: JoinStep, bound: tuple[str, ...],
-        step_index: int,
-    ) -> Iterator[tuple[dict, dict]]:
-        node = self.nodes[step_index] if self.nodes else None
-        if step.join_method == "hash":
-            yield from self._hash_join(stream, step, bound, node)
-            return
-        path = step.path
-        for scope, ids in stream:
+    def _nested_loop(self, stream: Iterator[dict], step: _Step) -> Iterator[dict]:
+        rows, binding, node = step.storage.rows, step.binding, step.node
+        edges, conjuncts = step.edges, step.conjuncts
+        for scope in stream:
             if node is not None:
                 node.loops += 1
-            for row, row_id in self._scan(path, scope, node):
-                new_scope = dict(scope)
-                new_scope[path.binding] = row
-                new_ids = dict(ids)
-                new_ids[path.binding] = row_id
-                if self._accept(path.binding, new_scope, bound=bound):
-                    yield new_scope, new_ids
+            for row_id in self._scan(step, scope):
+                row = rows[row_id]
+                if edges and not self._edges_ok(edges, row, scope):
+                    continue
+                joined = {**scope, binding: row}
+                if not conjuncts or self._conjuncts_ok(conjuncts, joined):
+                    yield joined
 
-    def _hash_join(
-        self, stream: Iterator, step: JoinStep, bound: tuple[str, ...],
-        node: Optional[ActualPlanStats] = None,
-    ) -> Iterator[tuple[dict, dict]]:
-        binding = step.path.binding
-        edges = [
-            e for e in self.info.join_edges
-            if e.touches(binding) and e.other(binding)[0] in bound
-        ]
+    def _hash_join(self, stream: Iterator[dict], step: _Step) -> Iterator[dict]:
+        rows, binding, node = step.storage.rows, step.binding, step.node
+        edges, conjuncts = step.edges, step.conjuncts
         if node is not None:
             node.loops += 1      # one build-side scan
-        table: dict[tuple, list[tuple[dict, int]]] = {}
-        for row, row_id in self._scan(step.path, {}, node):
-            scope = {binding: row}
-            if not self._filters_ok(binding, scope):
-                continue
-            key = tuple(row.get(e.column_of(binding)) for e in edges)
-            table.setdefault(key, []).append((row, row_id))
-        for scope, ids in stream:
-            key = tuple(
-                scope[e.other(binding)[0]].get(e.other(binding)[1]) for e in edges
-            )
-            for row, row_id in table.get(key, ()):
-                new_scope = dict(scope)
-                new_scope[binding] = row
-                new_ids = dict(ids)
-                new_ids[binding] = row_id
-                if self._accept(binding, new_scope, bound=bound, skip_filters=True):
-                    yield new_scope, new_ids
+        # Buckets hold the build rows themselves, keyed by the join column
+        # (a scalar for the common single-edge join, else a tuple).
+        buckets: defaultdict[Any, list[dict]] = defaultdict(list)
+        if len(edges) == 1:
+            (column, other, other_column), = edges
+            for row_id in self._scan(step, {}):
+                row = rows[row_id]
+                buckets[row.get(column)].append(row)
 
-    def _scan(
-        self, path: AccessPath, outer_scope: dict,
-        node: Optional[ActualPlanStats] = None,
-    ) -> Iterator[tuple[dict, int]]:
-        storage = self.db._storage_for(path.table)
-        if path.method == "seq":
-            yield from self._seq_scan(storage, node)
-            return
-        yield from self._index_scan(path, storage, outer_scope, node)
+            def probe_key(scope: dict) -> Any:
+                return scope[other].get(other_column)
+        else:
+            for row_id in self._scan(step, {}):
+                row = rows[row_id]
+                buckets[tuple([row.get(column) for column, _b, _c in edges])].append(row)
 
-    def _seq_scan(
-        self, storage: TableStorage, node: Optional[ActualPlanStats] = None
-    ) -> Iterator[tuple[dict, int]]:
-        params = self.db.params
-        pages = params.pages_for(storage.row_count, storage.table.row_width)
-        self.metrics.seq_pages += pages
+            def probe_key(scope: dict) -> Any:
+                return tuple([scope[b].get(c) for _column, b, c in edges])
+        for scope in stream:
+            for row in buckets.get(probe_key(scope), ()):
+                if not self._edges_ok(edges, row, scope):
+                    continue
+                joined = {**scope, binding: row}
+                if not conjuncts or self._conjuncts_ok(conjuncts, joined):
+                    yield joined
+
+    # -- predicate application -------------------------------------------------
+
+    def _edges_ok(self, edges, row: dict, scope: dict) -> bool:
+        metrics = self.metrics
+        for column, other, other_column in edges:
+            metrics.predicate_evals += 1
+            left = row.get(column)
+            right = scope[other].get(other_column)
+            if left is None or right is None or left != right:
+                return False
+        return True
+
+    def _conjuncts_ok(self, conjuncts: list[Compiled], scope: dict) -> bool:
+        metrics = self.metrics
+        for conjunct in conjuncts:
+            metrics.predicate_evals += 1
+            if not conjunct(scope):
+                return False
+        return True
+
+    # -- scans -----------------------------------------------------------------
+
+    def _scan(self, step: _Step, outer_scope: dict) -> Iterator[int]:
+        """Ids of the rows of *step*'s table that pass its filter."""
+        if step.path.method == "seq":
+            return self._seq_scan(step)
+        return self._index_scan(step, outer_scope)
+
+    def _charge(self, step: _Step, rows: int) -> None:
+        """Charge *rows* rows read and filtered by *step*'s scan."""
+        self.metrics.rows_read += rows
+        self.metrics.predicate_evals += rows * step.filter_count
+        if step.node is not None:
+            step.node.rows_scanned += rows
+
+    def _seq_scan(self, step: _Step) -> Iterator[int]:
+        storage, node, passes = step.storage, step.node, step.filter
+        metrics, evals = self.metrics, step.filter_count
+        pages = self.db.params.pages_for(storage.row_count, storage.table.row_width)
+        metrics.seq_pages += pages
         if node is not None:
             node.pages_read += pages
-        for row_id in list(storage.all_row_ids()):
-            row = storage.rows.get(row_id)
+        get = storage.rows.get
+        pending = 0
+        for row_id in list(storage.rows):
+            row = get(row_id)
             if row is None:
                 continue
-            self.metrics.rows_read += 1
-            if node is not None:
-                node.rows_scanned += 1
-            yield row, row_id
+            pending += 1
+            if passes is None or passes(row):
+                metrics.rows_read += pending      # _charge, inlined
+                metrics.predicate_evals += pending * evals
+                if node is not None:
+                    node.rows_scanned += pending
+                pending = 0
+                yield row_id
+        self._charge(step, pending)
 
-    def _index_scan(
-        self, path: AccessPath, storage: TableStorage, outer_scope: dict,
-        node: Optional[ActualPlanStats] = None,
-    ) -> Iterator[tuple[dict, int]]:
+    def _index_scan(self, step: _Step, outer_scope: dict) -> Iterator[int]:
+        path, storage, node = step.path, step.storage, step.node
         structure = (
             storage.pk_index
             if path.method == "pk"
@@ -608,9 +692,8 @@ class _Pipeline:
         )
         if structure is None:
             # Index vanished between planning and execution; degrade safely.
-            yield from self._seq_scan(storage, node)
+            yield from self._seq_scan(step)
             return
-        reverse = self._reverse_scan(path)
         if path.skip_scan:
             # Skip scan: the leading column has no predicate.  Execute as
             # a full index scan (bounds would bind the wrong column);
@@ -619,93 +702,64 @@ class _Pipeline:
             low = high = None
             low_inc = high_inc = True
         else:
-            prefixes = self._prefix_values(path, outer_scope)
-            low, high, low_inc, high_inc = self._range_bounds(path)
+            prefixes = step.prefixes
+            if prefixes is None:
+                prefixes = _expand_prefixes([
+                    values if values is not None
+                    else [outer_scope[edge[0]].get(edge[1])]
+                    for values, edge in step.eq_sources
+                ])
+            if step.bounds is None:
+                step.bounds = self._range_bounds(path)
+            low, high, low_inc, high_inc = step.bounds
+        metrics = self.metrics
         # One random page per scan invocation reaches the leaf level: the
         # first probe's descent warms the internal B-tree nodes, so the
         # remaining prefixes (IN-list combinations) descend through cached
         # pages.  Leaf I/O is charged separately below from the entries
         # actually read, mirroring the optimizer's cost model.
-        self.metrics.random_pages += 1
+        metrics.random_pages += 1
         if node is not None:
             node.pages_read += 1
+        # Each entry read costs an index entry and, unless covering, a
+        # random base-row page.
+        lookups = 0 if path.covering else 1
+        entry_width = (
+            path.index.entry_width(storage.table) if path.method == "index" else 0
+        )
+        get, passes = storage.rows.get, step.filter
         for prefix in prefixes:
-            entries = 0
+            entries = pending = 0
             # Range bounds bind the key column right after the eq prefix;
             # they only apply when the whole prefix is concrete.
             full_prefix = len(prefix) == len(path.eq_columns)
-            use_low = low if full_prefix else None
-            use_high = high if full_prefix else None
             scan = structure.scan_prefix(
-                prefix, use_low, use_high, low_inc, high_inc, reverse=reverse
+                prefix, low if full_prefix else None, high if full_prefix else None,
+                low_inc, high_inc, reverse=step.reverse,
             )
             for _key, row_id in scan:
-                row = storage.rows.get(row_id)
+                row = get(row_id)
                 if row is None:
                     continue
                 entries += 1
-                self.metrics.index_entries_read += 1
-                if not path.covering:
-                    self.metrics.random_pages += 1
-                    if node is not None:
-                        node.pages_read += 1
-                self.metrics.rows_read += 1
-                if node is not None:
-                    node.rows_scanned += 1
-                yield row, row_id
-            if path.method == "index":
-                entry_width = path.index.entry_width(storage.table)
+                pending += 1
+                if passes is None or passes(row):
+                    self._charge_index(step, pending, lookups)
+                    pending = 0
+                    yield row_id
+            self._charge_index(step, pending, lookups)
+            if entry_width:
                 leaf_pages = self.db.params.pages_for(entries, entry_width)
-                self.metrics.seq_pages += leaf_pages
+                metrics.seq_pages += leaf_pages
                 if node is not None:
                     node.pages_read += leaf_pages
 
-    def _reverse_scan(self, path: AccessPath) -> bool:
-        return bool(
-            path.order_satisfied
-            and self.info.order_by
-            and all(o.desc for o in self.info.order_by)
-        )
-
-    def _prefix_values(self, path: AccessPath, outer_scope: dict) -> list[tuple]:
-        """Concrete key prefixes for the scan (IN-lists expand)."""
-        binding = path.binding
-        per_column: list[list] = []
-        for col in path.eq_columns:
-            values = self._eq_values(binding, col, outer_scope)
-            if values is None:
-                break
-            per_column.append(values)
-        combos: list[tuple] = [()]
-        for values in per_column:
-            combos = [c + (v,) for c in combos for v in values]
-            if len(combos) > MAX_SUBRANGES:
-                return [()]   # too many subranges: full index scan
-        return combos
-
-    def _eq_values(self, binding: str, col: str, outer_scope: dict):
-        for pred in self.info.filters.get(binding, []):
-            if pred.column.column != col:
-                continue
-            if pred.op in ("=", "<=>"):
-                value = constant_value(pred.expr.right)
-                if value is None:
-                    value = constant_value(pred.expr.left)
-                if value is not None:
-                    return [value]
-            elif pred.op == "IN":
-                values = [constant_value(item) for item in pred.expr.items]
-                if all(v is not None for v in values):
-                    return values
-            elif pred.op == "IS NULL":
-                return [None]
-        for edge in self.info.join_edges:
-            if not edge.touches(binding) or edge.column_of(binding) != col:
-                continue
-            other_binding, other_col = edge.other(binding)
-            if other_binding in outer_scope:
-                return [outer_scope[other_binding].get(other_col)]
-        return None
+    def _charge_index(self, step: _Step, entries: int, lookups: int) -> None:
+        self.metrics.index_entries_read += entries
+        self.metrics.random_pages += entries * lookups
+        if step.node is not None:
+            step.node.pages_read += entries * lookups
+        self._charge(step, entries)
 
     def _range_bounds(self, path: AccessPath):
         low = high = None
@@ -733,41 +787,25 @@ class _Pipeline:
                     high, high_inc = hi, True
         return low, high, low_inc, high_inc
 
-    # -- predicate application -----------------------------------------------------
 
-    def _filters_ok(self, binding: str, scope: dict) -> bool:
-        self.metrics.predicate_evals += len(self.info.filters.get(binding, []))
-        for pred in self.info.filters.get(binding, []):
-            if not self.evaluator.matches(pred.expr, scope):
-                return False
-        return True
+def _distinct_keys(values: list) -> list:
+    """*values* in order, without repeats as the index compares them
+    (``5`` and ``5.0`` are one key)."""
+    seen: set = set()
+    out = []
+    for value in values:
+        key = wrap_key((value,))
+        if key not in seen:
+            seen.add(key)
+            out.append(value)
+    return out
 
-    def _accept(
-        self,
-        binding: str,
-        scope: dict,
-        first: bool = False,
-        bound: tuple[str, ...] = (),
-        skip_filters: bool = False,
-    ) -> bool:
-        if not skip_filters and not self._filters_ok(binding, scope):
-            return False
-        available = set(scope)
-        for edge in self.info.join_edges:
-            if not edge.touches(binding):
-                continue
-            other_binding, other_col = edge.other(binding)
-            if other_binding not in available:
-                continue
-            self.metrics.predicate_evals += 1
-            left = scope[binding].get(edge.column_of(binding))
-            right = scope[other_binding].get(other_col)
-            if left is None or right is None or left != right:
-                return False
-        for touched, expr in self.info.complex_conjuncts:
-            if binding not in touched or not touched <= available:
-                continue
-            self.metrics.predicate_evals += 1
-            if not self.evaluator.matches(expr, scope):
-                return False
-        return True
+
+def _expand_prefixes(per_column: list[list]) -> list[tuple]:
+    """Concrete key prefixes for an index scan (IN-lists expand)."""
+    combos: list[tuple] = [()]
+    for values in per_column:
+        combos = [c + (v,) for c in combos for v in values]
+        if len(combos) > MAX_SUBRANGES:
+            return [()]   # too many subranges: full index scan
+    return combos

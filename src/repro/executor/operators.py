@@ -1,149 +1,39 @@
-"""Expression evaluation over row scopes.
+"""Expression compilation for the executor.
 
-The executor interprets AST expressions against a *scope*: the current
-row of every bound table.  SQL three-valued logic is approximated with
-Python ``None`` propagation -- a comparison involving NULL is not
-satisfied, matching WHERE-clause semantics.
+Each statement's expressions are compiled once, before any row is read:
+column bindings are resolved and node types dispatched at compile time,
+and the result is a tree of Python closures.  Evaluating a row then costs
+only the closures' own work.  Closures take one of two arguments:
+
+* a bare *row* (column -> value) -- :meth:`ExprEvaluator.row_filter`
+  fuses one binding's atomic filter predicates into a single
+  ``row -> bool`` test the scans apply before building any scope;
+* a *scope* (binding -> row) -- everything else: projection, ORDER BY and
+  GROUP BY keys, aggregate arguments, HAVING, UPDATE ``SET`` values and
+  multi-table conjuncts.
+
+SQL three-valued logic is approximated with Python ``None`` propagation
+-- a comparison involving NULL is not satisfied, matching WHERE-clause
+semantics.  :func:`_sql_eq`, :func:`_like` and the operator tables
+:data:`_COMPARE` and :data:`_ARITH` are the single definition of those
+semantics.  Errors a statement can only hit on a row (a ``?`` parameter,
+an aggregate outside aggregation) compile into closures that raise when
+called, so a statement over an empty table still succeeds.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..optimizer.query_info import QueryInfo, ResolutionError
 from ..sqlparser import ast
 
 Row = Mapping[str, Any]
 Scope = Mapping[str, Row]          # binding name -> row
-
-
-class ExprEvaluator:
-    """Evaluates expressions for one analyzed query.
-
-    Unqualified column names are resolved once (against the query's
-    bindings) and cached.
-    """
-
-    def __init__(self, info: QueryInfo, schema):
-        self._info = info
-        self._schema = schema
-        self._resolution: dict[str, str] = {}   # bare column -> binding
-
-    def resolve_binding(self, ref: ast.ColumnRef) -> str:
-        if ref.table is not None:
-            return ref.table
-        if ref.column in self._resolution:
-            return self._resolution[ref.column]
-        matches = [
-            binding
-            for binding, table_name in self._info.bindings.items()
-            if self._schema.table(table_name).has_column(ref.column)
-        ]
-        if len(matches) != 1:
-            raise ResolutionError(f"cannot resolve column {ref.column!r}")
-        self._resolution[ref.column] = matches[0]
-        return matches[0]
-
-    def value(self, expr: ast.Expr, scope: Scope) -> Any:
-        """Evaluate a scalar (non-boolean) expression."""
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.ColumnRef):
-            binding = self.resolve_binding(expr)
-            row = scope.get(binding)
-            return None if row is None else row.get(expr.column)
-        if isinstance(expr, ast.Arithmetic):
-            left = self.value(expr.left, scope)
-            right = self.value(expr.right, scope)
-            if left is None or right is None:
-                return None
-            try:
-                if expr.op == "+":
-                    return left + right
-                if expr.op == "-":
-                    return left - right
-                if expr.op == "*":
-                    return left * right
-                if expr.op == "/":
-                    return left / right if right else None
-                if expr.op == "%":
-                    return left % right if right else None
-            except TypeError:
-                return None
-        if isinstance(expr, ast.Param):
-            raise ValueError("cannot execute a parameterized query (`?`)")
-        if isinstance(expr, ast.FuncCall):
-            raise ValueError(
-                f"aggregate {expr.name} outside aggregation context"
-            )
-        # Boolean sub-expression used as a value.
-        return self.matches(expr, scope)
-
-    def matches(self, expr: Optional[ast.Expr], scope: Scope) -> bool:
-        """Evaluate a predicate; NULL comparisons yield False."""
-        if expr is None:
-            return True
-        if isinstance(expr, ast.And):
-            return all(self.matches(item, scope) for item in expr.items)
-        if isinstance(expr, ast.Or):
-            return any(self.matches(item, scope) for item in expr.items)
-        if isinstance(expr, ast.Not):
-            return not self.matches(expr.item, scope)
-        if isinstance(expr, ast.Comparison):
-            return self._compare(expr, scope)
-        if isinstance(expr, ast.InList):
-            value = self.value(expr.expr, scope)
-            if value is None:
-                return False
-            items = [self.value(item, scope) for item in expr.items]
-            result = any(_sql_eq(value, item) for item in items)
-            return (not result) if expr.negated else result
-        if isinstance(expr, ast.Between):
-            value = self.value(expr.expr, scope)
-            low = self.value(expr.low, scope)
-            high = self.value(expr.high, scope)
-            if value is None or low is None or high is None:
-                return False
-            try:
-                result = low <= value <= high
-            except TypeError:
-                return False
-            return (not result) if expr.negated else result
-        if isinstance(expr, ast.IsNull):
-            value = self.value(expr.expr, scope)
-            return (value is not None) if expr.negated else (value is None)
-        if isinstance(expr, ast.Literal):
-            return bool(expr.value)
-        raise ValueError(f"cannot evaluate predicate {expr.to_sql()}")
-
-    def _compare(self, expr: ast.Comparison, scope: Scope) -> bool:
-        left = self.value(expr.left, scope)
-        right = self.value(expr.right, scope)
-        op = expr.op
-        if op == "<=>":
-            return _sql_eq(left, right) or (left is None and right is None)
-        if left is None or right is None:
-            return False
-        if op == "LIKE":
-            return _like(str(left), str(right))
-        try:
-            if op == "=":
-                return _sql_eq(left, right)
-            if op == "!=":
-                return not _sql_eq(left, right)
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            if op == ">=":
-                return left >= right
-        except TypeError:
-            return False
-        raise ValueError(f"unknown comparison operator {op!r}")
+Compiled = Callable[[Any], Any]    # row or scope -> value
 
 
 def _sql_eq(left: Any, right: Any) -> bool:
@@ -166,22 +56,294 @@ def _like(value: str, pattern: str) -> bool:
     return _like_regex(pattern).match(value) is not None
 
 
-class Aggregator:
-    """Accumulates one aggregate function over a group."""
+def _ordering(op: Callable[[Any, Any], bool]) -> Callable[[Any, Any], bool]:
+    def test(left: Any, right: Any) -> bool:
+        if left is None or right is None:
+            return False
+        try:
+            return op(left, right)
+        except TypeError:
+            return False
+    return test
 
-    def __init__(self, func: ast.FuncCall):
+
+#: Comparison operator -> test over two evaluated operands.
+_COMPARE: dict[str, Callable[[Any, Any], bool]] = {
+    "=": _sql_eq,
+    "!=": lambda l, r: l is not None and r is not None and not _sql_eq(l, r),
+    "<=>": lambda l, r: _sql_eq(l, r) or (l is None and r is None),
+    "LIKE": lambda l, r: l is not None and r is not None and _like(str(l), str(r)),
+    "<": _ordering(operator.lt),
+    "<=": _ordering(operator.le),
+    ">": _ordering(operator.gt),
+    ">=": _ordering(operator.ge),
+}
+
+
+def _null_safe(op: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    def apply(left: Any, right: Any) -> Any:
+        if left is None or right is None:
+            return None
+        try:
+            return op(left, right)
+        except TypeError:
+            return None
+    return apply
+
+
+#: Arithmetic operator -> ``left op right`` with NULL propagation; type
+#: errors and division by zero yield NULL.
+_ARITH: dict[str, Callable[[Any, Any], Any]] = {
+    "+": _null_safe(operator.add),
+    "-": _null_safe(operator.sub),
+    "*": _null_safe(operator.mul),
+    "/": _null_safe(lambda l, r: l / r if r else None),
+    "%": _null_safe(lambda l, r: l % r if r else None),
+}
+
+
+def _all(tests: list[Compiled]) -> Compiled:
+    """Conjunction of compiled predicates, stopping at the first false one."""
+    if len(tests) == 2:
+        first, second = tests
+        return lambda arg: first(arg) and second(arg)
+
+    def all_true(arg: Any) -> bool:
+        for test in tests:
+            if not test(arg):
+                return False
+        return True
+    return all_true
+
+
+def _raiser(exc: Exception) -> Compiled:
+    def fail(_arg: Any) -> Any:
+        raise exc
+    return fail
+
+
+def _const(value: Any) -> Compiled:
+    return lambda _arg: value
+
+
+class ExprEvaluator:
+    """Compiles the expressions of one analyzed statement.
+
+    Unqualified column names are resolved against the statement's
+    bindings at compile time.
+    """
+
+    def __init__(self, info: QueryInfo, schema):
+        self._info = info
+        self._schema = schema
+
+    def resolve_binding(self, ref: ast.ColumnRef) -> str:
+        if ref.table is not None:
+            return ref.table
+        matches = [
+            binding
+            for binding, table_name in self._info.bindings.items()
+            if self._schema.table(table_name).has_column(ref.column)
+        ]
+        if len(matches) != 1:
+            raise ResolutionError(f"cannot resolve column {ref.column!r}")
+        return matches[0]
+
+    # -- entry points ----------------------------------------------------------
+
+    def value(self, expr: ast.Expr) -> Compiled:
+        """``scope -> value`` for a scalar expression."""
+        return _Compiler(self, over_row=False).value(expr)
+
+    def predicate(self, expr: ast.Expr) -> Compiled:
+        """``scope -> bool`` for a predicate; NULL comparisons yield False."""
+        return _Compiler(self, over_row=False).test(expr)
+
+    def row_filter(self, exprs: Sequence[ast.Expr]) -> Optional[Compiled]:
+        """One ``row -> bool`` testing every expression in order.
+
+        Each expression must reference columns of a single binding (the
+        atomic filters of ``QueryInfo.filters``).  Evaluation stops at the
+        first false predicate.  None when there is nothing to test.
+        """
+        compiler = _Compiler(self, over_row=True)
+        tests = [compiler.test(expr) for expr in exprs]
+        if not tests:
+            return None
+        return tests[0] if len(tests) == 1 else _all(tests)
+
+
+class _Compiler:
+    """Turns AST nodes into closures over a row or a scope."""
+
+    def __init__(self, evaluator: ExprEvaluator, over_row: bool):
+        self._evaluator = evaluator
+        self._over_row = over_row
+
+    def _column(self, ref: ast.ColumnRef) -> Compiled:
+        column = ref.column
+        if self._over_row:
+            return operator.methodcaller("get", column)
+        binding = self._evaluator.resolve_binding(ref)
+
+        def fetch(scope: Scope) -> Any:
+            row = scope.get(binding)
+            return None if row is None else row.get(column)
+        return fetch
+
+    # -- scalars ---------------------------------------------------------------
+
+    def value(self, expr: ast.Expr) -> Compiled:
+        if isinstance(expr, ast.Literal):
+            return _const(expr.value)
+        if isinstance(expr, ast.ColumnRef):
+            return self._column(expr)
+        if isinstance(expr, ast.Arithmetic):
+            return self._arithmetic(expr)
+        if isinstance(expr, ast.Param):
+            return _raiser(ValueError("cannot execute a parameterized query (`?`)"))
+        if isinstance(expr, ast.FuncCall):
+            return _raiser(ValueError(
+                f"aggregate {expr.name} outside aggregation context"
+            ))
+        # Boolean sub-expression used as a value.
+        return self.test(expr)
+
+    def _arithmetic(self, expr: ast.Arithmetic) -> Compiled:
+        left, right = self.value(expr.left), self.value(expr.right)
+        apply = _ARITH[expr.op]
+        return lambda arg: apply(left(arg), right(arg))
+
+    # -- predicates ------------------------------------------------------------
+
+    def test(self, expr: ast.Expr) -> Compiled:
+        if isinstance(expr, ast.And):
+            return _all([self.test(item) for item in expr.items])
+        if isinstance(expr, ast.Or):
+            items = [self.test(item) for item in expr.items]
+            return lambda arg: any(item(arg) for item in items)
+        if isinstance(expr, ast.Not):
+            item = self.test(expr.item)
+            return lambda arg: not item(arg)
+        if isinstance(expr, ast.Comparison):
+            return self._comparison(expr)
+        if isinstance(expr, ast.InList):
+            return self._in_list(expr)
+        if isinstance(expr, ast.Between):
+            return self._between(expr)
+        if isinstance(expr, ast.IsNull):
+            operand = self.value(expr.expr)
+            if expr.negated:
+                return lambda arg: operand(arg) is not None
+            return lambda arg: operand(arg) is None
+        if isinstance(expr, ast.Literal):
+            return _const(bool(expr.value))
+        return _raiser(ValueError(f"cannot evaluate predicate {expr.to_sql()}"))
+
+    def _comparison(self, expr: ast.Comparison) -> Compiled:
+        test = _COMPARE[expr.op]
+        if (
+            self._over_row
+            and isinstance(expr.left, ast.ColumnRef)
+            and isinstance(expr.right, ast.Literal)
+        ):
+            return _column_vs_constant(expr.op, test, expr.left.column,
+                                       expr.right.value)
+        left, right = self.value(expr.left), self.value(expr.right)
+        return lambda arg: test(left(arg), right(arg))
+
+    def _in_list(self, expr: ast.InList) -> Compiled:
+        operand = self.value(expr.expr)
+        negated = expr.negated
+        if all(isinstance(item, ast.Literal) for item in expr.items):
+            constants = tuple(item.value for item in expr.items)
+            return lambda arg: _member(operand(arg), constants, negated)
+        items = [self.value(item) for item in expr.items]
+
+        def member(arg: Any) -> bool:
+            value = operand(arg)
+            if value is None:      # the list is not evaluated
+                return False
+            return _member(value, [item(arg) for item in items], negated)
+        return member
+
+    def _between(self, expr: ast.Between) -> Compiled:
+        negated = expr.negated
+        if (
+            self._over_row
+            and isinstance(expr.expr, ast.ColumnRef)
+            and isinstance(expr.low, ast.Literal)
+            and isinstance(expr.high, ast.Literal)
+        ):
+            column, lo, hi = expr.expr.column, expr.low.value, expr.high.value
+            return lambda row: _between(row.get(column), lo, hi, negated)
+        operand = self.value(expr.expr)
+        low, high = self.value(expr.low), self.value(expr.high)
+        return lambda arg: _between(operand(arg), low(arg), high(arg), negated)
+
+
+def _member(value: Any, items: Sequence[Any], negated: bool) -> bool:
+    if value is None:
+        return False
+    found = any(_sql_eq(value, item) for item in items)
+    return (not found) if negated else found
+
+
+def _between(value: Any, low: Any, high: Any, negated: bool) -> bool:
+    if value is None or low is None or high is None:
+        return False
+    try:
+        result = low <= value <= high
+    except TypeError:
+        return False
+    return (not result) if negated else result
+
+
+def _column_vs_constant(
+    op: str, test: Callable[[Any, Any], bool], column: str, constant: Any
+) -> Compiled:
+    """``row -> bool`` for ``column op constant``, the common filter shape.
+
+    Same result as ``test(row.get(column), constant)``; equality against a
+    string or number constant short-cuts the common same-type case.
+    """
+    if op == "=" and type(constant) is str:
+        def eq_str(row: Row) -> bool:
+            value = row.get(column)
+            return value == constant if type(value) is str else _sql_eq(value, constant)
+        return eq_str
+    if op == "=" and type(constant) in (int, float):
+        def eq_number(row: Row) -> bool:
+            value = row.get(column)
+            kind = type(value)
+            if kind is int or kind is float:
+                return value == constant
+            return _sql_eq(value, constant)
+        return eq_number
+    return lambda row: test(row.get(column), constant)
+
+
+class Aggregator:
+    """Accumulates one aggregate function over a group.
+
+    *argument* is the compiled ``scope -> value`` of the function's
+    argument (None for ``COUNT(*)``).
+    """
+
+    def __init__(self, func: ast.FuncCall, argument: Optional[Compiled] = None):
         self.func = func
+        self.argument = argument
         self.count = 0
         self.total: Any = None
         self.min_value: Any = None
         self.max_value: Any = None
         self.distinct_values: set = set()
 
-    def add(self, evaluator: ExprEvaluator, scope: Scope) -> None:
+    def add(self, scope: Scope) -> None:
         if self.func.star:
             self.count += 1
             return
-        value = evaluator.value(self.func.args[0], scope)
+        value = self.argument(scope)
         if value is None:
             return
         if self.func.distinct:
@@ -209,3 +371,67 @@ class Aggregator:
         if name == "MAX":
             return self.max_value
         raise ValueError(f"unknown aggregate {name}")
+
+
+class GroupEvaluator:
+    """Compiles expressions over a finished group.
+
+    A group *state* is ``(scope, accumulators)``: the group's first scope
+    (``{}`` for a global aggregate over zero rows) and one
+    :class:`Aggregator` per aggregate call of the select list, in *calls*
+    order.  An aggregate call elsewhere (ORDER BY, HAVING) reads the
+    select-list accumulator with the same SQL text; one that matches none
+    reads an empty accumulator (COUNT = 0, others NULL).
+    """
+
+    def __init__(self, evaluator: ExprEvaluator, calls: Sequence[ast.FuncCall]):
+        self._evaluator = evaluator
+        self._calls = list(calls)
+
+    def _slot(self, call: ast.FuncCall) -> Optional[int]:
+        for i, known in enumerate(self._calls):
+            if known is call:
+                return i
+        sql = call.to_sql()
+        for i, known in enumerate(self._calls):
+            if known.to_sql() == sql:
+                return i
+        return None
+
+    def value(self, expr: ast.Expr) -> Compiled:
+        """``state -> value``."""
+        if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
+            slot = self._slot(expr)
+            if slot is None:
+                empty = Aggregator(expr)
+                return lambda state: empty.result()
+            return lambda state: state[1][slot].result()
+        if isinstance(expr, ast.Arithmetic):
+            left, right = self.value(expr.left), self.value(expr.right)
+            apply = _ARITH[expr.op]
+            return lambda state: apply(left(state), right(state))
+        scalar = self._evaluator.value(expr)
+        return lambda state: scalar(state[0])
+
+    def test(self, expr: ast.Expr) -> Compiled:
+        """``state -> bool`` for a HAVING clause."""
+        if isinstance(expr, ast.And):
+            return _all([self.test(item) for item in expr.items])
+        if isinstance(expr, ast.Or):
+            items = [self.test(item) for item in expr.items]
+            return lambda state: any(item(state) for item in items)
+        if isinstance(expr, ast.Not):
+            item = self.test(expr.item)
+            return lambda state: not item(state)
+        if isinstance(expr, ast.Comparison):
+            left, right = self.value(expr.left), self.value(expr.right)
+            test = _COMPARE[expr.op]
+
+            def compare(state: Any) -> bool:
+                l, r = left(state), right(state)
+                if l is None or r is None:
+                    return False
+                return test(l, r)
+            return compare
+        predicate = self._evaluator.predicate(expr)
+        return lambda state: predicate(state[0])

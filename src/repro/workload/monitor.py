@@ -18,7 +18,7 @@ from typing import Optional
 from ..engine import Database, ExecutionMetrics
 from ..executor import ExecutionResult, Executor
 from ..optimizer.plan import Plan
-from ..sqlparser import normalize_sql
+from ..sqlparser import ast, normalize_sql, normalize_statement, parse
 from .query import QueryStatistics
 
 
@@ -28,8 +28,13 @@ class WorkloadMonitor:
 
     stats: dict[str, QueryStatistics] = field(default_factory=dict)
 
-    def _entry(self, sql: str) -> QueryStatistics:
-        normalized = normalize_sql(sql)
+    def _entry(
+        self, sql: str, stmt: Optional[ast.Statement] = None
+    ) -> QueryStatistics:
+        if stmt is None:
+            normalized = normalize_sql(sql)
+        else:
+            normalized = normalize_statement(stmt).to_sql()
         entry = self.stats.get(normalized)
         if entry is None:
             entry = QueryStatistics(normalized_sql=normalized, example_sql=sql)
@@ -39,10 +44,18 @@ class WorkloadMonitor:
         return entry
 
     def record_execution(
-        self, sql: str, metrics: ExecutionMetrics, cpu_seconds: float
+        self,
+        sql: str,
+        metrics: ExecutionMetrics,
+        cpu_seconds: float,
+        stmt: Optional[ast.Statement] = None,
     ) -> QueryStatistics:
-        """Record one measured execution."""
-        entry = self._entry(sql)
+        """Record one measured execution.
+
+        *stmt*, when given, is *sql* already parsed; the monitor then
+        normalizes it without parsing the text again.
+        """
+        entry = self._entry(sql, stmt)
         entry.record(cpu_seconds, metrics.rows_read, metrics.rows_sent)
         return entry
 
@@ -104,7 +117,8 @@ class MonitoredExecutor:
         self.monitor = monitor or WorkloadMonitor()
 
     def execute(self, sql: str, analyze: bool = False) -> ExecutionResult:
-        result = self.executor.execute(sql, analyze=analyze)
+        stmt = parse(sql)     # once, for the executor and the monitor
+        result = self.executor.execute(stmt, analyze=analyze)
         cpu = result.metrics.cpu_seconds(self.db.params)
-        self.monitor.record_execution(sql, result.metrics, cpu)
+        self.monitor.record_execution(sql, result.metrics, cpu, stmt=stmt)
         return result

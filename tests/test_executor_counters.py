@@ -1,0 +1,152 @@
+"""Counter pin: the executor's cost accounting must not drift.
+
+Executed work feeds ``ExecutionMetrics.cpu_seconds`` -- the workload
+monitor's ``cpu_avg``, AIM's benefit ranking and the serve benchmark's
+``cost_per_stmt``.  A faster executor must therefore reproduce every
+counter exactly.  This test executes a fixed corpus -- seeded qa cases on
+their stored databases (with and without a secondary index) plus
+hand-written joins, aggregates and DML over the shared users/orders
+tables -- once plainly and once with ``analyze=True``, and digests each
+statement's ``ExecutionMetrics.as_dict()`` and every EXPLAIN ANALYZE
+node's rows, loops, rows_scanned and pages_read.
+
+``PINNED`` was computed by running this module (``python -m
+tests.test_executor_counters``) in a separate checkout of the commit
+before expression compilation, whose executor interpreted the AST per
+row.  Only a deliberate change to the cost model may update it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from repro.catalog import Index
+from repro.engine import Database
+from repro.executor import Executor
+from repro.optimizer.what_if import CostEvaluator
+from repro.qa.generator import generate_case
+from repro.qa.oracles import _first_sargable
+from repro.sqlparser import ast, parse
+
+from .conftest import make_order_rows, make_user_rows, orders_table, users_table
+
+QA_SEEDS = range(40)
+
+#: Joins (hash and nested-loop), cross-binding conjuncts, grouping,
+#: ordering, DISTINCT, LIMIT early exit, IN lists and DML.
+HANDWRITTEN = (
+    "SELECT u.name, o.amount FROM users u, orders o "
+    "WHERE u.id = o.user_id AND o.status = 'paid' AND u.city = 'c1'",
+    "SELECT u.id, o.oid FROM users u, orders o "
+    "WHERE u.id = o.user_id AND (u.age > 70 OR o.amount < 20)",
+    "SELECT COUNT(*) FROM users u JOIN orders o ON u.id = o.user_id "
+    "WHERE o.amount + u.age > 900",
+    "SELECT * FROM users WHERE city = 'c3' AND score IS NULL",
+    "SELECT * FROM users u, orders o WHERE u.id = o.user_id AND o.oid < 40",
+    "SELECT o.status, COUNT(*), SUM(o.amount), MAX(u.age) FROM users u, orders o "
+    "WHERE u.id = o.user_id GROUP BY o.status HAVING COUNT(*) > 10 "
+    "ORDER BY o.status",
+    "SELECT city, AVG(score) FROM users GROUP BY city ORDER BY AVG(score) DESC",
+    "SELECT DISTINCT city FROM users WHERE age BETWEEN 30 AND 40 ORDER BY city",
+    "SELECT id, age FROM users ORDER BY age DESC, id LIMIT 7 OFFSET 3",
+    "SELECT oid FROM orders ORDER BY created LIMIT 5",
+    "SELECT oid FROM orders WHERE user_id IN (3, 9, 27) AND status != 'new'",
+    "SELECT name FROM users WHERE name LIKE 'n1_' OR score <=> NULL",
+    "SELECT amount * 2, amount / 0, amount % 7 FROM orders WHERE oid < 30",
+    "SELECT COUNT(*) FROM orders WHERE status NOT IN ('paid') "
+    "AND NOT (amount > 500)",
+    "UPDATE orders SET amount = amount + 1 WHERE user_id = 17",
+    "UPDATE users SET score = 5 WHERE city = 'c2' AND age < 25",
+    "DELETE FROM orders WHERE status = 'done' AND amount < 50",
+    "INSERT INTO users (id, age, city, name, score) "
+    "VALUES (900, 33, 'c4', 'new', NULL)",
+    "SELECT u.city, COUNT(*) FROM users u, orders o "
+    "WHERE u.id = o.user_id AND o.created < 200000 GROUP BY u.city",
+    "SELECT o.oid, u.name FROM orders o, users u "
+    "WHERE o.user_id = u.id AND o.oid IN (5, 6, 7)",
+    # Errors surface only when a row reaches the offending expression.
+    "SELECT id FROM users WHERE age = ?",
+    "SELECT id FROM users WHERE age > 1000 AND score = ?",
+    "SELECT id FROM users WHERE SUM(age) > 1",
+)
+
+
+def _node_counts(actual) -> list:
+    return [
+        [depth, node.label, node.rows, node.loops, node.rows_scanned,
+         node.pages_read]
+        for depth, node in actual.walk()
+    ]
+
+
+def _run(db: Database, statements, analyze: bool) -> list:
+    executor = Executor(db)
+    out = []
+    for sql in statements:
+        stmt = parse(sql)
+        try:
+            result = executor.execute(
+                stmt, analyze=analyze and isinstance(stmt, ast.Select)
+            )
+        except Exception as exc:   # errors are part of the pinned behaviour
+            out.append([sql, type(exc).__name__])
+            continue
+        entry = [sql, result.rowcount, result.metrics.as_dict()]
+        if result.actual is not None:
+            entry.append(_node_counts(result.actual))
+        out.append(entry)
+    return out
+
+
+def _handwritten_db(indexed: bool) -> Database:
+    db = Database.from_tables([users_table(), orders_table()])
+    db.load_rows("users", make_user_rows())
+    db.load_rows("orders", make_order_rows())
+    db.analyze()
+    if indexed:
+        db.create_index(Index("users", ("city", "age")))
+        db.create_index(Index("orders", ("user_id", "status")))
+        db.create_index(Index("orders", ("created",)))
+    return db
+
+
+def corpus_records() -> list:
+    records = []
+    for seed in QA_SEEDS:
+        case = generate_case(seed)
+        for with_index in (False, True):
+            for analyze in (False, True):
+                db = case.database()
+                if with_index:
+                    index = _first_sargable(CostEvaluator(db), case)
+                    if index is None:
+                        continue
+                    db.create_index(index.materialized())
+                records.append(
+                    [seed, with_index, analyze,
+                     _run(db, case.statements, analyze)]
+                )
+    for indexed in (False, True):
+        for analyze in (False, True):
+            records.append(
+                ["handwritten", indexed, analyze,
+                 _run(_handwritten_db(indexed), HANDWRITTEN, analyze)]
+            )
+    return records
+
+
+def corpus_digest() -> str:
+    text = json.dumps(corpus_records(), sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+PINNED = "67c590b89095db69737d5f63b71a2c1c8c097cd1c1251cab0a8ba53c4f7cca22"
+
+
+def test_execution_counters_match_pinned_digest():
+    assert corpus_digest() == PINNED
+
+
+if __name__ == "__main__":
+    print(corpus_digest())

@@ -1,9 +1,14 @@
 """Executor edge cases and failure injection."""
 
+from collections import Counter
+
 import pytest
 
 from repro.catalog import Index
 from repro.executor import Executor
+from repro.qa.reference import ReferenceDatabase
+
+from .conftest import orders_table, users_table
 
 
 def test_vanished_index_degrades_to_seq_scan(indexed_db):
@@ -97,3 +102,39 @@ def test_distinct_with_nulls(db):
     executor = Executor(db)
     result = executor.execute("SELECT DISTINCT score FROM users WHERE score IS NULL")
     assert result.rows == [(None,)]
+
+
+# -- duplicate IN-list values on index paths -----------------------------------
+_DUPLICATE_IN = [
+    # (statement, access method the plan must use)
+    ("SELECT oid, amount FROM orders WHERE oid IN (7, 7)", "pk"),
+    ("SELECT oid FROM orders WHERE oid IN (7, 7.0, 8)", "pk"),
+    ("SELECT oid, status FROM orders WHERE user_id IN (5, 5, 5)", "index"),
+    ("SELECT oid FROM orders WHERE user_id IN (5, 5.0) AND status = 'paid'", "index"),
+    ("UPDATE orders SET amount = amount + 1 WHERE oid IN (9, 9)", "pk"),
+    ("UPDATE orders SET status = 'x' WHERE user_id IN (6, 6)", "index"),
+    ("DELETE FROM orders WHERE oid IN (11, 11)", "pk"),
+    ("DELETE FROM orders WHERE user_id IN (7, 7.0)", "index"),
+]
+
+
+@pytest.mark.parametrize("sql,method", _DUPLICATE_IN,
+                         ids=[sql.split(" WHERE ")[1] + " " + sql.split()[0]
+                              for sql, _m in _DUPLICATE_IN])
+def test_duplicate_in_values_match_reference(db, user_rows, order_rows, sql, method):
+    """A repeated IN value (also ``5`` vs ``5.0``, one index key) selects
+    each row once on PK and secondary-index paths, as a full scan does."""
+    db.create_index(Index("orders", ("user_id",)))
+    executor = Executor(db)
+    reference = ReferenceDatabase(
+        [users_table(), orders_table()], {"users": user_rows, "orders": order_rows}
+    )
+    result = executor.execute(sql)
+    expected = reference.execute(sql)
+    assert result.plan.steps[0].path.method == method
+    assert Counter(result.rows) == Counter(expected.rows)
+    assert result.rowcount == expected.rowcount > 0
+    columns = orders_table().column_names
+    stored = [tuple(row[c] for c in columns) for row in db.storage["orders"].rows.values()]
+    wanted = [tuple(row[c] for c in columns) for row in reference.table_rows("orders")]
+    assert Counter(stored) == Counter(wanted)

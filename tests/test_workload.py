@@ -157,3 +157,30 @@ def test_monitored_executor_records(db):
     entry = next(iter(monitored.monitor.stats.values()))
     assert entry.rows_read == 500
     assert entry.total_cpu > 0
+
+
+def test_monitored_executor_parses_each_statement_once(db, monkeypatch):
+    """The executor and the monitor share one parse; the monitor's key and
+    example text are the same as when it parses the text itself."""
+    import repro.executor.executor as executor_module
+    import repro.sqlparser.normalizer as normalizer_module
+    from repro.sqlparser import normalize_sql
+
+    statements = [
+        "SELECT name FROM users WHERE city = 'c1' AND age IN (20, 30)",
+        "UPDATE users SET score = 7 WHERE id = 4",
+        "DELETE FROM orders WHERE oid = 12",
+        "INSERT INTO users (id, age, city, name, score) VALUES (999, 1, 'c0', 'z', NULL)",
+    ]
+    expected = {normalize_sql(sql): sql for sql in statements}
+
+    def no_second_parse(sql):
+        raise AssertionError(f"parsed again: {sql}")
+
+    monkeypatch.setattr(executor_module, "parse", no_second_parse)
+    monkeypatch.setattr(normalizer_module, "parse", no_second_parse)
+    monitored = MonitoredExecutor(db)
+    for sql in statements:
+        monitored.execute(sql)
+    assert {key: entry.example_sql for key, entry in monitored.monitor.stats.items()} \
+        == expected
