@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import pathlib
 import sys
 from typing import Any
@@ -26,22 +25,6 @@ _PROFILER = profiler_from_env()
 if _PROFILER is not None:
     _PROFILER.start()
 
-
-def bench_jobs(default: int = 1) -> int:
-    """Worker-process fan-out for benches.
-
-    Read from ``--jobs N`` on the bench's command line when present,
-    falling back to the ``REPRO_BENCH_JOBS`` environment variable, then
-    *default*.  Jobs only change wall time, never results (see
-    docs/PERFORMANCE.md), so benches stay reproducible at any setting.
-    """
-    argv = sys.argv
-    for i, token in enumerate(argv):
-        if token == "--jobs" and i + 1 < len(argv):
-            return max(1, int(argv[i + 1]))
-        if token.startswith("--jobs="):
-            return max(1, int(token.split("=", 1)[1]))
-    return max(1, int(os.environ.get("REPRO_BENCH_JOBS", default)))
 
 GIB = 1 << 30
 MIB = 1 << 20

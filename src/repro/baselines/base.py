@@ -44,15 +44,8 @@ class SelectionAlgorithm(ABC):
 
     name = "base"
 
-    #: Process fan-out for workload costing (1 = serial).  Settable as an
-    #: attribute after construction so subclass ``__init__`` signatures
-    #: stay untouched (``repro advise --jobs N`` sets it).
-    jobs = 1
-
-    def __init__(self, db: Database, jobs: int = 1):
+    def __init__(self, db: Database):
         self.db = db
-        if jobs != 1:
-            self.jobs = jobs
 
     def select(
         self,
@@ -64,15 +57,11 @@ class SelectionAlgorithm(ABC):
         bookkeeping (wall-clock runtime, optimizer calls, costs).
 
         Pass *evaluator* to reuse one across runs (its plan caches then
-        survive between invocations -- the repeated-tuning case); it is
-        left open for the caller.  ``optimizer_calls`` always counts this
-        run only.
+        survive between invocations -- the repeated-tuning case).
+        ``optimizer_calls`` always counts this run only.
         """
-        owned = evaluator is None
         if evaluator is None:
-            evaluator = CostEvaluator(
-                self.db, include_schema_indexes=False, jobs=self.jobs
-            )
+            evaluator = CostEvaluator(self.db, include_schema_indexes=False)
         calls_start = evaluator.optimizer_calls
         with trace("baseline.select", algorithm=self.name) as span:
             indexes = self._select(evaluator, workload, budget_bytes)
@@ -97,8 +86,6 @@ class SelectionAlgorithm(ABC):
             "baseline.optimizer_calls",
             "optimizer invocations per run (selection + cost accounting)",
         ).observe(run_calls, algorithm=self.name)
-        if owned:
-            evaluator.close()
         return AlgorithmResult(
             algorithm=self.name,
             indexes=list(indexes),

@@ -39,6 +39,10 @@ the default path ``repro top`` watches.
 Workload file format: statements separated by ``;``.  A comment line
 ``-- weight: <number>`` immediately before a statement sets its weight
 (execution frequency); the default weight is 1.
+Statements outside the parser dialect or naming unknown tables or
+columns are skipped with one stderr line each (see
+:func:`repro.workload.admit`); ``advise`` exits 2 only when no statement
+is left.
 
 Without row data the advisor runs on *synthesized* statistics (row
 counts from ``--rows``/``--default-rows``, NDV heuristics from types and
@@ -77,7 +81,7 @@ from .obs.report import render_report
 from .obs.top import run_top
 from .sqlparser.ddl import parse_ddl
 from .stats import SyntheticColumn, synthesize_table
-from .workload import Workload, WorkloadQuery
+from .workload import Workload, WorkloadQuery, admit
 
 _ENGINES = {"innodb": INNODB, "rocksdb": ROCKSDB, "hdd": INNODB_HDD}
 
@@ -266,9 +270,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="optional cap on index width")
     parser.add_argument("--algorithm", choices=sorted(ALL_ALGORITHMS),
                         default="aim", help="advisor to run")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for workload costing "
-                             "(default 1 = serial; results are identical)")
     parser.add_argument("--profile", default=None, metavar="FILE",
                         help="run the sampling profiler and write "
                              "collapsed stacks (flamegraph.pl input)")
@@ -339,7 +340,7 @@ def make_fuzz_parser() -> argparse.ArgumentParser:
 _VALUE_FLAGS = {
     "--trace", "--schema", "--workload", "--budget", "--rows",
     "--default-rows", "--engine", "--join-parameter", "--max-width",
-    "--algorithm", "--jobs", "--format", "--sql", "--seed",
+    "--algorithm", "--format", "--sql", "--seed",
     "--iters", "--oracles", "--out", "--max-failures", "--replay",
     "--profile", "--status", "--interval", "--window", "--serve",
 }
@@ -624,6 +625,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     db = build_database(schema_sql, row_counts, args.default_rows, args.engine)
+    workload, skipped = admit(workload, db.schema)
+    for event in skipped:
+        print(f"warning: skipped statement {event.position} "
+              f"({event.reason}): {event.detail}", file=sys.stderr)
+    if not len(workload):
+        print("error: no statement of the workload can be planned",
+              file=sys.stderr)
+        return 2
 
     with _observed_advise(args):
         return _advise(args, db, workload)
@@ -634,7 +643,6 @@ def _advise(args, db: Database, workload: Workload) -> int:
         config = AimConfig(
             join_parameter=args.join_parameter,
             max_index_width=args.max_width,
-            jobs=args.jobs,
         )
         recommendation = AimAdvisor(db, config).recommend(workload, args.budget)
         if args.format == "json":
@@ -667,7 +675,6 @@ def _advise(args, db: Database, workload: Workload) -> int:
         return _write_trace(args.trace)
 
     algorithm = ALL_ALGORITHMS[args.algorithm](db)
-    algorithm.jobs = args.jobs
     result = algorithm.select(workload, args.budget)
     if args.format == "json":
         payload = {

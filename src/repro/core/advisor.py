@@ -117,8 +117,6 @@ class AimConfig:
             unindexed baseline (bootstrapping).
         ipp_relaxation_rows: Sec. V-A IPP relaxation threshold (estimated
             matched rows); None keeps all IPP columns.
-        jobs: process fan-out for workload costing (1 = serial).  Results
-            are bit-identical to serial; see docs/PERFORMANCE.md.
     """
 
     join_parameter: int = 2
@@ -133,7 +131,6 @@ class AimConfig:
     lambda3: float = 0.10
     validate: bool = True
     relative_to_current: bool = False
-    jobs: int = 1
 
 
 class AimAdvisor:
@@ -175,15 +172,12 @@ class AimAdvisor:
         Pass *evaluator* to reuse one across advisor runs: its plan
         caches then persist between tuning cycles, which is what makes
         repeated recommendations over a stable workload nearly free of
-        optimizer calls.  A caller-supplied evaluator is left open;
-        ``optimizer_calls`` on the result always counts this run only.
+        optimizer calls.  ``optimizer_calls`` on the result always counts
+        this run only.
         """
-        owned = evaluator is None
         if evaluator is None:
             evaluator = CostEvaluator(
-                self.db,
-                include_schema_indexes=self.config.relative_to_current,
-                jobs=self.config.jobs,
+                self.db, include_schema_indexes=self.config.relative_to_current
             )
         calls_start = evaluator.optimizer_calls
         generator = self._generator(evaluator)
@@ -286,8 +280,6 @@ class AimAdvisor:
             )
             for c in sorted(selected, key=lambda c: c.utility, reverse=True)
         ]
-        if owned:
-            evaluator.close()
         return Recommendation(
             created=created,
             budget_bytes=budget_bytes,

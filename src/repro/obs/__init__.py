@@ -35,6 +35,7 @@ from .events import (
     OracleViolation,
     PlanEstimate,
     RegressionFlagged,
+    StatementSkipped,
     WorkloadDigest,
     decode_event,
     emit,
@@ -102,6 +103,7 @@ __all__ = [
     "MetricsSnapshotBus",
     "SamplingProfiler",
     "Span",
+    "StatementSkipped",
     "Tracer",
     "WorkloadDigest",
     "capture_now",

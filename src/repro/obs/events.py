@@ -44,6 +44,7 @@ __all__ = [
     "IndexRollback",
     "PlanEstimate",
     "OracleViolation",
+    "StatementSkipped",
     "EventJournal",
     "get_journal",
     "set_journal",
@@ -211,6 +212,19 @@ class OracleViolation:
     case_file: str = ""         # path of the serialized repro, if written
 
 
+@dataclass(frozen=True)
+class StatementSkipped:
+    """Workload intake quarantined a statement no advisor can plan."""
+
+    TYPE: ClassVar[str] = "statement_skipped"
+
+    position: int               # 1-based position in the workload
+    reason: str                 # 'parse' | 'resolve'
+    detail: str = ""            # the parser's or resolver's message
+    statement: str = ""
+    workload: str = ""
+
+
 EVENT_TYPES: dict[str, type] = {
     cls.TYPE: cls
     for cls in (
@@ -223,6 +237,7 @@ EVENT_TYPES: dict[str, type] = {
         IndexRollback,
         PlanEstimate,
         OracleViolation,
+        StatementSkipped,
     )
 }
 

@@ -40,8 +40,7 @@ LabelKey = tuple[tuple[str, str], ...]
 #: it the child switches to reservoir sampling (Algorithm R) with an RNG
 #: seeded from the metric name + label key, so memory stays bounded,
 #: count/sum/min/max remain exact, and a given observation sequence
-#: always retains the same sample set (deterministic across runs and
-#: processes).
+#: always retains the same sample set (deterministic across runs).
 HISTOGRAM_SAMPLE_CAP = 4096
 
 
@@ -76,31 +75,12 @@ class _Metric:
                     self._children[key] = child
         return child
 
-    def _child_by_key(self, key: LabelKey):
-        """Get-or-create a child from an already-built label key (merge path)."""
-        child = self._children.get(key)
-        if child is None:
-            with self._lock:
-                child = self._children.get(key)
-                if child is None:
-                    child = self._make_child(key)
-                    self._children[key] = child
-        return child
-
     def _make_child(self, key: LabelKey):   # pragma: no cover - overridden
         raise NotImplementedError
 
     def _child_seed(self, key: LabelKey) -> int:
         """Deterministic per-child RNG seed (metric name + label key)."""
         return zlib.crc32(f"{self.name}|{_label_str(key)}".encode())
-
-    def dump(self) -> list:
-        """Raw per-child state as ``[[label pairs], state]`` rows
-        (picklable/JSON-able; consumed by :meth:`MetricsRegistry.merge_state`)."""
-        return [
-            [[list(pair) for pair in key], child.dump()]
-            for key, child in sorted(self.children().items())
-        ]
 
     def children(self) -> dict[LabelKey, Any]:
         with self._lock:
@@ -126,9 +106,6 @@ class _CounterChild:
     def reset(self) -> None:
         with self._lock:
             self.value = 0.0
-
-    def dump(self) -> float:
-        return self.value
 
 
 class Counter(_Metric):
@@ -174,9 +151,6 @@ class _GaugeChild:
     def reset(self) -> None:
         with self._lock:
             self.value = 0.0
-
-    def dump(self) -> float:
-        return self.value
 
 
 class Gauge(_Metric):
@@ -272,35 +246,6 @@ class _HistogramChild:
             "p99": self.percentile(99),
         }
 
-    def dump(self) -> dict:
-        with self._lock:
-            return {
-                "count": self.count,
-                "sum": self.sum,
-                "min": self.min,
-                "max": self.max,
-                "samples": list(self._samples),
-            }
-
-    def merge(self, state: dict) -> None:
-        """Fold another child's dumped state into this one (cross-process
-        merge-back): counts and sums add, min/max combine, and the shipped
-        samples flow through this child's reservoir."""
-        with self._lock:
-            other_min = state.get("min")
-            other_max = state.get("max")
-            if other_min is not None:
-                self.min = other_min if self.min is None else min(self.min, other_min)
-            if other_max is not None:
-                self.max = other_max if self.max is None else max(self.max, other_max)
-            for value in state.get("samples", ()):
-                self.count += 1
-                self._reserve(float(value))
-            # Observations the shipper's reservoir had already dropped
-            # still count toward count/sum (they can no longer be sampled).
-            self.count += int(state.get("count", 0)) - len(state.get("samples", ()))
-            self.sum += float(state.get("sum", 0.0))
-
     def reset(self) -> None:
         with self._lock:
             self.count = 0
@@ -379,46 +324,6 @@ class MetricsRegistry:
         """Zero every metric in place (module-bound children stay valid)."""
         for metric in self.metrics().values():
             metric.reset()
-
-    # -- cross-process propagation -------------------------------------------
-
-    def dump_state(self) -> dict:
-        """Raw, lossless registry state for shipment to another process.
-
-        Unlike :meth:`snapshot` (human/JSON summaries), the dump keeps
-        structured label keys and raw histogram samples so a receiving
-        registry can merge it additively with :meth:`merge_state`.
-        Workers dump-and-reset per work chunk; the parent merges each
-        delta, so fleet-wide metrics survive process boundaries.
-        """
-        out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for name, metric in sorted(self.metrics().items()):
-            data = metric.dump()
-            if data:
-                out[metric.kind + "s"][name] = data
-        return out
-
-    def merge_state(self, state: dict) -> None:
-        """Fold a :meth:`dump_state` payload from another process in:
-        counters add, gauges take the shipped (latest) value, histogram
-        samples flow through the local reservoirs."""
-        for name, entries in (state.get("counters") or {}).items():
-            metric = self.counter(name)
-            for key_pairs, value in entries:
-                if value:
-                    key = tuple(tuple(pair) for pair in key_pairs)
-                    metric._child_by_key(key).inc(value)
-        for name, entries in (state.get("gauges") or {}).items():
-            metric = self.gauge(name)
-            for key_pairs, value in entries:
-                key = tuple(tuple(pair) for pair in key_pairs)
-                metric._child_by_key(key).set(value)
-        for name, entries in (state.get("histograms") or {}).items():
-            metric = self.histogram(name)
-            for key_pairs, child_state in entries:
-                if child_state.get("count"):
-                    key = tuple(tuple(pair) for pair in key_pairs)
-                    metric._child_by_key(key).merge(child_state)
 
 
 # -- process-wide registry ---------------------------------------------------

@@ -135,9 +135,6 @@ def _render_telemetry(telemetry: dict) -> str:
     whatif = _render_whatif(counters)
     if whatif:
         sections.append(whatif)
-    workers = _render_parallel(counters)
-    if workers:
-        sections.append(workers)
     profiler = _render_profiler(telemetry.get("profiler"))
     if profiler:
         sections.append(profiler)
@@ -205,44 +202,6 @@ def _render_whatif(counters: dict) -> str:
     ]
     if analyze_hits:
         lines.append(f"  analyze cache hits = {analyze_hits:g}")
-    return "\n".join(lines)
-
-
-def _label_value(label: str, key: str) -> str:
-    for part in label.split(","):
-        k, _, v = part.partition("=")
-        if k == key:
-            return v
-    return ""
-
-
-def _render_parallel(counters: dict) -> str:
-    """Per-worker merge-back accounting from a ``--jobs N`` run."""
-    chunks = counters.get("parallel.worker.chunks") or {}
-    if not chunks:
-        return ""
-    spans = counters.get("parallel.worker.spans") or {}
-    seconds = counters.get("parallel.worker.seconds") or {}
-    nbytes = counters.get("parallel.worker.bytes") or {}
-    total_seconds = sum(seconds.values())
-    lines = [
-        "parallel workers:",
-        _row("worker", "chunks", "spans", "wall ms", "merge-back"),
-        "-" * 74,
-    ]
-    for label in sorted(chunks):
-        pid = _label_value(label, "pid") or label
-        secs = seconds.get(label, 0.0)
-        share = f" ({secs / total_seconds:.0%})" if total_seconds else ""
-        lines.append(
-            _row(
-                f"pid {pid}",
-                f"{chunks.get(label, 0):g}",
-                f"{spans.get(label, 0):g}",
-                f"{secs * 1e3:.2f}{share}",
-                f"{nbytes.get(label, 0.0) / 1024:.1f} KiB",
-            )
-        )
     return "\n".join(lines)
 
 

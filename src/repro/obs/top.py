@@ -94,7 +94,6 @@ def render_top(
 
     lines += _render_cycles(latest, counters)
     lines += _render_optimizer(counters, rates)
-    lines += _render_workers(counters)
     extras = latest.get("extras") or {}
     lines += _render_journal(extras.get("journal_tail") or [])
     lines += _render_profiler(extras.get("profiler"))
@@ -145,27 +144,6 @@ def _render_optimizer(counters: dict, rates: dict) -> list[str]:
         f"  cache hit rate   {hit_pct:>9.1f}%   "
         f"(canonical {_fmt_count(canonical)}, analyze {_fmt_count(analyze_hits)})"
     )
-    return lines
-
-
-def _render_workers(counters: dict) -> list[str]:
-    chunks = counters.get("parallel.worker.chunks") or {}
-    if not chunks:
-        return []
-    spans = counters.get("parallel.worker.spans") or {}
-    seconds = counters.get("parallel.worker.seconds") or {}
-    nbytes = counters.get("parallel.worker.bytes") or {}
-    total_seconds = _total(seconds)
-    lines = ["", "parallel workers"]
-    lines.append(f"  {'pid':<10} {'chunks':>6} {'spans':>6} {'wall s':>8} {'share':>7} {'merge-back':>11}")
-    for label in sorted(chunks):
-        pid = _label_value(label, "pid") or label
-        secs = seconds.get(label, 0.0)
-        share = 100.0 * secs / total_seconds if total_seconds else 0.0
-        lines.append(
-            f"  {pid:<10} {chunks.get(label, 0):>6g} {spans.get(label, 0):>6g} "
-            f"{secs:>8.3f} {share:>6.1f}% {nbytes.get(label, 0.0) / 1024:>9.1f} KiB"
-        )
     return lines
 
 

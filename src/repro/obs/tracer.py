@@ -27,21 +27,12 @@ from typing import Any, Callable, Iterator, Optional
 __all__ = [
     "Span",
     "Tracer",
-    "TRACE_WIRE_FORMAT",
-    "TRACE_WIRE_VERSION",
     "get_tracer",
     "set_tracer",
     "trace",
     "traced",
     "load_chrome_trace",
 ]
-
-#: Identifier + version of the cross-process span payload produced by
-#: :meth:`Tracer.export_wire` and consumed by :meth:`Tracer.splice_wire`.
-#: Bump the version on any field rename/removal (the splicer rejects
-#: payloads from a newer version than it understands).
-TRACE_WIRE_FORMAT = "repro.obs.trace_wire"
-TRACE_WIRE_VERSION = 1
 
 
 @dataclass
@@ -57,7 +48,6 @@ class Span:
     end: Optional[float] = None     # monotonic seconds; None while open
     attrs: dict[str, Any] = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
-    pid: Optional[int] = None       # None = this process; set on spliced spans
 
     @property
     def duration(self) -> float:
@@ -72,28 +62,12 @@ class Span:
 
     def to_dict(self) -> dict:
         """Nested plain-JSON representation."""
-        out = {
+        return {
             "name": self.name,
             "start_wall": self.start_wall,
             "duration_seconds": self.duration,
             "attrs": dict(self.attrs),
             "children": [child.to_dict() for child in self.children],
-        }
-        if self.pid is not None:
-            out["pid"] = self.pid
-        return out
-
-    def to_wire(self) -> dict:
-        """Cross-process representation (raw clocks, local span ids)."""
-        return {
-            "name": self.name,
-            "span_id": self.span_id,
-            "thread_id": self.thread_id,
-            "start_wall": self.start_wall,
-            "start": self.start,
-            "end": self.end if self.end is not None else time.perf_counter(),
-            "attrs": {k: _jsonable(v) for k, v in self.attrs.items()},
-            "children": [child.to_wire() for child in self.children],
         }
 
 
@@ -247,83 +221,6 @@ class Tracer:
             self.dropped = 0
         self._local = threading.local()
 
-    # -- cross-process propagation --------------------------------------------
-
-    def export_wire(self) -> dict:
-        """Serialize every finished span tree for shipment to another
-        process (see ``docs/OBSERVABILITY.md``, *trace propagation wire
-        format*).
-
-        Worker processes call this after finishing a chunk of work; the
-        parent splices the payload into its own trace with
-        :meth:`splice_wire`.  Monotonic clocks are shipped raw: on the
-        platforms where the fork-based pool exists, ``perf_counter`` is
-        ``CLOCK_MONOTONIC`` and shares its timebase across processes, so
-        parent and worker spans align on one axis.
-        """
-        return {
-            "format": TRACE_WIRE_FORMAT,
-            "v": TRACE_WIRE_VERSION,
-            "pid": os.getpid(),
-            "dropped": self.dropped,
-            "spans": [root.to_wire() for root in self.roots()],
-        }
-
-    def splice_wire(
-        self, payload: dict, parent: Optional[Span] = None
-    ) -> list[Span]:
-        """Graft spans exported by another process into this trace.
-
-        Every shipped span is rebuilt as a local :class:`Span` with a
-        fresh id (worker-local ids would collide across workers), tagged
-        with the originating pid, and attached under *parent* (or as new
-        roots when *parent* is None).  Returns the grafted root spans.
-        """
-        version = payload.get("v", 0)
-        if payload.get("format") != TRACE_WIRE_FORMAT or not isinstance(
-            version, int
-        ) or version > TRACE_WIRE_VERSION:
-            raise ValueError(
-                f"not a splicable trace payload (format="
-                f"{payload.get('format')!r}, v={payload.get('v')!r})"
-            )
-        pid = payload.get("pid")
-        rebuilt: list[Span] = []
-
-        def rebuild(node: dict, parent_span: Optional[Span]) -> Span:
-            with self._lock:
-                span_id = self._next_id
-                self._next_id += 1
-            span = Span(
-                name=str(node.get("name", "?")),
-                span_id=span_id,
-                parent_id=parent_span.span_id if parent_span else None,
-                thread_id=int(node.get("thread_id") or 0),
-                start_wall=float(node.get("start_wall") or 0.0),
-                start=float(node.get("start") or 0.0),
-                end=float(node.get("end") or 0.0),
-                attrs=dict(node.get("attrs") or {}),
-                pid=pid,
-            )
-            if parent_span is not None:
-                parent_span.children.append(span)
-            for child in node.get("children", ()):
-                rebuild(child, span)
-            rebuilt.append(span)
-            return span
-
-        roots = [rebuild(node, parent) for node in payload.get("spans", ())]
-        with self._lock:
-            self.dropped += int(payload.get("dropped") or 0)
-            for span in rebuilt:
-                if len(self._finished) >= self.max_spans:
-                    self.dropped += 1
-                    continue
-                self._finished.append(span)
-                if span.parent_id is None:
-                    self._roots.append(span)
-        return roots
-
     # -- export ---------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -343,37 +240,20 @@ class Tracer:
         """
         spans = self.spans()
         origin = min((s.start for s in spans), default=0.0)
-        own_pid = os.getpid()
-        events = []
-        pids_seen: set[int] = set()
-        for span in spans:
-            pid = span.pid if span.pid is not None else own_pid
-            pids_seen.add(pid)
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": "repro",
-                    "ph": "X",
-                    "ts": (span.start - origin) * 1e6,
-                    "dur": span.duration * 1e6,
-                    "pid": pid,
-                    "tid": span.thread_id,
-                    "args": {k: _jsonable(v) for k, v in span.attrs.items()},
-                }
-            )
-        # Name the per-process lanes so Perfetto shows "worker-<pid>"
-        # tracks instead of bare numbers.
-        for pid in sorted(pids_seen):
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {
-                        "name": "repro" if pid == own_pid else f"worker-{pid}"
-                    },
-                }
-            )
+        pid = os.getpid()
+        events = [
+            {
+                "name": span.name,
+                "cat": "repro",
+                "ph": "X",
+                "ts": (span.start - origin) * 1e6,
+                "dur": span.duration * 1e6,
+                "pid": pid,
+                "tid": span.thread_id,
+                "args": {k: _jsonable(v) for k, v in span.attrs.items()},
+            }
+            for span in spans
+        ]
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def write_chrome_trace(self, path: str) -> None:

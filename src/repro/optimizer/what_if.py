@@ -5,8 +5,8 @@ drives: *what would query q cost under index configuration X?*  Indexes
 are evaluated dataless -- catalog + statistics only, exactly the
 AutoAdmin "what-if" / HypoPG mechanism the paper builds on (Sec. III-A4).
 
-The evaluator "rarely consults the optimizer" (paper Sec. III) through a
-tiered fast path:
+The evaluator "rarely consults the optimizer" (paper Sec. III) through
+three tiers on one serial code path:
 
 * **Relevance pruning** (tier 0): a configuration is projected onto the
   indexes that can possibly serve the query -- same table AND at least
@@ -26,8 +26,10 @@ tiered fast path:
   (``used(C) ⊆ C'``) -- is optimal under ``C'`` too.
 
 Both tiers are bounded; evictions and hits are exported as ``whatif.*``
-counters (docs/OBSERVABILITY.md).  Set ``REPRO_WHATIF_FASTPATH=0`` to
-fall back to the seed behaviour (exact table-projected cache only).
+counters (docs/OBSERVABILITY.md).  Every tier returns exactly the plan
+an uncached :class:`Optimizer` on a bare stats clone would; the tests in
+``tests/test_whatif_cache.py`` check costs and used-index subsets
+against one.
 
 :class:`WorkloadCoster` lifts the relevance rule to whole workloads: a
 greedy move that adds, drops or replaces a few indexes re-plans only the
@@ -36,7 +38,6 @@ statements one of those indexes is relevant to.
 
 from __future__ import annotations
 
-import os
 from typing import Collection, Iterable, Optional
 
 from ..catalog import Index
@@ -74,23 +75,17 @@ _SCORED = BoundMetric(
 )
 
 
-def fast_path_default() -> bool:
-    """The process default for the what-if fast path (env-overridable)."""
-    return os.environ.get("REPRO_WHATIF_FASTPATH", "1") != "0"
-
-
-def relevance(info: QueryInfo, fast_path: bool) -> dict[str, Optional[frozenset]]:
+def relevance(info: QueryInfo) -> dict[str, Optional[frozenset]]:
     """The relevance rule: which indexes can change *info*'s plan.
 
     Maps each table to the key columns that make an index on it relevant,
-    or to None when every index on the table is (DML always: each index
-    on the written table pays maintenance; every statement with the fast
-    path off).  An index is relevant iff its table is mapped and, for a
-    column set, one of its key columns is in it.  Both
-    :meth:`CostEvaluator.plan` and :class:`WorkloadCoster` project
+    or to None when every index on the table is (DML: each index on the
+    written table pays maintenance).  An index is relevant iff its table
+    is mapped and, for a column set, one of its key columns is in it.
+    Both :meth:`CostEvaluator.plan` and :class:`WorkloadCoster` project
     configurations through this one function.
     """
-    if fast_path and isinstance(info.stmt, ast.Select):
+    if isinstance(info.stmt, ast.Select):
         return info.usable_columns()
     return dict.fromkeys(info.bindings.values())
 
@@ -105,12 +100,6 @@ class CostEvaluator:
             clustered PKs plus the hypothetical configuration exist.  When
             True, the database's current secondary indexes stay visible
             (continuous-tuning mode).
-        fast_path: enable relevance pruning + the canonical cache tier.
-            ``None`` reads the ``REPRO_WHATIF_FASTPATH`` env default
-            (:func:`fast_path_default`); False reproduces the seed's
-            exact-cache-only behaviour.
-        jobs: default process fan-out for :meth:`workload_cost` (1 =
-            serial; the pool is created lazily on first parallel call).
         max_cache_entries: L1 LRU bound.
     """
 
@@ -118,11 +107,8 @@ class CostEvaluator:
         self,
         db: Database,
         include_schema_indexes: bool = False,
-        fast_path: Optional[bool] = None,
-        jobs: int = 1,
         max_cache_entries: int = DEFAULT_PLAN_CACHE_SIZE,
     ):
-        self._include_schema_indexes = include_schema_indexes
         if include_schema_indexes:
             self._db = db
         else:
@@ -130,16 +116,11 @@ class CostEvaluator:
             for index in self._db.schema.indexes():
                 self._db.schema.drop_index(index)
         self.optimizer = Optimizer(self._db)
-        self.fast_path = (
-            fast_path_default() if fast_path is None else bool(fast_path)
-        )
-        self.jobs = max(1, int(jobs))
         self._plan_cache: LRUCache = LRUCache(
             max_cache_entries, on_evict=self._record_eviction
         )
         # sql -> [(used keys, config keys, plan), ...] newest last.
         self._canonical: dict[str, list[tuple[frozenset, frozenset, Plan]]] = {}
-        self._pool = None                 # lazy ParallelCoster
         self.cache_hits = 0
         self.canonical_hits = 0
         self.cache_evictions = 0
@@ -148,8 +129,7 @@ class CostEvaluator:
 
     @property
     def optimizer_calls(self) -> int:
-        """Number of *uncached* optimizer invocations so far (worker
-        processes' invocations are merged in by parallel costing)."""
+        """Number of *uncached* optimizer invocations so far."""
         return self.optimizer.calls
 
     def _record_eviction(self, _key, _plan) -> None:
@@ -178,7 +158,7 @@ class CostEvaluator:
         """Project *config* onto the indexes that can affect *info*'s plan."""
         if not config:
             return []
-        rule = relevance(info, self.fast_path)
+        rule = relevance(info)
         out = []
         for idx in config:
             columns = rule.get(idx.table, _EMPTY)
@@ -200,7 +180,7 @@ class CostEvaluator:
             _HITS.inc()
             return cached
         is_select = isinstance(info.stmt, ast.Select)
-        if self.fast_path and is_select and relevant:
+        if is_select and relevant:
             canonical = self._canonical_lookup(sql, relevant_keys)
             if canonical is not None:
                 self.cache_hits += 1
@@ -212,7 +192,7 @@ class CostEvaluator:
                 return canonical
         plan = self.optimizer.explain(info, extra_indexes=relevant)
         self._plan_cache.put(key, plan)
-        if self.fast_path and is_select and relevant:
+        if is_select and relevant:
             used_keys = frozenset(
                 idx.key for idx in relevant if idx.name in plan.used_indexes
             )
@@ -264,7 +244,6 @@ class CostEvaluator:
         self,
         queries: Iterable[tuple[Statement, float]],
         config: Collection[Index] = (),
-        jobs: Optional[int] = None,
     ) -> float:
         """Weighted workload cost: ``sum w_q * cost(q, X)`` (Eq. 1).
 
@@ -273,105 +252,16 @@ class CostEvaluator:
         (:meth:`statement_costs`, :class:`WorkloadCoster`).
         """
         items = list(queries)
-        return weighted_sum(items, self.statement_costs(items, config, jobs))
+        return weighted_sum(items, self.statement_costs(items, config))
 
     def statement_costs(
         self,
         queries: Iterable[tuple[Statement, float]],
         config: Collection[Index] = (),
-        jobs: Optional[int] = None,
     ) -> list[float]:
-        """Per-query costs under *config*, in query order.
-
-        With ``jobs > 1`` the per-query plans are computed by a process
-        pool (deterministic chunking, bit-identical costs).  Workers ship
-        their new plan-cache entries back, so later serial lookups still
-        hit.
-        """
-        items = list(queries)
-        n_jobs = self.jobs if jobs is None else max(1, int(jobs))
+        """Per-query costs under *config*, in query order."""
         with profile("whatif.workload_cost"):
-            if n_jobs > 1 and len(items) > 1:
-                costs = self._parallel_costs(items, config, n_jobs)
-                if costs is not None:
-                    return costs
-            return [self.cost(stmt, config) for stmt, _weight in items]
-
-    def _parallel_costs(
-        self,
-        items: list[tuple[Statement, float]],
-        config: Collection[Index],
-        jobs: int,
-    ) -> Optional[list[float]]:
-        """Fan one workload costing out to the process pool.
-
-        Returns None (fall back to serial) when the pool cannot be used,
-        e.g. statements that are not picklable as SQL text.
-        """
-        from .parallel import ParallelCoster
-
-        # Serve items this evaluator has already planned locally and ship
-        # only the misses: warm costings never touch the pool, and the
-        # (worker-affinity-dependent) duplicated work across workers is
-        # limited to genuinely new (statement, config) pairs.
-        resolved: list[Optional[float]] = [None] * len(items)
-        sqls: list[str] = []
-        miss_at: list[int] = []
-        for i, (stmt, _weight) in enumerate(items):
-            info = self.analyze(stmt)
-            relevant_keys = frozenset(
-                idx.key for idx in self._relevant(info, config)
-            )
-            sql = info.cache_sql or info.stmt.to_sql()
-            if (sql, relevant_keys) in self._plan_cache:
-                resolved[i] = self.cost(info, config)
-            else:
-                sqls.append(sql)
-                miss_at.append(i)
-        if not sqls:
-            return resolved
-        if len(sqls) < 2:
-            for i in miss_at:
-                stmt, _weight = items[i]
-                resolved[i] = self.cost(stmt, config)
-            return resolved
-        if self._pool is None:
-            self._pool = ParallelCoster(
-                self._db,
-                include_schema_indexes=self._include_schema_indexes,
-                fast_path=self.fast_path,
-                jobs=jobs,
-            )
-        costs, stats, exported = self._pool.costs(sqls, list(config), jobs)
-        if costs is None:
-            return None
-        # Merge worker work back into this evaluator's accounting/caches.
-        # The pool already merged the workers' *registry* deltas; mirroring
-        # the same deltas onto the instance attributes keeps the documented
-        # lockstep between e.g. ``cache_hits`` and ``whatif.cache_hits``.
-        self.optimizer.calls += stats.get("optimizer_calls", 0)
-        self.cache_hits += stats.get("cache_hits", 0)
-        self.canonical_hits += stats.get("canonical_hits", 0)
-        self.cache_evictions += stats.get("cache_evictions", 0)
-        for sql, config_keys, used_keys, plan in exported:
-            self._plan_cache.put((sql, config_keys), plan)
-            if used_keys is not None:
-                self._canonical_store(sql, used_keys, config_keys, plan)
-        for i, cost in zip(miss_at, costs):
-            resolved[i] = cost
-        return resolved
-
-    def close(self) -> None:
-        """Shut down the parallel pool (if one was started)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __del__(self):   # pragma: no cover - interpreter-shutdown ordering
-        try:
-            self.close()
-        except Exception:
-            pass
+            return [self.cost(stmt, config) for stmt, _weight in queries]
 
     # -- introspection ------------------------------------------------------
 
@@ -418,7 +308,7 @@ class WorkloadCoster:
         ]
         self._listeners: dict[tuple, list[int]] = {}
         for pos, (info, _weight) in enumerate(self._items):
-            for table, columns in relevance(info, evaluator.fast_path).items():
+            for table, columns in relevance(info).items():
                 for column in (None,) if columns is None else columns:
                     self._listeners.setdefault((table, column), []).append(pos)
         self._base_keys = frozenset(idx.key for idx in base)

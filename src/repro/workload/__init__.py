@@ -1,5 +1,6 @@
 """Workload representation and monitoring."""
 
+from .intake import admit
 from .monitor import MonitoredExecutor, WorkloadMonitor
 from .query import QueryStatistics, WorkloadQuery
 from .selection import (
@@ -13,6 +14,7 @@ from .workload import Workload
 __all__ = [
     "Workload",
     "WorkloadQuery",
+    "admit",
     "QueryStatistics",
     "WorkloadMonitor",
     "MonitoredExecutor",

@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..catalog import Schema
+from ..optimizer.analysis_cache import analyze_cached
+from ..optimizer.query_info import QueryInfo
 from ..sqlparser import ast, normalize_statement, parse
 
 
@@ -28,6 +31,14 @@ class WorkloadQuery:
         if self._stmt is None:
             self._stmt = parse(self.sql)
         return self._stmt
+
+    def analyze(self, schema: Schema) -> QueryInfo:
+        """Parse and resolve against *schema* through the interned analysis
+        cache, keeping the parsed statement, so neither step runs again."""
+        info = analyze_cached(schema, self.sql)
+        if self._stmt is None:
+            self._stmt = info.stmt
+        return info
 
     @property
     def normalized_sql(self) -> str:

@@ -66,13 +66,7 @@ def test_noindex_returns_nothing(db):
     assert result.relative_cost == pytest.approx(1.0)
 
 
-def test_aim_uses_fewest_optimizer_calls(db, monkeypatch):
-    # Pin the evaluator to exact-cache-only mode: this test compares the
-    # *algorithms'* optimizer appetite, and the what-if fast path (which
-    # serves subset configurations from the canonical cache) benefits
-    # enumeration-heavy baselines like Drop far more than AIM on a tiny
-    # workload, inverting the ordering the paper's claim is about.
-    monkeypatch.setenv("REPRO_WHATIF_FASTPATH", "0")
+def test_aim_uses_fewest_optimizer_calls(db):
     w = workload()
     aim = AimAlgorithm(db).select(w, BUDGET)
     extend = ExtendAlgorithm(db).select(w, BUDGET)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main, parse_size, parse_workload_file
+from repro.obs import EventJournal, MetricsRegistry, set_journal, set_registry
 
 SCHEMA_SQL = """
 CREATE TABLE orders (
@@ -128,3 +129,78 @@ def test_cli_engine_profiles(files, capsys):
         ])
         assert rc == 0
         json.loads(capsys.readouterr().out)
+
+
+#: Statements no advisor can plan: outside the dialect (parse) or naming
+#: tables and columns the schema lacks (resolve).
+JUNK_SQL = """
+SELECT FROM WHERE garbage;
+SELECT x FROM no_such_table WHERE x = 1;
+SELECT nope FROM users;
+SELECT 'unterminated FROM users;
+"""
+
+
+def _advise_json(schema, workload, algorithm, capsys):
+    rc = main([
+        "--schema", str(schema), "--workload", str(workload),
+        "--algorithm", algorithm, "--format", "json",
+    ])
+    assert rc == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    for volatile in ("runtime_seconds", "telemetry"):
+        payload.pop(volatile)
+    return payload, captured.err
+
+
+@pytest.mark.parametrize("algorithm", ["aim", "extend"])
+def test_cli_advice_ignores_junk_statements(files, tmp_path, capsys, algorithm):
+    """advise(W + junk) == advise(W), with one stderr line per skip."""
+    schema, workload = files
+    dirty = tmp_path / "dirty.sql"
+    # Junk on both sides of the good statements, so positions shift.
+    dirty.write_text(JUNK_SQL + WORKLOAD_SQL + JUNK_SQL)
+    clean, clean_err = _advise_json(schema, workload, algorithm, capsys)
+    advised, err = _advise_json(schema, dirty, algorithm, capsys)
+    assert advised == clean
+    assert clean_err == ""
+    lines = err.splitlines()
+    assert [line.split(" (")[0] for line in lines] == [
+        f"warning: skipped statement {position}"
+        for position in (1, 2, 3, 4, 8, 9, 10, 11)
+    ]
+    assert "(parse): unexpected token" in lines[0]
+    assert "(resolve): no table named 'no_such_table'" in lines[1]
+
+
+def test_cli_skips_are_counted_and_journaled(files, tmp_path, capsys):
+    schema, _ = files
+    dirty = tmp_path / "dirty.sql"
+    dirty.write_text(WORKLOAD_SQL + JUNK_SQL)
+    journal, registry = EventJournal(), MetricsRegistry()
+    previous_journal = set_journal(journal)
+    previous_registry = set_registry(registry)
+    try:
+        assert main(["--schema", str(schema), "--workload", str(dirty)]) == 0
+    finally:
+        set_journal(previous_journal)
+        set_registry(previous_registry)
+    skipped = registry.counter("workload.statements_skipped")
+    assert skipped.value(reason="parse") == 2
+    assert skipped.value(reason="resolve") == 2
+    events = journal.events_of("statement_skipped")
+    assert [(e["position"], e["reason"]) for e in events] == [
+        (4, "parse"), (5, "resolve"), (6, "resolve"), (7, "parse"),
+    ]
+    assert events[1]["statement"] == "SELECT x FROM no_such_table WHERE x = 1"
+    assert events[1]["workload"] == "cli"
+
+
+def test_cli_all_junk_workload_exits_2(files, tmp_path, capsys):
+    schema, _ = files
+    junk = tmp_path / "junk.sql"
+    junk.write_text(JUNK_SQL)
+    assert main(["--schema", str(schema), "--workload", str(junk)]) == 2
+    err = capsys.readouterr().err
+    assert "error: no statement of the workload can be planned" in err

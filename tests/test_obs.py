@@ -428,26 +428,29 @@ def test_render_report_unknown_payload():
     assert "no telemetry" in render_report({"unrelated": 1})
 
 
-# -- histogram reservoir / registry state transfer ---------------------------
+# -- histogram reservoir -----------------------------------------------------
 
 
 def test_histogram_reservoir_deterministic():
-    """Same metric + labels => same seed => identical retained samples."""
+    """Same metric + labels => same seed => identical retained samples,
+    read back through the quantiles ``summary()`` computes from them."""
     a, b = MetricsRegistry(), MetricsRegistry()
     for registry in (a, b):
         hist = registry.histogram("lat")
         for v in range(10_000):
             hist.observe(float(v), op="read")
-    dump_a = a.dump_state()["histograms"]["lat"]
-    dump_b = b.dump_state()["histograms"]["lat"]
-    assert dump_a == dump_b
+    summary_a = a.histogram("lat").summary(op="read")
+    assert summary_a == b.histogram("lat").summary(op="read")
     # A different label key reseeds, so its reservoir differs.
     c = MetricsRegistry()
     hist = c.histogram("lat")
     for v in range(10_000):
         hist.observe(float(v), op="write")
-    assert c.dump_state()["histograms"]["lat"][0][1]["samples"] != dump_a[0][1][
-        "samples"
+    summary_c = hist.summary(op="write")
+    assert summary_c["count"] == summary_a["count"]
+    assert summary_c["sum"] == summary_a["sum"]
+    assert [summary_c[q] for q in ("p50", "p95", "p99")] != [
+        summary_a[q] for q in ("p50", "p95", "p99")
     ]
 
 
@@ -456,57 +459,11 @@ def test_histogram_reset_reseeds_reservoir():
     hist = registry.histogram("lat")
     for v in range(10_000):
         hist.observe(float(v))
-    first = registry.dump_state()
+    first = hist.summary()
     registry.reset()
     for v in range(10_000):
         hist.observe(float(v))
-    assert registry.dump_state() == first
-
-
-def test_dump_and_merge_state_counters_gauges():
-    src, dst = MetricsRegistry(), MetricsRegistry()
-    src.counter("calls").inc(7, kind="select")
-    src.counter("calls").inc(2, kind="update")
-    src.gauge("depth").set(3.5, queue="q")
-    dst.counter("calls").inc(1, kind="select")
-    dst.merge_state(src.dump_state())
-    assert dst.counter("calls").value(kind="select") == 8
-    assert dst.counter("calls").value(kind="update") == 2
-    assert dst.gauge("depth").value(queue="q") == 3.5
-
-
-def test_merge_state_histograms_keep_totals_exact():
-    src, dst = MetricsRegistry(), MetricsRegistry()
-    for v in range(1, 101):
-        src.histogram("lat").observe(float(v))
-    for v in range(101, 151):
-        dst.histogram("lat").observe(float(v))
-    dst.merge_state(src.dump_state())
-    summary = dst.histogram("lat").summary()
-    assert summary["count"] == 150
-    assert summary["sum"] == pytest.approx(sum(range(1, 151)))
-    assert summary["min"] == 1.0
-    assert summary["max"] == 150.0
-
-
-def test_merge_state_round_trip_is_lossless_below_cap():
-    """Below the sample cap dump/merge transfers the exact value set."""
-    src, dst = MetricsRegistry(), MetricsRegistry()
-    values = [float(v) for v in range(500)]
-    for v in values:
-        src.histogram("h").observe(v, op="x")
-    dst.merge_state(src.dump_state())
-    assert dst.histogram("h").summary(op="x") == src.histogram("h").summary(
-        op="x"
-    )
-
-
-def test_merge_state_empty_and_missing_sections():
-    registry = MetricsRegistry()
-    registry.merge_state({})   # must not raise
-    registry.counter("c").inc()
-    registry.merge_state({"counters": [], "gauges": [], "histograms": []})
-    assert registry.counter("c").value() == 1
+    assert hist.summary() == first
 
 
 def test_bound_metric_rebinds_after_registry_swap():

@@ -38,10 +38,6 @@ STATUS = {
                     "whatif.cache_hits": {"": 30.0},
                     "whatif.canonical_hits": {"": 4.0},
                     "analyze.cache_hits": {"": 12.0},
-                    "parallel.worker.chunks": {"pid=71": 2.0, "pid=72": 2.0},
-                    "parallel.worker.spans": {"pid=71": 2.0, "pid=72": 2.0},
-                    "parallel.worker.seconds": {"pid=71": 0.3, "pid=72": 0.1},
-                    "parallel.worker.bytes": {"pid=71": 2048.0, "pid=72": 1024.0},
                 },
                 "gauges": {
                     "advisor.phase.active": {"phase=ranking": 1.0},
@@ -90,11 +86,6 @@ optimizer / what-if
   what-if requests         40   (2.0/s)
   cache hit rate        75.0%   (canonical 4, analyze 12)
 
-parallel workers
-  pid        chunks  spans   wall s   share  merge-back
-  71              2      2    0.300   75.0%       2.0 KiB
-  72              2      2    0.100   25.0%       1.0 KiB
-
 journal tail
   [    0] cycle_start          db1 queries=9
   [    1] advisor_decision     accepted knapsack_selected idx_orders_user_id
@@ -122,7 +113,7 @@ def test_run_top_once_renders_file(tmp_path):
     assert run_top(["--once", "--status", str(path)], out=out) == 0
     frame = out.getvalue()
     assert "repro top — source advise:aim" in frame
-    assert "parallel workers" in frame
+    assert "optimizer / what-if" in frame
     assert "top profiled frames" in frame
 
 

@@ -1,10 +1,11 @@
-"""What-if fast-path equivalence: the caches must never change an answer.
+"""What-if cache equivalence: the caches must never change an answer.
 
-The canonical-cache/pruning tier (``fast_path``) and the process-pool
-costing are pure optimizations: every cost and every used-index subset
-they return must be bit-identical to the seed behaviour (exact cache
-only, serial).  These tests drive both through a 200-case ``repro.qa``
-corpus and through full advisor runs.
+Relevance pruning, the exact LRU and the canonical subset tier are pure
+optimizations: every cost and every used-index subset the evaluator
+returns must be bit-identical to an uncached reference -- a plain
+:class:`Optimizer` on a stats clone with its secondary indexes dropped,
+planning each request from scratch.  These tests drive the evaluator
+through a 200-case ``repro.qa`` corpus and through full advisor runs.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from __future__ import annotations
 import gc
 import random
 
-import pytest
-
 from repro.baselines import ALL_ALGORITHMS
 from repro.baselines.cost_eval import candidate_pool
 from repro.catalog import INT, Column, Table
-from repro.core import AimAdvisor, AimConfig
-from repro.optimizer import CostEvaluator, WorkloadCoster, analysis_cache
+from repro.optimizer import CostEvaluator, Optimizer, WorkloadCoster, analysis_cache
 from repro.qa.generator import generate_case
 from repro.workload import Workload
 
@@ -30,32 +28,47 @@ COSTER_MOVES = 20
 BUDGET = 20 << 20
 
 
+def uncached_plan(db):
+    """The reference: ``plan(sql, config)`` with no cache of any kind."""
+    clone = db.stats_clone(name=f"{db.name}-uncached")
+    for index in clone.schema.indexes():
+        clone.schema.drop_index(index)
+    optimizer = Optimizer(clone)
+    return lambda sql, config: optimizer.explain(
+        sql, extra_indexes=[i.as_dataless() for i in config]
+    )
+
+
 def _corpus_case(seed: int):
     case = generate_case(seed)
     db = case.database(with_storage=False)
     workload = Workload.from_sql([(sql, 1.0) for sql in case.statements])
-    legacy = CostEvaluator(db, fast_path=False)
-    pool = candidate_pool(legacy, workload, max_width=2, with_permutations=False)
-    return case, db, legacy, pool[:MAX_POOL]
+    pool = candidate_pool(
+        CostEvaluator(db), workload, max_width=2, with_permutations=False
+    )
+    return case, db, uncached_plan(db), pool[:MAX_POOL]
 
 
-def test_corpus_fast_path_equivalence():
-    """Cold, warm and canonical-hit costs match the seed bit for bit."""
+def test_corpus_matches_uncached_reference():
+    """Cold, warm and canonical-hit costs and used-index subsets match the
+    uncached reference bit for bit."""
     canonical_hits = 0
     for seed in range(CORPUS_CASES):
-        case, db, legacy, pool = _corpus_case(seed)
-        fast = CostEvaluator(db, fast_path=True)
+        case, db, reference, pool = _corpus_case(seed)
+        evaluator = CostEvaluator(db)
         # Full pool first so subset lookups can hit the canonical tier.
         for config in (pool, pool[::2], []):
             for sql in case.statements:
-                expected = legacy.cost(sql, config)
-                assert fast.cost(sql, config) == expected, (seed, sql)
+                expected = reference(sql, config)
+                assert evaluator.cost(sql, config) == expected.total_cost, (seed, sql)
                 # Warm: the second identical request is a pure cache hit.
-                assert fast.cost(sql, config) == expected, (seed, sql)
-                used_legacy = {i.key for i in legacy.used_subset(sql, config)}
-                used_fast = {i.key for i in fast.used_subset(sql, config)}
-                assert used_fast == used_legacy, (seed, sql)
-        canonical_hits += fast.canonical_hits
+                assert evaluator.cost(sql, config) == expected.total_cost, (seed, sql)
+                used_expected = {
+                    i.key for i in config if i.name in expected.used_indexes
+                }
+                used = {i.key for i in evaluator.used_subset(sql, config)}
+                assert used == used_expected, (seed, sql)
+        canonical_hits += evaluator.canonical_hits
     # The corpus actually exercises the canonical subset rule.
     assert canonical_hits > 0
 
@@ -64,15 +77,14 @@ def test_corpus_lru_eviction_invariance():
     """A tiny LRU bound evicts constantly but never changes a cost."""
     total_evictions = 0
     for seed in range(0, CORPUS_CASES, 10):
-        case, db, legacy, pool = _corpus_case(seed)
-        small = CostEvaluator(db, fast_path=True, max_cache_entries=2)
+        case, db, reference, pool = _corpus_case(seed)
+        small = CostEvaluator(db, max_cache_entries=2)
         for _round in range(2):
             for config in (pool, pool[::2], []):
                 for sql in case.statements:
-                    assert small.cost(sql, config) == legacy.cost(sql, config), (
-                        seed,
-                        sql,
-                    )
+                    assert (
+                        small.cost(sql, config) == reference(sql, config).total_cost
+                    ), (seed, sql)
         total_evictions += small.cache_evictions
     assert total_evictions > 0
 
@@ -90,17 +102,17 @@ def _random_move(rng: random.Random, base: list, pool: list) -> list:
     return config
 
 
-@pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "legacy"])
-def test_workload_coster_matches_workload_cost(fast_path):
+def test_workload_coster_matches_workload_cost():
     """Random add/drop/replace moves over SELECT + DML workloads: the
     incremental coster equals whole-workload costing bit for bit, both on
-    its own evaluator and on an independent one."""
+    its own evaluator and on an independent one.  DML statements exercise
+    the table-level listeners, SELECTs the column-level ones."""
     for seed in range(COSTER_CASES):
         case = generate_case(seed)
         db = case.database(with_storage=False)
         pairs = [(sql, 1.0 + i % 3 / 2) for i, sql in enumerate(case.statements)]
-        evaluator = CostEvaluator(db, fast_path=fast_path)
-        reference = CostEvaluator(db, fast_path=fast_path)
+        evaluator = CostEvaluator(db)
+        reference = CostEvaluator(db)
         pool = candidate_pool(evaluator, Workload.from_sql(pairs), max_width=2)
         rng = random.Random(seed)
         base: list = []
@@ -154,61 +166,12 @@ def _workload() -> Workload:
     ])
 
 
-@pytest.mark.parametrize("name", ["autoadmin", "extend"])
-def test_parallel_algorithm_output_identical(db, name):
-    """jobs=4 selection is byte-identical to serial (indexes and costs)."""
-    serial = ALL_ALGORITHMS[name](db).select(_workload(), BUDGET)
-    parallel_algo = ALL_ALGORITHMS[name](db)
-    parallel_algo.jobs = 4
-    parallel = parallel_algo.select(_workload(), BUDGET)
-    assert [i.key for i in parallel.indexes] == [i.key for i in serial.indexes]
-    assert parallel.cost_before == serial.cost_before
-    assert parallel.cost_after == serial.cost_after
-
-
-def test_parallel_advisor_output_identical(db):
-    """AimConfig(jobs=4) recommends exactly what the serial advisor does."""
-    serial = AimAdvisor(db, AimConfig(jobs=1)).recommend(_workload(), BUDGET)
-    parallel = AimAdvisor(db, AimConfig(jobs=4)).recommend(_workload(), BUDGET)
-    assert [r.index.key for r in parallel.created] == [
-        r.index.key for r in serial.created
-    ]
-    assert parallel.cost_before == serial.cost_before
-    assert parallel.cost_after == serial.cost_after
-
-
-def test_parallel_workload_cost_identical(db):
-    """workload_cost(jobs=4) equals the serial sum bit for bit."""
-    pairs = list(_workload().pairs())
-    config = candidate_pool(
-        CostEvaluator(db), _workload(), max_width=2, with_permutations=False
-    )
-    serial = CostEvaluator(db)
-    parallel = CostEvaluator(db, jobs=4)
-    try:
-        assert parallel.workload_cost(pairs, config) == serial.workload_cost(
-            pairs, config
-        )
-        # Warm parallel costing is served from the merged-back caches.
-        calls = parallel.optimizer.calls
-        assert parallel.workload_cost(pairs, config) == serial.workload_cost(
-            pairs, config
-        )
-        assert parallel.optimizer.calls == calls
-    finally:
-        parallel.close()
-        serial.close()
-
-
 def test_evaluator_reuse_counts_per_run(db):
     """A reused evaluator keeps its caches; per-run call counts are deltas."""
     algo = ALL_ALGORITHMS["autoadmin"](db)
     evaluator = CostEvaluator(db, include_schema_indexes=False)
-    try:
-        cold = algo.select(_workload(), BUDGET, evaluator=evaluator)
-        warm = algo.select(_workload(), BUDGET, evaluator=evaluator)
-    finally:
-        evaluator.close()
+    cold = algo.select(_workload(), BUDGET, evaluator=evaluator)
+    warm = algo.select(_workload(), BUDGET, evaluator=evaluator)
     assert [i.key for i in warm.indexes] == [i.key for i in cold.indexes]
     assert warm.cost_after == cold.cost_after
     assert cold.optimizer_calls > 0
