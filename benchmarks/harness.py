@@ -14,16 +14,9 @@ import pathlib
 import sys
 from typing import Any
 
-from repro.obs import get_profiler, profiler_from_env, reset_telemetry, telemetry_snapshot
+from repro.obs import reset_telemetry, telemetry_snapshot
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-# Opt-in sampling profiler for benches: REPRO_PROFILE=1 samples the whole
-# bench run and save_results writes results/<name>.collapsed (flamegraph
-# input) next to the JSON.
-_PROFILER = profiler_from_env()
-if _PROFILER is not None:
-    _PROFILER.start()
 
 
 GIB = 1 << 30
@@ -38,17 +31,12 @@ def save_results(name: str, payload: Any) -> pathlib.Path:
     """Persist a bench's machine-readable output.
 
     Every result JSON carries a ``telemetry`` block -- the process-wide
-    metrics registry (per-phase optimizer-call counts and timing
-    histograms from the advisor spans) plus span timing aggregates --
-    making the paper's "cheap advisor" claim decomposable per bench run.
+    metrics registry plus per-span-name aggregates, in which each advisor
+    phase sums its seconds and ``optimizer_calls`` -- making the paper's
+    "cheap advisor" claim decomposable per bench run.
     List payloads are wrapped as ``{"results": [...], "telemetry": ...}``;
     ``update_experiments.py`` unwraps them transparently.
     """
-    profiler = get_profiler()
-    if profiler is not None:
-        # Settle the sampler so the telemetry block carries final numbers
-        # (and the overhead gauge) before the snapshot below.
-        profiler.stop()
     telemetry = telemetry_snapshot()
     if isinstance(payload, dict):
         payload = {**payload, "telemetry": telemetry}
@@ -58,15 +46,8 @@ def save_results(name: str, payload: Any) -> pathlib.Path:
     path = RESULTS_DIR / f"{name}.json"
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
-    if profiler is not None and profiler.samples:
-        profiler.write_collapsed(str(RESULTS_DIR / f"{name}.collapsed"))
-        print(f"profile: {profiler.samples} samples -> "
-              f"results/{name}.collapsed "
-              f"(overhead {profiler.overhead_pct:.2f}%)")
-    # Scope each bench's telemetry (and profile) to its own result file.
+    # Scope each bench's telemetry to its own result file.
     reset_telemetry()
-    if profiler is not None:
-        profiler.start()
     return path
 
 

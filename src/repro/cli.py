@@ -27,14 +27,6 @@ Subcommands (the bare flag form above implies ``advise``):
   ``--oracles``, ``--shrink``); failing cases are minimized and written
   to ``qa_failures/`` and re-run with ``--replay FILE``.  See
   ``docs/TESTING.md``.
-* ``top`` -- live dashboard over the status snapshots an instrumented
-  run publishes (``advise`` publishes them automatically; ``--once``
-  prints a single frame, ``--serve PORT`` exposes the JSON over HTTP).
-
-``advise`` additionally takes ``--profile FILE`` to run the sampling
-profiler and write collapsed stacks (``flamegraph.pl`` input), and
-``--status FILE`` to publish dashboard snapshots somewhere other than
-the default path ``repro top`` watches.
 
 Workload file format: statements separated by ``;``.  A comment line
 ``-- weight: <number>`` immediately before a statement sets its weight
@@ -57,28 +49,16 @@ import json
 import random
 import re
 import sys
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .baselines import ALL_ALGORITHMS, AimAlgorithm
 from .catalog import Column, Table, TypeKind
 from .core import AimAdvisor, AimConfig
 from .engine import Database, INNODB, INNODB_HDD, ROCKSDB
 from .executor import Executor, render_explain_analyze
-from .obs import (
-    MetricsSnapshotBus,
-    default_status_path,
-    disable_profiler,
-    enable_profiler,
-    get_tracer,
-    profile,
-    read_events,
-    set_bus,
-    telemetry_snapshot,
-)
+from .obs import get_tracer, read_events, telemetry_snapshot
 from .obs.fleet_report import fleet_report_data, render_fleet_report
 from .obs.report import render_report
-from .obs.top import run_top
 from .sqlparser.ddl import parse_ddl
 from .stats import SyntheticColumn, synthesize_table
 from .workload import Workload, WorkloadQuery, admit
@@ -270,13 +250,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="optional cap on index width")
     parser.add_argument("--algorithm", choices=sorted(ALL_ALGORITHMS),
                         default="aim", help="advisor to run")
-    parser.add_argument("--profile", default=None, metavar="FILE",
-                        help="run the sampling profiler and write "
-                             "collapsed stacks (flamegraph.pl input)")
-    parser.add_argument("--status", default=None, metavar="FILE",
-                        help="publish live status snapshots for `repro "
-                             "top` to this file (default: the shared "
-                             "temp-dir path)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -342,7 +315,6 @@ _VALUE_FLAGS = {
     "--default-rows", "--engine", "--join-parameter", "--max-width",
     "--algorithm", "--format", "--sql", "--seed",
     "--iters", "--oracles", "--out", "--max-failures", "--replay",
-    "--profile", "--status", "--interval", "--window", "--serve",
 }
 
 
@@ -363,7 +335,6 @@ def _split_command(argv: list[str]) -> tuple[str, list[str]]:
         else:
             if token in (
                 "advise", "obs-report", "explain", "fleet-report", "fuzz",
-                "top",
             ):
                 return token, argv[:i] + argv[i + 1:]
             return "advise", argv
@@ -543,47 +514,6 @@ def fuzz(argv: Sequence[str]) -> int:
     return 1
 
 
-@contextmanager
-def _observed_advise(args) -> Iterator[None]:
-    """The advise run's observability harness.
-
-    Publishes status snapshots for ``repro top`` (to ``--status`` or the
-    shared default path) for the duration of the run, and -- with
-    ``--profile FILE`` -- runs the sampling profiler and writes its
-    collapsed stacks when the run finishes.
-    """
-    if args.profile:
-        enable_profiler()
-    bus = MetricsSnapshotBus(
-        interval=0.5,
-        path=args.status or default_status_path(),
-        source=f"advise:{args.algorithm}",
-    )
-    set_bus(bus)
-    bus.start()
-    try:
-        with profile("cli.advise"):
-            yield
-    finally:
-        bus.stop(final_capture=True)
-        set_bus(None)
-        if args.profile:
-            profiler = disable_profiler()
-            if profiler is not None:
-                try:
-                    profiler.write_collapsed(args.profile)
-                except OSError as exc:
-                    print(f"error: cannot write profile: {exc}",
-                          file=sys.stderr)
-                else:
-                    print(
-                        f"profile: {profiler.samples} samples -> "
-                        f"{args.profile} (overhead "
-                        f"{profiler.overhead_pct:.2f}%)",
-                        file=sys.stderr,
-                    )
-
-
 def _write_trace(path: Optional[str]) -> int:
     if path:
         try:
@@ -605,8 +535,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return fleet_report(argv)
     if command == "fuzz":
         return fuzz(argv)
-    if command == "top":
-        return run_top(argv)
     args = make_parser().parse_args(argv)
     row_counts: dict[str, int] = {}
     for hint in args.rows:
@@ -634,8 +562,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    with _observed_advise(args):
-        return _advise(args, db, workload)
+    return _advise(args, db, workload)
 
 
 def _advise(args, db: Database, workload: Workload) -> int:

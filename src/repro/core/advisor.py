@@ -26,15 +26,7 @@ from typing import Iterator, Optional
 
 from ..catalog import Index
 from ..engine import Database
-from ..obs import (
-    AdvisorDecision,
-    Span,
-    capture_now,
-    emit,
-    get_registry,
-    profile,
-    trace,
-)
+from ..obs import AdvisorDecision, Span, emit, get_registry, trace
 from ..optimizer import CostEvaluator
 from ..workload import (
     SelectionPolicy,
@@ -61,35 +53,16 @@ def advisor_phase(name: str, evaluator: CostEvaluator) -> Iterator[Span]:
     """Trace one pipeline phase and account its optimizer-call share.
 
     Each phase span carries the number of (uncached) optimizer
-    invocations it triggered, and the same numbers feed the
-    ``advisor.phase.seconds`` / ``advisor.phase.optimizer_calls``
-    histograms -- turning the single ``optimizer_calls`` integer of the
-    seed into a per-phase decomposition (paper Table 2 / Fig 6 claims).
+    invocations it triggered; ``Tracer.summary()`` sums them per phase,
+    turning the single ``optimizer_calls`` integer of the seed into a
+    per-phase decomposition (paper Table 2 / Fig 6 claims).
     """
-    registry = get_registry()
     calls_before = evaluator.optimizer_calls
-    phase = name.rsplit(".", 1)[-1]
-    active = registry.gauge(
-        "advisor.phase.active", "1 while the labeled phase is running"
-    )
-    active.set(1, phase=phase)
     with trace(name) as span:
         try:
-            with profile(name):
-                yield span
+            yield span
         finally:
-            delta = evaluator.optimizer_calls - calls_before
-            span.set(optimizer_calls=delta)
-            registry.histogram(
-                "advisor.phase.seconds", "wall seconds per advisor phase"
-            ).observe(span.duration, phase=phase)
-            registry.histogram(
-                "advisor.phase.optimizer_calls",
-                "optimizer invocations per advisor phase",
-            ).observe(delta, phase=phase)
-            active.set(0, phase=phase)
-            # A phase boundary is a natural dashboard refresh point.
-            capture_now()
+            span.set(optimizer_calls=evaluator.optimizer_calls - calls_before)
 
 
 @dataclass(frozen=True)

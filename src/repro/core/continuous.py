@@ -18,7 +18,6 @@ from ..obs import (
     CycleStart,
     DdlApplied,
     WorkloadDigest,
-    capture_now,
     emit,
     get_registry,
 )
@@ -182,7 +181,6 @@ class ContinuousTuner:
             recommendation.improvement if recommendation else 0.0,
             database=self.db.name,
         )
-        capture_now()
         return result
 
     def _emit_ddl(self, action: str, index: Index) -> None:

@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterator, Optional
 from ..engine import Database, ExecutionMetrics
 from ..engine.btree import wrap_key
 from ..engine.storage import TableStorage
-from ..obs import PlanEstimate, emit, profile, record_execution_metrics
+from ..obs import PlanEstimate, emit, record_execution_metrics
 from ..optimizer import Optimizer
 from ..optimizer.plan import AccessPath, JoinStep, Plan
 from ..optimizer.query_info import QueryInfo
@@ -70,17 +70,16 @@ class Executor:
         """
         if isinstance(stmt, str):
             stmt = parse(stmt)
-        with profile("executor.execute"):
-            if isinstance(stmt, ast.Select):
-                result = self._execute_select(stmt, analyze=analyze)
-            elif isinstance(stmt, ast.Insert):
-                result = self._execute_insert(stmt)
-            elif isinstance(stmt, ast.Update):
-                result = self._execute_update(stmt)
-            elif isinstance(stmt, ast.Delete):
-                result = self._execute_delete(stmt)
-            else:
-                raise TypeError(f"cannot execute {type(stmt).__name__}")
+        if isinstance(stmt, ast.Select):
+            result = self._execute_select(stmt, analyze=analyze)
+        elif isinstance(stmt, ast.Insert):
+            result = self._execute_insert(stmt)
+        elif isinstance(stmt, ast.Update):
+            result = self._execute_update(stmt)
+        elif isinstance(stmt, ast.Delete):
+            result = self._execute_delete(stmt)
+        else:
+            raise TypeError(f"cannot execute {type(stmt).__name__}")
         record_execution_metrics(result.metrics, type(stmt).__name__.lower())
         if result.actual is not None:
             sql = normalize_statement(stmt).to_sql()

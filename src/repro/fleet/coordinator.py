@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..core import AimConfig, ContinuousTuner, TuningCycleResult
 from ..engine import Database
-from ..obs import IndexRollback, capture_now, emit, get_registry, trace
+from ..obs import IndexRollback, emit, get_registry, trace
 from ..workload import SelectionPolicy
 from .regression import ContinuousRegressionDetector
 from .replica import ReplicaSet
@@ -93,7 +93,6 @@ class FleetCoordinator:
                 if result.changed:
                     managed.replica_set.apply_ddl()   # flush replica plan caches
                 results[name] = result
-                capture_now()
             span.set(tuned=len(results))
         return results
 

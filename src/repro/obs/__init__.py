@@ -18,6 +18,10 @@ All three have a process-wide default instance so instrumented library
 code stays dependency-free: ``with trace("advisor.ranking"): ...``,
 ``counter("optimizer.calls").inc()`` and ``emit(AdvisorDecision(...))``
 record into whatever tracer/registry/journal is current.
+Each question has one instrument: per-phase seconds and optimizer calls
+are span attributes (the ``spans`` block ``repro.cli obs-report``
+renders), and per-layer wall time is measured from outside the program
+by ``perfbench/run.py --trace 1``.
 :func:`telemetry_snapshot` bundles tracer + registry into the JSON block
 benches and the CLI attach to their results; :func:`reset_telemetry`
 clears all three between runs (a journal's bound file is never touched).
@@ -55,26 +59,6 @@ from .metrics import (
     histogram,
     set_registry,
 )
-from .profiler import (
-    SamplingProfiler,
-    disable_profiler,
-    enable_profiler,
-    get_profiler,
-    profile,
-    profiler_from_env,
-    set_profiler,
-)
-from .snapshots import (
-    MetricsSnapshotBus,
-    capture_now,
-    counter_deltas,
-    counter_rates,
-    default_status_path,
-    get_bus,
-    load_status,
-    serve_status,
-    set_bus,
-)
 from .tracer import (
     Span,
     Tracer,
@@ -100,26 +84,10 @@ __all__ = [
     "OracleViolation",
     "PlanEstimate",
     "RegressionFlagged",
-    "MetricsSnapshotBus",
-    "SamplingProfiler",
     "Span",
     "StatementSkipped",
     "Tracer",
     "WorkloadDigest",
-    "capture_now",
-    "counter_deltas",
-    "counter_rates",
-    "default_status_path",
-    "disable_profiler",
-    "enable_profiler",
-    "get_bus",
-    "get_profiler",
-    "load_status",
-    "profile",
-    "profiler_from_env",
-    "serve_status",
-    "set_bus",
-    "set_profiler",
     "counter",
     "decode_event",
     "emit",
@@ -144,14 +112,10 @@ __all__ = [
 def telemetry_snapshot() -> dict:
     """The ``telemetry`` block attached to bench results and CLI output:
     the registry snapshot plus per-span-name timing aggregates."""
-    snapshot = {
+    return {
         "metrics": get_registry().snapshot(),
         "spans": get_tracer().summary(),
     }
-    profiler = get_profiler()
-    if profiler is not None and profiler.samples:
-        snapshot["profiler"] = profiler.to_dict()
-    return snapshot
 
 
 def reset_telemetry() -> None:
@@ -161,9 +125,6 @@ def reset_telemetry() -> None:
     get_registry().reset()
     get_tracer().reset()
     get_journal().reset()
-    profiler = get_profiler()
-    if profiler is not None:
-        profiler.reset()
 
 
 def record_execution_metrics(metrics, kind: str = "select") -> None:

@@ -135,9 +135,6 @@ def _render_telemetry(telemetry: dict) -> str:
     whatif = _render_whatif(counters)
     if whatif:
         sections.append(whatif)
-    profiler = _render_profiler(telemetry.get("profiler"))
-    if profiler:
-        sections.append(profiler)
     if counters:
         lines = ["counters:"]
         for name, by_label in sorted(counters.items()):
@@ -202,33 +199,6 @@ def _render_whatif(counters: dict) -> str:
     ]
     if analyze_hits:
         lines.append(f"  analyze cache hits = {analyze_hits:g}")
-    return "\n".join(lines)
-
-
-def _render_profiler(profiler: Any) -> str:
-    """Top sampled frames from an attached profiler summary."""
-    if not isinstance(profiler, dict) or not profiler.get("samples"):
-        return ""
-    lines = [
-        (
-            f"profiler: {profiler.get('samples', 0)} samples at "
-            f"{profiler.get('hz', 0):g} Hz over "
-            f"{profiler.get('wall_seconds', 0.0):.2f}s "
-            f"(overhead {profiler.get('overhead_pct', 0.0):.2f}%)"
-        ),
-    ]
-    for frame in (profiler.get("top_frames") or [])[:10]:
-        lines.append(
-            f"  {frame.get('pct', 0.0):>5.1f}%  {frame.get('samples', 0):>6}  "
-            f"{frame.get('frame', '?')}"
-        )
-    regions = profiler.get("regions") or {}
-    if regions:
-        hot = sorted(regions.items(), key=lambda kv: (-kv[1], kv[0]))
-        lines.append(
-            "  regions: "
-            + ", ".join(f"{name} ({count})" for name, count in hot[:5])
-        )
     return "\n".join(lines)
 
 

@@ -42,7 +42,7 @@ from typing import Collection, Iterable, Optional
 
 from ..catalog import Index
 from ..engine import Database
-from ..obs import BoundMetric, profile
+from ..obs import BoundMetric
 from ..sqlparser import ast
 from .analysis_cache import LRUCache, analyze_cached
 from .optimizer import Optimizer, Statement
@@ -260,8 +260,7 @@ class CostEvaluator:
         config: Collection[Index] = (),
     ) -> list[float]:
         """Per-query costs under *config*, in query order."""
-        with profile("whatif.workload_cost"):
-            return [self.cost(stmt, config) for stmt, _weight in queries]
+        return [self.cost(stmt, config) for stmt, _weight in queries]
 
     # -- introspection ------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """CLI tests."""
 
 import json
+import tempfile
+import threading
 
 import pytest
 
@@ -118,6 +120,22 @@ def test_cli_rejects_empty_workload(files, tmp_path):
     empty.write_text("-- nothing here\n")
     rc = main(["--schema", str(schema), "--workload", str(empty)])
     assert rc == 2
+
+
+def test_cli_advise_leaves_no_files_or_threads(files, tmp_path, monkeypatch,
+                                               capsys):
+    """A plain ``advise`` writes only its stdout: no file in the temp dir
+    and no thread left behind."""
+    schema, workload = files
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    threads = threading.active_count()
+    assert main(["advise", "--schema", str(schema),
+                 "--workload", str(workload)]) == 0
+    assert "CREATE INDEX" in capsys.readouterr().out
+    assert list(scratch.iterdir()) == []
+    assert threading.active_count() == threads
 
 
 def test_cli_engine_profiles(files, capsys):

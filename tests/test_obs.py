@@ -351,13 +351,18 @@ def test_advisor_run_records_pipeline_phases(db, tracer):
     assert sum(deltas) == rec.optimizer_calls
     assert root.attrs["optimizer_calls"] == rec.optimizer_calls
 
-    # The registry carries per-phase histograms for the bench telemetry.
-    snap = get_registry().snapshot()
-    calls = snap["histograms"]["advisor.phase.optimizer_calls"]
-    assert any(v["count"] > 0 for v in calls.values())
-    assert "phase=ranking" in calls
-    seconds = snap["histograms"]["advisor.phase.seconds"]
-    assert set(calls) == set(seconds)
+    # The telemetry spans block carries the same decomposition per phase.
+    spans = telemetry_snapshot()["spans"]
+    for phase in phase_names:
+        assert spans[phase]["count"] == 1
+        assert spans[phase]["total_seconds"] > 0
+        assert "optimizer_calls" in spans[phase]["attrs"], phase
+    assert spans["advisor.ranking"]["attrs"]["optimizer_calls"] > 0
+    assert (
+        sum(spans[phase]["attrs"]["optimizer_calls"] for phase in phase_names)
+        == spans["advisor.recommend"]["attrs"]["optimizer_calls"]
+        == rec.optimizer_calls
+    )
 
 
 def test_baseline_select_traced(db, tracer):
@@ -421,7 +426,12 @@ def test_render_report_telemetry(db, tracer):
     report = render_report({"telemetry": telemetry_snapshot()})
     assert "advisor.recommend" in report
     assert "optimizer.calls" in report
-    assert "advisor.phase.optimizer_calls" in report
+    ranking = telemetry_snapshot()["spans"]["advisor.ranking"]
+    calls = ranking["attrs"]["optimizer_calls"]
+    assert calls > 0
+    row = next(line for line in report.splitlines()
+               if line.startswith("advisor.ranking "))
+    assert row.split()[-1] == str(calls)
 
 
 def test_render_report_unknown_payload():
