@@ -83,9 +83,10 @@ def per_query_candidates(
     """Per query key: syntactically relevant candidates up to *max_width*."""
     out: dict[str, list[Index]] = {}
     for query in workload:
+        # Analyze first: it keeps the parsed statement that is_dml reads.
+        info = query.analyze(evaluator.schema)
         if query.is_dml:
             continue
-        info = evaluator.analyze(query.sql)
         # Dedupe on the structural key, not the formatted name: names
         # collide when table/column names contain underscores
         # (idx_a_b_c is both a_b(c) and a(b_c)).

@@ -21,6 +21,9 @@ class Schema:
 
     tables: dict[str, Table] = field(default_factory=dict)
     _indexes: dict[str, Index] = field(default_factory=dict)
+    #: Bumped by every change to the index configuration, so plan caches
+    #: over this schema can tell that what they hold may be stale.
+    index_version: int = field(default=0, init=False, compare=False, repr=False)
 
     @classmethod
     def from_tables(cls, tables: Iterable[Table]) -> "Schema":
@@ -55,18 +58,18 @@ class Schema:
                     f"index column {col!r} not in table {index.table}"
                 )
         existing = self._indexes.get(index.name)
-        if existing is not None and existing.dataless and not index.dataless:
-            self._indexes[index.name] = index
-            return index
-        if existing is not None:
+        upgrade = existing is not None and existing.dataless and not index.dataless
+        if existing is not None and not upgrade:
             return existing
         self._indexes[index.name] = index
+        self.index_version += 1
         return index
 
     def drop_index(self, index: Index | str) -> None:
         """Remove an index by value or name (no-op if absent)."""
         name = index if isinstance(index, str) else index.name
-        self._indexes.pop(name, None)
+        if self._indexes.pop(name, None) is not None:
+            self.index_version += 1
 
     def indexes(self, table: str | None = None, include_dataless: bool = True) -> list[Index]:
         """Current indexes, optionally restricted to one table."""
@@ -89,6 +92,7 @@ class Schema:
         """Drop every dataless index (end of a what-if session)."""
         for name in [n for n, idx in self._indexes.items() if idx.dataless]:
             del self._indexes[name]
+            self.index_version += 1
 
     def __iter__(self) -> Iterator[Table]:
         return iter(self.tables.values())

@@ -1,6 +1,6 @@
 """Cost-based query optimizer with what-if (dataless) index support."""
 
-from .access_path import ProbeContext, best_path, enumerate_paths
+from .access_path import ProbeContext, TableContext, best_path, enumerate_paths
 from .cost_model import affected_rows, index_is_affected, maintenance_cost
 from .optimizer import Optimizer
 from .plan import AccessPath, JoinStep, Plan
@@ -24,6 +24,7 @@ __all__ = [
     "enumerate_paths",
     "best_path",
     "ProbeContext",
+    "TableContext",
     "atomic_selectivity",
     "expr_selectivity",
     "constant_value",

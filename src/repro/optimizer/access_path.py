@@ -1,10 +1,10 @@
 """Access path enumeration and costing for a single table binding.
 
-Given the predicates on one table instance (filters plus any join
-predicates whose other side is already bound), the available indexes and
-the interesting order, :func:`enumerate_paths` produces every sensible
-:class:`AccessPath` with its cost.  The cost formulas follow the classic
-page-based model:
+Given a :class:`TableContext` -- the predicates on one table instance
+(filters plus any join predicates whose other side is already bound) and
+the interesting order -- and the available indexes,
+:func:`enumerate_paths` produces every sensible :class:`AccessPath` with
+its cost.  The cost formulas follow the classic page-based model:
 
 * sequential scan: heap pages sequentially + per-row CPU,
 * index scan: B-tree descent + leaf pages + per-entry CPU + (unless the
@@ -61,29 +61,14 @@ class ProbeContext:
         return set(self.eq_selectivities)
 
 
-def enumerate_paths(
-    table: Table,
-    stats: TableStats,
-    params: CostParams,
-    filters: Sequence[AtomicPredicate],
-    indexes: Sequence[Index],
-    referenced: set[str],
-    probe: Optional[ProbeContext] = None,
-    residual_selectivity: float = 1.0,
-    order_cols: Sequence[OrderColumn] = (),
-    group_cols: Sequence[str] = (),
-    limit: Optional[int] = None,
-    switches: OptimizerSwitches = DEFAULT_SWITCHES,
-) -> list[AccessPath]:
-    """Enumerate costed access paths for one binding.
+class TableContext:
+    """One binding's costing inputs, precomputed once for all its paths.
 
     Args:
         table: catalog table.
         stats: table statistics.
         params: cost parameters.
         filters: atomic predicates on this binding (sargable or not).
-        indexes: candidate secondary indexes on this table (materialized
-            or dataless -- the optimizer treats them alike).
         referenced: columns of this table the query touches (covering test).
         probe: join-probe equality context, if this binding is a join inner.
         residual_selectivity: combined selectivity of complex (OR-tree)
@@ -92,72 +77,33 @@ def enumerate_paths(
             this binding (else pass empty).
         group_cols: likewise for GROUP BY columns.
         limit: LIMIT value for early-exit costing (single-binding queries).
-
-    Returns:
-        All enumerated paths; callers pick by min cost (and interesting
-        order).  Always contains at least the sequential scan.
+        binding: the binding name every built path carries.
     """
-    probe = probe or ProbeContext.empty()
-    ctx = _TableContext(
-        table, stats, params, list(filters), probe, residual_selectivity,
-        referenced, list(order_cols), list(group_cols), limit, switches,
-    )
-    paths = [_seq_scan(ctx)]
-    pk_path = _btree_path(ctx, None)
-    if pk_path is not None:
-        paths.append(pk_path)
-    for index in indexes:
-        path = _btree_path(ctx, index)
-        if path is not None:
-            paths.append(path)
-    return paths
-
-
-def best_path(paths: Sequence[AccessPath]) -> AccessPath:
-    """The cheapest path (ties broken toward index paths, then covering)."""
-    return min(
-        paths, key=lambda p: (p.cost, p.method == "seq", not p.covering)
-    )
-
-
-def best_no_index_cost(paths: Sequence[AccessPath]) -> float:
-    """Cheapest cost among paths that use no secondary index."""
-    eligible = [p for p in paths if p.index is None]
-    return min(p.cost for p in eligible)
-
-
-# ---------------------------------------------------------------------------
-# internals
-# ---------------------------------------------------------------------------
-
-
-class _TableContext:
-    """Precomputed per-binding information shared by all path builders."""
 
     def __init__(
         self,
         table: Table,
         stats: TableStats,
         params: CostParams,
-        filters: list[AtomicPredicate],
-        probe: ProbeContext,
-        residual_selectivity: float,
+        filters: Sequence[AtomicPredicate],
         referenced: set[str],
-        order_cols: list[OrderColumn],
-        group_cols: list[str],
-        limit: Optional[int],
+        probe: Optional[ProbeContext] = None,
+        residual_selectivity: float = 1.0,
+        order_cols: Sequence[OrderColumn] = (),
+        group_cols: Sequence[str] = (),
+        limit: Optional[int] = None,
         switches: OptimizerSwitches = DEFAULT_SWITCHES,
+        binding: str = "",
     ):
+        probe = probe or ProbeContext.empty()
+        self.binding = binding
         self.switches = switches
         self.table = table
         self.stats = stats
         self.params = params
-        self.filters = filters
-        self.probe = probe
-        self.residual_sel = residual_selectivity
         self.referenced = referenced
-        self.order_cols = order_cols
-        self.group_cols = group_cols
+        self.order_cols = list(order_cols)
+        self.group_cols = list(group_cols)
         self.limit = limit if (limit is not None and limit > 0) else None
         self.rows = max(1, stats.row_count)
 
@@ -208,20 +154,73 @@ class _TableContext:
         return self.rows * self.total_sel
 
 
-def _seq_scan(ctx: _TableContext) -> AccessPath:
+def enumerate_paths(
+    ctx: TableContext,
+    indexes: Sequence[Index] = (),
+    base: bool = True,
+) -> list[AccessPath]:
+    """Enumerate costed access paths for one binding.
+
+    Args:
+        ctx: the binding's predicates, statistics and interesting orders
+            (:class:`TableContext`).
+        indexes: candidate secondary indexes on this table (materialized
+            or dataless -- the optimizer treats them alike).
+        base: include the sequential scan and the clustered-PK path.  A
+            caller that memoizes paths per context passes False to cost
+            only indexes it has not seen under *ctx* before.
+
+    Returns:
+        The enumerated paths, base paths first, then one per index that
+        matches a predicate or provides a useful order, in *indexes*
+        order.  Callers pick by min cost (and interesting order).  With
+        *base*, always contains at least the sequential scan.
+    """
+    paths = []
+    if base:
+        paths.append(_seq_scan(ctx))
+        pk_path = _btree_path(ctx, None)
+        if pk_path is not None:
+            paths.append(pk_path)
+    for index in indexes:
+        path = _btree_path(ctx, index)
+        if path is not None:
+            paths.append(path)
+    return paths
+
+
+def best_path(paths: Sequence[AccessPath]) -> AccessPath:
+    """The cheapest path (ties broken toward index paths, then covering)."""
+    return min(
+        paths, key=lambda p: (p.cost, p.method == "seq", not p.covering)
+    )
+
+
+def best_no_index_cost(paths: Sequence[AccessPath]) -> float:
+    """Cheapest cost among paths that use no secondary index."""
+    eligible = [p for p in paths if p.index is None]
+    return min(p.cost for p in eligible)
+
+
+# ---------------------------------------------------------------------------
+# internals
+# ---------------------------------------------------------------------------
+
+
+def _seq_scan(ctx: TableContext) -> AccessPath:
     params = ctx.params
     pages = params.pages_for(ctx.rows, ctx.table.row_width)
     io = pages * params.seq_page_cost
     cpu = ctx.rows * params.cpu_tuple_cost
     cpu += ctx.rows * max(1, ctx.n_predicates) * params.cpu_operator_cost
     return AccessPath(
-        binding="", table=ctx.table.name, method="seq",
+        binding=ctx.binding, table=ctx.table.name, method="seq",
         rows_examined=float(ctx.rows), rows_out=ctx.rows_out(),
         cost=io + cpu, io_cost=io, covering=True,
     )
 
 
-def _btree_path(ctx: _TableContext, index: Optional[Index]) -> Optional[AccessPath]:
+def _btree_path(ctx: TableContext, index: Optional[Index]) -> Optional[AccessPath]:
     """Cost a B-tree path: the clustered PK when *index* is None, else a
     secondary index.  Returns None when the index matches no predicate and
     provides no useful order (such a path is strictly worse than choices
@@ -321,7 +320,7 @@ def _btree_path(ctx: _TableContext, index: Optional[Index]) -> Optional[AccessPa
     if order_sat and ctx.limit and not ctx.group_cols:
         rows_out = min(rows_out, float(ctx.limit))
     return AccessPath(
-        binding="", table=table.name,
+        binding=ctx.binding, table=table.name,
         method="pk" if index is None else "index",
         index=index,
         eq_columns=tuple(eq_cols),
@@ -339,7 +338,7 @@ def _btree_path(ctx: _TableContext, index: Optional[Index]) -> Optional[AccessPa
     )
 
 
-def _is_covering(ctx: _TableContext, index: Optional[Index]) -> bool:
+def _is_covering(ctx: TableContext, index: Optional[Index]) -> bool:
     if index is None:
         return True   # clustered PK holds every column
     available = set(index.columns) | set(ctx.table.primary_key)
@@ -347,7 +346,7 @@ def _is_covering(ctx: _TableContext, index: Optional[Index]) -> bool:
 
 
 def _order_group_satisfaction(
-    ctx: _TableContext,
+    ctx: TableContext,
     key_columns: tuple[str, ...],
     ordered_prefix: int,
     range_col: Optional[str],

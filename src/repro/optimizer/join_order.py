@@ -14,15 +14,20 @@ number of join orders are even considered by the optimizer").
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..catalog import Index, Schema, Table
 from ..engine.pages import CostParams
 from ..obs import BoundMetric
 from ..sqlparser import ast
 from ..stats import ColumnStats, StatsCatalog
-from .access_path import ProbeContext, best_no_index_cost, best_path, enumerate_paths
+from .access_path import (
+    ProbeContext,
+    TableContext,
+    best_no_index_cost,
+    best_path,
+    enumerate_paths,
+)
 from .plan import AccessPath, JoinStep, Plan
 from .query_info import QueryInfo
 from .selectivity import MIN_SELECTIVITY, expr_selectivity
@@ -39,8 +44,85 @@ _ENUM_GREEDY = BoundMetric("counter", "optimizer.join_enumeration", strategy="gr
 _ENUM_STRAIGHT = BoundMetric("counter", "optimizer.join_enumeration", strategy="straight")
 
 
+class PlanMemo:
+    """One statement's planning state that no index configuration changes.
+
+    Every value is a pure function of the statement, the statistics, the
+    cost parameters, the switches and -- for an index path -- the index's
+    structural key, never of which other indexes exist.  A planner builds a
+    private memo per plan; a what-if evaluator keeps one per statement
+    (:class:`~repro.optimizer.what_if.CostEvaluator`), so a configuration
+    that adds one index to a statement costs only that index's paths and
+    the join search runs over cached numbers.
+
+    Attributes:
+        paths: ``(binding, probe items, with_order)`` -> that binding's
+            :class:`_BindingPaths`; probe items in the probe's own order,
+            which its context's float products follow.
+        probes: ``(binding, bound)`` -> the :class:`_Probe` of *binding*
+            probed from the *bound* set.
+        joins: ``(binding, bound)`` -> the join-edge and cross-binding
+            selectivities of adding *binding* to *bound*.
+        locator: for UPDATE/DELETE, the SELECT that locates its rows.
+    """
+
+    __slots__ = ("paths", "probes", "joins", "locator")
+
+    def __init__(self) -> None:
+        self.paths: dict[tuple, _BindingPaths] = {}
+        self.probes: dict[tuple, _Probe] = {}
+        self.joins: dict[tuple, tuple[float, float]] = {}
+        self.locator: Optional[QueryInfo] = None
+
+
+class _Probe(NamedTuple):
+    """A probe context with the two keys its paths are cached under."""
+
+    context: ProbeContext
+    items: tuple    # (column, selectivity) in probe order: the memo key
+    key: tuple      # the items sorted: this plan's path-cache key
+
+
+class _BindingPaths:
+    """One binding's paths under one probe context, costed once per index."""
+
+    __slots__ = ("ctx", "base", "by_index")
+
+    def __init__(self, ctx: TableContext):
+        self.ctx = ctx
+        self.base: Optional[list[AccessPath]] = None   # seq (+ PK) paths
+        self.by_index: dict[tuple, Optional[AccessPath]] = {}  # None: rejected
+
+    def paths(self, indexes: Sequence[Index]) -> list[AccessPath]:
+        """Base paths plus each useful index's path, in *indexes* order;
+        costs (through :func:`enumerate_paths`) only what is not memoized."""
+        by_index = self.by_index
+        missing = [idx for idx in indexes if idx.key not in by_index]
+        if missing or self.base is None:
+            fresh = enumerate_paths(self.ctx, missing, base=self.base is None)
+            if self.base is None:
+                self.base = [p for p in fresh if p.index is None]
+            costed = {p.index.key: p for p in fresh if p.index is not None}
+            for idx in missing:
+                by_index[idx.key] = costed.get(idx.key)
+        paths = list(self.base)
+        for idx in indexes:
+            path = by_index[idx.key]
+            if path is not None:
+                paths.append(path)
+        return paths
+
+
+_NO_PROBE = _Probe(ProbeContext.empty(), (), ())
+
+
 class SelectPlanner:
-    """Plans one SELECT statement against a schema + statistics snapshot."""
+    """Plans one SELECT statement against a schema + statistics snapshot.
+
+    Pass *memo* to share configuration-independent planning state across
+    plans of the same statement under the same statistics, parameters and
+    switches (see :class:`PlanMemo`).
+    """
 
     def __init__(
         self,
@@ -51,21 +133,29 @@ class SelectPlanner:
         extra_indexes: Sequence[Index] = (),
         materialized_only: bool = False,
         switches: OptimizerSwitches = DEFAULT_SWITCHES,
+        memo: Optional[PlanMemo] = None,
     ):
         self.schema = schema
         self.stats = stats
         self.params = params
         self.switches = switches
         self.info = info
-        self._indexes: dict[str, list[Index]] = {}
+        self.memo = memo if memo is not None else PlanMemo()
+        # Dedup on the structural key: names collide when table or column
+        # names contain underscores (idx_t_a_b_c is both (a_b, c) and
+        # (a, b_c)), and a dropped duplicate is a lost plan choice.
+        by_table: dict[str, dict[tuple, Index]] = {}
         available = list(schema.indexes()) + list(extra_indexes)
         if materialized_only:
             available = [idx for idx in available if not idx.dataless]
         for index in available:
-            self._indexes.setdefault(index.table, [])
-            if all(existing.name != index.name for existing in self._indexes[index.table]):
-                self._indexes[index.table].append(index)
+            by_table.setdefault(index.table, {}).setdefault(index.key, index)
+        self._indexes = {t: list(found.values()) for t, found in by_table.items()}
+        # This plan's view of the memo, keyed by sorted probe items: the
+        # first probe order seen for a column set costs it in this plan.
         self._path_cache: dict[tuple, list[AccessPath]] = {}
+        self._best_cache: dict[tuple, AccessPath] = {}
+        self._hash_build: dict[str, float] = {}
 
     # -- public entry ---------------------------------------------------------
 
@@ -113,13 +203,36 @@ class SelectPlanner:
     def _paths(
         self,
         binding: str,
-        probe: ProbeContext,
-        with_order: bool,
+        probe: _Probe = _NO_PROBE,
+        with_order: bool = False,
     ) -> list[AccessPath]:
-        key = (binding, tuple(sorted(probe.eq_selectivities.items())), with_order)
-        if key in self._path_cache:
-            return self._path_cache[key]
-        order_cols = ()
+        """Costed paths of *binding* under *probe* and this plan's indexes."""
+        key = (binding, probe.key, with_order)
+        paths = self._path_cache.get(key)
+        if paths is not None:
+            return paths
+        memo_key = (binding, probe.items, with_order)
+        entry = self.memo.paths.get(memo_key)
+        if entry is None:
+            entry = self.memo.paths[memo_key] = _BindingPaths(
+                self._context(binding, probe.context, with_order)
+            )
+        paths = entry.paths(self._indexes.get(self.info.bindings[binding], ()))
+        self._path_cache[key] = paths
+        return paths
+
+    def _best(self, binding: str, probe: _Probe = _NO_PROBE) -> AccessPath:
+        """The cheapest path of *binding* under *probe* (no order wanted)."""
+        key = (binding, probe.key)
+        best = self._best_cache.get(key)
+        if best is None:
+            best = self._best_cache[key] = best_path(self._paths(binding, probe))
+        return best
+
+    def _context(
+        self, binding: str, probe: ProbeContext, with_order: bool
+    ) -> TableContext:
+        order_cols: tuple = ()
         group_cols: tuple[str, ...] = ()
         limit = None
         if with_order:
@@ -133,12 +246,11 @@ class SelectPlanner:
                 group_cols = tuple(c for _, c in self.info.group_by)
             if len(self.info.bindings) == 1:
                 limit = self.info.limit
-        paths = enumerate_paths(
+        return TableContext(
             self._table(binding),
             self._table_stats(binding),
             self.params,
             self.info.filters.get(binding, []),
-            self._indexes.get(self.info.bindings[binding], []),
             set(self.info.referenced.get(binding, set())),
             probe=probe,
             residual_selectivity=self._residual_selectivity(binding),
@@ -146,10 +258,8 @@ class SelectPlanner:
             group_cols=group_cols,
             limit=limit,
             switches=self.switches,
+            binding=binding,
         )
-        paths = [replace(p, binding=binding) for p in paths]
-        self._path_cache[key] = paths
-        return paths
 
     def _join_edge_selectivity(self, binding: str, other: str) -> dict[str, float]:
         """Per-probe eq selectivities on *binding* from edges to *other*."""
@@ -166,13 +276,25 @@ class SelectPlanner:
             out[col] = min(sel, out.get(col, 1.0))
         return out
 
-    def _probe_context(self, binding: str, bound: frozenset[str]) -> ProbeContext:
+    def _probe(self, binding: str, bound: frozenset[str]) -> _Probe:
         """Probe context for *binding* when *bound* bindings are available."""
-        merged: dict[str, float] = {}
-        for other in bound:
-            for col, sel in self._join_edge_selectivity(binding, other).items():
-                merged[col] = min(sel, merged.get(col, 1.0))
-        return ProbeContext(merged)
+        key = (binding, bound)
+        probe = self.memo.probes.get(key)
+        if probe is None:
+            merged: dict[str, float] = {}
+            # Query binding order, not set order: the items' order feeds the
+            # context's float products, so it must not depend on how the
+            # set was built (or on the string hash seed).
+            for other in self.info.bindings:
+                if other not in bound:
+                    continue
+                for col, sel in self._join_edge_selectivity(binding, other).items():
+                    merged[col] = min(sel, merged.get(col, 1.0))
+            items = tuple(merged.items())
+            probe = self.memo.probes[key] = _Probe(
+                ProbeContext(merged), items, tuple(sorted(items))
+            )
+        return probe
 
     def _edge_result_selectivity(self, binding: str, bound: frozenset[str]) -> float:
         """Cardinality selectivity of all join edges binding<->bound."""
@@ -195,13 +317,12 @@ class SelectPlanner:
         return sel
 
     def _filtered_rows(self, binding: str) -> float:
-        paths = self._paths(binding, ProbeContext.empty(), with_order=False)
-        return max(MIN_SELECTIVITY, paths[0].rows_out)
+        return max(MIN_SELECTIVITY, self._paths(binding)[0].rows_out)
 
     # -- single table ---------------------------------------------------------
 
     def _single_table_plan(self, binding: str) -> Plan:
-        paths = self._paths(binding, ProbeContext.empty(), with_order=True)
+        paths = self._paths(binding, with_order=True)
         chosen = self._pick_with_order(paths)
         step = JoinStep(
             path=chosen,
@@ -266,8 +387,7 @@ class SelectPlanner:
         """Selinger-style DP over subsets; returns the best join order."""
         best: dict[frozenset, tuple[float, float, list[str]]] = {}
         for b in bindings:
-            paths = self._paths(b, ProbeContext.empty(), with_order=False)
-            chosen = best_path(paths)
+            chosen = self._best(b)
             best[frozenset([b])] = (chosen.cost, max(1.0, chosen.rows_out), [b])
         all_set = frozenset(bindings)
         for size in range(2, len(bindings) + 1):
@@ -317,9 +437,7 @@ class SelectPlanner:
         self, binding: str, bound: frozenset[str], outer_rows: float
     ) -> tuple[float, float]:
         """(cost, resulting rows) of joining *binding* to the bound set."""
-        probe = self._probe_context(binding, bound)
-        paths = self._paths(binding, probe, with_order=False)
-        inner = best_path(paths)
+        inner = self._best(binding, self._probe(binding, bound))
         nlj_cost = outer_rows * inner.cost
         hash_cost = self._hash_join_cost(binding, outer_rows)
         cost = min(nlj_cost, hash_cost)
@@ -330,20 +448,29 @@ class SelectPlanner:
         self, binding: str, bound: frozenset[str], outer_rows: float
     ) -> float:
         filtered = self._filtered_rows(binding)
-        join_sel = self._edge_result_selectivity(binding, bound)
-        cross_sel = self._cross_binding_selectivity(bound, binding)
+        key = (binding, bound)
+        sels = self.memo.joins.get(key)
+        if sels is None:
+            sels = self.memo.joins[key] = (
+                self._edge_result_selectivity(binding, bound),
+                self._cross_binding_selectivity(bound, binding),
+            )
+        join_sel, cross_sel = sels
         rows = outer_rows * filtered * join_sel * cross_sel
         return max(MIN_SELECTIVITY, rows)
 
     def _hash_join_cost(self, binding: str, outer_rows: float) -> float:
         """Build a hash table from the (filtered) inner, probe with outer."""
-        if not self.switches.hash_join:
-            return math.inf   # switched off (MySQL < 8.0.18 posture)
-        if not self.info.joined_bindings(binding):
-            return math.inf   # no equi-join key: cross product via NLJ only
-        paths = self._paths(binding, ProbeContext.empty(), with_order=False)
-        scan = best_path(paths)
-        build = scan.cost + scan.rows_out * self.params.cpu_tuple_cost
+        build = self._hash_build.get(binding)
+        if build is None:
+            if not self.switches.hash_join:
+                build = math.inf   # switched off (MySQL < 8.0.18 posture)
+            elif not self.info.joined_bindings(binding):
+                build = math.inf   # no equi-join key: cross product via NLJ only
+            else:
+                scan = self._best(binding)
+                build = scan.cost + scan.rows_out * self.params.cpu_tuple_cost
+            self._hash_build[binding] = build
         probe = outer_rows * self.params.cpu_tuple_cost * 2
         return build + probe
 
@@ -352,7 +479,7 @@ class SelectPlanner:
     ) -> tuple[list[JoinStep], float]:
         steps: list[JoinStep] = []
         driver = order[0]
-        paths = self._paths(driver, ProbeContext.empty(), with_order=True)
+        paths = self._paths(driver, with_order=True)
         if driver_with_order:
             ordered = [p for p in paths if p.order_satisfied]
             chosen = best_path(ordered) if ordered else self._pick_with_order(paths)
@@ -368,9 +495,9 @@ class SelectPlanner:
         )
         current = frozenset([driver])
         for binding in order[1:]:
-            probe = self._probe_context(binding, current)
-            paths = self._paths(binding, probe, with_order=False)
-            inner = best_path(paths)
+            probe = self._probe(binding, current)
+            paths = self._paths(binding, probe)
+            inner = self._best(binding, probe)
             nlj_cost = rows * inner.cost
             hash_cost = self._hash_join_cost(binding, rows)
             next_rows = self._result_rows(binding, current, rows)
@@ -384,8 +511,8 @@ class SelectPlanner:
                     )
                 )
             else:
-                scan_paths = self._paths(binding, ProbeContext.empty(), with_order=False)
-                scan = best_path(scan_paths)
+                scan_paths = self._paths(binding)
+                scan = self._best(binding)
                 steps.append(
                     JoinStep(
                         path=scan, join_method="hash", executions=1.0,

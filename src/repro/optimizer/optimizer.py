@@ -13,15 +13,14 @@ Sec. VIII-a) and that Fig 4b/4d's runtime comparison hinges on.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ..catalog import Index
 from ..engine import Database
 from ..obs import BoundMetric
 from ..sqlparser import ast, parse
 from .cost_model import affected_rows, dml_base_cost, maintenance_cost
-from .join_order import SelectPlanner
+from .join_order import PlanMemo, SelectPlanner
 from .plan import JoinStep, Plan
 from .query_info import QueryInfo, analyze_query
 
@@ -57,13 +56,16 @@ class Optimizer:
         stmt: Statement,
         extra_indexes: Sequence[Index] = (),
         materialized_only: bool = False,
+        memo: Optional[PlanMemo] = None,
     ) -> Plan:
         """Plan a statement under the current configuration plus
         *extra_indexes* (typically dataless candidates).
 
         With *materialized_only* the plan may only use indexes that
         physically exist -- the executor's planning mode (a dataless index
-        has no data to scan).
+        has no data to scan).  *memo* is this statement's
+        :class:`PlanMemo`, reused across calls while the statistics,
+        parameters and switches hold.
         """
         self.calls += 1
         info = self.analyze(stmt)
@@ -79,11 +81,12 @@ class Optimizer:
                 extra_indexes,
                 materialized_only=materialized_only,
                 switches=self.db.switches,
+                memo=memo,
             )
             plan = planner.plan()
         else:
             _CALLS_DML.inc()
-            plan = self._explain_dml(info, extra_indexes)
+            plan = self._explain_dml(info, extra_indexes, memo or PlanMemo())
         _PLAN_COST.observe(plan.total_cost)
         return plan
 
@@ -91,15 +94,20 @@ class Optimizer:
         """Total estimated cost of a statement."""
         return self.explain(stmt, extra_indexes).total_cost
 
-    def _explain_dml(self, info: QueryInfo, extra_indexes: Sequence[Index]) -> Plan:
+    def _explain_dml(
+        self, info: QueryInfo, extra_indexes: Sequence[Index], memo: PlanMemo
+    ) -> Plan:
         stmt = info.stmt
         schema, stats, params = self.db.schema, self.db.stats, self.db.params
         rows = affected_rows(info, schema, stats)
         steps: list[JoinStep] = []
         locate_cost = 0.0
         if isinstance(stmt, (ast.Update, ast.Delete)) and not isinstance(stmt, ast.Insert):
-            select_info = self._locator_info(info)
-            planner = SelectPlanner(schema, stats, params, select_info, extra_indexes)
+            if memo.locator is None:
+                memo.locator = self._locator_info(info)
+            planner = SelectPlanner(
+                schema, stats, params, memo.locator, extra_indexes, memo=memo
+            )
             locate_plan = planner.plan()
             steps = locate_plan.steps
             locate_cost = locate_plan.total_cost
@@ -107,11 +115,11 @@ class Optimizer:
         base = dml_base_cost(info, schema, stats, params, locate_cost, rows)
         table_name = next(iter(info.bindings.values()))
         all_indexes = {
-            idx.name: idx for idx in self.db.schema.indexes(table=table_name)
+            idx.key: idx for idx in self.db.schema.indexes(table=table_name)
         }
         for idx in extra_indexes:
             if idx.table == table_name:
-                all_indexes.setdefault(idx.name, idx)
+                all_indexes.setdefault(idx.key, idx)
         maintenance = sum(
             maintenance_cost(info, idx, schema, stats, params, rows)
             for idx in all_indexes.values()

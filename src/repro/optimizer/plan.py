@@ -107,6 +107,19 @@ class Plan:
             if step.path.index_name is not None
         }
 
+    @property
+    def used_index_keys(self) -> set[tuple]:
+        """Structural keys (:attr:`Index.key`) of the indexes the plan reads.
+
+        Unlike :attr:`used_indexes`, keys cannot collide: ``(a_b, c)`` and
+        ``(a, b_c)`` on one table share a name.
+        """
+        return {
+            step.path.index.key
+            for step in self.steps
+            if step.path.index is not None
+        }
+
     def uses_index(self, index: Index | str) -> bool:
         name = index if isinstance(index, str) else index.name
         return name in self.used_indexes

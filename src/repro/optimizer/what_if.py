@@ -26,10 +26,20 @@ three tiers on one serial code path:
   (``used(C) ⊆ C'``) -- is optimal under ``C'`` too.
 
 Both tiers are bounded; evictions and hits are exported as ``whatif.*``
-counters (docs/OBSERVABILITY.md).  Every tier returns exactly the plan
-an uncached :class:`Optimizer` on a bare stats clone would; the tests in
-``tests/test_whatif_cache.py`` check costs and used-index subsets
-against one.
+counters (docs/OBSERVABILITY.md).  A request that misses both still
+does not plan from scratch: each statement keeps a
+:class:`~repro.optimizer.join_order.PlanMemo` of everything about its
+plan no index configuration changes -- per-binding costing contexts,
+seq/PK paths, each index's path once per probe context, join
+selectivities -- so the optimizer costs only indexes the statement has
+not met before and the join search runs over cached numbers.
+
+Every tier returns exactly the plan an uncached :class:`Optimizer` on a
+bare stats clone would; the tests in ``tests/test_whatif_cache.py``
+check costs and used-index subsets against one.  All tiers assume the
+statistics do not change while the evaluator lives, and are dropped
+together when the evaluated schema's index configuration changes
+(``include_schema_indexes`` mode).
 
 :class:`WorkloadCoster` lifts the relevance rule to whole workloads: a
 greedy move that adds, drops or replaces a few indexes re-plans only the
@@ -40,11 +50,12 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Optional
 
-from ..catalog import Index
+from ..catalog import Index, Schema
 from ..engine import Database
 from ..obs import BoundMetric
 from ..sqlparser import ast
 from .analysis_cache import LRUCache, analyze_cached
+from .join_order import PlanMemo
 from .optimizer import Optimizer, Statement
 from .plan import Plan
 from .query_info import QueryInfo
@@ -54,6 +65,9 @@ DEFAULT_PLAN_CACHE_SIZE = 8192
 
 #: Bound on canonical entries kept per statement (L2).
 CANONICAL_ENTRIES_PER_STATEMENT = 16
+
+#: Bound on statements with a planning memo (LRU).
+MEMO_STATEMENTS = 2048
 
 _EVALS = BoundMetric(
     "counter", "whatif.evaluations", "what-if plan requests (cached + uncached)"
@@ -121,6 +135,8 @@ class CostEvaluator:
         )
         # sql -> [(used keys, config keys, plan), ...] newest last.
         self._canonical: dict[str, list[tuple[frozenset, frozenset, Plan]]] = {}
+        self._memos: LRUCache = LRUCache(MEMO_STATEMENTS)
+        self._index_version = self._db.schema.index_version
         self.cache_hits = 0
         self.canonical_hits = 0
         self.cache_evictions = 0
@@ -131,6 +147,11 @@ class CostEvaluator:
     def optimizer_calls(self) -> int:
         """Number of *uncached* optimizer invocations so far."""
         return self.optimizer.calls
+
+    @property
+    def schema(self) -> Schema:
+        """The schema statements are analyzed and planned against."""
+        return self._db.schema
 
     def _record_eviction(self, _key, _plan) -> None:
         self.cache_evictions += 1
@@ -168,6 +189,8 @@ class CostEvaluator:
 
     def plan(self, stmt: Statement, config: Collection[Index] = ()) -> Plan:
         """Plan *stmt* under hypothetical configuration *config*."""
+        if self._db.schema.index_version != self._index_version:
+            self._drop_caches()
         info = self.analyze(stmt)
         relevant = self._relevant(info, config)
         sql = info.cache_sql or info.stmt.to_sql()
@@ -190,15 +213,24 @@ class CostEvaluator:
                 # Promote to an exact entry: the next identical lookup is O(1).
                 self._plan_cache.put(key, canonical)
                 return canonical
-        plan = self.optimizer.explain(info, extra_indexes=relevant)
+        memo = self._memos.get(sql)
+        if memo is None:
+            memo = PlanMemo()
+            self._memos.put(sql, memo)
+        plan = self.optimizer.explain(info, extra_indexes=relevant, memo=memo)
         self._plan_cache.put(key, plan)
         if is_select and relevant:
-            used_keys = frozenset(
-                idx.key for idx in relevant if idx.name in plan.used_indexes
-            )
+            used_keys = relevant_keys.intersection(plan.used_index_keys)
             self._canonical_store(sql, used_keys, relevant_keys, plan)
         _PLAN_COST.observe(plan.total_cost)
         return plan
+
+    def _drop_caches(self) -> None:
+        """Forget every plan and memo: the index configuration changed."""
+        self._plan_cache.clear()
+        self._canonical.clear()
+        self._memos.clear()
+        self._index_version = self._db.schema.index_version
 
     def _canonical_lookup(
         self, sql: str, config_keys: frozenset
@@ -268,9 +300,8 @@ class CostEvaluator:
         self, stmt: Statement, config: Collection[Index]
     ) -> list[Index]:
         """The subset of *config* the plan for *stmt* actually uses."""
-        plan = self.plan(stmt, config)
-        used = plan.used_indexes
-        return [idx for idx in config if idx.name in used]
+        used = self.plan(stmt, config).used_index_keys
+        return [idx for idx in config if idx.key in used]
 
 
 def weighted_sum(items: list[tuple[Statement, float]], costs: list[float]) -> float:

@@ -6,6 +6,7 @@ from repro.catalog import Index
 from repro.engine import INNODB
 from repro.optimizer.access_path import (
     ProbeContext,
+    TableContext,
     best_no_index_cost,
     best_path,
     enumerate_paths,
@@ -41,15 +42,15 @@ def preds(condition):
 
 
 def paths_for(condition="", indexes=(), referenced=None, **kwargs):
-    return enumerate_paths(
+    ctx = TableContext(
         users_table(),
         make_stats(),
         INNODB,
         preds(condition) if condition else [],
-        list(indexes),
         referenced or {"name", "city", "age"},
         **kwargs,
     )
+    return enumerate_paths(ctx, list(indexes))
 
 
 def test_seq_scan_always_present():
@@ -164,7 +165,8 @@ def test_probe_context_enables_join_index():
     idx = Index("users", ("id",))
     probe = ProbeContext({"id": 1 / 100_000})
     paths = enumerate_paths(
-        users_table(), make_stats(), INNODB, [], [idx], {"name"}, probe=probe
+        TableContext(users_table(), make_stats(), INNODB, [], {"name"}, probe=probe),
+        [idx],
     )
     chosen = best_path(paths)
     assert chosen.method in ("pk", "index")
@@ -181,7 +183,9 @@ def test_best_no_index_cost_ignores_secondary():
 def test_residual_selectivity_scales_rows_out():
     full = paths_for()[0]
     half = enumerate_paths(
-        users_table(), make_stats(), INNODB, [], [], {"name"},
-        residual_selectivity=0.5,
+        TableContext(
+            users_table(), make_stats(), INNODB, [], {"name"},
+            residual_selectivity=0.5,
+        )
     )[0]
     assert half.rows_out == pytest.approx(full.rows_out * 0.5)

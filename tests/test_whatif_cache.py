@@ -1,10 +1,10 @@
 """What-if cache equivalence: the caches must never change an answer.
 
-Relevance pruning, the exact LRU and the canonical subset tier are pure
-optimizations: every cost and every used-index subset the evaluator
-returns must be bit-identical to an uncached reference -- a plain
-:class:`Optimizer` on a stats clone with its secondary indexes dropped,
-planning each request from scratch.  These tests drive the evaluator
+Relevance pruning, the exact LRU, the canonical subset tier and the
+per-statement planning memo are pure optimizations: every cost and every
+used-index subset the evaluator returns must be bit-identical to an
+uncached reference -- a plain :class:`Optimizer` on a stats clone with its
+secondary indexes dropped, planning each request from scratch.  These tests drive the evaluator
 through a 200-case ``repro.qa`` corpus and through full advisor runs.
 """
 
@@ -15,12 +15,15 @@ import random
 
 from repro.baselines import ALL_ALGORITHMS
 from repro.baselines.cost_eval import candidate_pool
-from repro.catalog import INT, Column, Table
+from repro.catalog import INT, Column, Index, Table
+from repro.engine import Database
 from repro.optimizer import CostEvaluator, Optimizer, WorkloadCoster, analysis_cache
+from repro.optimizer import join_order, optimizer as optimizer_module
 from repro.qa.generator import generate_case
 from repro.workload import Workload
 
 CORPUS_CASES = 200
+MEMO_CASES = 100
 MAX_POOL = 6
 COSTER_CASES = 60
 COSTER_MOVES = 20
@@ -176,3 +179,128 @@ def test_evaluator_reuse_counts_per_run(db):
     assert warm.cost_after == cold.cost_after
     assert cold.optimizer_calls > 0
     assert warm.optimizer_calls == 0
+
+
+def _one_index_moves(pool: list) -> list[list]:
+    """Configs that add the pool one index at a time, then drop it one at a
+    time from the front: neighbours differ by exactly one index."""
+    grow = [pool[:k] for k in range(len(pool) + 1)]
+    shrink = [pool[k:] for k in range(1, len(pool) + 1)]
+    return grow + shrink
+
+
+def test_memo_matches_uncached_reference_one_index_moves():
+    """Costs and used-index subsets stay bit-identical to the uncached
+    reference while consecutive configs differ by one index: most requests
+    are memo hits for every path except the one index that changed."""
+    for seed in range(MEMO_CASES):
+        case, db, reference, pool = _corpus_case(seed)
+        evaluator = CostEvaluator(db)
+        for config in _one_index_moves(pool):
+            for sql in case.statements:
+                expected = reference(sql, config)
+                plan = evaluator.plan(sql, config)
+                assert plan.total_cost == expected.total_cost, (seed, sql, config)
+                used_expected = {
+                    i.key for i in config if i.key in expected.used_index_keys
+                }
+                used = {i.key for i in evaluator.used_subset(sql, config)}
+                assert used == used_expected, (seed, sql, config)
+
+
+def test_schema_index_ddl_never_serves_a_dropped_index(db):
+    """With the database's own indexes visible, create and drop indexes
+    between requests: every answer matches a fresh optimizer on the current
+    schema, and no plan reads an index that no longer exists."""
+    evaluator = CostEvaluator(db, include_schema_indexes=True)
+    statements = [q.sql for q in _workload()]
+    candidates = [
+        Index("orders", ("user_id",)),
+        Index("users", ("city", "age")),
+        Index("orders", ("status",)),
+    ]
+    extra = [Index("orders", ("created",), dataless=True)]
+    steps = [("create", idx) for idx in candidates]
+    steps += [("drop", idx) for idx in candidates]
+    for action, index in [(None, None)] + steps:
+        if action == "create":
+            db.create_index(index)
+        elif action == "drop":
+            db.drop_index(index)
+        live = {idx.key for idx in db.schema.indexes()}
+        reference = Optimizer(db)
+        for config in ([], extra):
+            for sql in statements:
+                expected = reference.explain(sql, extra_indexes=config)
+                plan = evaluator.plan(sql, config)
+                assert plan.total_cost == expected.total_cost, (action, index, sql)
+                allowed = live | {idx.key for idx in config}
+                assert plan.used_index_keys <= allowed, (action, index, sql)
+    assert not db.schema.indexes()
+
+
+def test_one_new_index_costs_one_path(db, monkeypatch):
+    """Two explains whose configs differ by one index: the second costs
+    only that index's paths -- no base path, no index seen before -- and a
+    DML statement's row locator is analyzed once, not per explain."""
+    costed: list[tuple] = []
+    enumerate_paths = join_order.enumerate_paths
+
+    def counting(ctx, indexes=(), base=True):
+        costed.append((tuple(idx.key for idx in indexes), base))
+        return enumerate_paths(ctx, indexes, base)
+
+    monkeypatch.setattr(join_order, "enumerate_paths", counting)
+    evaluator = CostEvaluator(db)
+    sql = (
+        "SELECT u.name, o.amount FROM users u, orders o "
+        "WHERE u.id = o.user_id AND o.status = 'paid' AND u.city = 'c1'"
+    )
+    old = Index("users", ("city",), dataless=True)
+    new = Index("orders", ("user_id",), dataless=True)
+    evaluator.plan(sql, [old])
+    assert any(keys == (old.key,) for keys, _base in costed)
+    costed.clear()
+    calls = evaluator.optimizer_calls
+    evaluator.plan(sql, [old, new])
+    assert evaluator.optimizer_calls == calls + 1
+    assert costed and all(entry == ((new.key,), False) for entry in costed)
+
+    analyzed: list = []
+    analyze_query = optimizer_module.analyze_query
+
+    def counting_analyze(stmt, schema):
+        analyzed.append(stmt)
+        return analyze_query(stmt, schema)
+
+    monkeypatch.setattr(optimizer_module, "analyze_query", counting_analyze)
+    update = "UPDATE orders SET status = 'done' WHERE user_id = 5"
+    for config in ([], [new], [new, Index("orders", ("status",), dataless=True)]):
+        evaluator.plan(update, config)
+    assert len(analyzed) == 1
+
+
+def test_colliding_index_names_are_both_planned():
+    """``(a_b, c)`` and ``(a, b_c)`` on one table share the name
+    ``idx_t_a_b_c``.  Adding the first to a config holding the second must
+    not hide the second from the planner (the plan got 128x dearer when the
+    planner deduplicated by name)."""
+    columns = ("id", "a", "b_c", "a_b", "c")
+    db = Database.from_tables([Table("t", [Column(c, INT) for c in columns], ("id",))])
+    db.load_rows("t", [
+        {"id": i, "a": i % 100, "b_c": i % 70, "a_b": i % 10, "c": i % 3}
+        for i in range(5000)
+    ])
+    db.analyze()
+    x = Index("t", ("a_b", "c"), dataless=True)
+    y = Index("t", ("a", "b_c"), dataless=True)
+    assert x.name == y.name and x.key != y.key
+    sql = "SELECT id FROM t WHERE a = 5 AND b_c = 7 AND a_b > 3"
+    evaluator = CostEvaluator(db)
+    reference = uncached_plan(db)
+    alone = evaluator.cost(sql, [y])
+    assert alone < evaluator.cost(sql, [x])
+    for config in ([x, y], [y, x]):
+        assert evaluator.cost(sql, config) == alone
+        assert reference(sql, config).total_cost == alone
+        assert [idx.key for idx in evaluator.used_subset(sql, config)] == [y.key]
