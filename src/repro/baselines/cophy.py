@@ -18,7 +18,7 @@ from __future__ import annotations
 from ..catalog import Index
 from ..optimizer import CostEvaluator
 from ..workload import Workload
-from .base import SelectionAlgorithm
+from .base import SelectionAlgorithm, fill, query_gains
 from .cost_eval import per_query_candidates
 
 try:
@@ -48,12 +48,10 @@ class CophyAlgorithm(SelectionAlgorithm):
         pool: dict[tuple, Index] = {}
         benefits: dict[tuple[int, tuple], float] = {}
         for qi, query in enumerate(queries):
-            base = evaluator.cost(query.sql, [])
-            for candidate in per_query.get(query.normalized_sql, []):
-                gain = base - evaluator.cost(query.sql, [candidate])
-                if gain > 0:
-                    pool[candidate.key] = candidate
-                    benefits[(qi, candidate.key)] = gain * query.weight
+            candidates = per_query.get(query.normalized_sql, [])
+            for gain, candidate in query_gains(evaluator, query, candidates):
+                pool[candidate.key] = candidate
+                benefits[(qi, candidate.key)] = gain * query.weight
         if not pool:
             return []
         index_names = sorted(pool)
@@ -74,15 +72,8 @@ class CophyAlgorithm(SelectionAlgorithm):
             key=lambda name: (fractional.get(name, 0.0), total_gain[name]),
             reverse=True,
         )
-        chosen: list[Index] = []
-        used = 0
-        for name in ordered:
-            if fractional.get(name, 0.0) <= 1e-6:
-                continue
-            if used + sizes[name] <= budget_bytes:
-                chosen.append(pool[name])
-                used += sizes[name]
-        return chosen
+        picked = [pool[name] for name in ordered if fractional.get(name, 0.0) > 1e-6]
+        return fill(self.db, picked, budget_bytes)
 
     @staticmethod
     def _solve_lp(n_queries, index_names, sizes, benefits, budget_bytes):

@@ -13,7 +13,7 @@ import random
 from ..catalog import Index
 from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload
-from .base import SelectionAlgorithm
+from .base import SelectionAlgorithm, fill
 from .cost_eval import config_size, per_query_candidates
 
 
@@ -22,11 +22,13 @@ class Db2AdvisAlgorithm(SelectionAlgorithm):
 
     name = "db2advis"
 
-    def __init__(self, db, max_width: int = 3, swap_rounds: int = 20, seed: int = 7):
+    #: Random swaps tried by the improvement pass, and their seed.
+    SWAP_ROUNDS = 20
+    SEED = 7
+
+    def __init__(self, db, max_width: int = 3):
         super().__init__(db)
         self.max_width = max_width
-        self.swap_rounds = swap_rounds
-        self.seed = seed
 
     def _select(self, evaluator: CostEvaluator, workload: Workload, budget_bytes: int):
         pairs = workload.pairs()
@@ -46,8 +48,8 @@ class Db2AdvisAlgorithm(SelectionAlgorithm):
             base = evaluator.cost(query.sql, [])
             plan = evaluator.plan(query.sql, candidates)
             gain = max(0.0, base - plan.total_cost) * query.weight
-            used = plan.used_indexes
-            used_candidates = [c for c in candidates if c.name in used]
+            used = plan.used_index_keys
+            used_candidates = [c for c in candidates if c.key in used]
             for candidate in used_candidates:
                 pool[candidate.key] = candidate
                 benefit[candidate.key] = (
@@ -59,20 +61,14 @@ class Db2AdvisAlgorithm(SelectionAlgorithm):
             key=lambda c: benefit[c.key] / max(1, self.db.index_size_bytes(c)),
             reverse=True,
         )
-        chosen: list[Index] = []
-        used_bytes = 0
-        for candidate in ordered:
-            size = self.db.index_size_bytes(candidate)
-            if used_bytes + size <= budget_bytes:
-                chosen.append(candidate)
-                used_bytes += size
+        chosen = fill(self.db, ordered, budget_bytes)
 
         # Random-variation improvement: swap one in/out, keep if better.
-        rng = random.Random(self.seed)
+        rng = random.Random(self.SEED)
         outside = [c for c in pool.values() if c not in chosen]
         coster = WorkloadCoster(evaluator, pairs, chosen)
         best_cost = coster.cost(chosen)
-        for _ in range(self.swap_rounds):
+        for _ in range(self.SWAP_ROUNDS):
             if not outside or not chosen:
                 break
             incoming = rng.choice(outside)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..catalog import Index
 from ..optimizer import CostEvaluator
 from ..workload import Workload
-from .base import SelectionAlgorithm
+from .base import SelectionAlgorithm, fill
 from .cost_eval import indexable_columns
 
 
@@ -20,10 +20,12 @@ class DexterAlgorithm(SelectionAlgorithm):
 
     name = "dexter"
 
-    def __init__(self, db, min_improvement: float = 0.1, two_column: bool = True):
+    #: Also hypothesize each table's two leading indexable columns.
+    TWO_COLUMN = True
+
+    def __init__(self, db, min_improvement: float = 0.1):
         super().__init__(db)
         self.min_improvement = min_improvement
-        self.two_column = two_column
 
     def _select(self, evaluator: CostEvaluator, workload: Workload, budget_bytes: int):
         kept: dict[str, Index] = {}
@@ -37,7 +39,7 @@ class DexterAlgorithm(SelectionAlgorithm):
                 for col in columns:
                     idx = Index(table, (col,), dataless=True)
                     hypothetical[idx.name] = idx
-                if self.two_column and len(columns) >= 2:
+                if self.TWO_COLUMN and len(columns) >= 2:
                     idx = Index(table, tuple(columns[:2]), dataless=True)
                     hypothetical[idx.name] = idx
             if not hypothetical:
@@ -64,11 +66,4 @@ class DexterAlgorithm(SelectionAlgorithm):
             key=lambda c: gain_by_index[c.name] / max(1, self.db.index_size_bytes(c)),
             reverse=True,
         )
-        chosen: list[Index] = []
-        used_bytes = 0
-        for candidate in ordered:
-            size = self.db.index_size_bytes(candidate)
-            if used_bytes + size <= budget_bytes:
-                chosen.append(candidate)
-                used_bytes += size
-        return chosen
+        return fill(self.db, ordered, budget_bytes)

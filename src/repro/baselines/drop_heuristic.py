@@ -9,11 +9,13 @@ reproduction's expensive "DBA oracle" for the Table II experiments.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..catalog import Index
 from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload
-from .base import SelectionAlgorithm
-from .cost_eval import candidate_pool, config_size
+from .base import Move, SelectionAlgorithm
+from .cost_eval import candidate_pool
 
 
 class DropAlgorithm(SelectionAlgorithm):
@@ -26,29 +28,21 @@ class DropAlgorithm(SelectionAlgorithm):
         self.max_width = max_width
 
     def _select(self, evaluator: CostEvaluator, workload: Workload, budget_bytes: int):
-        pairs = workload.pairs()
-        current = candidate_pool(
+        pool = candidate_pool(
             evaluator, workload, self.max_width, with_permutations=False
         )
-        coster = WorkloadCoster(evaluator, pairs, current)
-        current_cost = coster.cost(current)
-        while current:
-            over_budget = config_size(self.db, current) > budget_bytes
-            best_drop = None
-            best_cost = None
-            for candidate in current:
-                trial = [c for c in current if c.key != candidate.key]
-                cost = coster.cost(trial)
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_drop = candidate
-            assert best_drop is not None and best_cost is not None
+        size = self.db.index_size_bytes
+
+        def moves(config: list[Index], used_bytes: int) -> Iterator[Move]:
+            for index in config:
+                yield Move([c for c in config if c.key != index.key], -size(index))
+
+        def score(cost: float, current_cost: float, move: Move, used_bytes: int):
             # Keep dropping while forced by budget or while cost does not
             # get worse (removing a useless index is free).
-            if over_budget or best_cost <= current_cost:
-                current = [c for c in current if c.key != best_drop.key]
-                coster.rebase(current)
-                current_cost = best_cost
-            else:
-                break
-        return current
+            if used_bytes > budget_bytes or cost <= current_cost:
+                return -cost
+            return None
+
+        coster = WorkloadCoster(evaluator, workload.pairs(), pool)
+        return self._greedy(coster, pool, moves, score)

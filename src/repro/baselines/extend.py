@@ -12,14 +12,12 @@ complex joins (Sec. VI-C).
 
 from __future__ import annotations
 
-import math
-import time
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..catalog import Index
 from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload
-from .base import SelectionAlgorithm
+from .base import Move, SelectionAlgorithm, deadline_after
 from .cost_eval import indexable_columns, single_column_candidates
 
 
@@ -28,47 +26,32 @@ class ExtendAlgorithm(SelectionAlgorithm):
 
     name = "extend"
 
+    #: A move must beat this benefit per byte to be taken.
+    MIN_RATIO = 0.0
+
     def __init__(
         self,
         db,
         max_width: int = 4,
-        min_ratio: float = 0.0,
         time_limit_seconds: Optional[float] = None,
     ):
         super().__init__(db)
         self.max_width = max_width
-        self.min_ratio = min_ratio
         self.time_limit_seconds = time_limit_seconds
 
     def _select(self, evaluator: CostEvaluator, workload: Workload, budget_bytes: int):
-        deadline = (
-            time.perf_counter() + self.time_limit_seconds
-            if self.time_limit_seconds is not None
-            else math.inf
+        deadline = deadline_after(self.time_limit_seconds)
+        size = self.db.index_size_bytes
+        additions = self._additions(
+            single_column_candidates(evaluator, workload), budget_bytes
         )
-        pairs = workload.pairs()
-        singles = single_column_candidates(evaluator, workload)
         extension_columns = self._extension_columns(evaluator, workload)
 
-        chosen: list[Index] = []
-        used_bytes = 0
-        coster = WorkloadCoster(evaluator, pairs, chosen)
-        current_cost = coster.cost(chosen)
-        while time.perf_counter() <= deadline:
-            best: Optional[tuple[float, float, Optional[Index], Index]] = None
+        def moves(config: list[Index], used_bytes: int) -> Iterator[Move]:
             # Move type 1: add a new single-column index.
-            for candidate in singles:
-                if any(c.key == candidate.key for c in chosen):
-                    continue
-                size = self.db.index_size_bytes(candidate)
-                if used_bytes + size > budget_bytes:
-                    continue
-                cost = coster.cost(chosen + [candidate])
-                ratio = (current_cost - cost) / max(1, size)
-                if ratio > self.min_ratio and (best is None or ratio > best[0]):
-                    best = (ratio, cost, None, candidate)
+            yield from additions(config, used_bytes)
             # Move type 2: extend a chosen index by one attribute.
-            for existing in chosen:
+            for existing in config:
                 if existing.width >= self.max_width:
                     continue
                 for column in extension_columns.get(existing.table, []):
@@ -77,25 +60,17 @@ class ExtendAlgorithm(SelectionAlgorithm):
                     extended = Index(
                         existing.table, existing.columns + (column,), dataless=True
                     )
-                    size_delta = self.db.index_size_bytes(extended) - self.db.index_size_bytes(existing)
-                    if used_bytes + size_delta > budget_bytes:
-                        continue
-                    trial = [c for c in chosen if c.key != existing.key]
-                    cost = coster.cost(trial + [extended])
-                    ratio = (current_cost - cost) / max(1, size_delta)
-                    if ratio > self.min_ratio and (best is None or ratio > best[0]):
-                        best = (ratio, cost, existing, extended)
-            if best is None:
-                return chosen
-            _ratio, cost, replaced, added = best
-            if replaced is not None:
-                chosen = [c for c in chosen if c.key != replaced.key]
-                used_bytes -= self.db.index_size_bytes(replaced)
-            chosen.append(added)
-            coster.rebase(chosen)
-            used_bytes += self.db.index_size_bytes(added)
-            current_cost = cost
-        return chosen   # anytime cutoff hit
+                    delta = size(extended) - size(existing)
+                    if used_bytes + delta <= budget_bytes:
+                        trial = [c for c in config if c.key != existing.key]
+                        yield Move(trial + [extended], delta)
+
+        def score(cost: float, current_cost: float, move: Move, used_bytes: int):
+            ratio = (current_cost - cost) / max(1, move.delta_bytes)
+            return ratio if ratio > self.MIN_RATIO else None
+
+        coster = WorkloadCoster(evaluator, workload.pairs(), [])
+        return self._greedy(coster, [], moves, score, deadline)
 
     def _extension_columns(
         self, evaluator: CostEvaluator, workload: Workload

@@ -8,17 +8,26 @@ budget.  The paper singles Relaxation out as "the only other modern
 algorithm which utilizes the query structure to a significant extent"
 but with "a prohibitively expensive runtime" (Sec. IX) -- its
 start-big-then-shrink search shows exactly that profile here.
+
+The search needs no step cap.  Each transformation removes one or two
+indexes and adds at most one that is not already there, a prefix being
+smaller than the index it truncates, so every step strictly lowers
+``(index count, bytes)`` in lexicographic order and the search
+terminates.  Over budget some index has a positive size, and removing it
+reclaims bytes, so a step is always available: the search ends within
+budget.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Iterator, Optional
 
 from ..catalog import Index
 from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload
-from .base import SelectionAlgorithm
-from .cost_eval import candidate_pool, config_size
+from .base import Move, SelectionAlgorithm
+from .cost_eval import candidate_pool
 
 
 class RelaxationAlgorithm(SelectionAlgorithm):
@@ -26,47 +35,56 @@ class RelaxationAlgorithm(SelectionAlgorithm):
 
     name = "relaxation"
 
-    def __init__(self, db, max_width: int = 3, max_steps: int = 400):
+    def __init__(self, db, max_width: int = 3):
         super().__init__(db)
         self.max_width = max_width
-        self.max_steps = max_steps
 
     def _select(self, evaluator: CostEvaluator, workload: Workload, budget_bytes: int):
-        pairs = workload.pairs()
-        current = candidate_pool(
+        pool = candidate_pool(
             evaluator, workload, self.max_width, with_permutations=False
         )
-        coster = WorkloadCoster(evaluator, pairs, current)
-        current_cost = coster.cost(current)
-        for _ in range(self.max_steps):
-            size = config_size(self.db, current)
-            if size <= budget_bytes:
-                # Within budget: only keep relaxing while it does not hurt.
-                step = self._free_relaxation(coster, current, current_cost)
-            else:
-                step = self._cheapest_relaxation(coster, current)
-            if step is None:
-                return current
-            current, current_cost = step
-            coster.rebase(current)
-        return current
 
-    def _transformations(self, current: list[Index]) -> list[list[Index]]:
-        """All single-step relaxations of *current*."""
-        out: list[list[Index]] = []
-        for index in current:
-            # Removal.
-            out.append([c for c in current if c.key != index.key])
-            # Prefixing (truncate the last column).
+        def moves(config: list[Index], used_bytes: int) -> Iterator[Move]:
+            # Over budget a step must reclaim bytes; within budget it must
+            # shrink the index count or the bytes.
+            over = used_bytes > budget_bytes
+            for move in self._transformations(config):
+                if move.delta_bytes < 0 or (not over and len(move.config) < len(config)):
+                    yield move
+
+        def score(cost: float, current_cost: float, move: Move, used_bytes: int):
+            if used_bytes > budget_bytes:
+                # Lowest cost per byte reclaimed.
+                return -cost / max(1, -move.delta_bytes)
+            # Within budget: take the first relaxation that does not hurt.
+            return math.inf if cost <= current_cost else None
+
+        coster = WorkloadCoster(evaluator, workload.pairs(), pool)
+        return self._greedy(coster, pool, moves, score)
+
+    def _transformations(self, config: list[Index]) -> Iterator[Move]:
+        """All single-step relaxations of *config*."""
+        size = self.db.index_size_bytes
+        keys = {c.key for c in config}
+
+        def replace(removed: tuple[Index, ...], added: Optional[Index]) -> Move:
+            # *config* without *removed*, plus *added* unless it is kept.
+            gone = {c.key for c in removed}
+            trial = [c for c in config if c.key not in gone]
+            delta = -sum(size(c) for c in removed)
+            if added is not None and (added.key in gone or added.key not in keys):
+                trial.append(added)
+                delta += size(added)
+            return Move(trial, delta)
+
+        for index in config:
+            yield replace((index,), None)
             if index.width > 1:
                 prefixed = Index(index.table, index.columns[:-1], dataless=True)
-                trial = [c for c in current if c.key != index.key]
-                if all(c.key != prefixed.key for c in trial):
-                    trial.append(prefixed)
-                out.append(trial)
+                yield replace((index,), prefixed)
         # Merging two indexes on one table: union of columns, first's order.
-        for i, a in enumerate(current):
-            for b in current[i + 1:]:
+        for i, a in enumerate(config):
+            for b in config[i + 1:]:
                 if a.table != b.table:
                     continue
                 merged_cols = a.columns + tuple(
@@ -74,37 +92,4 @@ class RelaxationAlgorithm(SelectionAlgorithm):
                 )
                 if len(merged_cols) > self.max_width + 1:
                     continue
-                merged = Index(a.table, merged_cols, dataless=True)
-                trial = [c for c in current if c.key not in (a.key, b.key)]
-                if all(c.key != merged.key for c in trial):
-                    trial.append(merged)
-                out.append(trial)
-        return out
-
-    def _cheapest_relaxation(
-        self, coster: WorkloadCoster, current: list[Index]
-    ) -> Optional[tuple[list[Index], float]]:
-        base_size = config_size(self.db, current)
-        best: Optional[tuple[float, list[Index], float]] = None
-        for trial in self._transformations(current):
-            reclaimed = base_size - config_size(self.db, trial)
-            if reclaimed <= 0:
-                continue
-            cost = coster.cost(trial)
-            penalty = cost / max(1, reclaimed)
-            if best is None or penalty < best[0]:
-                best = (penalty, trial, cost)
-        if best is None:
-            return None
-        return best[1], best[2]
-
-    def _free_relaxation(
-        self, coster: WorkloadCoster, current: list[Index], current_cost: float
-    ) -> Optional[tuple[list[Index], float]]:
-        for trial in self._transformations(current):
-            if len(trial) >= len(current) and config_size(self.db, trial) >= config_size(self.db, current):
-                continue
-            cost = coster.cost(trial)
-            if cost <= current_cost:
-                return trial, cost
-        return None
+                yield replace((a, b), Index(a.table, merged_cols, dataless=True))

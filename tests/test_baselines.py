@@ -5,8 +5,10 @@ import pytest
 from repro.baselines import (
     ALL_ALGORITHMS,
     AimAlgorithm,
+    Db2AdvisAlgorithm,
     DexterAlgorithm,
     DropAlgorithm,
+    DtaAlgorithm,
     ExtendAlgorithm,
     NoIndexAlgorithm,
     RelaxationAlgorithm,
@@ -31,19 +33,78 @@ def workload():
     ])
 
 
-@pytest.mark.parametrize("name", sorted(ALL_ALGORITHMS))
-def test_algorithm_contract(db, name):
+#: Budgets every selector is checked at: nothing fits, a few indexes fit,
+#: everything fits.
+BUDGETS = (1, 200_000, BUDGET)
+
+
+@pytest.mark.parametrize("name,budget", [
+    # The ample-budget case keeps the bare algorithm name as its id.
+    pytest.param(name, budget, id=name if budget == BUDGET else f"{name}-{budget}")
+    for name in sorted(ALL_ALGORITHMS) for budget in BUDGETS
+])
+def test_algorithm_contract(db, name, budget):
     """Budget respected, cost never worse than baseline, bookkeeping sane."""
     algo = ALL_ALGORITHMS[name](db)
-    result = algo.select(workload(), BUDGET)
+    result = algo.select(workload(), budget)
     assert result.algorithm == name
-    assert result.total_size_bytes <= BUDGET
+    assert result.total_size_bytes <= budget
     assert result.cost_after <= result.cost_before + 1e-6
     assert result.runtime_seconds >= 0
     assert 0 < result.relative_cost <= 1.0 + 1e-9
     for idx in result.indexes:
         assert db.schema.table(idx.table)   # valid tables
         assert idx.width >= 1
+
+
+def _key(spec: str) -> tuple:
+    """``"orders(status,user_id)"`` -> the :attr:`Index.key` it names."""
+    table, columns = spec.rstrip(")").split("(")
+    return (table, tuple(columns.split(",")), False)
+
+
+#: (selector, budget) -> (recommended index keys, optimizer calls) on
+#: ``workload()``.  A refactor of the selection loops must keep them.
+PINNED = {
+    ("autoadmin", 1): ([], 12),
+    ("cophy", 1): ([], 12),
+    ("db2advis", 1): ([], 8),
+    ("dexter", 1): ([], 8),
+    ("drop", 1): ([], 11),
+    ("dta", 1): ([], 15),
+    ("extend", 1): ([], 4),
+    ("relaxation", 1): ([], 22),
+    ("autoadmin", 200_000): (["orders(created)", "orders(status,user_id)"], 14),
+    ("cophy", 200_000): (["orders(created)", "orders(status)", "users(city,age)"], 13),
+    ("db2advis", 200_000): (["orders(created)", "orders(status)", "users(city,age)"], 9),
+    ("dexter", 200_000): (["orders(created)", "orders(status)", "users(city,age)"], 9),
+    ("drop", 200_000): (["orders(created)", "orders(status,user_id)"], 11),
+    ("dta", 200_000): (["orders(created)", "orders(status,user_id)"], 19),
+    ("extend", 200_000): (["orders(created,amount)", "orders(status)"], 24),
+    ("relaxation", 200_000): (["orders(created)", "users(city,age)"], 22),
+}
+_FOUR = ["orders(created)", "orders(status)", "orders(status,user_id)", "users(city,age)"]
+PINNED.update({
+    ("autoadmin", BUDGET): (_FOUR, 18),
+    ("cophy", BUDGET): (_FOUR, 14),
+    ("db2advis", BUDGET): (_FOUR, 10),
+    ("dexter", BUDGET): (_FOUR, 10),
+    ("drop", BUDGET): (_FOUR, 11),
+    ("dta", BUDGET): (_FOUR, 32),
+    ("extend", BUDGET): (
+        ["orders(created,amount)", "orders(status)", "orders(status,user_id,amount)"], 75
+    ),
+    ("relaxation", BUDGET): (_FOUR, 18),
+})
+
+
+@pytest.mark.parametrize("name,budget", sorted(PINNED))
+def test_pinned_outputs(db, name, budget):
+    """Each baseline's recommendation and optimizer-call count are fixed."""
+    keys, calls = PINNED[(name, budget)]
+    result = ALL_ALGORITHMS[name](db).select(workload(), budget)
+    assert sorted(idx.key for idx in result.indexes) == sorted(map(_key, keys))
+    assert result.optimizer_calls == calls
 
 
 @pytest.mark.parametrize(
@@ -135,12 +196,12 @@ def test_extend_greedy_blindness(db):
     assert aim.cost_after <= extend.cost_after
 
 
-def test_dta_time_limit_caps_runtime(db):
-    from repro.baselines import DtaAlgorithm
-
-    fast = DtaAlgorithm(db, time_limit_seconds=0.0)
+@pytest.mark.parametrize("algo", [DtaAlgorithm, ExtendAlgorithm], ids=["dta", "extend"])
+def test_time_limit_caps_runtime(db, algo):
+    fast = algo(db, time_limit_seconds=0.0)
     result = fast.select(workload(), BUDGET)
-    # With no time at all, phase 2 cannot add anything.
+    # With no time at all, the greedy search cannot add anything.
+    assert result.indexes == []
     assert result.runtime_seconds < 5.0
 
 
@@ -177,3 +238,14 @@ def test_greedy_membership_is_keyed_not_named():
         result = algo.select(w, one)
         assert len(result.indexes) == 1, algo.name
         assert {idx.key for idx in result.indexes} <= pair
+
+
+def test_db2advis_credits_used_indexes_by_key():
+    """The plan reads only ``a_b(c)``; ``a(b_c)``, which shares its name,
+    earns no benefit and is not recommended."""
+    db = _colliding_db()
+    w = Workload.from_sql(
+        [("SELECT a.v FROM a_b, a WHERE a_b.c < 400 AND a.b_c = a_b.c", 10.0)]
+    )
+    result = Db2AdvisAlgorithm(db, max_width=1).select(w, BUDGET)
+    assert {idx.key for idx in result.indexes} == {("a_b", ("c",), False)}
