@@ -3,21 +3,23 @@
 The executor asks the optimizer for a plan (materialized indexes only)
 and prepares it once per statement: every expression is compiled into a
 closure (:mod:`repro.executor.operators`), and each join step gets its
-fused filter, its join-edge checks and the multi-table conjuncts that
-become evaluable there.  Index/seq scans then feed a left-deep pipeline
-of nested-loop probes or hash joins, followed by grouping, ordering and
-projection.  Every operator accounts its work in an
-:class:`~repro.engine.ExecutionMetrics`, which the workload monitor then
-converts into ``cpu_avg`` and the discarded data ratio.
+filter kernels, its join-edge checks and the multi-table conjuncts that
+become evaluable there.  Index/seq scans filter :data:`SCAN_CHUNK` rows
+at a time and feed a left-deep pipeline of nested-loop probes or hash
+joins, followed by grouping, ordering and projection.  Every operator
+accounts its work in an :class:`~repro.engine.ExecutionMetrics`, which
+the workload monitor then converts into ``cpu_avg`` and the discarded
+data ratio.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..engine import Database, ExecutionMetrics
 from ..engine.btree import wrap_key
@@ -29,10 +31,15 @@ from ..optimizer.query_info import QueryInfo
 from ..optimizer.selectivity import constant_value
 from ..sqlparser import ast, normalize_statement, parse
 from .analyze import ActualPlanStats
-from .operators import Aggregator, Compiled, ExprEvaluator, GroupEvaluator
+from .operators import (
+    Aggregator, Compiled, ExprEvaluator, GroupEvaluator, Kernel, edge_kernel,
+)
 
 #: Cap on IN-list cartesian expansion for multi-subrange index scans.
 MAX_SUBRANGES = 200
+
+#: Rows a scan reads and filters at a time.
+SCAN_CHUNK = 1024
 
 
 @dataclass
@@ -401,9 +408,8 @@ class _Step:
     """One join step, prepared once per statement."""
 
     __slots__ = (
-        "path", "binding", "join_method", "storage", "node", "filter",
-        "filter_count", "edges", "conjuncts", "eq_sources", "prefixes",
-        "bounds", "reverse",
+        "path", "binding", "join_method", "storage", "node", "kernels",
+        "edges", "conjuncts", "eq_sources", "prefixes", "bounds", "reverse",
     )
 
     def __init__(self, step: JoinStep, storage: TableStorage,
@@ -413,8 +419,8 @@ class _Step:
         self.join_method = step.join_method
         self.storage = storage
         self.node = node
-        self.filter: Optional[Compiled] = None    # fused row filter
-        self.filter_count = 0                     # predicates it charges
+        #: One kernel per atomic filter; each charges a predicate per row.
+        self.kernels: list[Kernel] = []
         #: (column here, bound binding, its column) per join edge to check.
         self.edges: list[tuple[str, str, str]] = []
         #: Multi-table conjuncts whose last binding is this step's.
@@ -430,11 +436,14 @@ class _Step:
 class _Pipeline:
     """Runs a plan's join pipeline, yielding scopes (binding -> row).
 
-    Scans apply their step's fused filter to the bare row and yield the
-    ids of passing rows; join-edge checks and multi-table conjuncts run
-    before a new scope is built.  Counters are charged in bulk, always
-    before a row is yielded, so a consumer that stops early (LIMIT) sees
-    exactly the work done so far.
+    Scans run their step's filter kernels over chunks of bare rows and
+    yield the ids of passing rows; join-edge checks and multi-table
+    conjuncts run before a new scope is built (a nested-loop step over a
+    seq scan tests its join edges as kernels in the scan).  Counters are
+    charged by position: before the row at position *p* of a chunk is
+    yielded, the rows up to *p* and their predicates have been charged, so
+    a consumer that stops early (LIMIT) sees exactly the work row-at-a-time
+    execution would have done.
     """
 
     def __init__(self, db: Database, info: QueryInfo, plan: Plan,
@@ -471,9 +480,9 @@ class _Pipeline:
                  bound: set[str]) -> None:
         info = self.info
         binding = step.binding
-        filters = info.filters.get(binding, [])
-        step.filter = evaluator.row_filter([pred.expr for pred in filters])
-        step.filter_count = len(filters)
+        step.kernels = evaluator.row_kernels(
+            [pred.expr for pred in info.filters.get(binding, [])]
+        )
         for edge in info.join_edges:
             if edge.touches(binding) and edge.other(binding)[0] in bound:
                 step.edges.append((edge.column_of(binding), *edge.other(binding)))
@@ -549,10 +558,10 @@ class _Pipeline:
     def row_ids(self) -> list[int]:
         """Ids of the rows a single-table statement (DML WHERE) selects."""
         step = self.steps[0]
-        rows, binding = step.storage.rows, step.binding
+        binding, conjuncts = step.binding, step.conjuncts
         return [
-            row_id for row_id in self._scan(step, {})
-            if self._conjuncts_ok(step.conjuncts, {binding: rows[row_id]})
+            row_id for row_id, row in zip(*self._scan_all(step))
+            if self._conjuncts_ok(conjuncts, {binding: row})
         ]
 
     def _observe(
@@ -582,36 +591,43 @@ class _Pipeline:
     def _nested_loop(self, stream: Iterator[dict], step: _Step) -> Iterator[dict]:
         rows, binding, node = step.storage.rows, step.binding, step.node
         edges, conjuncts = step.edges, step.conjuncts
+        # A seq inner tests the join edges in its scan, as kernels bound to
+        # the outer row's values; an index inner checks them per row.
+        pushed = step.path.method == "seq"
+        checked = [] if pushed else edges
         for scope in stream:
             if node is not None:
                 node.loops += 1
-            for row_id in self._scan(step, scope):
+            pushed_edges = [
+                edge_kernel(column, scope[other].get(other_column))
+                for column, other, other_column in edges
+            ] if pushed else ()
+            for row_id in self._scan(step, scope, pushed_edges):
                 row = rows[row_id]
-                if edges and not self._edges_ok(edges, row, scope):
+                if checked and not self._edges_ok(checked, row, scope):
                     continue
                 joined = {**scope, binding: row}
                 if not conjuncts or self._conjuncts_ok(conjuncts, joined):
                     yield joined
 
     def _hash_join(self, stream: Iterator[dict], step: _Step) -> Iterator[dict]:
-        rows, binding, node = step.storage.rows, step.binding, step.node
+        binding, node = step.binding, step.node
         edges, conjuncts = step.edges, step.conjuncts
         if node is not None:
             node.loops += 1      # one build-side scan
+        _ids, rows = self._scan_all(step)
         # Buckets hold the build rows themselves, keyed by the join column
         # (a scalar for the common single-edge join, else a tuple).
         buckets: defaultdict[Any, list[dict]] = defaultdict(list)
         if len(edges) == 1:
             (column, other, other_column), = edges
-            for row_id in self._scan(step, {}):
-                row = rows[row_id]
+            for row in rows:
                 buckets[row.get(column)].append(row)
 
             def probe_key(scope: dict) -> Any:
                 return scope[other].get(other_column)
         else:
-            for row_id in self._scan(step, {}):
-                row = rows[row_id]
+            for row in rows:
                 buckets[tuple([row.get(column) for column, _b, _c in edges])].append(row)
 
             def probe_key(scope: dict) -> Any:
@@ -646,43 +662,117 @@ class _Pipeline:
 
     # -- scans -----------------------------------------------------------------
 
-    def _scan(self, step: _Step, outer_scope: dict) -> Iterator[int]:
-        """Ids of the rows of *step*'s table that pass its filter."""
+    def _scan(self, step: _Step, outer_scope: dict,
+              edges: Sequence[Kernel] = ()) -> Iterator[int]:
+        """Ids of the rows of *step*'s table that pass its kernels, then
+        *edges* (a seq scan's pushed-down join edges), charged by position.
+
+        Before the row at position *p* of a chunk is yielded, the rows up
+        to *p* are charged, each with its filters, and so is every edge
+        test made on them: an edge is tested on the rows that passed the
+        filters and the edges before it, one predicate each, as
+        :meth:`_edges_ok` charges them.  A consumer that stops early
+        (LIMIT) therefore sees exactly the work row-at-a-time execution
+        would have done.  A row deleted after its chunk was read is not
+        yielded.
+        """
+        live = step.storage.rows
+        for ids, _rows, chunk, survivors, tested, lookups in self._chunks(
+            step, outer_scope, edges
+        ):
+            charged, evals_charged = chunk.start, 0
+            for i in survivors:
+                evals = sum([bisect_right(p, i) for p in tested]) if tested else 0
+                self._charge(step, i + 1 - charged, evals - evals_charged, lookups)
+                charged, evals_charged = i + 1, evals
+                if ids[i] in live:
+                    yield ids[i]
+            self._charge(
+                step, chunk.stop - charged,
+                sum(map(len, tested)) - evals_charged, lookups,
+            )
+
+    def _scan_all(self, step: _Step) -> tuple[list[int], list[dict]]:
+        """The ids :meth:`_scan` would yield, and their rows, charged a
+        chunk at a time: for a consumer that reads the whole scan before
+        it produces a row (a hash-join build, a DML locate), where the
+        totals are all an observer can see."""
+        out_ids: list[int] = []
+        out_rows: list[dict] = []
+        for ids, rows, chunk, survivors, _tested, lookups in self._chunks(
+            step, {}, ()
+        ):
+            self._charge(step, len(chunk), 0, lookups)
+            out_ids.extend(map(ids.__getitem__, survivors))
+            out_rows.extend(map(rows.__getitem__, survivors))
+        return out_ids, out_rows
+
+    def _charge(self, step: _Step, rows: int, edge_evals: int,
+                lookups: Optional[int]) -> None:
+        """Charge *rows* rows read by *step*'s scan, each with its filters,
+        plus *edge_evals* join-edge tests.  An index scan (*lookups* not
+        None) also reads an entry and *lookups* random pages per row."""
+        metrics, node = self.metrics, step.node
+        metrics.rows_read += rows
+        metrics.predicate_evals += rows * len(step.kernels) + edge_evals
+        pages = 0
+        if lookups is not None:
+            metrics.index_entries_read += rows
+            pages = rows * lookups
+            metrics.random_pages += pages
+        if node is not None:
+            node.rows_scanned += rows
+            node.pages_read += pages
+
+    def _chunks(self, step: _Step, outer_scope: dict, edges: Sequence[Kernel]):
+        """The scan of *step* as chunks ``(ids, rows, chunk, survivors,
+        tested, lookups)``: *chunk* is a range of positions in the parallel
+        lists *ids* and *rows*, *survivors* the positions whose row passes
+        the kernels and *edges*, *tested* the positions each edge was
+        tested on, and *lookups* None for a seq scan, else the random pages
+        an index entry costs.  Only a seq scan takes *edges*.  Pages are
+        charged as the scan reaches them."""
         if step.path.method == "seq":
-            return self._seq_scan(step)
-        return self._index_scan(step, outer_scope)
+            return self._seq_chunks(step, edges)
+        return self._index_chunks(step, outer_scope)
 
-    def _charge(self, step: _Step, rows: int) -> None:
-        """Charge *rows* rows read and filtered by *step*'s scan."""
-        self.metrics.rows_read += rows
-        self.metrics.predicate_evals += rows * step.filter_count
-        if step.node is not None:
-            step.node.rows_scanned += rows
+    @staticmethod
+    def _filter(step: _Step, rows: list[dict], chunk: range,
+                edges: Sequence[Kernel]) -> tuple[Sequence[int], list]:
+        """Survivors of *chunk* after *step*'s kernels and *edges*, and the
+        positions each edge was tested on."""
+        survivors: Sequence[int] = chunk
+        for kernel in step.kernels:
+            survivors = kernel(rows, survivors)
+        tested = []
+        for kernel in edges:
+            tested.append(survivors)
+            survivors = kernel(rows, survivors)
+        return survivors, tested
 
-    def _seq_scan(self, step: _Step) -> Iterator[int]:
-        storage, node, passes = step.storage, step.node, step.filter
-        metrics, evals = self.metrics, step.filter_count
+    def _seq_chunks(self, step: _Step, edges: Sequence[Kernel]):
+        """A sequential scan, :data:`SCAN_CHUNK` rows at a time.
+
+        The scan snapshots the table's ids and rows when it starts.  A row
+        deleted after that is never yielded: :meth:`_scan` checks each id
+        against ``storage.rows`` just before yielding it (the row's read
+        stays charged).  No caller changes a table during a live scan --
+        DML collects :meth:`row_ids` before it writes -- so the check only
+        keeps a misuse from handing out a missing id.
+        """
+        storage, node = step.storage, step.node
         pages = self.db.params.pages_for(storage.row_count, storage.table.row_width)
-        metrics.seq_pages += pages
+        self.metrics.seq_pages += pages
         if node is not None:
             node.pages_read += pages
-        get = storage.rows.get
-        pending = 0
-        for row_id in list(storage.rows):
-            row = get(row_id)
-            if row is None:
-                continue
-            pending += 1
-            if passes is None or passes(row):
-                metrics.rows_read += pending      # _charge, inlined
-                metrics.predicate_evals += pending * evals
-                if node is not None:
-                    node.rows_scanned += pending
-                pending = 0
-                yield row_id
-        self._charge(step, pending)
+        ids, rows = list(storage.rows), list(storage.rows.values())
+        for start in range(0, len(ids), SCAN_CHUNK):
+            chunk = range(start, min(start + SCAN_CHUNK, len(ids)))
+            yield (ids, rows, chunk, *self._filter(step, rows, chunk, edges), None)
 
-    def _index_scan(self, step: _Step, outer_scope: dict) -> Iterator[int]:
+    def _index_chunks(self, step: _Step, outer_scope: dict):
+        """An index or PK scan, up to :data:`SCAN_CHUNK` entries at a time
+        per key prefix."""
         path, storage, node = step.path, step.storage, step.node
         structure = (
             storage.pk_index
@@ -691,7 +781,7 @@ class _Pipeline:
         )
         if structure is None:
             # Index vanished between planning and execution; degrade safely.
-            yield from self._seq_scan(step)
+            yield from self._seq_chunks(step, ())
             return
         if path.skip_scan:
             # Skip scan: the leading column has no predicate.  Execute as
@@ -726,9 +816,9 @@ class _Pipeline:
         entry_width = (
             path.index.entry_width(storage.table) if path.method == "index" else 0
         )
-        get, passes = storage.rows.get, step.filter
+        live = storage.rows
         for prefix in prefixes:
-            entries = pending = 0
+            entries = 0
             # Range bounds bind the key column right after the eq prefix;
             # they only apply when the whole prefix is concrete.
             full_prefix = len(prefix) == len(path.eq_columns)
@@ -736,29 +826,22 @@ class _Pipeline:
                 prefix, low if full_prefix else None, high if full_prefix else None,
                 low_inc, high_inc, reverse=step.reverse,
             )
-            for _key, row_id in scan:
-                row = get(row_id)
-                if row is None:
-                    continue
-                entries += 1
-                pending += 1
-                if passes is None or passes(row):
-                    self._charge_index(step, pending, lookups)
-                    pending = 0
-                    yield row_id
-            self._charge_index(step, pending, lookups)
+            while True:
+                batch = list(itertools.islice(scan, SCAN_CHUNK))
+                # An entry whose row is gone is skipped, uncharged.
+                ids = [row_id for _key, row_id in batch if row_id in live]
+                chunk = range(len(ids))
+                entries += len(ids)
+                rows = list(map(live.__getitem__, ids))
+                yield (ids, rows, chunk, *self._filter(step, rows, chunk, ()),
+                       lookups)
+                if len(batch) < SCAN_CHUNK:
+                    break
             if entry_width:
                 leaf_pages = self.db.params.pages_for(entries, entry_width)
                 metrics.seq_pages += leaf_pages
                 if node is not None:
                     node.pages_read += leaf_pages
-
-    def _charge_index(self, step: _Step, entries: int, lookups: int) -> None:
-        self.metrics.index_entries_read += entries
-        self.metrics.random_pages += entries * lookups
-        if step.node is not None:
-            step.node.pages_read += entries * lookups
-        self._charge(step, entries)
 
     def _range_bounds(self, path: AccessPath):
         low = high = None

@@ -5,12 +5,23 @@ column bindings are resolved and node types dispatched at compile time,
 and the result is a tree of Python closures.  Evaluating a row then costs
 only the closures' own work.  Closures take one of two arguments:
 
-* a bare *row* (column -> value) -- :meth:`ExprEvaluator.row_filter`
-  fuses one binding's atomic filter predicates into a single
-  ``row -> bool`` test the scans apply before building any scope;
+* a bare *row* (column -> value) -- the single-binding filters the scans
+  apply before building any scope;
 * a *scope* (binding -> row) -- everything else: projection, ORDER BY and
   GROUP BY keys, aggregate arguments, HAVING, UPDATE ``SET`` values and
   multi-table conjuncts.
+
+Scans filter a chunk of rows at a time through *kernels* (the
+selection-vector design of MonetDB/X100): :meth:`ExprEvaluator.row_kernels`
+compiles each atomic filter into a ``(rows, sel) -> list[int]`` that keeps
+the positions in *sel* whose row passes.  Each kernel runs over the
+survivors of the one before it, so a row reaches a predicate exactly when
+row-at-a-time short-circuit evaluation would take it there.  The common
+shapes -- ``column = str``, ``column <op> number`` and ``column BETWEEN
+number AND number`` -- inline their test in a list comprehension and fall
+back to the shared semantics for an off-type value; any other ``column op
+constant`` calls its :data:`_COMPARE` test, and every other predicate its
+compiled row closure.
 
 SQL three-valued logic is approximated with Python ``None`` propagation
 -- a comparison involving NULL is not satisfied, matching WHERE-clause
@@ -34,6 +45,8 @@ from ..sqlparser import ast
 Row = Mapping[str, Any]
 Scope = Mapping[str, Row]          # binding name -> row
 Compiled = Callable[[Any], Any]    # row or scope -> value
+#: ``(rows, sel) -> positions in sel whose row passes``.
+Kernel = Callable[[Sequence[Row], Sequence[int]], list]
 
 
 def _sql_eq(left: Any, right: Any) -> bool:
@@ -159,18 +172,15 @@ class ExprEvaluator:
         """``scope -> bool`` for a predicate; NULL comparisons yield False."""
         return _Compiler(self, over_row=False).test(expr)
 
-    def row_filter(self, exprs: Sequence[ast.Expr]) -> Optional[Compiled]:
-        """One ``row -> bool`` testing every expression in order.
+    def row_kernels(self, exprs: Sequence[ast.Expr]) -> list[Kernel]:
+        """One kernel per expression, in order.
 
         Each expression must reference columns of a single binding (the
-        atomic filters of ``QueryInfo.filters``).  Evaluation stops at the
-        first false predicate.  None when there is nothing to test.
+        atomic filters of ``QueryInfo.filters``).  Running each kernel over
+        the survivors of the one before is the short-circuit conjunction.
         """
         compiler = _Compiler(self, over_row=True)
-        tests = [compiler.test(expr) for expr in exprs]
-        if not tests:
-            return None
-        return tests[0] if len(tests) == 1 else _all(tests)
+        return [_column_kernel(expr) or compiler.kernel(expr) for expr in exprs]
 
 
 class _Compiler:
@@ -190,6 +200,11 @@ class _Compiler:
             row = scope.get(binding)
             return None if row is None else row.get(column)
         return fetch
+
+    def kernel(self, expr: ast.Expr) -> Kernel:
+        """The generic kernel: *expr*'s row closure applied per position."""
+        test = self.test(expr)
+        return lambda rows, sel: [i for i in sel if test(rows[i])]
 
     # -- scalars ---------------------------------------------------------------
 
@@ -242,13 +257,6 @@ class _Compiler:
 
     def _comparison(self, expr: ast.Comparison) -> Compiled:
         test = _COMPARE[expr.op]
-        if (
-            self._over_row
-            and isinstance(expr.left, ast.ColumnRef)
-            and isinstance(expr.right, ast.Literal)
-        ):
-            return _column_vs_constant(expr.op, test, expr.left.column,
-                                       expr.right.value)
         left, right = self.value(expr.left), self.value(expr.right)
         return lambda arg: test(left(arg), right(arg))
 
@@ -269,14 +277,6 @@ class _Compiler:
 
     def _between(self, expr: ast.Between) -> Compiled:
         negated = expr.negated
-        if (
-            self._over_row
-            and isinstance(expr.expr, ast.ColumnRef)
-            and isinstance(expr.low, ast.Literal)
-            and isinstance(expr.high, ast.Literal)
-        ):
-            column, lo, hi = expr.expr.column, expr.low.value, expr.high.value
-            return lambda row: _between(row.get(column), lo, hi, negated)
         operand = self.value(expr.expr)
         low, high = self.value(expr.low), self.value(expr.high)
         return lambda arg: _between(operand(arg), low(arg), high(arg), negated)
@@ -299,28 +299,128 @@ def _between(value: Any, low: Any, high: Any, negated: bool) -> bool:
     return (not result) if negated else result
 
 
-def _column_vs_constant(
-    op: str, test: Callable[[Any, Any], bool], column: str, constant: Any
-) -> Compiled:
-    """``row -> bool`` for ``column op constant``, the common filter shape.
+#: Types a numeric kernel compares inline; ``bool`` is not one of them.
+_NUMBER = (int, float)
 
-    Same result as ``test(row.get(column), constant)``; equality against a
-    string or number constant short-cuts the common same-type case.
+
+def _column_kernel(expr: ast.Expr) -> Optional[Kernel]:
+    """The specialised kernel for ``column op constant`` or ``column
+    BETWEEN number AND number``; None for any other shape.
+
+    Each kernel equals ``_COMPARE[op]`` (or :func:`_between`) on every
+    value: it inlines the test for values of the constant's own kind and
+    calls the shared function for any other.
     """
-    if op == "=" and type(constant) is str:
-        def eq_str(row: Row) -> bool:
-            value = row.get(column)
-            return value == constant if type(value) is str else _sql_eq(value, constant)
-        return eq_str
-    if op == "=" and type(constant) in (int, float):
-        def eq_number(row: Row) -> bool:
-            value = row.get(column)
-            kind = type(value)
-            if kind is int or kind is float:
-                return value == constant
-            return _sql_eq(value, constant)
-        return eq_number
-    return lambda row: test(row.get(column), constant)
+    if isinstance(expr, ast.Between):
+        if (
+            expr.negated
+            or not isinstance(expr.expr, ast.ColumnRef)
+            or not isinstance(expr.low, ast.Literal)
+            or not isinstance(expr.high, ast.Literal)
+            or type(expr.low.value) not in _NUMBER
+            or type(expr.high.value) not in _NUMBER
+        ):
+            return None
+        return _between_kernel(expr.expr.column, expr.low.value, expr.high.value)
+    if not (
+        isinstance(expr, ast.Comparison)
+        and isinstance(expr.left, ast.ColumnRef)
+        and isinstance(expr.right, ast.Literal)
+    ):
+        return None
+    column, constant, test = expr.left.column, expr.right.value, _COMPARE[expr.op]
+    if expr.op == "=" and type(constant) is str:
+        return _eq_str_kernel(column, constant)
+    if expr.op in _NUMBER_KERNELS and type(constant) in _NUMBER:
+        return _NUMBER_KERNELS[expr.op](column, constant, test)
+    return lambda rows, sel: [i for i in sel if test(rows[i].get(column), constant)]
+
+
+# One factory per operator: the comparison then runs as inline bytecode in
+# the comprehension instead of as a call per row.
+
+
+def _eq_str_kernel(column: str, c: str) -> Kernel:
+    def kernel(rows, sel):
+        return [
+            i for i in sel
+            if (v == c if type(v := rows[i].get(column)) is str else _sql_eq(v, c))
+        ]
+    return kernel
+
+
+def _eq_kernel(column: str, c: Any, test: Callable) -> Kernel:
+    def kernel(rows, sel):
+        return [
+            i for i in sel
+            if (v == c if type(v := rows[i].get(column)) in _NUMBER else test(v, c))
+        ]
+    return kernel
+
+
+def _lt_kernel(column: str, c: Any, test: Callable) -> Kernel:
+    def kernel(rows, sel):
+        return [
+            i for i in sel
+            if (v < c if type(v := rows[i].get(column)) in _NUMBER else test(v, c))
+        ]
+    return kernel
+
+
+def _le_kernel(column: str, c: Any, test: Callable) -> Kernel:
+    def kernel(rows, sel):
+        return [
+            i for i in sel
+            if (v <= c if type(v := rows[i].get(column)) in _NUMBER else test(v, c))
+        ]
+    return kernel
+
+
+def _gt_kernel(column: str, c: Any, test: Callable) -> Kernel:
+    def kernel(rows, sel):
+        return [
+            i for i in sel
+            if (v > c if type(v := rows[i].get(column)) in _NUMBER else test(v, c))
+        ]
+    return kernel
+
+
+def _ge_kernel(column: str, c: Any, test: Callable) -> Kernel:
+    def kernel(rows, sel):
+        return [
+            i for i in sel
+            if (v >= c if type(v := rows[i].get(column)) in _NUMBER else test(v, c))
+        ]
+    return kernel
+
+
+#: Comparison operator -> numeric kernel factory ``(column, c, fallback)``.
+_NUMBER_KERNELS: dict[str, Callable[[str, Any, Callable], Kernel]] = {
+    "=": _eq_kernel,
+    "<": _lt_kernel,
+    "<=": _le_kernel,
+    ">": _gt_kernel,
+    ">=": _ge_kernel,
+}
+
+
+def _between_kernel(column: str, lo: Any, hi: Any) -> Kernel:
+    def kernel(rows, sel):
+        return [
+            i for i in sel
+            if (lo <= v <= hi if type(v := rows[i].get(column)) in _NUMBER
+                else _between(v, lo, hi, False))
+        ]
+    return kernel
+
+
+def edge_kernel(column: str, value: Any) -> Kernel:
+    """Kernel for the join edge ``column = value``, *value* taken from the
+    outer row: the executor's edge test, ``left is not None and right is
+    not None and left == right``."""
+    if value is None:
+        return lambda rows, sel: []
+    return lambda rows, sel: [i for i in sel if rows[i].get(column) == value]
 
 
 class Aggregator:

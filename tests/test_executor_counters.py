@@ -21,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from repro.catalog import Index
 from repro.engine import Database
 from repro.executor import Executor
@@ -146,6 +148,204 @@ PINNED = "67c590b89095db69737d5f63b71a2c1c8c097cd1c1251cab0a8ba53c4f7cca22"
 
 def test_execution_counters_match_pinned_digest():
     assert corpus_digest() == PINNED
+
+
+# -- chunk boundaries ------------------------------------------------------------
+
+#: Rows of the chunk-boundary orders table: more than two scan chunks.
+CHUNK_ORDERS = 4000
+
+#: ``ExecutionMetrics.as_dict()`` keys, in the order CHUNK_CASES lists them.
+METRIC_KEYS = (
+    "rows_read", "rows_sent", "seq_pages", "random_pages", "index_entries_read",
+    "index_entries_written", "pages_written", "sort_rows", "predicate_evals",
+)
+
+#: name -> (index on orders(status, created)?, statement, rowcount,
+#: counters in METRIC_KEYS order, EXPLAIN ANALYZE [label, rows, loops,
+#: rows_scanned, pages_read] per node, or None for DML).  Recorded with the
+#: row-at-a-time executor (commit 968c300); positions count from 0 in
+#: storage order, which is ``oid`` order here.
+CHUNK_CASES = {
+    "limit_1": (
+        False, "SELECT oid FROM orders LIMIT 1",
+        1, (1, 1, 11, 0, 0, 0, 0, 0, 0),
+        [
+            ["Result", 1, 1, 0, 0],
+            ["SeqScan(orders)", 1, 1, 1, 11],
+        ],
+    ),
+    "limit_last_at_1023": (
+        False, "SELECT oid FROM orders WHERE status != 'x' LIMIT 1024",
+        1024, (1024, 1024, 11, 0, 0, 0, 0, 0, 1024),
+        [
+            ["Result", 1024, 1, 0, 0],
+            ["SeqScan(orders)", 1024, 1, 1024, 11],
+        ],
+    ),
+    "limit_last_at_1024": (
+        False, "SELECT oid FROM orders WHERE status != 'x' LIMIT 1025",
+        1025, (1025, 1025, 11, 0, 0, 0, 0, 0, 1025),
+        [
+            ["Result", 1025, 1, 0, 0],
+            ["SeqScan(orders)", 1025, 1, 1025, 11],
+        ],
+    ),
+    "limit_last_at_1025": (
+        False, "SELECT oid FROM orders WHERE status != 'x' LIMIT 1026",
+        1026, (1026, 1026, 11, 0, 0, 0, 0, 0, 1026),
+        [
+            ["Result", 1026, 1, 0, 0],
+            ["SeqScan(orders)", 1026, 1, 1026, 11],
+        ],
+    ),
+    "first_pass_at_1023": (
+        False, "SELECT oid FROM orders WHERE oid + 0 >= 1023 LIMIT 1",
+        1, (1024, 1, 11, 0, 0, 0, 0, 0, 1024),
+        [
+            ["Result", 1, 1, 0, 0],
+            ["SeqScan(orders)", 1, 1, 1024, 11],
+        ],
+    ),
+    "first_pass_at_1024": (
+        False,
+        "SELECT oid FROM orders WHERE created >= 0 AND oid + 0 >= 1024 "
+        "LIMIT 1",
+        1, (1025, 1, 11, 0, 0, 0, 0, 0, 2050),
+        [
+            ["Result", 1, 1, 0, 0],
+            ["SeqScan(orders)", 1, 1, 1025, 11],
+        ],
+    ),
+    "first_pass_at_1025": (
+        False,
+        "SELECT oid FROM orders WHERE amount >= 0 AND oid + 0 >= 1025 "
+        "LIMIT 1",
+        1, (1026, 1, 11, 0, 0, 0, 0, 0, 2052),
+        [
+            ["Result", 1, 1, 0, 0],
+            ["SeqScan(orders)", 1, 1, 1026, 11],
+        ],
+    ),
+    "no_row_passes": (
+        False, "SELECT oid FROM orders WHERE amount > 5000 AND status = 'paid'",
+        0, (4000, 0, 11, 0, 0, 0, 0, 0, 8000),
+        [
+            ["Result", 0, 1, 0, 0],
+            ["SeqScan(orders)", 0, 1, 4000, 11],
+        ],
+    ),
+    "nlj_edge_limit": (
+        False,
+        "SELECT u.name, o.oid FROM users u, orders o WHERE u.id = "
+        "o.user_id AND u.id = 17 LIMIT 3",
+        3, (1154, 3, 11, 1, 1, 0, 0, 0, 1154),
+        [
+            ["Result", 3, 1, 0, 0],
+            ["SeqScan(o)", 3, 1, 1153, 11],
+            ["PkRange(u eq=['id'])", 1, 1, 1, 1],
+        ],
+    ),
+    "nlj_edge_filter_limit": (
+        False,
+        "SELECT u.id, o.oid FROM users u, orders o WHERE u.id = o.user_id"
+        " AND u.id = 17 AND o.amount > 100 LIMIT 3",
+        3, (1154, 3, 11, 1, 1, 0, 0, 0, 2199),
+        [
+            ["Result", 3, 1, 0, 0],
+            ["SeqScan(o)", 3, 1, 1153, 11],
+            ["PkRange(u eq=['id'])", 1, 1, 1, 1],
+        ],
+    ),
+    "nlj_two_edges": (
+        False,
+        "SELECT u.name, o.oid FROM users u, orders o WHERE u.id = "
+        "o.user_id AND u.age = o.amount AND u.id = 17 AND o.status != "
+        "'new' LIMIT 2",
+        0, (4001, 0, 11, 1, 1, 0, 0, 0, 6660),
+        [
+            ["Result", 0, 1, 0, 0],
+            ["SeqScan(o)", 0, 1, 4000, 11],
+            ["PkRange(u eq=['id'])", 1, 1, 1, 1],
+        ],
+    ),
+    "nlj_conjunct_limit": (
+        False,
+        "SELECT u.name, o.amount FROM users u, orders o WHERE u.id = 5 "
+        "AND o.amount > u.age AND o.status = 'paid' LIMIT 2",
+        2, (9, 2, 11, 1, 1, 0, 0, 0, 11),
+        [
+            ["Result", 2, 1, 0, 0],
+            ["SeqScan(o)", 2, 1, 8, 11],
+            ["PkRange(u eq=['id'])", 1, 1, 1, 1],
+        ],
+    ),
+    "index_prefix_two_chunks": (
+        True, "SELECT oid FROM orders WHERE status = 'paid' AND oid + 0 > 5",
+        1297, (1298, 1297, 3, 1, 1298, 0, 0, 0, 2596),
+        [
+            ["Result", 1297, 1, 0, 0],
+            ["IndexScan(orders via idx_orders_status_created eq=['status'] "
+             "range=None covering)", 1297, 1, 1298, 4],
+        ],
+    ),
+    "pk_range_four_chunks": (
+        False, "SELECT oid, amount FROM orders WHERE oid >= 100 AND amount > 990",
+        43, (3900, 43, 0, 1, 3900, 0, 0, 0, 7800),
+        [
+            ["Result", 43, 1, 0, 0],
+            ["PkRange(orders eq=[])", 43, 1, 3900, 1],
+        ],
+    ),
+    "pk_range_limit_in_second_chunk": (
+        False,
+        "SELECT oid, amount FROM orders WHERE oid >= 100 AND amount > 5 "
+        "LIMIT 1030",
+        1030, (1035, 1030, 0, 1, 1035, 0, 0, 0, 2070),
+        [
+            ["Result", 1030, 1, 0, 0],
+            ["PkRange(orders eq=[])", 1030, 1, 1035, 1],
+        ],
+    ),
+    "update_via_seq_scan": (
+        False, "UPDATE orders SET amount = amount + 1 WHERE amount > 900",
+        412, (4000, 0, 11, 0, 0, 412, 412, 0, 4000),
+        None,
+    ),
+    "delete_via_seq_scan": (
+        False, "DELETE FROM orders WHERE status = 'done' AND created < 500000",
+        673, (4000, 0, 11, 0, 0, 673, 673, 0, 8000),
+        None,
+    ),
+}
+
+
+def _chunk_db(indexed: bool) -> Database:
+    db = Database.from_tables([users_table(), orders_table()])
+    db.load_rows("users", make_user_rows())
+    db.load_rows("orders", make_order_rows(n=CHUNK_ORDERS))
+    db.analyze()
+    if indexed:
+        db.create_index(Index("orders", ("status", "created")))
+    return db
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+def test_counters_across_chunk_boundaries(name):
+    """LIMIT exits at and around a chunk boundary, empty filters, nested
+    loops over a seq inner, index scans spanning chunks and DML located by
+    a seq scan charge exactly the row-at-a-time counters."""
+    indexed, sql, rowcount, metrics, nodes = CHUNK_CASES[name]
+    stmt = parse(sql)
+    select = isinstance(stmt, ast.Select)
+    result = Executor(_chunk_db(indexed)).execute(stmt, analyze=select)
+    assert result.rowcount == rowcount
+    assert result.metrics.as_dict() == dict(zip(METRIC_KEYS, metrics))
+    if select:
+        assert [
+            [node.label, node.rows, node.loops, node.rows_scanned, node.pages_read]
+            for _depth, node in result.actual.walk()
+        ] == nodes
 
 
 if __name__ == "__main__":

@@ -5,8 +5,11 @@ from collections import Counter
 import pytest
 
 from repro.catalog import Index
-from repro.executor import Executor
+from repro.engine import ExecutionMetrics
+from repro.executor import Executor, ExprEvaluator
+from repro.executor.executor import SCAN_CHUNK, _Pipeline
 from repro.qa.reference import ReferenceDatabase
+from repro.sqlparser import parse
 
 from .conftest import orders_table, users_table
 
@@ -138,3 +141,28 @@ def test_duplicate_in_values_match_reference(db, user_rows, order_rows, sql, met
     stored = [tuple(row[c] for c in columns) for row in db.storage["orders"].rows.values()]
     wanted = [tuple(row[c] for c in columns) for row in reference.table_rows("orders")]
     assert Counter(stored) == Counter(wanted)
+
+
+def test_seq_scan_never_yields_a_row_deleted_mid_scan(db):
+    """A scan snapshots the table and filters it a chunk at a time; a row
+    deleted after the scan started -- later in the current chunk or in a
+    later one -- is never yielded, so every yielded id is still stored."""
+    stmt = parse("SELECT * FROM orders WHERE amount > 100")
+    plan = Executor(db).optimizer.explain(stmt, materialized_only=True)
+    assert plan.steps[0].path.method == "seq"
+    pipeline = _Pipeline(db, plan.info, plan, ExprEvaluator(plan.info, db.schema),
+                         ExecutionMetrics())
+    storage = pipeline.steps[0].storage
+    passing = [i for i, row in storage.rows.items() if row["amount"] > 100]
+    assert len(storage.rows) > 2 * SCAN_CHUNK
+    yielded, deleted = [], set()
+    for n, row_id in enumerate(pipeline._scan(pipeline.steps[0], {})):
+        assert row_id in storage.rows
+        yielded.append(row_id)
+        if n % 5 == 0:
+            for victim in (row_id + 1, row_id + 2, row_id + SCAN_CHUNK + 3):
+                if victim in storage.rows:
+                    storage.delete_row(victim)
+                    deleted.add(victim)
+    assert deleted and not deleted & set(yielded)
+    assert yielded == [i for i in passing if i not in deleted]

@@ -6,7 +6,9 @@ sub-expressions used as values, and arithmetic with ``/ 0`` and type
 errors -- are compiled by :class:`repro.executor.ExprEvaluator` and
 evaluated on rows mixing NULL, bool, int, float and str.  Every result
 (value and type, or the exception type) must equal what the independent
-:class:`repro.qa.reference.ReferenceDatabase` interpreter computes.
+:class:`repro.qa.reference.ReferenceDatabase` interpreter computes.  The
+scans' selection-vector kernels must keep exactly the rows the compiled
+closure and the reference accept.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.catalog import Column, Table
 from repro.catalog.schema import Schema
 from repro.executor import ExprEvaluator
+from repro.executor.operators import edge_kernel
 from repro.optimizer.query_info import QueryInfo
 from repro.qa.reference import ReferenceDatabase, ReferenceError
 from repro.sqlparser import ast
@@ -100,6 +103,15 @@ def _reference() -> ReferenceDatabase:
     return ReferenceDatabase([TABLE], {})
 
 
+def _passes(exprs, rows) -> list:
+    """Positions of *rows* that pass *exprs*' kernels, each run over the
+    survivors of the one before, as a scan runs them."""
+    sel = range(len(rows))
+    for kernel in _evaluator().row_kernels(exprs):
+        sel = kernel(rows, sel)
+    return list(sel)
+
+
 def _outcome(thunk):
     try:
         result = thunk()
@@ -117,8 +129,8 @@ def test_compiled_predicate_matches_reference(expr, row):
     expected = _outcome(lambda: _reference()._truth(expr, scope, BINDINGS))
     evaluator = _evaluator()
     assert _outcome(lambda: evaluator.predicate(expr)(scope)) == expected
-    # The fused single-binding filter evaluates the same tree on the bare row.
-    assert _outcome(lambda: evaluator.row_filter([expr])(row)) == expected
+    # The scan's kernel evaluates the same tree on the bare row.
+    assert _outcome(lambda: _passes([expr], [row]) == [0]) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -135,28 +147,94 @@ def test_fused_filter_is_the_conjunction(exprs, row):
     expected = _outcome(
         lambda: _reference()._truth(ast.And(tuple(exprs)), {"t": row}, BINDINGS)
     )
-    assert _outcome(lambda: _evaluator().row_filter(exprs)(row)) == expected
+    assert _outcome(lambda: _passes(exprs, [row]) == [0]) == expected
+
+
+#: Constants of every kind a specialised kernel keys on, and off-type ones.
+CONSTANTS = TRICKY + [17, -3, 2.5, 1e300, "b", "1e0"]
+#: One row per value, in a mixed-type column.
+MIXED_ROWS = [{"a": value, "b": 1} for value in TRICKY + [17, 2.5, "b", 10**20]]
 
 
 def test_column_filter_shapes_match_reference():
-    """The filter shapes the row compiler specializes, ``column op
-    constant`` and ``column [NOT] BETWEEN c1 AND c2``, exhaustively over
-    values where SQL and Python equality differ."""
+    """Every kernel shape -- ``column = str``, ``column <op> number``,
+    ``column BETWEEN number AND number``, the other ``column op constant``
+    comparisons and ``[NOT] BETWEEN`` over any constants -- keeps exactly
+    the rows its compiled closure and the reference accept, over a
+    mixed-type column where SQL and Python equality differ."""
     evaluator, reference = _evaluator(), _reference()
     column = ast.ColumnRef(None, "a")
     shapes = [
         ast.Comparison(op, column, ast.Literal(constant))
-        for op in COMPARISON_OPS for constant in TRICKY
+        for op in COMPARISON_OPS for constant in CONSTANTS
     ] + [
         ast.Between(column, ast.Literal(low), ast.Literal(high), negated)
-        for low in TRICKY for high in TRICKY for negated in (False, True)
+        for low in CONSTANTS for high in CONSTANTS for negated in (False, True)
     ]
+    positions = range(len(MIXED_ROWS))
     for expr in shapes:
-        test = evaluator.row_filter([expr])
-        for value in TRICKY:
-            row = {"a": value}
-            expected = _outcome(lambda: reference._truth(expr, {"t": row}, BINDINGS))
-            assert _outcome(lambda: test(row)) == expected, (expr.to_sql(), value)
+        (kernel,) = evaluator.row_kernels([expr])
+        closure = evaluator.predicate(expr)
+        expected = [
+            i for i in positions
+            if reference._truth(expr, {"t": MIXED_ROWS[i]}, BINDINGS)
+        ]
+        assert [i for i in positions if closure({"t": MIXED_ROWS[i]})] == expected
+        assert kernel(MIXED_ROWS, positions) == expected, expr.to_sql()
+        # A kernel run over survivors keeps their order and drops the rest.
+        odd = list(positions)[1::2]
+        assert kernel(MIXED_ROWS, odd) == [i for i in expected if i % 2], expr.to_sql()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(atoms, min_size=1, max_size=3), st.lists(rows, max_size=6))
+def test_kernels_match_closure_and_reference(exprs, table):
+    """A chain of kernels over many rows keeps the rows the conjunction's
+    closure and the reference accept, and raises exactly when the
+    row-at-a-time conjunction raises on some row."""
+    conjunction = ast.And(tuple(exprs)) if len(exprs) > 1 else exprs[0]
+    closure = _evaluator().predicate(conjunction)
+    expected = _outcome(lambda: [
+        i for i, row in enumerate(table)
+        if _reference()._truth(conjunction, {"t": row}, BINDINGS)
+    ])
+    assert _outcome(lambda: [
+        i for i, row in enumerate(table) if closure({"t": row})
+    ]) == expected
+    assert _outcome(lambda: _passes(exprs, table)) == expected
+
+
+def test_parameter_after_false_conjunct_does_not_raise():
+    """A ``?`` is evaluated only on rows that passed every kernel before
+    it: a chain whose earlier conjunct rejects every row does not raise."""
+    a, b = ast.ColumnRef(None, "a"), ast.ColumnRef(None, "b")
+    table = [{"a": v, "b": 1} for v in TRICKY]
+    param = ast.Comparison("=", b, ast.Param())
+    for first in (
+        ast.Comparison("=", a, ast.Literal(999)),
+        ast.Comparison("=", a, ast.Literal("zz")),
+        ast.Comparison(">", a, ast.Literal(10**9)),
+        ast.Between(a, ast.Literal(100), ast.Literal(200), False),
+        ast.IsNull(b, False),
+    ):
+        assert _passes([first, param], table) == []
+        assert _passes([first, param], []) == []
+    assert _outcome(lambda: _passes([ast.IsNull(a, False), param], table)) == (
+        "raises", "ValueError"
+    )
+
+
+def test_edge_kernel_is_the_join_edge_test():
+    """The join-edge kernel keeps ``left is not None and right is not None
+    and left == right`` (Python equality: ``1`` matches ``1.0`` and
+    ``True``, never ``'1'``)."""
+    table = [{"a": value} for value in TRICKY]
+    for right in TRICKY:
+        expected = [
+            i for i, row in enumerate(table)
+            if row["a"] is not None and right is not None and row["a"] == right
+        ]
+        assert edge_kernel("a", right)(table, range(len(table))) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,4 +245,4 @@ def test_column_filter_shapes_match_reference():
 )
 def test_in_list_items_evaluated_only_for_non_null_values(expr, row):
     expected = _outcome(lambda: _reference()._truth(expr, {"t": row}, BINDINGS))
-    assert _outcome(lambda: _evaluator().row_filter([expr])(row)) == expected
+    assert _outcome(lambda: _passes([expr], [row]) == [0]) == expected
