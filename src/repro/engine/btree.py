@@ -1,7 +1,7 @@
-"""Sorted secondary index structure.
+"""Sorted index structure and its builder.
 
-A :class:`SortedIndex` emulates a B+ tree with a sorted array of
-``(key, row_id)`` entries and binary search.  It supports the access
+A :class:`SortedIndex` emulates a B+ tree with two parallel sorted lists,
+flat keys and row ids, and binary search.  It supports the access
 patterns the executor needs: equality/prefix probes, bounded range scans
 and full in-order scans, forward or backward.  NULLs sort before every
 non-NULL value (MySQL/InnoDB semantics).
@@ -10,16 +10,26 @@ Keys are stored flat, one ``(rank, value)`` pair per column (see
 :func:`wrap_key`).  Every pair has the same width, so flat tuples compare
 column by column, ranks first, and sort, ``bisect`` and equality run
 natively instead of calling a Python comparison per value.
+
+:meth:`SortedIndex.build` builds an index column-wise, with one stable
+sort per key column, from entries already ordered by the key's tail.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Iterable, Iterator, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import add, itemgetter
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 #: Rank sentinel above every real rank: ``prefix + (_ABOVE,)`` sorts after
 #: all keys extending *prefix*.
 _ABOVE = 3
+
+#: A column whose values all have types in one of these sets orders its
+#: raw values as :func:`wrap_key` orders them: every pair has one rank.
+_NUMBERS = frozenset((int, float))
+_STRINGS = frozenset((str,))
 
 
 def wrap_key(values: Iterable[Any]) -> tuple:
@@ -54,41 +64,95 @@ def unwrap_key(flat: Sequence[Any]) -> tuple:
 class SortedIndex:
     """A sorted (key, row_id) mapping emulating a B+ tree.
 
-    The structure intentionally keeps a flat sorted list: at reproduction
-    scale (<= a few million rows) bisect operations dominate and behave
-    exactly like tree descents for cost accounting purposes.
+    Entries are ordered by ``(flat key, row id)`` and kept in two parallel
+    lists, ``keys`` and ``rids``, so an entry needs no pair tuple.  The
+    structure intentionally stays flat: at reproduction scale (<= a few
+    million rows) bisect operations dominate and behave exactly like tree
+    descents for cost accounting purposes.
     """
 
     def __init__(self, n_key_columns: int):
         self.n_key_columns = n_key_columns
-        self._entries: list[tuple[tuple, int]] = []
+        self.keys: list[tuple] = []
+        self.rids: list[int] = []
 
     @classmethod
-    def bulk_load(
-        cls, n_key_columns: int, entries: Iterable[tuple[Sequence[Any], int]]
+    def build(
+        cls,
+        columns: Sequence[Sequence[Any]],
+        row_ids: Sequence[int],
+        suffix: Optional[Sequence[tuple]] = None,
     ) -> "SortedIndex":
-        """Build an index from raw ``(key, row_id)`` entries with one sort.
+        """Build an index over ``len(row_ids)`` entries in one pass per
+        key column.
 
-        ``(key, row_id)`` pairs are unique, so the result equals inserting
-        the entries one by one, entry for entry.
+        Entry ``i`` has key column values ``columns[c][i]`` (one or more
+        columns), row id ``row_ids[i]`` and, when *suffix* is given, the
+        flat key tail ``suffix[i]`` (a secondary index's flat PK).  The
+        entries must already be sorted by ``(suffix, row id)``; for a
+        secondary index that is the PK index's order, for the PK index
+        ascending row ids.  Stable sorts by each key column, last column
+        first, then leave them sorted by ``(flat key, row id)``: entries
+        with equal flat keys keep their input order.  The result equals
+        inserting the entries one by one, entry for entry.
         """
-        index = cls(n_key_columns)
-        index._entries = sorted((wrap_key(key), row_id) for key, row_id in entries)
+        order: Sequence[int] = range(len(row_ids))
+        sorted_on: list[tuple[Optional[int], Sequence[Any]]] = []
+        for values in reversed(columns):
+            kinds = set(map(type, values))
+            if kinds <= _NUMBERS:
+                sort_values, rank = values, 1
+            elif kinds == _STRINGS:
+                sort_values, rank = values, 2
+            else:               # NULLs, bools, mixed ranks: sort on pairs
+                sort_values, rank = [wrap_key((v,)) for v in values], None
+            # Raw ints, floats or strs sort on CPython's type-specialised
+            # comparisons.  The sort is stable: ties keep the previous
+            # pass's order.
+            order = sorted(order, key=sort_values.__getitem__)
+            sorted_on.append((rank, sort_values))
+        parts: list[Iterable[Any]] = []
+        for rank, sort_values in reversed(sorted_on):
+            ordered = map(sort_values.__getitem__, order)
+            if rank is None:
+                pairs = list(ordered)
+                parts += (map(itemgetter(0), pairs), map(itemgetter(1), pairs))
+            else:
+                parts += (repeat(rank), ordered)
+        index = cls(len(columns))
+        if suffix is None:
+            index.keys = list(zip(*parts))
+        else:
+            index.keys = list(map(add, zip(*parts), map(suffix.__getitem__, order)))
+        index.rids = list(map(row_ids.__getitem__, order))
         return index
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.rids)
+
+    def _locate(self, flat: tuple, row_id: int) -> int:
+        """Position of the entry ``(flat, row_id)``, or where it would go:
+        among the entries whose key is *flat*, ordered by row id."""
+        keys, rids = self.keys, self.rids
+        pos = bisect_left(keys, flat)
+        if pos < len(keys) and keys[pos] == flat and rids[pos] < row_id:
+            pos = bisect_left(rids, row_id, pos + 1, bisect_right(keys, flat, pos))
+        return pos
 
     def insert(self, key: Sequence[Any], row_id: int) -> None:
         """Insert an entry (duplicates allowed; ties broken by row id)."""
-        bisect.insort(self._entries, (wrap_key(key), row_id))
+        flat = wrap_key(key)
+        pos = self._locate(flat, row_id)
+        self.keys.insert(pos, flat)
+        self.rids.insert(pos, row_id)
 
     def delete(self, key: Sequence[Any], row_id: int) -> bool:
         """Remove an entry; returns False if it was not present."""
-        entry = (wrap_key(key), row_id)
-        pos = bisect.bisect_left(self._entries, entry)
-        if pos < len(self._entries) and self._entries[pos] == entry:
-            del self._entries[pos]
+        flat = wrap_key(key)
+        pos = self._locate(flat, row_id)
+        if pos < len(self.rids) and self.rids[pos] == row_id and self.keys[pos] == flat:
+            del self.keys[pos]
+            del self.rids[pos]
             return True
         return False
 
@@ -119,16 +183,18 @@ class SortedIndex:
             hi_key = flat + wrap_key((high,))
             if high_inclusive:
                 hi_key += (_ABOVE,)
-        # A one-element probe ``(k,)`` sorts before every entry ``(k, rid)``,
-        # so bisect_left lands on the first entry whose key is >= k.
-        lo = bisect.bisect_left(self._entries, (lo_key,))
-        hi = bisect.bisect_left(self._entries, (hi_key,), lo)
+        lo = bisect_left(self.keys, lo_key)
+        hi = bisect_left(self.keys, hi_key, lo)
         positions = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
-        return map(self._entries.__getitem__, positions)
+        return zip(
+            map(self.keys.__getitem__, positions),
+            map(self.rids.__getitem__, positions),
+        )
 
     def scan_all(self, reverse: bool = False) -> Iterator[tuple[tuple, int]]:
         """Full scan in key order (or reverse key order)."""
         return self.scan_prefix((), reverse=reverse)
 
     def clear(self) -> None:
-        self._entries.clear()
+        self.keys.clear()
+        self.rids.clear()

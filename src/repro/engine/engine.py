@@ -45,6 +45,10 @@ class Database:
         self.storage: Optional[dict[str, TableStorage]] = None
         if with_storage:
             self.storage = {t.name: TableStorage(t) for t in schema}
+            # Indexes the schema declares (DDL) exist in storage from the
+            # start; load_rows and DML keep them current.
+            for index in schema.indexes(include_dataless=False):
+                self.storage[index.table].build_index(index)
 
     @classmethod
     def from_tables(
@@ -59,13 +63,12 @@ class Database:
     # -- data loading -------------------------------------------------------
 
     def load_rows(self, table: str, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Bulk load rows into a stored table; returns the number loaded."""
-        storage = self._storage_for(table)
-        count = 0
-        for row in rows:
-            storage.insert_row(row)
-            count += 1
-        return count
+        """Bulk load rows into a stored table; returns the number loaded.
+
+        The rows are appended, then the table's PK index and every
+        materialized index on it are rebuilt over all of its rows.
+        """
+        return self._storage_for(table).load(rows)
 
     def analyze(self, tables: Optional[Iterable[str]] = None) -> None:
         """Refresh the statistics catalog from stored data (ANALYZE TABLE)."""
@@ -165,8 +168,6 @@ class Database:
         clone.stats = self.stats
         for table_name, storage in self.storage.items():
             clone.load_rows(table_name, storage.rows.values())
-        for index in clone.schema.indexes(include_dataless=False):
-            clone._storage_for(index.table).build_index(index)
         return clone
 
     # -- internals ----------------------------------------------------------

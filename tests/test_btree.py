@@ -115,24 +115,65 @@ values = (
 )
 keys = st.tuples(values, values)
 
+#: Value domains for one key column of a build.  The builder sorts a column
+#: of only ints/floats or only strs on its raw values and every other column
+#: on wrapped pairs, so each domain lands on a different path.
+column_domains = st.sampled_from([
+    values,
+    st.integers(-3, 3),
+    st.floats(-3, 3, allow_nan=False),
+    st.text(alphabet="ab", max_size=2),
+    st.booleans() | st.integers(-1, 2),             # bool mixed with int
+    st.integers(-3, 3) | st.floats(-3, 3, allow_nan=False),   # int with float
+    st.none() | st.integers(-3, 3),
+])
+
 
 @st.composite
-def entry_lists(draw):
+def entry_lists(draw, key_values=keys):
     """Unique (key, row_id) entries in a random insertion order."""
-    ks = draw(st.lists(keys, max_size=40))
+    ks = draw(st.lists(key_values, max_size=40))
     rids = draw(st.permutations(range(len(ks))))
     return list(zip(ks, rids))
 
 
-@given(entry_lists())
-def test_bulk_load_equals_one_by_one_inserts(entries):
-    bulk = SortedIndex.bulk_load(2, entries)
+def build_from(entries):
+    """SortedIndex.build over raw two-column entries: in row-id order, no
+    key tail."""
+    entries = sorted(entries, key=lambda e: e[1])
+    columns = [[key[c] for key, _rid in entries] for c in range(2)]
+    return SortedIndex.build(columns, [rid for _key, rid in entries])
+
+
+@given(st.data())
+def test_bulk_load_equals_one_by_one_inserts(data):
+    domains = data.draw(st.tuples(column_domains, column_domains))
+    entries = data.draw(entry_lists(st.tuples(*domains)))
+    built = build_from(entries)
     one_by_one = build(entries)
-    assert list(bulk.scan_all()) == list(one_by_one.scan_all())
+    assert list(built.scan_all()) == list(one_by_one.scan_all())
+    assert list(map(repr, built.keys)) == list(map(repr, one_by_one.keys))
     expected = [rid for _k, rid in sorted(
         entries, key=lambda e: (model_key(e[0]), e[1])
     )]
-    assert [rid for _k, rid in bulk.scan_all()] == expected
+    assert [rid for _k, rid in built.scan_all()] == expected
+
+
+@given(st.data())
+def test_build_with_key_tail_equals_one_by_one_inserts(data):
+    """A key tail (a secondary index's PK) with duplicate values: the
+    input is in (tail, row id) order and each key ends with its tail."""
+    domain = data.draw(column_domains)
+    entries = data.draw(entry_lists(st.tuples(domain, st.integers(0, 3))))
+    entries.sort(key=lambda e: (model_key(e[0][1:]), e[1]))
+    built = SortedIndex.build(
+        [[key[0] for key, _rid in entries]],
+        [rid for _key, rid in entries],
+        [wrap_key(key[1:]) for key, _rid in entries],
+    )
+    one_by_one = build(entries)
+    assert list(built.scan_all()) == list(one_by_one.scan_all())
+    assert list(map(repr, built.keys)) == list(map(repr, one_by_one.keys))
 
 
 @given(
@@ -147,7 +188,7 @@ def test_bulk_load_equals_one_by_one_inserts(entries):
 def test_scan_prefix_matches_brute_force(
     entries, prefix, low, high, low_inc, high_inc, reverse
 ):
-    index = SortedIndex.bulk_load(2, entries)
+    index = build_from(entries)
     got = [rid for _k, rid in index.scan_prefix(
         prefix, low, high, low_inc, high_inc, reverse=reverse
     )]
@@ -173,7 +214,7 @@ def test_scan_prefix_matches_brute_force(
 
 @given(entry_lists(), st.data())
 def test_delete_after_bulk_load(entries, data):
-    index = SortedIndex.bulk_load(2, entries)
+    index = build_from(entries)
     n = len(entries)
     drop = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     for (key, rid), gone in zip(entries, drop):
@@ -181,5 +222,5 @@ def test_delete_after_bulk_load(entries, data):
             assert index.delete(key, rid) is True
             assert index.delete(key, rid) is False
     remaining = [e for e, gone in zip(entries, drop) if not gone]
-    expected = SortedIndex.bulk_load(2, remaining)
+    expected = build_from(remaining)
     assert list(index.scan_all()) == list(expected.scan_all())

@@ -33,6 +33,19 @@ def test_update_changing_pk_maintains_lookup(db):
     assert moved.rows == [("n3",)]
 
 
+def test_update_of_pk_then_delete_leaves_no_stale_index_entries(indexed_db):
+    """Every secondary key ends with the PK, so an UPDATE of the PK
+    re-keys every secondary index, and a later DELETE removes all."""
+    executor = Executor(indexed_db)
+    storage = indexed_db.storage["orders"]
+    assert executor.execute("UPDATE orders SET oid = 100000 WHERE oid = 3").rowcount == 1
+    assert executor.execute("DELETE FROM orders WHERE oid = 100000").rowcount == 1
+    for structure in (storage.pk_index, *storage.secondary.values()):
+        assert sorted(rid for _k, rid in structure.scan_all()) == sorted(storage.rows)
+    found = executor.execute("SELECT COUNT(*) FROM orders WHERE created >= 0")
+    assert found.rows[0][0] == storage.row_count
+
+
 def test_delete_via_index_path(indexed_db, order_rows):
     executor = Executor(indexed_db)
     expected = sum(1 for o in order_rows if o["created"] < 5000)

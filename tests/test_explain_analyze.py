@@ -117,3 +117,30 @@ def test_actual_to_dict_shape(db):
     assert isinstance(payload["children"], list)
     child_labels = [c["label"] for c in payload["children"]]
     assert any("SeqScan" in label for label in child_labels)
+
+
+def test_indexes_declared_in_ddl_are_built_in_storage():
+    """`explain --analyze` databases build the indexes their DDL declares,
+    so an IndexScan in the plan reads the index instead of degrading to a
+    seq scan over the whole table."""
+    from pathlib import Path
+
+    from repro.cli import build_stored_database
+
+    schema = Path(__file__).parent.parent / "examples" / "cli_files" / "schema.sql"
+    schema_sql = schema.read_text() + (
+        "\nCREATE INDEX idx_orders_user_id ON orders (user_id);\n"
+    )
+    db = build_stored_database(schema_sql, {}, 1000, "innodb")
+    structure = db.storage["orders"].get_index("idx_orders_user_id")
+    assert structure is not None and len(structure) == 1000
+    result = Executor(db).execute(
+        "SELECT amount FROM orders WHERE user_id = 42", analyze=True
+    )
+    assert "IndexScan" in render_explain_analyze(result.plan, result.actual)
+    matches = sum(
+        1 for row in db.storage["orders"].rows.values() if row["user_id"] == 42
+    )
+    assert len(result.rows) == matches
+    assert result.metrics.index_entries_read == matches
+    assert result.metrics.rows_read == matches

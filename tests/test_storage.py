@@ -1,6 +1,7 @@
 """TableStorage tests: row CRUD with index maintenance accounting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Column, INT, Index, Table, varchar
 from repro.engine import ExecutionMetrics
@@ -123,3 +124,84 @@ def test_build_index_matches_insert_path_with_nulls():
     order = [rid for _k, rid in idx_built.scan_all()]
     assert order == [rid for _k, rid in idx_inserted.scan_all()]
     assert order[:3] == [1, 3, 6]   # NULL keys first, tied by PK
+
+
+def test_update_of_primary_key_rekeys_every_secondary_index():
+    storage = make_storage()
+    idx_a = storage.build_index(Index("t", ("a",)))
+    rid = storage.insert_row({"id": 1, "a": 10, "b": "x"})
+    metrics = ExecutionMetrics()
+    storage.update_row(rid, {"id": 5}, metrics)
+    assert [unwrap_key(k) for k, _ in idx_a.scan_all()] == [(10, 5)]
+    assert metrics.index_entries_written == 4   # PK and idx_a, delete + insert
+    storage.delete_row(rid)
+    assert len(idx_a) == 0 and len(storage.pk_index) == 0
+
+
+def test_load_builds_the_pk_and_every_secondary_index():
+    storage = make_storage()
+    storage.build_index(Index("t", ("a",)))
+    storage.insert_row({"id": 9, "a": 1, "b": "z"})
+    assert storage.load([{"id": 3, "a": 2}, {"id": 1, "a": 1, "b": "y"}]) == 2
+    assert [unwrap_key(k) for k, _ in storage.pk_index.scan_all()] == [
+        (1,), (3,), (9,)]
+    assert [unwrap_key(k) for k, _ in storage.get_index("idx_t_a").scan_all()] == [
+        (1, 1), (1, 9), (2, 3)]
+
+
+# ---------------------------------------------------------------------------
+# built indexes equal incrementally maintained ones
+#
+# Small value domains give duplicate PK values and equal keys; the columns
+# mix NULL, bools, ints, floats and strs as loads and DML may.
+
+cell = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 2)
+    | st.floats(-2, 2, allow_nan=False)
+    | st.text(alphabet="ab", max_size=1)
+)
+pk_cell = st.integers(0, 3) | st.none()
+rows = st.fixed_dictionaries({"id": pk_cell, "a": cell, "b": cell})
+ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "update", "delete"]),
+        rows,
+        st.integers(0, 1000),
+        st.sampled_from([("id",), ("a",), ("b",), ("id", "a"), ("a", "b")]),
+    ),
+    max_size=30,
+)
+INDEXES = [Index("t", ("a",)), Index("t", ("b", "a")), Index("t", ("a", "id"))]
+
+
+def entries(index):
+    return [repr(entry) for entry in index.scan_all()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rows, max_size=12), ops)
+def test_built_indexes_equal_incrementally_maintained_ones(loaded, script):
+    storage = make_storage()
+    for index in INDEXES:
+        storage.build_index(index)
+    storage.load(loaded)
+    for op, row, pick, columns in script:
+        ids = sorted(storage.rows)
+        if op == "insert" or not ids:
+            storage.insert_row(row)
+        elif op == "update":
+            storage.update_row(ids[pick % len(ids)], {c: row[c] for c in columns})
+        else:
+            storage.delete_row(ids[pick % len(ids)])
+    incremental = {index.name: entries(storage.get_index(index.name))
+                   for index in INDEXES}
+    for index in INDEXES:
+        storage.drop_index(index)
+        assert entries(storage.build_index(index)) == incremental[index.name]
+    pk = entries(storage.pk_index)
+    storage.load([])
+    assert entries(storage.pk_index) == pk
+    for index in INDEXES:
+        assert entries(storage.get_index(index.name)) == incremental[index.name]

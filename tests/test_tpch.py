@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.catalog import Index
 from repro.executor import Executor
 from repro.optimizer import CostEvaluator
 from repro.sqlparser import parse
@@ -103,3 +104,29 @@ def test_advisor_runs_on_tpch(db10):
     assert result.relative_cost < 0.95
     assert result.total_size_bytes <= 15 << 30
     assert result.runtime_seconds < 30
+
+
+def test_full_clone_reproduces_every_index():
+    """A MyShadow clone of stored TPC-H sf 0.01, with the five indexes the
+    tune_serve benchmark creates, holds every PK and secondary index entry
+    of the original, flat key and row id alike."""
+    db = load_tpch(scale_factor=0.01, seed=1)
+    for table, columns in [
+        ("lineitem", ("l_partkey",)), ("lineitem", ("l_suppkey", "l_quantity")),
+        ("orders", ("o_custkey",)), ("orders", ("o_clerk", "o_orderpriority")),
+        ("orders", ("o_orderdate",)),
+    ]:
+        db.create_index(Index(table, columns))
+    clone = db.full_clone()
+    assert sum(len(s.secondary) for s in clone.storage.values()) == 5
+    for name, storage in db.storage.items():
+        copy = clone.storage[name]
+        assert copy.rows == storage.rows
+        pairs = [(storage.pk_index, copy.pk_index)] + [
+            (index, copy.secondary[index_name])
+            for index_name, index in storage.secondary.items()
+        ]
+        assert set(copy.secondary) == set(storage.secondary)
+        for original, cloned in pairs:
+            assert len(original) == storage.row_count
+            assert list(cloned.scan_all()) == list(original.scan_all())
