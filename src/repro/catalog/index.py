@@ -59,6 +59,11 @@ class Index:
         """Number of key columns."""
         return len(self.columns)
 
+    def create_statement(self) -> str:
+        """The ``CREATE INDEX`` statement for this index (no ``;``)."""
+        return (f"CREATE INDEX {self.name} ON {self.table} "
+                f"({', '.join(self.columns)})")
+
     def materialized(self) -> "Index":
         """The same index with data (dataless flag cleared)."""
         if not self.dataless:

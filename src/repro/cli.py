@@ -7,34 +7,34 @@ statements::
     python -m repro.cli --schema schema.sql --workload workload.sql \\
         --budget 2GiB --rows orders=5000000 --rows users=200000
 
-Subcommands (the bare flag form above implies ``advise``):
+Subcommands (``--help`` lists them, ``COMMAND --help`` their options;
+without one, as above, the command is ``advise``):
 
-* ``advise`` -- run an advisor; ``--trace FILE.json`` additionally writes
-  a Chrome ``trace_event`` file of the run (load in chrome://tracing),
-  and ``--format json`` output carries a ``telemetry`` block.
-* ``obs-report FILE`` -- summarize a previously written trace/telemetry
-  JSON (see ``docs/OBSERVABILITY.md``).
-* ``explain`` -- print the optimizer plan for each workload statement;
-  with ``--analyze`` the statements are *executed* against synthesized
-  rows and each plan node shows estimated vs. actual rows with its
-  Q-error (EXPLAIN ANALYZE).
-* ``fleet-report JOURNAL.jsonl`` -- render the fleet health report
-  (decision audit, regression timeline, digest time series, top
-  estimation errors) from a decision journal written by an instrumented
-  run; ``--json`` emits the structured sections.
-* ``fuzz`` -- run the deterministic workload fuzzer and differential /
-  metamorphic oracles of :mod:`repro.qa` (``--seed``, ``--iters``,
-  ``--oracles``, ``--shrink``); failing cases are minimized and written
-  to ``qa_failures/`` and re-run with ``--replay FILE``.  See
-  ``docs/TESTING.md``.
+* ``advise`` -- run an advisor (AIM, or a baseline via ``--algorithm``);
+  ``--trace FILE.json``, before or after ``advise``, also writes a
+  Chrome ``trace_event`` file of the run (load in chrome://tracing), and
+  ``--format json`` output carries a ``telemetry`` block.
+* ``explain`` -- the optimizer plan of each workload statement; with
+  ``--analyze`` the statements are *executed* against synthesized rows
+  and each plan node shows estimated vs. actual rows and its Q-error.
+* ``fuzz`` -- the deterministic workload fuzzer with the differential
+  and metamorphic oracles of :mod:`repro.qa` (see ``docs/TESTING.md``).
+* ``obs-report FILE...`` -- summarize trace/telemetry JSON files (see
+  ``docs/OBSERVABILITY.md``).
+* ``fleet-report JOURNAL.jsonl`` -- the fleet health report of a
+  decision journal; ``--json`` emits the structured sections.
 
-Workload file format: statements separated by ``;``.  A comment line
+Bad input (a usage error, an unreadable file, malformed DDL, an empty
+workload) is reported as one ``error:`` line on stderr, exit status 2.
+
+Workload file format: statements separated by ``;`` (one inside a
+quoted literal that closes on its line does not split).  A comment line
 ``-- weight: <number>`` immediately before a statement sets its weight
 (execution frequency); the default weight is 1.
 Statements outside the parser dialect or naming unknown tables or
 columns are skipped with one stderr line each (see
-:func:`repro.workload.admit`); ``advise`` exits 2 only when no statement
-is left.
+:func:`repro.workload.admit`); ``advise`` and ``explain`` exit 2 only
+when no statement is left.
 
 Without row data the advisor runs on *synthesized* statistics (row
 counts from ``--rows``/``--default-rows``, NDV heuristics from types and
@@ -45,14 +45,15 @@ re-run against ANALYZE-backed statistics for production use.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .baselines import ALL_ALGORITHMS, AimAlgorithm
-from .catalog import Column, Table, TypeKind
+from .baselines import ALL_ALGORITHMS
+from .catalog import CatalogError, Column, Table, TypeKind
 from .core import AimAdvisor, AimConfig
 from .engine import Database, INNODB, INNODB_HDD, ROCKSDB
 from .executor import Executor, render_explain_analyze
@@ -74,6 +75,10 @@ _SIZE_UNITS = {
 }
 
 
+class CliError(Exception):
+    """Bad input: reported as one ``error:`` line, exit status 2."""
+
+
 def parse_size(text: str) -> int:
     """Parse a human size like ``10GiB``, ``500MB`` or ``1048576``."""
     match = re.fullmatch(r"\s*([0-9]+(?:\.[0-9]+)?)\s*([A-Za-z]*)\s*", text)
@@ -86,10 +91,33 @@ def parse_size(text: str) -> int:
     return int(float(value) * _SIZE_UNITS[unit_key])
 
 
+def parse_row_count(text: str) -> int:
+    """Parse a ``--default-rows`` or ``--rows`` count: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer row count, got {text!r}"
+        )
+    return int(text)
+
+
+def parse_row_hint(text: str) -> tuple[str, int]:
+    """Parse a ``--rows TABLE=COUNT`` hint."""
+    table, sep, count = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected TABLE=COUNT, got {text!r}")
+    return table.strip(), parse_row_count(count)
+
+
+#: A quoted literal that closes on its line, or a statement separator.
+_LITERAL_OR_SEMICOLON = re.compile(r"'[^']*'|\"[^\"]*\"|`[^`]*`|;")
+
+
 def parse_workload_file(text: str) -> Workload:
     """Split a SQL script into weighted statements.
 
-    ``-- weight: N`` comment lines annotate the following statement.
+    ``-- weight: N`` comment lines annotate the following statement.  A
+    ``;`` splits unless it sits inside a quoted literal that closes on
+    the same line.
     """
     queries: list[WorkloadQuery] = []
     pending_weight = 1.0
@@ -108,19 +136,21 @@ def parse_workload_file(text: str) -> Workload:
 
     for raw_line in text.splitlines():
         line = raw_line.strip()
-        weight_match = re.match(r"--\s*weight:\s*([0-9.]+)", line, re.I)
+        weight_match = re.match(r"--\s*weight:\s*([0-9]*\.?[0-9]+)", line, re.I)
         if weight_match:
             pending_weight = float(weight_match.group(1))
             continue
         if line.startswith("--"):
             continue
-        while ";" in line:
-            head, line = line.split(";", 1)
-            buffer.append(head)
-            flush()
-            line = line.strip()
-        if line:
-            buffer.append(line)
+        start = 0
+        for match in _LITERAL_OR_SEMICOLON.finditer(line):
+            if match.group() == ";":
+                buffer.append(line[start:match.start()])
+                flush()
+                start = match.end()
+        rest = line[start:].strip()
+        if rest:
+            buffer.append(rest)
     flush()
     return Workload(queries, name="cli")
 
@@ -144,6 +174,23 @@ def synthesize_column_stats(table: Table, column: Column, rows: int) -> Syntheti
     return SyntheticColumn(ndv=max(2, rows // 10), lo=0, hi=1_000_000)
 
 
+def _ddl_database(schema_sql: str, row_counts: dict[str, int],
+                  default_rows: int, engine: str, stored: bool):
+    """The empty database a DDL script declares, and each table with its
+    row count (its ``--rows`` hint, else *default_rows*).  A script the
+    DDL parser or the catalog rejects raises :class:`CliError`."""
+    try:
+        parsed = parse_ddl(schema_sql)
+        schema = parsed.to_schema()
+    except (ValueError, CatalogError) as exc:   # DdlError, LexError, ...
+        # KeyError's str() quotes its message; take the bare text.
+        detail = exc.args[0] if exc.args else exc
+        raise CliError(f"invalid schema: {detail}") from None
+    db = Database(schema, params=_ENGINES[engine], with_storage=stored,
+                  name="cli")
+    return db, [(t, row_counts.get(t.name, default_rows)) for t in parsed.tables]
+
+
 def build_database(
     schema_sql: str,
     row_counts: dict[str, int],
@@ -151,13 +198,10 @@ def build_database(
     engine: str,
 ) -> Database:
     """Assemble a stats-only database from DDL plus row-count hints."""
-    parsed = parse_ddl(schema_sql)
-    db = Database(
-        parsed.to_schema(), params=_ENGINES[engine],
-        with_storage=False, name="cli",
+    db, tables = _ddl_database(
+        schema_sql, row_counts, default_rows, engine, stored=False
     )
-    for table in parsed.tables:
-        rows = row_counts.get(table.name, default_rows)
+    for table, rows in tables:
         spec = {
             column.name: synthesize_column_stats(table, column, rows)
             for column in table.columns
@@ -200,13 +244,10 @@ def build_stored_database(
 ) -> Database:
     """Assemble a *stored* database (rows + ANALYZE'd statistics) from DDL
     plus row-count hints, for ``explain --analyze`` runs."""
-    parsed = parse_ddl(schema_sql)
-    db = Database(
-        parsed.to_schema(), params=_ENGINES[engine],
-        with_storage=True, name="cli",
+    db, tables = _ddl_database(
+        schema_sql, row_counts, default_rows, engine, stored=True
     )
-    for table in parsed.tables:
-        rows = row_counts.get(table.name, default_rows)
+    for table, rows in tables:
         rng = random.Random(f"{seed}:{table.name}")   # str seeds hash stably
         db.load_rows(
             table.name,
@@ -224,170 +265,99 @@ def build_stored_database(
     return db
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.cli",
-        description="AIM index advisor over SQL schema + workload files.",
-    )
-    parser.add_argument("--trace", default=None, metavar="FILE.json",
-                        help="write a Chrome trace_event file of the run")
-    parser.add_argument("--schema", required=True,
-                        help="path to a CREATE TABLE script")
-    parser.add_argument("--workload", required=True,
-                        help="path to a SQL workload script (see module docs)")
-    parser.add_argument("--budget", type=parse_size, default=parse_size("1GiB"),
-                        help="storage budget, e.g. 10GiB (default 1GiB)")
-    parser.add_argument("--rows", action="append", default=[],
-                        metavar="TABLE=COUNT",
-                        help="row count hint, repeatable")
-    parser.add_argument("--default-rows", type=int, default=1_000_000,
-                        help="row count for tables without a --rows hint")
-    parser.add_argument("--engine", choices=sorted(_ENGINES), default="innodb",
-                        help="storage engine cost profile")
-    parser.add_argument("--join-parameter", type=int, default=2,
-                        help="AIM's j (Sec. IV-C)")
-    parser.add_argument("--max-width", type=int, default=None,
-                        help="optional cap on index width")
-    parser.add_argument("--algorithm", choices=sorted(ALL_ALGORITHMS),
-                        default="aim", help="advisor to run")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
-
-
-def make_explain_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.cli explain",
-        description="Optimizer plans (and, with --analyze, executed "
-        "actuals with per-node Q-error) for workload statements.",
-    )
-    parser.add_argument("--schema", required=True,
-                        help="path to a CREATE TABLE script")
-    parser.add_argument("--workload", default=None,
-                        help="path to a SQL workload script")
-    parser.add_argument("--sql", default=None,
-                        help="a single statement instead of --workload")
-    parser.add_argument("--rows", action="append", default=[],
-                        metavar="TABLE=COUNT",
-                        help="row count hint, repeatable")
-    parser.add_argument("--default-rows", type=int, default=2000,
-                        help="rows to synthesize per table (default 2000; "
-                        "rows are generated and executed, keep it small)")
-    parser.add_argument("--engine", choices=sorted(_ENGINES),
-                        default="innodb", help="storage engine cost profile")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="row synthesis seed")
-    parser.add_argument("--analyze", action="store_true",
-                        help="execute each statement and show actuals")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
-
-
-def make_fuzz_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.cli fuzz",
-        description="Deterministic workload fuzzer with differential and "
-                    "metamorphic oracles (repro.qa).",
-    )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed; case i uses seed+i (default 0)")
-    parser.add_argument("--iters", type=int, default=100,
-                        help="number of cases to generate (default 100)")
-    parser.add_argument("--oracles", default=None, metavar="NAMES",
-                        help="comma-separated oracle subset "
-                             "(default: all)")
-    parser.add_argument("--shrink", action="store_true",
-                        help="minimize failing cases before writing them")
-    parser.add_argument("--out", default="qa_failures",
-                        help="directory for failure repro files "
-                             "(default qa_failures)")
-    parser.add_argument("--max-failures", type=int, default=5,
-                        help="stop after this many failing cases (default 5)")
-    parser.add_argument("--replay", default=None, metavar="FILE",
-                        help="re-run the oracles against a persisted "
-                             "qa_failures file instead of fuzzing")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
-
-
-#: Options of the advise parser that consume a value (subcommand scan).
-_VALUE_FLAGS = {
-    "--trace", "--schema", "--workload", "--budget", "--rows",
-    "--default-rows", "--engine", "--join-parameter", "--max-width",
-    "--algorithm", "--format", "--sql", "--seed",
-    "--iters", "--oracles", "--out", "--max-failures", "--replay",
-}
-
-
-def _split_command(argv: list[str]) -> tuple[str, list[str]]:
-    """Pop the subcommand (first positional token) out of *argv*.
-
-    ``advise`` is the default, so the historical bare-flag invocation
-    keeps working; flags may precede the subcommand
-    (``repro --trace out.json advise --schema ...``).
-    """
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS:
-            i += 2
-        elif token.startswith("-"):
-            i += 1
+def _read_inputs(
+    args: argparse.Namespace, build: Callable[..., Database]
+) -> tuple[Database, Workload]:
+    """Read ``--schema`` and ``--workload`` (or explain's ``--sql``), then
+    ``build`` the database and :func:`admit` the statements it can plan.
+    An unreadable file, an invalid schema or a workload with no plannable
+    statement raises :class:`CliError`."""
+    try:
+        with open(args.schema) as fh:
+            schema_sql = fh.read()
+        if getattr(args, "sql", None) is not None:
+            workload = Workload([WorkloadQuery(args.sql, name="q1")], name="cli")
         else:
-            if token in (
-                "advise", "obs-report", "explain", "fleet-report", "fuzz",
-            ):
-                return token, argv[:i] + argv[i + 1:]
-            return "advise", argv
-    return "advise", argv
+            with open(args.workload) as fh:
+                workload = parse_workload_file(fh.read())
+    except OSError as exc:
+        raise CliError(f"cannot read {exc.filename}: {exc.strerror}") from None
+    if not len(workload):
+        raise CliError("the workload contains no statements")
+    db = build(schema_sql, dict(args.rows), args.default_rows, args.engine)
+    workload, skipped = admit(workload, db.schema)
+    for event in skipped:
+        print(f"warning: skipped statement {event.position} "
+              f"({event.reason}): {event.detail}", file=sys.stderr)
+    if not len(workload):
+        raise CliError("no statement of the workload can be planned")
+    return db, workload
 
 
-def obs_report(argv: Sequence[str]) -> int:
-    """Summarize trace/telemetry JSON files (``repro.cli obs-report``)."""
-    paths = [token for token in argv if not token.startswith("-")]
-    if not paths:
-        print("usage: repro.cli obs-report FILE.json [FILE.json ...]",
-              file=sys.stderr)
-        return 2
-    for path in paths:
+def advise(args: argparse.Namespace) -> int:
+    """``repro.cli advise``: run an advisor, print its recommendation."""
+    db, workload = _read_inputs(args, build_database)
+    if args.algorithm == "aim":
+        config = AimConfig(
+            join_parameter=args.join_parameter,
+            max_index_width=args.max_width,
+        )
+        recommendation = AimAdvisor(db, config).recommend(workload, args.budget)
+        summary = recommendation.summary() + "\n"
+        indexes = recommendation.indexes
+        payload = {
+            "indexes": [
+                {
+                    "table": rec.index.table,
+                    "columns": list(rec.index.columns),
+                    "size_bytes": rec.size_bytes,
+                    "benefit": rec.benefit,
+                    "maintenance": rec.maintenance,
+                    "phase": rec.phase,
+                }
+                for rec in recommendation.created
+            ],
+            "cost_before": recommendation.cost_before,
+            "cost_after": recommendation.cost_after,
+            "improvement": recommendation.improvement,
+            "optimizer_calls": recommendation.optimizer_calls,
+            "runtime_seconds": recommendation.runtime_seconds,
+        }
+    else:
+        result = ALL_ALGORITHMS[args.algorithm](db).select(workload, args.budget)
+        summary = (f"{result.algorithm}: relative cost "
+                   f"{result.relative_cost:.3f}, {len(result.indexes)} indexes")
+        indexes = result.indexes
+        payload = {
+            "algorithm": result.algorithm,
+            "indexes": [
+                {"table": i.table, "columns": list(i.columns)}
+                for i in result.indexes
+            ],
+            "relative_cost": result.relative_cost,
+            "runtime_seconds": result.runtime_seconds,
+            "optimizer_calls": result.optimizer_calls,
+        }
+    if args.format == "json":
+        payload["telemetry"] = telemetry_snapshot()
+        print(json.dumps(payload, indent=2))
+    else:
+        print(summary)
+        for index in indexes:
+            print(f"{index.create_statement()};")
+    if args.trace:
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-        if len(paths) > 1:
-            print(f"== {path} ==")
-        print(render_report(payload))
+            get_tracer().write_chrome_trace(args.trace)
+        except OSError as exc:
+            print(f"error: cannot write trace file: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 
-def explain(argv: Sequence[str]) -> int:
+def explain(args: argparse.Namespace) -> int:
     """``repro.cli explain``: plans, optionally with executed actuals."""
-    args = make_explain_parser().parse_args(list(argv))
-    if (args.sql is None) == (args.workload is None):
-        print("error: give exactly one of --sql or --workload",
-              file=sys.stderr)
-        return 2
-    row_counts: dict[str, int] = {}
-    for hint in args.rows:
-        if "=" not in hint:
-            print(f"error: bad --rows value {hint!r}", file=sys.stderr)
-            return 2
-        table, _, count = hint.partition("=")
-        row_counts[table.strip()] = int(count)
-    with open(args.schema) as fh:
-        schema_sql = fh.read()
-    if args.sql is not None:
-        workload = Workload([WorkloadQuery(args.sql, name="q1")], name="cli")
-    else:
-        with open(args.workload) as fh:
-            workload = parse_workload_file(fh.read())
-    if not len(workload):
-        print("error: nothing to explain", file=sys.stderr)
-        return 2
-
-    db = build_stored_database(
-        schema_sql, row_counts, args.default_rows, args.engine, args.seed
+    db, workload = _read_inputs(
+        args, functools.partial(build_stored_database, seed=args.seed)
     )
     executor = Executor(db)
     reports = []
@@ -424,28 +394,7 @@ def explain(argv: Sequence[str]) -> int:
     return 0
 
 
-def fleet_report(argv: Sequence[str]) -> int:
-    """``repro.cli fleet-report``: render a decision-journal report."""
-    as_json = "--json" in argv
-    paths = [token for token in argv if not token.startswith("-")]
-    if len(paths) != 1:
-        print("usage: repro.cli fleet-report JOURNAL.jsonl [--json]",
-              file=sys.stderr)
-        return 2
-    try:
-        records = read_events(paths[0])
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read journal {paths[0]}: {exc}",
-              file=sys.stderr)
-        return 2
-    if as_json:
-        print(json.dumps(fleet_report_data(records), indent=2))
-    else:
-        print(render_fleet_report(records))
-    return 0
-
-
-def fuzz(argv: Sequence[str]) -> int:
+def fuzz(args: argparse.Namespace) -> int:
     """``repro.cli fuzz``: deterministic fuzzing with the qa oracles.
 
     Exit status: 0 when every oracle held on every case, 1 when at
@@ -454,29 +403,22 @@ def fuzz(argv: Sequence[str]) -> int:
     """
     from .qa import ORACLES, replay_case, run_fuzz
 
-    args = make_fuzz_parser().parse_args(list(argv))
     names = None
     if args.oracles:
         names = [n.strip() for n in args.oracles.split(",") if n.strip()]
         unknown = [n for n in names if n not in ORACLES]
         if unknown:
-            print(f"error: unknown oracle(s) {', '.join(unknown)}; "
-                  f"choose from {', '.join(sorted(ORACLES))}",
-                  file=sys.stderr)
-            return 2
+            raise CliError(f"unknown oracle(s) {', '.join(unknown)}; "
+                           f"choose from {', '.join(sorted(ORACLES))}")
 
     if args.replay is not None:
         try:
             report = replay_case(args.replay, oracles=names)
-        except (OSError, KeyError, ValueError,
-                json.JSONDecodeError) as exc:
-            print(f"error: cannot replay {args.replay}: {exc}",
-                  file=sys.stderr)
-            return 2
+        except (OSError, KeyError, ValueError) as exc:
+            raise CliError(f"cannot replay {args.replay}: {exc}") from None
     else:
         if args.iters < 1:
-            print("error: --iters must be >= 1", file=sys.stderr)
-            return 2
+            raise CliError("--iters must be >= 1")
 
         def progress(done: int, total: int, failures: int) -> None:
             if done % 50 == 0 or done == total:
@@ -514,115 +456,160 @@ def fuzz(argv: Sequence[str]) -> int:
     return 1
 
 
-def _write_trace(path: Optional[str]) -> int:
-    if path:
+def obs_report(args: argparse.Namespace) -> int:
+    """``repro.cli obs-report``: summarize trace/telemetry JSON files."""
+    for path in args.paths:
         try:
-            get_tracer().write_chrome_trace(path)
-        except OSError as exc:
-            print(f"error: cannot write trace file: {exc}", file=sys.stderr)
-            return 1
+            with open(path) as fh:
+                payload = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CliError(f"cannot read {path}: {exc}") from None
+        if len(args.paths) > 1:
+            print(f"== {path} ==")
+        print(render_report(payload))
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    command, argv = _split_command(argv)
-    if command == "obs-report":
-        return obs_report(argv)
-    if command == "explain":
-        return explain(argv)
-    if command == "fleet-report":
-        return fleet_report(argv)
-    if command == "fuzz":
-        return fuzz(argv)
-    args = make_parser().parse_args(argv)
-    row_counts: dict[str, int] = {}
-    for hint in args.rows:
-        if "=" not in hint:
-            print(f"error: bad --rows value {hint!r}", file=sys.stderr)
-            return 2
-        table, _, count = hint.partition("=")
-        row_counts[table.strip()] = int(count)
-
-    with open(args.schema) as fh:
-        schema_sql = fh.read()
-    with open(args.workload) as fh:
-        workload = parse_workload_file(fh.read())
-    if not len(workload):
-        print("error: the workload file contains no statements", file=sys.stderr)
-        return 2
-
-    db = build_database(schema_sql, row_counts, args.default_rows, args.engine)
-    workload, skipped = admit(workload, db.schema)
-    for event in skipped:
-        print(f"warning: skipped statement {event.position} "
-              f"({event.reason}): {event.detail}", file=sys.stderr)
-    if not len(workload):
-        print("error: no statement of the workload can be planned",
-              file=sys.stderr)
-        return 2
-
-    return _advise(args, db, workload)
-
-
-def _advise(args, db: Database, workload: Workload) -> int:
-    if args.algorithm == "aim":
-        config = AimConfig(
-            join_parameter=args.join_parameter,
-            max_index_width=args.max_width,
-        )
-        recommendation = AimAdvisor(db, config).recommend(workload, args.budget)
-        if args.format == "json":
-            payload = {
-                "indexes": [
-                    {
-                        "table": rec.index.table,
-                        "columns": list(rec.index.columns),
-                        "size_bytes": rec.size_bytes,
-                        "benefit": rec.benefit,
-                        "maintenance": rec.maintenance,
-                        "phase": rec.phase,
-                    }
-                    for rec in recommendation.created
-                ],
-                "cost_before": recommendation.cost_before,
-                "cost_after": recommendation.cost_after,
-                "improvement": recommendation.improvement,
-                "optimizer_calls": recommendation.optimizer_calls,
-                "runtime_seconds": recommendation.runtime_seconds,
-                "telemetry": telemetry_snapshot(),
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print(recommendation.summary())
-            print()
-            for index in recommendation.indexes:
-                print(f"CREATE INDEX {index.name} ON "
-                      f"{index.table} ({', '.join(index.columns)});")
-        return _write_trace(args.trace)
-
-    algorithm = ALL_ALGORITHMS[args.algorithm](db)
-    result = algorithm.select(workload, args.budget)
-    if args.format == "json":
-        payload = {
-            "algorithm": result.algorithm,
-            "indexes": [
-                {"table": i.table, "columns": list(i.columns)}
-                for i in result.indexes
-            ],
-            "relative_cost": result.relative_cost,
-            "runtime_seconds": result.runtime_seconds,
-            "optimizer_calls": result.optimizer_calls,
-            "telemetry": telemetry_snapshot(),
-        }
-        print(json.dumps(payload, indent=2))
+def fleet_report(args: argparse.Namespace) -> int:
+    """``repro.cli fleet-report``: render a decision-journal report."""
+    try:
+        records = read_events(args.journal)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read journal {args.journal}: {exc}") from None
+    if args.json:
+        print(json.dumps(fleet_report_data(records), indent=2))
     else:
-        print(f"{result.algorithm}: relative cost "
-              f"{result.relative_cost:.3f}, {len(result.indexes)} indexes")
-        for index in result.indexes:
-            print(f"CREATE INDEX {index.materialized().name} ON "
-                  f"{index.table} ({', '.join(index.columns)});")
-    return _write_trace(args.trace)
+        print(render_fleet_report(records))
+    return 0
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises :class:`CliError` on a usage error instead of exiting."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
+
+
+def _input_options(default_rows: int, rows_help: str) -> argparse.ArgumentParser:
+    """The schema and row-count options ``advise`` and ``explain`` share."""
+    parent = _ArgumentParser(add_help=False)
+    arg = parent.add_argument
+    arg("--schema", required=True, help="path to a CREATE TABLE script")
+    arg("--rows", action="append", default=[], type=parse_row_hint,
+        metavar="TABLE=COUNT", help="row count hint, repeatable")
+    arg("--default-rows", type=parse_row_count, default=default_rows,
+        help=rows_help)
+    arg("--engine", choices=sorted(_ENGINES), default="innodb",
+        help="storage engine cost profile")
+    return parent
+
+
+def make_parser() -> argparse.ArgumentParser:
+    """The command line: one subparser per subcommand, whose ``run``
+    default is the function that runs it; ``commands`` maps their names
+    to them."""
+    parser = _ArgumentParser(
+        prog="repro.cli", epilog="Without a subcommand the command is advise.",
+        description="AIM index advisor over SQL schema + workload files.",
+    )
+    commands = parser.add_subparsers(title="subcommands", metavar="COMMAND")
+    parser.commands = commands.choices
+    output = _ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+
+    def command(name, run, summary, *parents) -> argparse.ArgumentParser:
+        cmd = commands.add_parser(name, help=summary, description=summary,
+                                  parents=list(parents))
+        cmd.set_defaults(run=run)
+        return cmd
+
+    arg = command(
+        "advise", advise, "Recommend indexes (the default subcommand).",
+        _input_options(1_000_000, "row count for tables without a --rows hint"),
+        output,
+    ).add_argument
+    arg("--trace", metavar="FILE.json",
+        help="write a Chrome trace_event file of the run")
+    arg("--workload", required=True,
+        help="path to a SQL workload script (see module docs)")
+    arg("--budget", type=parse_size, default=parse_size("1GiB"),
+        help="storage budget, e.g. 10GiB (default 1GiB)")
+    arg("--join-parameter", type=int, default=2, help="AIM's j (Sec. IV-C)")
+    arg("--max-width", type=int, default=None,
+        help="optional cap on index width")
+    arg("--algorithm", choices=sorted(ALL_ALGORITHMS), default="aim",
+        help="advisor to run")
+
+    cmd = command(
+        "explain", explain, "Optimizer plans (and, with --analyze, executed "
+        "actuals with per-node Q-error) for workload statements.",
+        _input_options(2000, "rows to synthesize per table (default 2000; "
+                       "rows are generated and executed, keep it small)"),
+        output,
+    )
+    source = cmd.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workload", help="path to a SQL workload script")
+    source.add_argument("--sql", help="a single statement instead of --workload")
+    cmd.add_argument("--seed", type=int, default=7, help="row synthesis seed")
+    cmd.add_argument("--analyze", action="store_true",
+                     help="execute each statement and show actuals")
+
+    arg = command(
+        "fuzz", fuzz, "Deterministic workload fuzzer with differential and "
+        "metamorphic oracles (repro.qa).", output,
+    ).add_argument
+    arg("--seed", type=int, default=0,
+        help="base seed; case i uses seed+i (default 0)")
+    arg("--iters", type=int, default=100,
+        help="number of cases to generate (default 100)")
+    arg("--oracles", metavar="NAMES",
+        help="comma-separated oracle subset (default: all)")
+    arg("--shrink", action="store_true",
+        help="minimize failing cases before writing them")
+    arg("--out", default="qa_failures",
+        help="directory for failure repro files (default qa_failures)")
+    arg("--max-failures", type=int, default=5,
+        help="stop after this many failing cases (default 5)")
+    arg("--replay", metavar="FILE", help="re-run the oracles against a "
+        "persisted qa_failures file instead of fuzzing")
+
+    command("obs-report", obs_report, "Summarize trace/telemetry JSON files."
+            ).add_argument("paths", nargs="+", metavar="FILE.json")
+    arg = command("fleet-report", fleet_report,
+                  "Render the fleet health report of a decision journal."
+                  ).add_argument
+    arg("journal", metavar="JOURNAL.jsonl")
+    arg("--json", action="store_true", help="emit the structured sections")
+    return parser
+
+
+def _with_command(argv: list[str], commands: Iterable[str]) -> list[str]:
+    """*argv* with its subcommand first.  A subcommand after a leading
+    ``--trace FILE`` moves before it; without one the command is
+    ``advise``."""
+    lead = argv[0] if argv else ""
+    first = 2 if lead == "--trace" else 1 if lead.startswith("--trace=") else 0
+    if argv[first:first + 1] and argv[first] in (*commands, "-h", "--help"):
+        return [argv[first], *argv[:first], *argv[first + 1:]]
+    return ["advise", *argv]
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand and return its exit status.
+
+    Never raises ``SystemExit``: ``--help`` returns 0, and usage errors
+    and bad inputs print one ``error:`` line and return 2.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = make_parser()
+    try:
+        args = parser.parse_args(_with_command(argv, parser.commands))
+        return args.run(args)
+    except SystemExit as exc:   # --help
+        return exc.code or 0
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

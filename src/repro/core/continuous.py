@@ -8,7 +8,7 @@ tuner also detects and drops unused and prefix-redundant indexes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..catalog import Index
@@ -100,20 +100,7 @@ class ContinuousTuner:
         self.selection = selection
         self.drop_unused = drop_unused
         # Continuous mode always evaluates against the current config.
-        self.config = AimConfig(
-            join_parameter=config.join_parameter,
-            max_index_width=config.max_index_width,
-            merge_orders=config.merge_orders,
-            use_dataless_guidance=config.use_dataless_guidance,
-            ipp_relaxation_rows=config.ipp_relaxation_rows,
-            covering=config.covering,
-            covering_phase=config.covering_phase,
-            covering_weight_fraction=config.covering_weight_fraction,
-            lambda2=config.lambda2,
-            lambda3=config.lambda3,
-            validate=config.validate,
-            relative_to_current=True,
-        )
+        self.config = replace(config, relative_to_current=True)
         self.history: list[TuningCycleResult] = []
 
     def run_cycle(self, workload: Optional[Workload] = None) -> TuningCycleResult:
@@ -184,9 +171,8 @@ class ContinuousTuner:
         return result
 
     def _emit_ddl(self, action: str, index: Index) -> None:
-        columns = ", ".join(index.columns)
         if action == "create":
-            statement = f"CREATE INDEX {index.name} ON {index.table} ({columns})"
+            statement = index.create_statement()
         else:
             statement = f"DROP INDEX {index.name} ON {index.table}"
         emit(

@@ -42,8 +42,7 @@ class IndexRecommendation:
     def explanation(self) -> str:
         """Metrics-driven justification for this index."""
         lines = [
-            f"CREATE INDEX {self.index.name} ON "
-            f"{self.index.table} ({', '.join(self.index.columns)})",
+            self.index.create_statement(),
             f"  phase: {self.phase}  size: {format_bytes(self.size_bytes)}",
             f"  expected gain: {self.benefit:.3f} cost units/interval, "
             f"maintenance overhead: {self.maintenance:.3f}, "

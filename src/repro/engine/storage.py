@@ -11,7 +11,7 @@ build indexes column-wise with :meth:`SortedIndex.build`.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 from ..catalog import Index, Table
 from .btree import SortedIndex
@@ -121,9 +121,6 @@ class TableStorage:
 
     def get_row(self, row_id: int) -> dict[str, Any]:
         return self.rows[row_id]
-
-    def all_row_ids(self) -> Iterator[int]:
-        return iter(self.rows.keys())
 
     @property
     def row_count(self) -> int:

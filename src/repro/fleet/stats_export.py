@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..engine import ExecutionMetrics
 from ..obs import WorkloadDigest, emit, get_registry
 from ..workload import QueryStatistics, WorkloadMonitor
 from .replica import ReplicaSet
@@ -43,7 +42,6 @@ class StatsWarehouse:
 
     def __init__(self) -> None:
         self.monitors: dict[str, WorkloadMonitor] = {}
-        self.engine_totals: dict[str, ExecutionMetrics] = {}
 
     def ingest(self, database: str, records: list[QueryStatistics]) -> None:
         monitor = self.monitors.setdefault(database, WorkloadMonitor())
@@ -54,25 +52,6 @@ class StatsWarehouse:
         get_registry().counter(
             "warehouse.records_ingested", "statistics records ingested"
         ).inc(len(records), database=database)
-
-    def ingest_engine_metrics(
-        self, database: str, metrics: ExecutionMetrics
-    ) -> None:
-        """Fold one machine's engine counters into the per-database totals
-        (the global-status-variable side of the statistics export)."""
-        totals = self.engine_totals.setdefault(database, ExecutionMetrics())
-        totals.merge(metrics)
-        registry = get_registry()
-        for name, value in metrics.as_dict().items():
-            if value:
-                registry.counter(f"warehouse.engine.{name}").inc(
-                    value, database=database
-                )
-
-    def engine_snapshot(self, database: str) -> dict[str, int]:
-        """The aggregated engine counters for one database, as a dict."""
-        totals = self.engine_totals.get(database)
-        return totals.as_dict() if totals is not None else {}
 
     def monitor_for(self, database: str) -> WorkloadMonitor:
         return self.monitors.setdefault(database, WorkloadMonitor())

@@ -107,9 +107,6 @@ class QueryInfo:
         default=None, repr=False, compare=False
     )
 
-    def table_of(self, binding: str) -> str:
-        return self.bindings[binding]
-
     def sargable_filters(self, binding: str) -> list[AtomicPredicate]:
         """Filter predicates an index on *binding* could serve."""
         return [p for p in self.filters.get(binding, []) if p.is_sargable]

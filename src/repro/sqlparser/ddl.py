@@ -18,7 +18,6 @@ advisor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..catalog import (
     BIGINT,
@@ -37,7 +36,8 @@ from ..catalog import (
     varchar,
 )
 from .lexer import tokenize
-from .tokens import Token, TokenKind
+from .parser import _Parser
+from .tokens import TokenKind
 
 _TYPE_MAP: dict[str, ColumnType] = {
     "INT": INT, "INTEGER": INT, "SMALLINT": INT, "TINYINT": INT,
@@ -72,51 +72,14 @@ class ParsedDdl:
 
 def parse_ddl(sql: str) -> ParsedDdl:
     """Parse a script of semicolon-separated DDL statements."""
-    parser = _DdlParser(tokenize(sql))
-    return parser.parse_script()
+    return _DdlParser(tokenize(sql)).parse_script()
 
 
-class _DdlParser:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._pos = 0
+class _DdlParser(_Parser):
+    """The SQL parser's token cursor over the DDL grammar; its errors are
+    raised as :class:`DdlError`."""
 
-    @property
-    def _cur(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self._cur
-        if token.kind is not TokenKind.EOF:
-            self._pos += 1
-        return token
-
-    def _accept_keyword(self, *words: str) -> Optional[Token]:
-        if self._cur.is_keyword(*words):
-            return self._advance()
-        return None
-
-    def _expect_keyword(self, word: str) -> Token:
-        if not self._cur.is_keyword(word):
-            raise DdlError(f"expected {word} at offset {self._cur.pos}")
-        return self._advance()
-
-    def _expect_symbol(self, symbol: str) -> Token:
-        if not self._cur.is_symbol(symbol):
-            raise DdlError(
-                f"expected {symbol!r} at offset {self._cur.pos}, got {self._cur.text!r}"
-            )
-        return self._advance()
-
-    def _accept_symbol(self, symbol: str) -> Optional[Token]:
-        if self._cur.is_symbol(symbol):
-            return self._advance()
-        return None
-
-    def _expect_ident(self) -> str:
-        if self._cur.kind is TokenKind.IDENT:
-            return self._advance().text
-        raise DdlError(f"expected identifier at offset {self._cur.pos}")
+    _error = DdlError
 
     def parse_script(self) -> ParsedDdl:
         result = ParsedDdl()
@@ -177,11 +140,9 @@ class _DdlParser:
                 self._expect_keyword("KEY")
                 inline_pk = True
                 nullable = False
-            elif self._accept_keyword("UNIQUE", "KEY"):
-                pass
             elif self._cur.kind in (TokenKind.IDENT, TokenKind.KEYWORD,
                                     TokenKind.NUMBER, TokenKind.STRING):
-                self._advance()   # DEFAULT <value>, AUTO_INCREMENT, ...
+                self._advance()   # DEFAULT <value>, AUTO_INCREMENT, UNIQUE, ...
             else:
                 raise DdlError(
                     f"unexpected token {self._cur.text!r} in column definition"
@@ -192,8 +153,8 @@ class _DdlParser:
         type_name = self._expect_ident().upper()
         length = None
         if self._accept_symbol("("):
-            if self._cur.kind is not TokenKind.NUMBER:
-                raise DdlError("expected a length in type parentheses")
+            if self._cur.kind is not TokenKind.NUMBER:   # not even LIMIT's `?`
+                raise self._error("expected a length in type parentheses")
             length = int(float(self._advance().text))
             if self._accept_symbol(","):
                 self._advance()    # scale, ignored
@@ -215,11 +176,3 @@ class _DdlParser:
         table = self._expect_ident()
         columns = self._parse_column_list()
         return Index(table, columns, unique=unique)
-
-    def _parse_column_list(self) -> tuple[str, ...]:
-        self._expect_symbol("(")
-        columns = [self._expect_ident()]
-        while self._accept_symbol(","):
-            columns.append(self._expect_ident())
-        self._expect_symbol(")")
-        return tuple(columns)

@@ -49,7 +49,13 @@ def parse_select(sql: str) -> ast.Select:
 
 
 class _Parser:
-    """Stateful cursor over a token list."""
+    """Stateful cursor over a token list.
+
+    ``_error`` is the exception the cursor primitives and ``_parse_int``
+    raise; a grammar that reuses them (the DDL parser) sets its own.
+    """
+
+    _error: type[ValueError] = ParseError
 
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
@@ -79,22 +85,31 @@ class _Parser:
 
     def _expect_keyword(self, word: str) -> Token:
         if not self._cur.is_keyword(word):
-            raise ParseError(f"expected {word} at offset {self._cur.pos}, got {self._cur.text!r}")
+            raise self._error(f"expected {word} at offset {self._cur.pos}, got {self._cur.text!r}")
         return self._advance()
 
     def _expect_symbol(self, symbol: str) -> Token:
         if not self._cur.is_symbol(symbol):
-            raise ParseError(
+            raise self._error(
                 f"expected {symbol!r} at offset {self._cur.pos}, got {self._cur.text!r}"
             )
         return self._advance()
 
     def _expect_ident(self) -> str:
         if self._cur.kind is not TokenKind.IDENT:
-            raise ParseError(
+            raise self._error(
                 f"expected identifier at offset {self._cur.pos}, got {self._cur.text!r}"
             )
         return self._advance().text
+
+    def _parse_column_list(self) -> tuple[str, ...]:
+        """``(ident [, ident ...])``: INSERT's and the DDL's column lists."""
+        self._expect_symbol("(")
+        columns = [self._expect_ident()]
+        while self._accept_symbol(","):
+            columns.append(self._expect_ident())
+        self._expect_symbol(")")
+        return tuple(columns)
 
     # -- statements ----------------------------------------------------------
 
@@ -233,22 +248,18 @@ class _Parser:
             # Normalized queries carry `LIMIT ?`; treat as a nominal bound.
             self._advance()
             return -1
-        raise ParseError(f"expected integer at offset {self._cur.pos}")
+        raise self._error(f"expected integer at offset {self._cur.pos}")
 
     def _parse_insert(self) -> ast.Insert:
         self._expect_keyword("INSERT")
         self._expect_keyword("INTO")
         table = self._parse_table_ref()
-        self._expect_symbol("(")
-        columns = [self._expect_ident()]
-        while self._accept_symbol(","):
-            columns.append(self._expect_ident())
-        self._expect_symbol(")")
+        columns = self._parse_column_list()
         self._expect_keyword("VALUES")
         rows = [self._parse_value_row()]
         while self._accept_symbol(","):
             rows.append(self._parse_value_row())
-        return ast.Insert(table, tuple(columns), tuple(rows))
+        return ast.Insert(table, columns, tuple(rows))
 
     def _parse_value_row(self) -> tuple[ast.Expr, ...]:
         self._expect_symbol("(")

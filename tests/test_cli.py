@@ -64,6 +64,16 @@ def test_parse_workload_file_weights_and_splitting():
     assert workload.queries[1].weight == 40.0
     assert workload.queries[2].weight == 1.0
     assert workload.queries[2].is_dml
+    # A ';' inside a literal that closes on its line does not split; one
+    # after an unterminated quote still ends the statement.
+    quoted = parse_workload_file(
+        "SELECT * FROM t WHERE b = 'x;y' AND a = 2;\n"
+        "SELECT 'unterminated FROM users;\n"
+    )
+    assert [query.sql for query in quoted.queries] == [
+        "SELECT * FROM t WHERE b = 'x;y' AND a = 2",
+        "SELECT 'unterminated FROM users",
+    ]
 
 
 def test_cli_text_output(files, capsys):
@@ -222,3 +232,80 @@ def test_cli_all_junk_workload_exits_2(files, tmp_path, capsys):
     assert main(["--schema", str(schema), "--workload", str(junk)]) == 2
     err = capsys.readouterr().err
     assert "error: no statement of the workload can be planned" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--schema", "{tmp}/missing.sql", "--workload", "{workload}"],
+    ["--schema", "{schema}", "--workload", "{tmp}/missing.sql"],
+    ["--schema", "{workload}", "--workload", "{workload}"],
+    ["--schema", "{schema}", "--workload", "{workload}",
+     "--rows", "orders=abc"],
+    ["--schema", "{schema}", "--workload", "{workload}",
+     "--rows", "orders=-5"],
+    ["--schema", "{schema}", "--workload", "{workload}", "--rows", "500"],
+    ["explain", "--schema", "{schema}", "--workload", "{workload}",
+     "--rows", "orders=x"],
+    ["fleet-report", "{tmp}/journal.jsonl", "--bogus"],
+    ["--schema", "{schema}", "--workload", "{workload}",
+     "--default-rows", "-5"],
+], ids=["missing-schema", "missing-workload", "malformed-ddl", "rows-abc",
+        "rows-negative", "rows-no-table", "explain-rows-x",
+        "fleet-report-unknown-flag", "default-rows-negative"])
+def test_cli_bad_input_is_one_error_line(files, tmp_path, capsys, argv):
+    schema, workload = files
+    (tmp_path / "journal.jsonl").write_text("")
+    argv = [arg.format(tmp=tmp_path, schema=schema, workload=workload)
+            for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_cli_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for command in ("advise", "explain", "fuzz", "obs-report",
+                    "fleet-report"):
+        assert command in out
+
+
+def test_cli_explain_skips_junk_statements(files, tmp_path, capsys):
+    schema, _ = files
+    dirty = tmp_path / "dirty.sql"
+    dirty.write_text(JUNK_SQL + WORKLOAD_SQL)
+    assert main(["explain", "--schema", str(schema), "--workload", str(dirty),
+                 "--default-rows", "50"]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(" (")[0] for line in captured.err.splitlines()] == [
+        f"warning: skipped statement {position}" for position in (1, 2, 3, 4)
+    ]
+    headers = [line.split(":")[0] for line in captured.out.splitlines()
+               if line.startswith("-- q")]
+    assert headers == ["-- q5", "-- q6", "-- q7"]
+
+
+@pytest.mark.parametrize("prefix, suffix", [
+    (["--trace", "{trace}", "advise"], []),
+    (["--trace", "{trace}"], []),
+    (["--trace={trace}"], []),
+    (["advise"], ["--trace", "{trace}"]),
+], ids=["before-advise", "bare-flags", "bare-flags-equals", "after-advise"])
+def test_cli_trace_forms_write_a_trace(files, tmp_path, capsys, prefix, suffix):
+    schema, workload = files
+    trace = tmp_path / "trace.json"
+    argv = [*prefix, "--schema", str(schema), "--workload", str(workload),
+            *suffix]
+    assert main([arg.format(trace=trace) for arg in argv]) == 0
+    assert "traceEvents" in json.loads(trace.read_text())
+
+
+def test_cli_trace_is_an_advise_option(files, tmp_path, capsys):
+    schema, workload = files
+    trace = tmp_path / "trace.json"
+    assert main(["--trace", str(trace), "explain", "--schema", str(schema),
+                 "--workload", str(workload)]) == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+    assert not trace.exists()

@@ -96,3 +96,33 @@ def test_tuner_noop_on_empty_monitor(db):
     tuner = ContinuousTuner(db, budget_bytes=20 << 20)
     result = tuner.run_cycle()
     assert not result.changed
+
+
+def test_tuner_keeps_every_config_field(db):
+    """Continuous mode overrides relative_to_current and nothing else."""
+    from dataclasses import fields, replace
+
+    from repro.core import AimConfig, CoveringPolicy
+
+    config = AimConfig(
+        join_parameter=3,
+        max_index_width=4,
+        merge_orders=False,
+        use_dataless_guidance=False,
+        ipp_relaxation_rows=5_000.0,
+        covering=CoveringPolicy(seek_threshold=7.0, min_weight=2.0),
+        covering_phase=False,
+        covering_weight_fraction=0.5,
+        lambda2=0.2,
+        lambda3=0.3,
+        validate=False,
+    )
+    defaults = AimConfig()
+    # Every field but the overridden one differs from its default, so a
+    # field the tuner dropped would come back as its default and show.
+    assert [
+        f.name for f in fields(AimConfig)
+        if getattr(config, f.name) == getattr(defaults, f.name)
+    ] == ["relative_to_current"]
+    tuner = ContinuousTuner(db, budget_bytes=20 << 20, config=config)
+    assert tuner.config == replace(config, relative_to_current=True)

@@ -101,3 +101,9 @@ def test_to_schema_registers_everything():
 def test_unsupported_create_raises():
     with pytest.raises(DdlError):
         parse_ddl("CREATE VIEW v (a INT);")
+
+
+@pytest.mark.parametrize("length", ["?", "n", ""])
+def test_type_length_must_be_a_number(length):
+    with pytest.raises(DdlError, match="expected a length"):
+        parse_ddl(f"CREATE TABLE t (id INT PRIMARY KEY, b VARCHAR({length}))")
