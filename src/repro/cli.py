@@ -100,6 +100,21 @@ def parse_row_count(text: str) -> int:
     return int(text)
 
 
+def int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type=`` accepting an integer >= *minimum*."""
+    def parse(text: str) -> int:
+        try:
+            value: Optional[int] = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+    return parse
+
+
 def parse_row_hint(text: str) -> tuple[str, int]:
     """Parse a ``--rows TABLE=COUNT`` hint."""
     table, sep, count = text.partition("=")
@@ -534,8 +549,9 @@ def make_parser() -> argparse.ArgumentParser:
         help="path to a SQL workload script (see module docs)")
     arg("--budget", type=parse_size, default=parse_size("1GiB"),
         help="storage budget, e.g. 10GiB (default 1GiB)")
-    arg("--join-parameter", type=int, default=2, help="AIM's j (Sec. IV-C)")
-    arg("--max-width", type=int, default=None,
+    arg("--join-parameter", type=int_at_least(0), default=2,
+        help="AIM's j (Sec. IV-C)")
+    arg("--max-width", type=int_at_least(1), default=None,
         help="optional cap on index width")
     arg("--algorithm", choices=sorted(ALL_ALGORITHMS), default="aim",
         help="advisor to run")

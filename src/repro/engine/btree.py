@@ -156,21 +156,18 @@ class SortedIndex:
             return True
         return False
 
-    def scan_prefix(
+    def span(
         self,
         prefix: Sequence[Any],
         low: Any = None,
         high: Any = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-        reverse: bool = False,
-    ) -> Iterator[tuple[tuple, int]]:
-        """Scan entries matching an equality *prefix*, optionally bounded
-        on the next key column by [low, high] (``None`` = unbounded).
-
-        Yields ``(flat_key, row_id)`` pairs in key order, or in reverse
-        key order with ``reverse=True``.
-        """
+    ) -> tuple[int, int]:
+        """Positions ``[lo, hi)`` of the entries matching an equality
+        *prefix*, optionally bounded on the next key column by [low, high]
+        (``None`` = unbounded): ``rids[lo:hi]`` are their row ids in key
+        order."""
         flat = wrap_key(prefix)
         lo_key = flat
         if low is not None:
@@ -184,7 +181,20 @@ class SortedIndex:
             if high_inclusive:
                 hi_key += (_ABOVE,)
         lo = bisect_left(self.keys, lo_key)
-        hi = bisect_left(self.keys, hi_key, lo)
+        return lo, bisect_left(self.keys, hi_key, lo)
+
+    def scan_prefix(
+        self,
+        prefix: Sequence[Any],
+        low: Any = None,
+        high: Any = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+        reverse: bool = False,
+    ) -> Iterator[tuple[tuple, int]]:
+        """The entries of :meth:`span` as ``(flat_key, row_id)`` pairs, in
+        key order, or in reverse key order with ``reverse=True``."""
+        lo, hi = self.span(prefix, low, high, low_inclusive, high_inclusive)
         positions = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
         return zip(
             map(self.keys.__getitem__, positions),

@@ -166,8 +166,11 @@ class Database:
             name=name or f"{self.name}-shadow",
         )
         clone.stats = self.stats
+        # The clone's row ids are compact: tombstones are not copied.
         for table_name, storage in self.storage.items():
-            clone.load_rows(table_name, storage.rows.values())
+            clone.storage[table_name].load_columns({
+                name: storage.column_values(name) for name in storage.columns
+            })
         return clone
 
     # -- internals ----------------------------------------------------------

@@ -1,17 +1,26 @@
-"""Row storage with index maintenance.
+"""Column-list table storage with index maintenance.
 
-Each :class:`TableStorage` keeps rows as dicts addressed by a synthetic
-row id, a clustered primary key index, and one :class:`SortedIndex` per
-materialized secondary index.  All row-level mutation paths account their
-index maintenance work in the supplied :class:`ExecutionMetrics`, which is
-what Eq. 8's ``cost_u`` is measured from.  Bulk loads and CREATE INDEX
-build indexes column-wise with :meth:`SortedIndex.build`.
+Each :class:`TableStorage` keeps one Python list per column, indexed by
+row id: ids are allocated ascending and never reused, so a row id is its
+slot in every list.  A delete leaves a tombstone -- ``alive[row_id]`` is 0
+and the row's values are dropped -- so a scan walks id ranges and skips
+tombstones, and no row moves.  A row dict is built only on request
+(:meth:`TableStorage.row`, the read-only :attr:`TableStorage.rows` view).
+
+The storage also holds a clustered primary key index and one
+:class:`SortedIndex` per materialized secondary index.  All row-level
+mutation paths account their index maintenance work in the supplied
+:class:`ExecutionMetrics`, which is what Eq. 8's ``cost_u`` is measured
+from.  Bulk loads and CREATE INDEX build indexes column-wise with
+:meth:`SortedIndex.build`.  The modeled I/O (page counts from the row
+count and row width) stays that of a row store.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Any, Iterable, Mapping, Optional
+from collections.abc import Mapping
+from itertools import compress, repeat
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..catalog import Index, Table
 from .btree import SortedIndex
@@ -23,12 +32,21 @@ class StorageError(RuntimeError):
 
 
 class TableStorage:
-    """In-memory row store for one table."""
+    """In-memory column-list store for one table."""
 
     def __init__(self, table: Table):
         self.table = table
-        self.rows: dict[int, dict[str, Any]] = {}
-        self._next_id = 0
+        #: Column name -> its values, indexed by row id (None at tombstones).
+        self.columns: dict[str, list] = {name: [] for name in table.column_names}
+        #: Column name -> the types of the values stored in it so far (a
+        #: delete does not shrink it), so kernels can tell a column of
+        #: only numbers or only strs.
+        self.kinds: dict[str, set[type]] = {name: set() for name in self.columns}
+        #: ``alive[row_id]`` is 1 for a stored row, 0 for a tombstone; its
+        #: length is the next row id.
+        self.alive = bytearray()
+        self._count = 0
+        self.rows = StoredRows(self)
         self.pk_index = SortedIndex(len(table.primary_key))
         self.secondary: dict[str, SortedIndex] = {}
         self.secondary_meta: dict[str, Index] = {}
@@ -42,28 +60,40 @@ class TableStorage:
         A bulk load pays one column-wise build per index rather than a
         sorted insert per row and index.  Charges no metrics.
         """
-        columns = self.table.column_names
-        row_id = first = self._next_id
-        for row in rows:
-            self.rows[row_id] = {name: row.get(name) for name in columns}
-            row_id += 1
-        self._next_id = row_id
+        names = self.table.column_names
+        by_row = [list(map(row.get, names)) for row in rows]
+        return self.load_columns(dict(zip(names, zip(*by_row))))
+
+    def load_columns(self, values: Mapping[str, Sequence[Any]]) -> int:
+        """:meth:`load` for rows given column-wise: *values* maps each
+        column to the new rows' values, in order (a column it lacks is
+        NULL)."""
+        count = len(next(iter(values.values()), ()))
+        for name, column in self.columns.items():
+            added = values.get(name) or [None] * count
+            column.extend(added)
+            self.kinds[name].update(map(type, added))
+        self.alive.extend(repeat(1, count))
+        self._count += count
         self.pk_index = self._build(None)
         for name, meta in self.secondary_meta.items():
             self.secondary[name] = self._build(meta)
-        return row_id - first
+        return count
 
     def insert_row(
         self, row: Mapping[str, Any], metrics: Optional[ExecutionMetrics] = None
     ) -> int:
         """Insert a row; maintains the PK and every secondary index."""
-        stored = {name: row.get(name) for name in self.table.column_names}
-        row_id = self._next_id
-        self._next_id += 1
-        self.rows[row_id] = stored
-        self.pk_index.insert(self._pk_key(stored), row_id)
+        row_id = len(self.alive)
+        for name, column in self.columns.items():
+            value = row.get(name)
+            column.append(value)
+            self.kinds[name].add(type(value))
+        self.alive.append(1)
+        self._count += 1
+        self.pk_index.insert(self._key(self.table.primary_key, row_id), row_id)
         for name, index in self.secondary.items():
-            index.insert(self._index_key(self.secondary_meta[name], stored), row_id)
+            index.insert(self._index_key(self.secondary_meta[name], row_id), row_id)
         if metrics is not None:
             metrics.index_entries_written += 1 + len(self.secondary)
         return row_id
@@ -71,13 +101,15 @@ class TableStorage:
     def delete_row(
         self, row_id: int, metrics: Optional[ExecutionMetrics] = None
     ) -> None:
-        """Delete a row by id; maintains all indexes."""
-        stored = self.rows.pop(row_id, None)
-        if stored is None:
-            raise StorageError(f"no row {row_id} in table {self.table.name}")
-        self.pk_index.delete(self._pk_key(stored), row_id)
+        """Delete a row by id, leaving a tombstone; maintains all indexes."""
+        self._check(row_id)
+        self.pk_index.delete(self._key(self.table.primary_key, row_id), row_id)
         for name, index in self.secondary.items():
-            index.delete(self._index_key(self.secondary_meta[name], stored), row_id)
+            index.delete(self._index_key(self.secondary_meta[name], row_id), row_id)
+        for column in self.columns.values():
+            column[row_id] = None
+        self.alive[row_id] = 0
+        self._count -= 1
         if metrics is not None:
             metrics.index_entries_written += 1 + len(self.secondary)
 
@@ -88,43 +120,57 @@ class TableStorage:
         metrics: Optional[ExecutionMetrics] = None,
     ) -> None:
         """Update columns of a row; only affected indexes pay maintenance."""
-        stored = self.rows.get(row_id)
-        if stored is None:
-            raise StorageError(f"no row {row_id} in table {self.table.name}")
+        self._check(row_id)
         touched = set(changes)
         written = 0
-        pk_changed = bool(touched & set(self.table.primary_key))
+        pk = self.table.primary_key
+        pk_changed = bool(touched & set(pk))
         if pk_changed:
-            self.pk_index.delete(self._pk_key(stored), row_id)
+            self.pk_index.delete(self._key(pk, row_id), row_id)
             written += 1
         # Every secondary key ends with the PK, so a PK change re-keys all.
         affected = [
-            name
+            (self.secondary[name], meta)
             for name, meta in self.secondary_meta.items()
             if pk_changed or touched & set(meta.columns)
         ]
-        for name in affected:
-            self.secondary[name].delete(
-                self._index_key(self.secondary_meta[name], stored), row_id
-            )
-        stored.update({k: v for k, v in changes.items() if self.table.has_column(k)})
+        for index, meta in affected:
+            index.delete(self._index_key(meta, row_id), row_id)
+        for name, value in changes.items():
+            column = self.columns.get(name)
+            if column is not None:
+                column[row_id] = value
+                self.kinds[name].add(type(value))
         if pk_changed:
-            self.pk_index.insert(self._pk_key(stored), row_id)
-        for name in affected:
-            self.secondary[name].insert(
-                self._index_key(self.secondary_meta[name], stored), row_id
-            )
+            self.pk_index.insert(self._key(pk, row_id), row_id)
+        for index, meta in affected:
+            index.insert(self._index_key(meta, row_id), row_id)
             written += 1
         if metrics is not None:
             # One in-place row write even when no index key changed.
             metrics.index_entries_written += max(1, written * 2)
 
+    def row(self, row_id: int) -> dict[str, Any]:
+        """A new dict of the row's columns (the row must be stored)."""
+        return {name: values[row_id] for name, values in self.columns.items()}
+
     def get_row(self, row_id: int) -> dict[str, Any]:
-        return self.rows[row_id]
+        self._check(row_id)
+        return self.row(row_id)
+
+    def is_stored(self, row_id: int) -> bool:
+        return 0 <= row_id < len(self.alive) and self.alive[row_id] == 1
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return self._count
+
+    def live_ids(self) -> Sequence[int]:
+        """Ids of the stored rows, ascending."""
+        ids = range(len(self.alive))
+        if self._count == len(ids):
+            return ids
+        return list(compress(ids, self.alive))
 
     # -- index management ------------------------------------------------------
 
@@ -150,35 +196,68 @@ class TableStorage:
         return self.secondary.get(name)
 
     def column_values(self, column: str) -> list:
-        """All values of one column (ANALYZE input)."""
-        return [row.get(column) for row in self.rows.values()]
+        """The stored rows' values of one column, in row-id order (ANALYZE
+        input)."""
+        values = self.columns[column]
+        if self._count == len(values):
+            return values[:]
+        return list(compress(values, self.alive))
 
     def _build(self, index: Optional[Index]) -> SortedIndex:
         """The PK index (*index* None) or a secondary *index*, built over
         the current rows.
 
-        The PK build starts from ascending row ids (the order ``rows``
-        holds them in: ids are allocated ascending and never reused).  A
-        secondary key is its columns followed by the PK, so its build
-        starts from the PK index's ``(PK, row id)`` order and reuses the
-        PK index's flat keys as the key tail.
+        The PK build starts from ascending row ids.  A secondary key is
+        its columns followed by the PK, so its build starts from the PK
+        index's ``(PK, row id)`` order, reads its key columns through the
+        PK index's row ids and reuses the PK index's flat keys as the key
+        tail.
         """
         if index is None:
-            names, row_ids, suffix = self.table.primary_key, list(self.rows), None
-            rows = list(self.rows.values())
+            names, row_ids, suffix = self.table.primary_key, self.live_ids(), None
+            columns = [self.column_values(name) for name in names]
         else:
             pk = self.pk_index
             names, row_ids, suffix = index.columns, pk.rids, pk.keys
-            rows = list(map(self.rows.__getitem__, row_ids))
-        # Stored rows hold every column.
-        columns = [list(map(itemgetter(name), rows)) for name in names]
+            columns = [
+                list(map(self.columns[name].__getitem__, row_ids)) for name in names
+            ]
         return SortedIndex.build(columns, row_ids, suffix)
 
     # -- key extraction ----------------------------------------------------------
 
-    def _pk_key(self, row: Mapping[str, Any]) -> tuple:
-        return tuple(row.get(c) for c in self.table.primary_key)
+    def _check(self, row_id: int) -> None:
+        if not self.is_stored(row_id):
+            raise StorageError(f"no row {row_id} in table {self.table.name}")
 
-    def _index_key(self, index: Index, row: Mapping[str, Any]) -> tuple:
+    def _key(self, names: Sequence[str], row_id: int) -> tuple:
+        columns = self.columns
+        return tuple([columns[name][row_id] for name in names])
+
+    def _index_key(self, index: Index, row_id: int) -> tuple:
         # Secondary keys append the PK for uniqueness / ordering stability.
-        return tuple(row.get(c) for c in index.columns) + self._pk_key(row)
+        return self._key(index.columns, row_id) + self._key(
+            self.table.primary_key, row_id
+        )
+
+
+class StoredRows(Mapping):
+    """Read-only ``row id -> row dict`` view of a :class:`TableStorage`,
+    in row-id order; each access builds new dicts."""
+
+    def __init__(self, storage: TableStorage):
+        self._storage = storage
+
+    def __getitem__(self, row_id: int) -> dict[str, Any]:
+        if row_id not in self:
+            raise KeyError(row_id)
+        return self._storage.row(row_id)
+
+    def __contains__(self, row_id: object) -> bool:
+        return isinstance(row_id, int) and self._storage.is_stored(row_id)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._storage.live_ids())
+
+    def __len__(self) -> int:
+        return self._storage.row_count

@@ -4,9 +4,10 @@ The executor asks the optimizer for a plan (materialized indexes only)
 and prepares it once per statement: every expression is compiled into a
 closure (:mod:`repro.executor.operators`), and each join step gets its
 filter kernels, its join-edge checks and the multi-table conjuncts that
-become evaluable there.  Index/seq scans filter :data:`SCAN_CHUNK` rows
-at a time and feed a left-deep pipeline of nested-loop probes or hash
-joins, followed by grouping, ordering and projection.  Every operator
+become evaluable there.  Index/seq scans filter :data:`SCAN_CHUNK` row
+ids at a time over the table's column lists and feed a left-deep
+pipeline of nested-loop probes or hash joins, followed by grouping,
+ordering and projection.  Every operator
 accounts its work in an :class:`~repro.engine.ExecutionMetrics`, which
 the workload monitor then converts into ``cpu_avg`` and the discarded
 data ratio.
@@ -421,8 +422,9 @@ class _Step:
         self.node = node
         #: One kernel per atomic filter; each charges a predicate per row.
         self.kernels: list[Kernel] = []
-        #: (column here, bound binding, its column) per join edge to check.
-        self.edges: list[tuple[str, str, str]] = []
+        #: (values of the column here, bound binding, its column) per join
+        #: edge to check.
+        self.edges: list[tuple[list, str, str]] = []
         #: Multi-table conjuncts whose last binding is this step's.
         self.conjuncts: list[Compiled] = []
         #: Per leading eq column of an index path: (constants, None), or
@@ -436,10 +438,11 @@ class _Step:
 class _Pipeline:
     """Runs a plan's join pipeline, yielding scopes (binding -> row).
 
-    Scans run their step's filter kernels over chunks of bare rows and
-    yield the ids of passing rows; join-edge checks and multi-table
-    conjuncts run before a new scope is built (a nested-loop step over a
-    seq scan tests its join edges as kernels in the scan).  Counters are
+    Scans run their step's filter kernels over chunks of row ids, reading
+    the table's column lists, and yield the ids of passing rows; join-edge
+    checks and multi-table conjuncts run before a new scope is built (a
+    nested-loop step over a seq scan tests its join edges as kernels in
+    the scan), and a row dict is built only for a row that enters a scope.  Counters are
     charged by position: before the row at position *p* of a chunk is
     yielded, the rows up to *p* and their predicates have been charged, so
     a consumer that stops early (LIMIT) sees exactly the work row-at-a-time
@@ -478,14 +481,17 @@ class _Pipeline:
 
     def _prepare(self, step: _Step, evaluator: ExprEvaluator,
                  bound: set[str]) -> None:
-        info = self.info
-        binding = step.binding
+        info, binding, storage = self.info, step.binding, step.storage
+        columns = storage.columns
         step.kernels = evaluator.row_kernels(
-            [pred.expr for pred in info.filters.get(binding, [])]
+            [pred.expr for pred in info.filters.get(binding, [])],
+            columns, storage.kinds,
         )
         for edge in info.join_edges:
             if edge.touches(binding) and edge.other(binding)[0] in bound:
-                step.edges.append((edge.column_of(binding), *edge.other(binding)))
+                step.edges.append(
+                    (columns[edge.column_of(binding)], *edge.other(binding))
+                )
         available = bound | {binding}
         step.conjuncts = [
             evaluator.predicate(expr)
@@ -558,10 +564,13 @@ class _Pipeline:
     def row_ids(self) -> list[int]:
         """Ids of the rows a single-table statement (DML WHERE) selects."""
         step = self.steps[0]
-        binding, conjuncts = step.binding, step.conjuncts
+        ids = self._scan_all(step)
+        if not step.conjuncts:
+            return ids
+        binding, conjuncts, row = step.binding, step.conjuncts, step.storage.row
         return [
-            row_id for row_id, row in zip(*self._scan_all(step))
-            if self._conjuncts_ok(conjuncts, {binding: row})
+            row_id for row_id in ids
+            if self._conjuncts_ok(conjuncts, {binding: row(row_id)})
         ]
 
     def _observe(
@@ -582,14 +591,14 @@ class _Pipeline:
 
     def _drive(self) -> Iterator[dict]:
         step = self.steps[0]
-        rows, binding, conjuncts = step.storage.rows, step.binding, step.conjuncts
+        row, binding, conjuncts = step.storage.row, step.binding, step.conjuncts
         for row_id in self._scan(step, {}):
-            scope = {binding: rows[row_id]}
+            scope = {binding: row(row_id)}
             if not conjuncts or self._conjuncts_ok(conjuncts, scope):
                 yield scope
 
     def _nested_loop(self, stream: Iterator[dict], step: _Step) -> Iterator[dict]:
-        rows, binding, node = step.storage.rows, step.binding, step.node
+        row, binding, node = step.storage.row, step.binding, step.node
         edges, conjuncts = step.edges, step.conjuncts
         # A seq inner tests the join edges in its scan, as kernels bound to
         # the outer row's values; an index inner checks them per row.
@@ -599,54 +608,54 @@ class _Pipeline:
             if node is not None:
                 node.loops += 1
             pushed_edges = [
-                edge_kernel(column, scope[other].get(other_column))
-                for column, other, other_column in edges
+                edge_kernel(values, scope[other].get(other_column))
+                for values, other, other_column in edges
             ] if pushed else ()
             for row_id in self._scan(step, scope, pushed_edges):
-                row = rows[row_id]
-                if checked and not self._edges_ok(checked, row, scope):
+                if checked and not self._edges_ok(checked, row_id, scope):
                     continue
-                joined = {**scope, binding: row}
+                joined = {**scope, binding: row(row_id)}
                 if not conjuncts or self._conjuncts_ok(conjuncts, joined):
                     yield joined
 
     def _hash_join(self, stream: Iterator[dict], step: _Step) -> Iterator[dict]:
-        binding, node = step.binding, step.node
+        row, binding, node = step.storage.row, step.binding, step.node
         edges, conjuncts = step.edges, step.conjuncts
         if node is not None:
             node.loops += 1      # one build-side scan
-        _ids, rows = self._scan_all(step)
-        # Buckets hold the build rows themselves, keyed by the join column
-        # (a scalar for the common single-edge join, else a tuple).
-        buckets: defaultdict[Any, list[dict]] = defaultdict(list)
+        ids = self._scan_all(step)
+        # Buckets hold build-side row ids, keyed by the join column (a
+        # scalar for the common single-edge join, else a tuple).
+        buckets: defaultdict[Any, list[int]] = defaultdict(list)
         if len(edges) == 1:
-            (column, other, other_column), = edges
-            for row in rows:
-                buckets[row.get(column)].append(row)
+            (values, other, other_column), = edges
+            for key, row_id in zip(map(values.__getitem__, ids), ids):
+                buckets[key].append(row_id)
 
             def probe_key(scope: dict) -> Any:
                 return scope[other].get(other_column)
         else:
-            for row in rows:
-                buckets[tuple([row.get(column) for column, _b, _c in edges])].append(row)
+            columns = [values for values, _b, _c in edges]
+            for row_id in ids:
+                buckets[tuple([values[row_id] for values in columns])].append(row_id)
 
             def probe_key(scope: dict) -> Any:
-                return tuple([scope[b].get(c) for _column, b, c in edges])
+                return tuple([scope[b].get(c) for _values, b, c in edges])
         for scope in stream:
-            for row in buckets.get(probe_key(scope), ()):
-                if not self._edges_ok(edges, row, scope):
+            for row_id in buckets.get(probe_key(scope), ()):
+                if not self._edges_ok(edges, row_id, scope):
                     continue
-                joined = {**scope, binding: row}
+                joined = {**scope, binding: row(row_id)}
                 if not conjuncts or self._conjuncts_ok(conjuncts, joined):
                     yield joined
 
     # -- predicate application -------------------------------------------------
 
-    def _edges_ok(self, edges, row: dict, scope: dict) -> bool:
+    def _edges_ok(self, edges, row_id: int, scope: dict) -> bool:
         metrics = self.metrics
-        for column, other, other_column in edges:
+        for values, other, other_column in edges:
             metrics.predicate_evals += 1
-            left = row.get(column)
+            left = values[row_id]
             right = scope[other].get(other_column)
             if left is None or right is None or left != right:
                 return False
@@ -676,36 +685,43 @@ class _Pipeline:
         would have done.  A row deleted after its chunk was read is not
         yielded.
         """
-        live = step.storage.rows
-        for ids, _rows, chunk, survivors, tested, lookups in self._chunks(
+        alive = step.storage.alive
+        for chunk, survivors, tested, lookups in self._chunks(
             step, outer_scope, edges
         ):
-            charged, evals_charged = chunk.start, 0
-            for i in survivors:
-                evals = sum([bisect_right(p, i) for p in tested]) if tested else 0
-                self._charge(step, i + 1 - charged, evals - evals_charged, lookups)
-                charged, evals_charged = i + 1, evals
-                if ids[i] in live:
-                    yield ids[i]
+            # Survivors keep the chunk's order; a range chunk (a seq scan
+            # over an id range without tombstones) gives positions directly.
+            offset = chunk.start if isinstance(chunk, range) else None
+            charged, evals_charged = 0, 0
+            for row_id in survivors:
+                if offset is None:
+                    position = chunk.index(row_id, charged) + 1
+                else:
+                    position = row_id - offset + 1
+                # Edges run on seq scans only, whose ids ascend.
+                evals = (
+                    sum([bisect_right(p, row_id) for p in tested]) if tested else 0
+                )
+                self._charge(step, position - charged, evals - evals_charged,
+                             lookups)
+                charged, evals_charged = position, evals
+                if alive[row_id]:
+                    yield row_id
             self._charge(
-                step, chunk.stop - charged,
+                step, len(chunk) - charged,
                 sum(map(len, tested)) - evals_charged, lookups,
             )
 
-    def _scan_all(self, step: _Step) -> tuple[list[int], list[dict]]:
-        """The ids :meth:`_scan` would yield, and their rows, charged a
-        chunk at a time: for a consumer that reads the whole scan before
-        it produces a row (a hash-join build, a DML locate), where the
-        totals are all an observer can see."""
-        out_ids: list[int] = []
-        out_rows: list[dict] = []
-        for ids, rows, chunk, survivors, _tested, lookups in self._chunks(
-            step, {}, ()
-        ):
+    def _scan_all(self, step: _Step) -> list[int]:
+        """The ids :meth:`_scan` would yield, charged a chunk at a time:
+        for a consumer that reads the whole scan before it produces a row
+        (a hash-join build, a DML locate), where the totals are all an
+        observer can see."""
+        out: list[int] = []
+        for chunk, survivors, _tested, lookups in self._chunks(step, {}, ()):
             self._charge(step, len(chunk), 0, lookups)
-            out_ids.extend(map(ids.__getitem__, survivors))
-            out_rows.extend(map(rows.__getitem__, survivors))
-        return out_ids, out_rows
+            out += survivors
+        return out
 
     def _charge(self, step: _Step, rows: int, edge_evals: int,
                 lookups: Optional[int]) -> None:
@@ -725,50 +741,55 @@ class _Pipeline:
             node.pages_read += pages
 
     def _chunks(self, step: _Step, outer_scope: dict, edges: Sequence[Kernel]):
-        """The scan of *step* as chunks ``(ids, rows, chunk, survivors,
-        tested, lookups)``: *chunk* is a range of positions in the parallel
-        lists *ids* and *rows*, *survivors* the positions whose row passes
-        the kernels and *edges*, *tested* the positions each edge was
-        tested on, and *lookups* None for a seq scan, else the random pages
-        an index entry costs.  Only a seq scan takes *edges*.  Pages are
-        charged as the scan reaches them."""
+        """The scan of *step* as chunks ``(chunk, survivors, tested,
+        lookups)``: *chunk* holds the ids of the stored rows read,
+        *survivors* those that pass the kernels and *edges*, *tested* the
+        ids each edge was tested on, and *lookups* is None for a seq scan,
+        else the random pages an index entry costs.  Only a seq scan takes
+        *edges*.  Pages are charged as the scan reaches them."""
         if step.path.method == "seq":
             return self._seq_chunks(step, edges)
         return self._index_chunks(step, outer_scope)
 
     @staticmethod
-    def _filter(step: _Step, rows: list[dict], chunk: range,
+    def _filter(step: _Step, chunk: Sequence[int],
                 edges: Sequence[Kernel]) -> tuple[Sequence[int], list]:
         """Survivors of *chunk* after *step*'s kernels and *edges*, and the
-        positions each edge was tested on."""
+        ids each edge was tested on."""
         survivors: Sequence[int] = chunk
         for kernel in step.kernels:
-            survivors = kernel(rows, survivors)
+            survivors = kernel(survivors)
         tested = []
         for kernel in edges:
             tested.append(survivors)
-            survivors = kernel(rows, survivors)
+            survivors = kernel(survivors)
         return survivors, tested
 
     def _seq_chunks(self, step: _Step, edges: Sequence[Kernel]):
-        """A sequential scan, :data:`SCAN_CHUNK` rows at a time.
+        """A sequential scan over the row ids allocated when it starts,
+        :data:`SCAN_CHUNK` ids at a time.
 
-        The scan snapshots the table's ids and rows when it starts.  A row
-        deleted after that is never yielded: :meth:`_scan` checks each id
-        against ``storage.rows`` just before yielding it (the row's read
-        stays charged).  No caller changes a table during a live scan --
-        DML collects :meth:`row_ids` before it writes -- so the check only
-        keeps a misuse from handing out a missing id.
+        A chunk holds the stored rows of its id range: tombstones are
+        skipped, uncharged.  A row deleted after its chunk was read is
+        never yielded: :meth:`_scan` checks ``storage.alive`` just before
+        yielding it (the row's read stays charged).  No caller changes a
+        table during a live scan -- DML collects :meth:`row_ids` before it
+        writes -- so the check only keeps a misuse from handing out a
+        missing id.
         """
         storage, node = step.storage, step.node
         pages = self.db.params.pages_for(storage.row_count, storage.table.row_width)
         self.metrics.seq_pages += pages
         if node is not None:
             node.pages_read += pages
-        ids, rows = list(storage.rows), list(storage.rows.values())
-        for start in range(0, len(ids), SCAN_CHUNK):
-            chunk = range(start, min(start + SCAN_CHUNK, len(ids)))
-            yield (ids, rows, chunk, *self._filter(step, rows, chunk, edges), None)
+        alive = storage.alive
+        end = len(alive)
+        for start in range(0, end, SCAN_CHUNK):
+            stop = min(start + SCAN_CHUNK, end)
+            chunk: Sequence[int] = range(start, stop)
+            if alive.find(0, start, stop) >= 0:
+                chunk = list(itertools.compress(chunk, alive[start:stop]))
+            yield (chunk, *self._filter(step, chunk, edges), None)
 
     def _index_chunks(self, step: _Step, outer_scope: dict):
         """An index or PK scan, up to :data:`SCAN_CHUNK` entries at a time
@@ -816,27 +837,27 @@ class _Pipeline:
         entry_width = (
             path.index.entry_width(storage.table) if path.method == "index" else 0
         )
-        live = storage.rows
+        alive, rids, reverse = storage.alive, structure.rids, step.reverse
         for prefix in prefixes:
             entries = 0
             # Range bounds bind the key column right after the eq prefix;
             # they only apply when the whole prefix is concrete.
             full_prefix = len(prefix) == len(path.eq_columns)
-            scan = structure.scan_prefix(
+            lo, hi = structure.span(
                 prefix, low if full_prefix else None, high if full_prefix else None,
-                low_inc, high_inc, reverse=step.reverse,
+                low_inc, high_inc,
             )
-            while True:
-                batch = list(itertools.islice(scan, SCAN_CHUNK))
+            for start in (
+                range(hi, lo, -SCAN_CHUNK) if reverse else range(lo, hi, SCAN_CHUNK)
+            ):
+                batch = (
+                    rids[max(lo, start - SCAN_CHUNK):start][::-1] if reverse
+                    else rids[start:min(start + SCAN_CHUNK, hi)]
+                )
                 # An entry whose row is gone is skipped, uncharged.
-                ids = [row_id for _key, row_id in batch if row_id in live]
-                chunk = range(len(ids))
-                entries += len(ids)
-                rows = list(map(live.__getitem__, ids))
-                yield (ids, rows, chunk, *self._filter(step, rows, chunk, ()),
-                       lookups)
-                if len(batch) < SCAN_CHUNK:
-                    break
+                chunk = list(itertools.compress(batch, map(alive.__getitem__, batch)))
+                entries += len(chunk)
+                yield (chunk, *self._filter(step, chunk, ()), lookups)
             if entry_width:
                 leaf_pages = self.db.params.pages_for(entries, entry_width)
                 metrics.seq_pages += leaf_pages

@@ -5,23 +5,27 @@ column bindings are resolved and node types dispatched at compile time,
 and the result is a tree of Python closures.  Evaluating a row then costs
 only the closures' own work.  Closures take one of two arguments:
 
-* a bare *row* (column -> value) -- the single-binding filters the scans
-  apply before building any scope;
-* a *scope* (binding -> row) -- everything else: projection, ORDER BY and
-  GROUP BY keys, aggregate arguments, HAVING, UPDATE ``SET`` values and
-  multi-table conjuncts.
+* a *row id* -- the single-binding filters the scans apply before building
+  any scope, whose column reads index the table's column lists
+  (:attr:`repro.engine.storage.TableStorage.columns`);
+* a *scope* (binding -> row dict) -- everything else: projection, ORDER BY
+  and GROUP BY keys, aggregate arguments, HAVING, UPDATE ``SET`` values
+  and multi-table conjuncts.
 
-Scans filter a chunk of rows at a time through *kernels* (the
+Scans filter a chunk of row ids at a time through *kernels* (the
 selection-vector design of MonetDB/X100): :meth:`ExprEvaluator.row_kernels`
-compiles each atomic filter into a ``(rows, sel) -> list[int]`` that keeps
-the positions in *sel* whose row passes.  Each kernel runs over the
-survivors of the one before it, so a row reaches a predicate exactly when
-row-at-a-time short-circuit evaluation would take it there.  The common
-shapes -- ``column = str``, ``column <op> number`` and ``column BETWEEN
-number AND number`` -- inline their test in a list comprehension and fall
-back to the shared semantics for an off-type value; any other ``column op
-constant`` calls its :data:`_COMPARE` test, and every other predicate its
-compiled row closure.
+compiles each atomic filter into a ``sel -> list[int]`` that keeps the row
+ids in *sel* whose row passes, reading the column lists it was compiled
+against.  Each kernel runs over the survivors of the one before it, so a
+row reaches a predicate exactly when row-at-a-time short-circuit
+evaluation would take it there.  The common shapes -- ``column <op>
+constant`` and ``column BETWEEN number AND number`` -- inline their test
+in a list comprehension.  Over a column whose values all have the
+constant's kind (the storage's ``kinds``) the test is the bare
+comparison; over any other, ``column = str``, ``column <op> number`` and
+BETWEEN fall back to the shared semantics for an off-type value, any
+other ``column op constant`` calls its :data:`_COMPARE` test.  Every
+other predicate calls its compiled row closure.
 
 SQL three-valued logic is approximated with Python ``None`` propagation
 -- a comparison involving NULL is not satisfied, matching WHERE-clause
@@ -37,16 +41,20 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import AbstractSet, Any, Callable, Mapping, Optional, Sequence
 
 from ..optimizer.query_info import QueryInfo, ResolutionError
 from ..sqlparser import ast
 
 Row = Mapping[str, Any]
 Scope = Mapping[str, Row]          # binding name -> row
-Compiled = Callable[[Any], Any]    # row or scope -> value
-#: ``(rows, sel) -> positions in sel whose row passes``.
-Kernel = Callable[[Sequence[Row], Sequence[int]], list]
+Compiled = Callable[[Any], Any]    # row id or scope -> value
+#: Column name -> the table's values of that column, indexed by row id.
+Columns = Mapping[str, Sequence[Any]]
+#: Column name -> the types of the values the column has held.
+Kinds = Mapping[str, AbstractSet[type]]
+#: ``sel -> the row ids in sel whose row passes``, in *sel*'s order.
+Kernel = Callable[[Sequence[int]], list]
 
 
 def _sql_eq(left: Any, right: Any) -> bool:
@@ -166,34 +174,41 @@ class ExprEvaluator:
 
     def value(self, expr: ast.Expr) -> Compiled:
         """``scope -> value`` for a scalar expression."""
-        return _Compiler(self, over_row=False).value(expr)
+        return _Compiler(self).value(expr)
 
     def predicate(self, expr: ast.Expr) -> Compiled:
         """``scope -> bool`` for a predicate; NULL comparisons yield False."""
-        return _Compiler(self, over_row=False).test(expr)
+        return _Compiler(self).test(expr)
 
-    def row_kernels(self, exprs: Sequence[ast.Expr]) -> list[Kernel]:
-        """One kernel per expression, in order.
+    def row_kernels(
+        self, exprs: Sequence[ast.Expr], columns: Columns, kinds: Kinds
+    ) -> list[Kernel]:
+        """One kernel per expression, in order, over the binding's
+        *columns*, whose value types *kinds* covers.
 
         Each expression must reference columns of a single binding (the
         atomic filters of ``QueryInfo.filters``).  Running each kernel over
         the survivors of the one before is the short-circuit conjunction.
         """
-        compiler = _Compiler(self, over_row=True)
-        return [_column_kernel(expr) or compiler.kernel(expr) for expr in exprs]
+        compiler = _Compiler(self, columns)
+        return [
+            _column_kernel(expr, columns, kinds) or compiler.kernel(expr)
+            for expr in exprs
+        ]
 
 
 class _Compiler:
-    """Turns AST nodes into closures over a row or a scope."""
+    """Turns AST nodes into closures over a row id (given the binding's
+    *columns*) or over a scope."""
 
-    def __init__(self, evaluator: ExprEvaluator, over_row: bool):
+    def __init__(self, evaluator: ExprEvaluator, columns: Optional[Columns] = None):
         self._evaluator = evaluator
-        self._over_row = over_row
+        self._columns = columns
 
     def _column(self, ref: ast.ColumnRef) -> Compiled:
         column = ref.column
-        if self._over_row:
-            return operator.methodcaller("get", column)
+        if self._columns is not None:
+            return self._columns[column].__getitem__
         binding = self._evaluator.resolve_binding(ref)
 
         def fetch(scope: Scope) -> Any:
@@ -202,9 +217,9 @@ class _Compiler:
         return fetch
 
     def kernel(self, expr: ast.Expr) -> Kernel:
-        """The generic kernel: *expr*'s row closure applied per position."""
+        """The generic kernel: *expr*'s row-id closure applied per row."""
         test = self.test(expr)
-        return lambda rows, sel: [i for i in sel if test(rows[i])]
+        return lambda sel: [i for i in sel if test(i)]
 
     # -- scalars ---------------------------------------------------------------
 
@@ -301,15 +316,22 @@ def _between(value: Any, low: Any, high: Any, negated: bool) -> bool:
 
 #: Types a numeric kernel compares inline; ``bool`` is not one of them.
 _NUMBER = (int, float)
+_NUMBER_KINDS = frozenset(_NUMBER)
+_STR_KINDS = frozenset((str,))
 
 
-def _column_kernel(expr: ast.Expr) -> Optional[Kernel]:
+def _column_kernel(
+    expr: ast.Expr, columns: Columns, kinds: Kinds
+) -> Optional[Kernel]:
     """The specialised kernel for ``column op constant`` or ``column
     BETWEEN number AND number``; None for any other shape.
 
     Each kernel equals ``_COMPARE[op]`` (or :func:`_between`) on every
-    value: it inlines the test for values of the constant's own kind and
-    calls the shared function for any other.
+    value.  Over a *uniform* column -- every value it ever held has the
+    constant's kind, number or str (*kinds*) -- that is the bare Python
+    comparison.  Over any other column the kernel inlines the test for
+    values of the constant's kind and calls the shared function for the
+    rest.
     """
     if isinstance(expr, ast.Between):
         if (
@@ -321,81 +343,103 @@ def _column_kernel(expr: ast.Expr) -> Optional[Kernel]:
             or type(expr.high.value) not in _NUMBER
         ):
             return None
-        return _between_kernel(expr.expr.column, expr.low.value, expr.high.value)
+        column, lo, hi = expr.expr.column, expr.low.value, expr.high.value
+        values = columns[column]
+        if kinds[column] <= _NUMBER_KINDS:
+            return lambda sel: [i for i in sel if lo <= values[i] <= hi]
+        return _between_kernel(values, lo, hi)
     if not (
         isinstance(expr, ast.Comparison)
         and isinstance(expr.left, ast.ColumnRef)
         and isinstance(expr.right, ast.Literal)
     ):
         return None
-    column, constant, test = expr.left.column, expr.right.value, _COMPARE[expr.op]
-    if expr.op == "=" and type(constant) is str:
-        return _eq_str_kernel(column, constant)
-    if expr.op in _NUMBER_KERNELS and type(constant) in _NUMBER:
-        return _NUMBER_KERNELS[expr.op](column, constant, test)
-    return lambda rows, sel: [i for i in sel if test(rows[i].get(column), constant)]
+    column, constant, op = expr.left.column, expr.right.value, expr.op
+    values, test = columns[column], _COMPARE[op]
+    kind = type(constant)
+    if op in _UNIFORM_KERNELS and (
+        kind in _NUMBER and kinds[column] <= _NUMBER_KINDS
+        or kind is str and kinds[column] <= _STR_KINDS
+    ):
+        return _UNIFORM_KERNELS[op](values, constant)
+    if op == "=" and kind is str:
+        return _eq_str_kernel(values, constant)
+    if op in _NUMBER_KERNELS and kind in _NUMBER:
+        return _NUMBER_KERNELS[op](values, constant, test)
+    return lambda sel: [i for i in sel if test(values[i], constant)]
 
 
 # One factory per operator: the comparison then runs as inline bytecode in
 # the comprehension instead of as a call per row.
 
+#: Comparison operator -> kernel factory ``(values, c)`` for a uniform
+#: column, where ``_COMPARE[op]`` is the bare comparison.
+_UNIFORM_KERNELS: dict[str, Callable[[Sequence[Any], Any], Kernel]] = {
+    "=": lambda values, c: lambda sel: [i for i in sel if values[i] == c],
+    "!=": lambda values, c: lambda sel: [i for i in sel if values[i] != c],
+    "<": lambda values, c: lambda sel: [i for i in sel if values[i] < c],
+    "<=": lambda values, c: lambda sel: [i for i in sel if values[i] <= c],
+    ">": lambda values, c: lambda sel: [i for i in sel if values[i] > c],
+    ">=": lambda values, c: lambda sel: [i for i in sel if values[i] >= c],
+}
 
-def _eq_str_kernel(column: str, c: str) -> Kernel:
-    def kernel(rows, sel):
+
+def _eq_str_kernel(values: Sequence[Any], c: str) -> Kernel:
+    def kernel(sel):
         return [
             i for i in sel
-            if (v == c if type(v := rows[i].get(column)) is str else _sql_eq(v, c))
+            if (v == c if type(v := values[i]) is str else _sql_eq(v, c))
         ]
     return kernel
 
 
-def _eq_kernel(column: str, c: Any, test: Callable) -> Kernel:
-    def kernel(rows, sel):
+def _eq_kernel(values: Sequence[Any], c: Any, test: Callable) -> Kernel:
+    def kernel(sel):
         return [
             i for i in sel
-            if (v == c if type(v := rows[i].get(column)) in _NUMBER else test(v, c))
+            if (v == c if type(v := values[i]) in _NUMBER else test(v, c))
         ]
     return kernel
 
 
-def _lt_kernel(column: str, c: Any, test: Callable) -> Kernel:
-    def kernel(rows, sel):
+def _lt_kernel(values: Sequence[Any], c: Any, test: Callable) -> Kernel:
+    def kernel(sel):
         return [
             i for i in sel
-            if (v < c if type(v := rows[i].get(column)) in _NUMBER else test(v, c))
+            if (v < c if type(v := values[i]) in _NUMBER else test(v, c))
         ]
     return kernel
 
 
-def _le_kernel(column: str, c: Any, test: Callable) -> Kernel:
-    def kernel(rows, sel):
+def _le_kernel(values: Sequence[Any], c: Any, test: Callable) -> Kernel:
+    def kernel(sel):
         return [
             i for i in sel
-            if (v <= c if type(v := rows[i].get(column)) in _NUMBER else test(v, c))
+            if (v <= c if type(v := values[i]) in _NUMBER else test(v, c))
         ]
     return kernel
 
 
-def _gt_kernel(column: str, c: Any, test: Callable) -> Kernel:
-    def kernel(rows, sel):
+def _gt_kernel(values: Sequence[Any], c: Any, test: Callable) -> Kernel:
+    def kernel(sel):
         return [
             i for i in sel
-            if (v > c if type(v := rows[i].get(column)) in _NUMBER else test(v, c))
+            if (v > c if type(v := values[i]) in _NUMBER else test(v, c))
         ]
     return kernel
 
 
-def _ge_kernel(column: str, c: Any, test: Callable) -> Kernel:
-    def kernel(rows, sel):
+def _ge_kernel(values: Sequence[Any], c: Any, test: Callable) -> Kernel:
+    def kernel(sel):
         return [
             i for i in sel
-            if (v >= c if type(v := rows[i].get(column)) in _NUMBER else test(v, c))
+            if (v >= c if type(v := values[i]) in _NUMBER else test(v, c))
         ]
     return kernel
 
 
-#: Comparison operator -> numeric kernel factory ``(column, c, fallback)``.
-_NUMBER_KERNELS: dict[str, Callable[[str, Any, Callable], Kernel]] = {
+#: Comparison operator -> numeric kernel factory ``(values, c, fallback)``.
+_NUMBER_KERNELS: dict[str, Callable[[Sequence[Any], Any, Callable], Kernel]] = {
     "=": _eq_kernel,
     "<": _lt_kernel,
     "<=": _le_kernel,
@@ -404,23 +448,23 @@ _NUMBER_KERNELS: dict[str, Callable[[str, Any, Callable], Kernel]] = {
 }
 
 
-def _between_kernel(column: str, lo: Any, hi: Any) -> Kernel:
-    def kernel(rows, sel):
+def _between_kernel(values: Sequence[Any], lo: Any, hi: Any) -> Kernel:
+    def kernel(sel):
         return [
             i for i in sel
-            if (lo <= v <= hi if type(v := rows[i].get(column)) in _NUMBER
+            if (lo <= v <= hi if type(v := values[i]) in _NUMBER
                 else _between(v, lo, hi, False))
         ]
     return kernel
 
 
-def edge_kernel(column: str, value: Any) -> Kernel:
-    """Kernel for the join edge ``column = value``, *value* taken from the
-    outer row: the executor's edge test, ``left is not None and right is
-    not None and left == right``."""
+def edge_kernel(values: Sequence[Any], value: Any) -> Kernel:
+    """Kernel for the join edge ``column = value`` over the column's
+    *values*, *value* taken from the outer row: the executor's edge test,
+    ``left is not None and right is not None and left == right``."""
     if value is None:
-        return lambda rows, sel: []
-    return lambda rows, sel: [i for i in sel if rows[i].get(column) == value]
+        return lambda sel: []
+    return lambda sel: [i for i in sel if values[i] == value]
 
 
 class Aggregator:

@@ -224,3 +224,27 @@ def test_delete_after_bulk_load(entries, data):
     remaining = [e for e, gone in zip(entries, drop) if not gone]
     expected = build_from(remaining)
     assert list(index.scan_all()) == list(expected.scan_all())
+
+
+@given(
+    entry_lists(),
+    st.lists(values, max_size=2),
+    st.none() | values,
+    st.none() | values,
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_span_row_ids_equal_scan_prefix(
+    entries, prefix, low, high, low_inc, high_inc, reverse
+):
+    """Slicing ``rids`` by :meth:`SortedIndex.span` (the executor's index
+    scan) reads the row ids :meth:`SortedIndex.scan_prefix` yields."""
+    index = build_from(entries)
+    lo, hi = index.span(prefix, low, high, low_inc, high_inc)
+    got = index.rids[lo:hi]
+    if reverse:
+        got.reverse()
+    assert got == [rid for _k, rid in index.scan_prefix(
+        prefix, low, high, low_inc, high_inc, reverse=reverse
+    )]

@@ -248,9 +248,13 @@ def test_cli_all_junk_workload_exits_2(files, tmp_path, capsys):
     ["fleet-report", "{tmp}/journal.jsonl", "--bogus"],
     ["--schema", "{schema}", "--workload", "{workload}",
      "--default-rows", "-5"],
+    ["--schema", "{schema}", "--workload", "{workload}", "--max-width", "0"],
+    ["--schema", "{schema}", "--workload", "{workload}",
+     "--join-parameter", "-1"],
 ], ids=["missing-schema", "missing-workload", "malformed-ddl", "rows-abc",
         "rows-negative", "rows-no-table", "explain-rows-x",
-        "fleet-report-unknown-flag", "default-rows-negative"])
+        "fleet-report-unknown-flag", "default-rows-negative", "max-width-zero",
+        "join-parameter-negative"])
 def test_cli_bad_input_is_one_error_line(files, tmp_path, capsys, argv):
     schema, workload = files
     (tmp_path / "journal.jsonl").write_text("")

@@ -157,7 +157,7 @@ def test_duplicate_in_values_match_reference(db, user_rows, order_rows, sql, met
 
 
 def test_seq_scan_never_yields_a_row_deleted_mid_scan(db):
-    """A scan snapshots the table and filters it a chunk at a time; a row
+    """A scan filters the table a chunk of row ids at a time; a row
     deleted after the scan started -- later in the current chunk or in a
     later one -- is never yielded, so every yielded id is still stored."""
     stmt = parse("SELECT * FROM orders WHERE amount > 100")

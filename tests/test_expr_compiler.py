@@ -103,12 +103,23 @@ def _reference() -> ReferenceDatabase:
     return ReferenceDatabase([TABLE], {})
 
 
+def _columns(rows) -> dict:
+    """*rows* as column lists, as ``TableStorage.columns`` holds them."""
+    return {name: [row.get(name) for row in rows] for name in COLUMNS}
+
+
+def _kinds(columns) -> dict:
+    """The value types of each column, as ``TableStorage.kinds`` holds them."""
+    return {name: set(map(type, values)) for name, values in columns.items()}
+
+
 def _passes(exprs, rows) -> list:
     """Positions of *rows* that pass *exprs*' kernels, each run over the
     survivors of the one before, as a scan runs them."""
     sel = range(len(rows))
-    for kernel in _evaluator().row_kernels(exprs):
-        sel = kernel(rows, sel)
+    columns = _columns(rows)
+    for kernel in _evaluator().row_kernels(exprs, columns, _kinds(columns)):
+        sel = kernel(sel)
     return list(sel)
 
 
@@ -172,18 +183,57 @@ def test_column_filter_shapes_match_reference():
         for low in CONSTANTS for high in CONSTANTS for negated in (False, True)
     ]
     positions = range(len(MIXED_ROWS))
+    columns = _columns(MIXED_ROWS)
     for expr in shapes:
-        (kernel,) = evaluator.row_kernels([expr])
+        (kernel,) = evaluator.row_kernels([expr], columns, _kinds(columns))
         closure = evaluator.predicate(expr)
         expected = [
             i for i in positions
             if reference._truth(expr, {"t": MIXED_ROWS[i]}, BINDINGS)
         ]
         assert [i for i in positions if closure({"t": MIXED_ROWS[i]})] == expected
-        assert kernel(MIXED_ROWS, positions) == expected, expr.to_sql()
+        assert kernel(positions) == expected, expr.to_sql()
         # A kernel run over survivors keeps their order and drops the rest.
         odd = list(positions)[1::2]
-        assert kernel(MIXED_ROWS, odd) == [i for i in expected if i % 2], expr.to_sql()
+        assert kernel(odd) == [i for i in expected if i % 2], expr.to_sql()
+
+
+#: Columns whose values all have one kind, numbers or strs: the kernels
+#: compare them bare.
+UNIFORM_COLUMNS = [
+    [3, -1, 17, 0, 2.5, 1e300, 10**20, 1, 1.0, -3],
+    ["b", "1", "", "a%", "True", "1e0", "ab", "b"],
+]
+
+
+def test_uniform_column_kernels_match_reference():
+    """Over a column of only numbers or only strs, every kernel shape --
+    the bare comparisons included -- keeps exactly the rows its closure
+    and the reference accept, for constants of every kind."""
+    evaluator, reference = _evaluator(), _reference()
+    column = ast.ColumnRef(None, "a")
+    shapes = [
+        ast.Comparison(op, column, ast.Literal(constant))
+        for op in COMPARISON_OPS for constant in CONSTANTS
+    ] + [
+        ast.Between(column, ast.Literal(low), ast.Literal(high), False)
+        for low in CONSTANTS for high in CONSTANTS
+    ]
+    for values in UNIFORM_COLUMNS:
+        table = [{"a": value, "b": 1} for value in values]
+        columns = _columns(table)
+        positions = range(len(table))
+        for expr in shapes:
+            (kernel,) = evaluator.row_kernels([expr], columns, _kinds(columns))
+            expected = [
+                i for i in positions
+                if reference._truth(expr, {"t": table[i]}, BINDINGS)
+            ]
+            closure = evaluator.predicate(expr)
+            assert [i for i in positions if closure({"t": table[i]})] == expected
+            assert kernel(positions) == expected, expr.to_sql()
+            odd = list(positions)[1::2]
+            assert kernel(odd) == [i for i in expected if i % 2], expr.to_sql()
 
 
 @settings(max_examples=150, deadline=None)
@@ -228,13 +278,13 @@ def test_edge_kernel_is_the_join_edge_test():
     """The join-edge kernel keeps ``left is not None and right is not None
     and left == right`` (Python equality: ``1`` matches ``1.0`` and
     ``True``, never ``'1'``)."""
-    table = [{"a": value} for value in TRICKY]
+    column = list(TRICKY)
     for right in TRICKY:
         expected = [
-            i for i, row in enumerate(table)
-            if row["a"] is not None and right is not None and row["a"] == right
+            i for i, left in enumerate(column)
+            if left is not None and right is not None and left == right
         ]
-        assert edge_kernel("a", right)(table, range(len(table))) == expected
+        assert edge_kernel(column, right)(range(len(column))) == expected
 
 
 @settings(max_examples=200, deadline=None)
