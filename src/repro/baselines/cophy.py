@@ -9,8 +9,11 @@ assignment variables ``z_{q,i}`` (query q is served by index i), with::
 
 We solve the LP relaxation with scipy's HiGHS solver and round ``x`` by
 fractional value under the budget; per-query benefits are measured per
-single index (CoPhy's pre-computed atomic configurations).  Without
-scipy the algorithm degrades to greedy rounding of the same coefficients.
+single index (CoPhy's pre-computed atomic configurations).  scipy is
+imported at the first LP solve, not with the package, so processes that
+never run CoPhy never load it; the first solve pays that import.  Without
+scipy, or when the solver finds no solution, every candidate keeps
+fraction 1 and the rounding is greedy by total gain.
 """
 
 from __future__ import annotations
@@ -20,13 +23,6 @@ from ..optimizer import CostEvaluator
 from ..workload import Workload
 from .base import SelectionAlgorithm, fill, query_gains
 from .cost_eval import per_query_candidates
-
-try:
-    from scipy.optimize import linprog
-
-    HAVE_SCIPY = True
-except ImportError:   # pragma: no cover - scipy is installed in CI
-    HAVE_SCIPY = False
 
 
 class CophyAlgorithm(SelectionAlgorithm):
@@ -56,17 +52,16 @@ class CophyAlgorithm(SelectionAlgorithm):
             return []
         index_names = sorted(pool)
         sizes = {name: self.db.index_size_bytes(pool[name]) for name in index_names}
-        if HAVE_SCIPY:
-            fractional = self._solve_lp(
-                len(queries), index_names, sizes, benefits, budget_bytes
-            )
-        else:
+        fractional = self._solve_lp(index_names, sizes, benefits, budget_bytes)
+        if fractional is None:   # no solver or no solution: keep every candidate
             fractional = {name: 1.0 for name in index_names}
 
-        total_gain = {
-            name: sum(g for (_qi, n), g in benefits.items() if n == name)
-            for name in index_names
-        }
+        # Each index's gains in ``benefits`` order, so the sums match a
+        # per-index scan of ``benefits`` bit for bit.
+        gains: dict[tuple, list[float]] = {name: [] for name in index_names}
+        for (_qi, name), gain in benefits.items():
+            gains[name].append(gain)
+        total_gain = {name: sum(gains[name]) for name in index_names}
         ordered = sorted(
             index_names,
             key=lambda name: (fractional.get(name, 0.0), total_gain[name]),
@@ -76,7 +71,12 @@ class CophyAlgorithm(SelectionAlgorithm):
         return fill(self.db, picked, budget_bytes)
 
     @staticmethod
-    def _solve_lp(n_queries, index_names, sizes, benefits, budget_bytes):
+    def _solve_lp(index_names, sizes, benefits, budget_bytes):
+        """Fractional ``x_i`` per index, or ``None`` without an LP solution."""
+        try:
+            from scipy.optimize import linprog
+        except ImportError:
+            return None
         n_idx = len(index_names)
         idx_pos = {name: i for i, name in enumerate(index_names)}
         z_keys = sorted(benefits)
@@ -95,16 +95,15 @@ class CophyAlgorithm(SelectionAlgorithm):
             row[idx_pos[key[1]]] = -1.0
             a_ub.append(row)
             b_ub.append(0.0)
-        for qi in range(n_queries):   # one index serves each query
+        by_query: dict[int, list[int]] = {}   # z_keys sort by query first
+        for key in z_keys:
+            by_query.setdefault(key[0], []).append(z_pos[key])
+        for positions in by_query.values():   # one index serves each query
             row = [0.0] * n_vars
-            any_z = False
-            for key in z_keys:
-                if key[0] == qi:
-                    row[z_pos[key]] = 1.0
-                    any_z = True
-            if any_z:
-                a_ub.append(row)
-                b_ub.append(1.0)
+            for pos in positions:
+                row[pos] = 1.0
+            a_ub.append(row)
+            b_ub.append(1.0)
         budget_row = [0.0] * n_vars   # storage budget
         for name in index_names:
             budget_row[idx_pos[name]] = float(sizes[name])
@@ -116,5 +115,5 @@ class CophyAlgorithm(SelectionAlgorithm):
             method="highs",
         )
         if not result.success:
-            return {name: 1.0 for name in index_names}
+            return None
         return {name: result.x[idx_pos[name]] for name in index_names}

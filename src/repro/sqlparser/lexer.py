@@ -15,6 +15,11 @@ class LexError(ValueError):
     """Raised when the input contains a character the lexer cannot handle."""
 
 
+#: Numbers are ASCII only: ``str.isdigit`` also accepts ``²`` and ``٣``,
+#: which ``int()`` then rejects or silently reads as another digit.
+_DIGITS = frozenset("0123456789")
+
+
 def tokenize(sql: str) -> list[Token]:
     """Tokenize *sql* into a list of tokens terminated by an EOF token.
 
@@ -48,8 +53,9 @@ def tokenize(sql: str) -> list[Token]:
             i += 1
             continue
         if ch in "'\"":
+            start = i
             text, i = _lex_string(sql, i)
-            tokens.append(Token(TokenKind.STRING, text, i))
+            tokens.append(Token(TokenKind.STRING, text, start))
             continue
         if ch == "`":
             end = sql.find("`", i + 1)
@@ -58,9 +64,10 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(Token(TokenKind.IDENT, sql[i + 1:end], i))
             i = end + 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and sql[i + 1] in _DIGITS):
+            start = i
             text, i = _lex_number(sql, i)
-            tokens.append(Token(TokenKind.NUMBER, text, i))
+            tokens.append(Token(TokenKind.NUMBER, text, start))
             continue
         if ch.isalpha() or ch == "_":
             start = i
@@ -93,6 +100,7 @@ def tokenize(sql: str) -> list[Token]:
 
 def _lex_string(sql: str, i: int) -> tuple[str, int]:
     """Lex a quoted string starting at *i*; return (content, next offset)."""
+    start = i
     quote = sql[i]
     i += 1
     parts: list[str] = []
@@ -107,25 +115,25 @@ def _lex_string(sql: str, i: int) -> tuple[str, int]:
             return "".join(parts), i + 1
         parts.append(ch)
         i += 1
-    raise LexError(f"unterminated string literal starting at offset {i}")
+    raise LexError(f"unterminated string literal starting at offset {start}")
 
 
 def _lex_number(sql: str, i: int) -> tuple[str, int]:
     """Lex an (optionally fractional / exponent) numeric literal."""
     start = i
     n = len(sql)
-    while i < n and sql[i].isdigit():
+    while i < n and sql[i] in _DIGITS:
         i += 1
     if i < n and sql[i] == ".":
         i += 1
-        while i < n and sql[i].isdigit():
+        while i < n and sql[i] in _DIGITS:
             i += 1
     if i < n and sql[i] in "eE":
         j = i + 1
         if j < n and sql[j] in "+-":
             j += 1
-        if j < n and sql[j].isdigit():
+        if j < n and sql[j] in _DIGITS:
             i = j
-            while i < n and sql[i].isdigit():
+            while i < n and sql[i] in _DIGITS:
                 i += 1
     return sql[start:i], i

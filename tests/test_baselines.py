@@ -1,5 +1,7 @@
 """Baseline algorithm tests: every algorithm behaves as a valid advisor."""
 
+import sys
+
 import pytest
 
 from repro.baselines import (
@@ -98,9 +100,19 @@ PINNED.update({
 })
 
 
-@pytest.mark.parametrize("name,budget", sorted(PINNED))
-def test_pinned_outputs(db, name, budget):
+@pytest.mark.parametrize("name,budget,lp", [
+    pytest.param(name, budget, True, id=f"{name}-{budget}")
+    for name, budget in sorted(PINNED)
+] + [
+    # CoPhy without an LP solver: the greedy rounding must land on the same
+    # recommendations and optimizer calls.
+    pytest.param("cophy", budget, False, id=f"cophy-{budget}-no-scipy")
+    for budget in BUDGETS
+])
+def test_pinned_outputs(db, monkeypatch, name, budget, lp):
     """Each baseline's recommendation and optimizer-call count are fixed."""
+    if not lp:
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
     keys, calls = PINNED[(name, budget)]
     result = ALL_ALGORITHMS[name](db).select(workload(), budget)
     assert sorted(idx.key for idx in result.indexes) == sorted(map(_key, keys))

@@ -160,11 +160,13 @@ def test_cli_engine_profiles(files, capsys):
 
 
 #: Statements no advisor can plan: outside the dialect (parse) or naming
-#: tables and columns the schema lacks (resolve).
+#: tables and columns the schema lacks (resolve).  ``²`` is a Unicode
+#: digit but no SQL number.
 JUNK_SQL = """
 SELECT FROM WHERE garbage;
 SELECT x FROM no_such_table WHERE x = 1;
 SELECT nope FROM users;
+SELECT name FROM users WHERE age = ²;
 SELECT 'unterminated FROM users;
 """
 
@@ -196,10 +198,11 @@ def test_cli_advice_ignores_junk_statements(files, tmp_path, capsys, algorithm):
     lines = err.splitlines()
     assert [line.split(" (")[0] for line in lines] == [
         f"warning: skipped statement {position}"
-        for position in (1, 2, 3, 4, 8, 9, 10, 11)
+        for position in (1, 2, 3, 4, 5, 9, 10, 11, 12, 13)
     ]
     assert "(parse): unexpected token" in lines[0]
     assert "(resolve): no table named 'no_such_table'" in lines[1]
+    assert "(parse): unexpected character '²'" in lines[3]
 
 
 def test_cli_skips_are_counted_and_journaled(files, tmp_path, capsys):
@@ -215,11 +218,11 @@ def test_cli_skips_are_counted_and_journaled(files, tmp_path, capsys):
         set_journal(previous_journal)
         set_registry(previous_registry)
     skipped = registry.counter("workload.statements_skipped")
-    assert skipped.value(reason="parse") == 2
+    assert skipped.value(reason="parse") == 3
     assert skipped.value(reason="resolve") == 2
     events = journal.events_of("statement_skipped")
     assert [(e["position"], e["reason"]) for e in events] == [
-        (4, "parse"), (5, "resolve"), (6, "resolve"), (7, "parse"),
+        (4, "parse"), (5, "resolve"), (6, "resolve"), (7, "parse"), (8, "parse"),
     ]
     assert events[1]["statement"] == "SELECT x FROM no_such_table WHERE x = 1"
     assert events[1]["workload"] == "cli"
@@ -284,11 +287,11 @@ def test_cli_explain_skips_junk_statements(files, tmp_path, capsys):
                  "--default-rows", "50"]) == 0
     captured = capsys.readouterr()
     assert [line.split(" (")[0] for line in captured.err.splitlines()] == [
-        f"warning: skipped statement {position}" for position in (1, 2, 3, 4)
+        f"warning: skipped statement {position}" for position in (1, 2, 3, 4, 5)
     ]
     headers = [line.split(":")[0] for line in captured.out.splitlines()
                if line.startswith("-- q")]
-    assert headers == ["-- q5", "-- q6", "-- q7"]
+    assert headers == ["-- q6", "-- q7", "-- q8"]
 
 
 @pytest.mark.parametrize("prefix, suffix", [

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sqlparser import ParseError, parse
 from repro.sqlparser.lexer import LexError, tokenize
 from repro.sqlparser.tokens import TokenKind
 
@@ -95,3 +96,29 @@ def test_token_helpers():
     sym = tokenize("(")[0]
     assert sym.is_symbol("(", ")")
     assert not sym.is_symbol(")")
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT a FROM t WHERE b = ²",         # superscript two
+    "SELECT a FROM t LIMIT ٣",             # Arabic-Indic three
+    "SELECT a FROM t WHERE b = 1²",
+    "SELECT a FROM t WHERE b = .٣",
+])
+def test_non_ascii_digits_raise(sql):
+    """Only ASCII 0-9 form numbers; other Unicode digits are lex errors."""
+    with pytest.raises(LexError, match="unexpected character"):
+        tokenize(sql)
+
+
+def test_literal_tokens_carry_start_offsets():
+    tokens = tokenize("SELECT 'xy', 42, \"q\", 1.5e3, .5")
+    literals = [(t.text, t.pos) for t in tokens
+                if t.kind in (TokenKind.STRING, TokenKind.NUMBER)]
+    assert literals == [("xy", 7), ("42", 13), ("q", 17), ("1.5e3", 22), (".5", 29)]
+
+
+def test_parse_errors_report_literal_start_offsets():
+    with pytest.raises(ParseError, match="trailing input at offset 28: 'd'"):
+        parse("SELECT a FROM t WHERE 'abc' 'd'")
+    with pytest.raises(LexError, match="starting at offset 7"):
+        tokenize("SELECT 'never closed")
