@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ..catalog import Index
 from ..engine import Database
-from ..obs import get_registry, trace
+from ..obs import trace
 from ..optimizer import CostEvaluator, WorkloadCoster
 from ..workload import Workload, WorkloadQuery
 from .cost_eval import config_size
@@ -97,14 +97,6 @@ class SelectionAlgorithm(ABC):
                 optimizer_calls=evaluator.optimizer_calls - selection_calls
             )
         run_calls = evaluator.optimizer_calls - calls_start
-        registry = get_registry()
-        registry.histogram(
-            "baseline.select.seconds", "selection wall seconds per algorithm"
-        ).observe(runtime, algorithm=self.name)
-        registry.histogram(
-            "baseline.optimizer_calls",
-            "optimizer invocations per run (selection + cost accounting)",
-        ).observe(run_calls, algorithm=self.name)
         return AlgorithmResult(
             algorithm=self.name,
             indexes=list(indexes),

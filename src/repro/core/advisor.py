@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 
 from ..catalog import Index
 from ..engine import Database
-from ..obs import AdvisorDecision, Span, emit, get_registry, trace
+from ..obs import AdvisorDecision, Span, emit, trace
 from ..optimizer import CostEvaluator
 from ..workload import (
     SelectionPolicy,
@@ -154,8 +154,6 @@ class AimAdvisor:
             )
         calls_start = evaluator.optimizer_calls
         generator = self._generator(evaluator)
-        registry = get_registry()
-        registry.counter("advisor.runs", "advisor invocations").inc()
 
         with trace("advisor.recommend", queries=len(workload)) as root:
             with advisor_phase("advisor.baseline_cost", evaluator):
@@ -210,12 +208,6 @@ class AimAdvisor:
                         evaluator, workload, selected
                     )
                     span.set(accepted=len(selected), rejected=len(rejected))
-                verdicts = registry.counter(
-                    "advisor.validation.verdicts",
-                    "clone-validation outcomes per candidate index",
-                )
-                verdicts.inc(len(selected), verdict="accepted")
-                verdicts.inc(len(rejected), verdict="rejected")
 
             with advisor_phase("advisor.finalize", evaluator) as span:
                 chosen_indexes = [c.index for c in selected]
@@ -239,9 +231,6 @@ class AimAdvisor:
 
             root.set(optimizer_calls=evaluator.optimizer_calls - calls_start)
 
-        registry.counter(
-            "advisor.indexes.recommended", "indexes across all advisor runs"
-        ).inc(len(selected))
         created = [
             IndexRecommendation(
                 index=c.index.materialized(),

@@ -19,7 +19,6 @@ from ..obs import (
     DdlApplied,
     WorkloadDigest,
     emit,
-    get_registry,
 )
 from ..optimizer import CostEvaluator
 from ..workload import (
@@ -156,17 +155,6 @@ class ContinuousTuner:
                     recommendation.optimizer_calls if recommendation else 0
                 ),
             )
-        )
-        registry = get_registry()
-        registry.counter(
-            "tuner.cycles", "completed continuous-tuning cycles"
-        ).inc(1, database=self.db.name)
-        registry.gauge(
-            "tuner.last_improvement",
-            "workload-cost improvement of the most recent cycle",
-        ).set(
-            recommendation.improvement if recommendation else 0.0,
-            database=self.db.name,
         )
         return result
 

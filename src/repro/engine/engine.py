@@ -166,6 +166,7 @@ class Database:
             name=name or f"{self.name}-shadow",
         )
         clone.stats = self.stats
+        clone.switches = self.switches
         # The clone's row ids are compact: tombstones are not copied.
         for table_name, storage in self.storage.items():
             clone.storage[table_name].load_columns({

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from ..engine import Database, ExecutionMetrics
 from ..engine.btree import wrap_key
 from ..engine.storage import TableStorage
-from ..obs import PlanEstimate, emit, record_execution_metrics
+from ..obs import PlanEstimate, emit
 from ..optimizer import Optimizer
 from ..optimizer.plan import AccessPath, JoinStep, Plan
 from ..optimizer.query_info import QueryInfo
@@ -88,7 +88,6 @@ class Executor:
             result = self._execute_delete(stmt)
         else:
             raise TypeError(f"cannot execute {type(stmt).__name__}")
-        record_execution_metrics(result.metrics, type(stmt).__name__.lower())
         if result.actual is not None:
             sql = normalize_statement(stmt).to_sql()
             for _depth, node in result.actual.walk():

@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..core import AimConfig, ContinuousTuner, TuningCycleResult
 from ..engine import Database
-from ..obs import IndexRollback, emit, get_registry, trace
+from ..obs import IndexRollback, emit, trace
 from ..workload import SelectionPolicy
 from .regression import ContinuousRegressionDetector
 from .replica import ReplicaSet
@@ -74,10 +74,6 @@ class FleetCoordinator:
 
     def scan_and_tune(self) -> dict[str, TuningCycleResult]:
         """One coordinator sweep over the fleet."""
-        registry = get_registry()
-        registry.gauge(
-            "fleet.managed", "databases under coordinator management"
-        ).set(len(self.managed))
         results: dict[str, TuningCycleResult] = {}
         with trace("fleet.scan_and_tune", managed=len(self.managed)) as span:
             for name, managed in self.managed.items():
@@ -85,9 +81,6 @@ class FleetCoordinator:
                     continue
                 with trace("fleet.tuning_cycle", database=name):
                     result = managed.tuner.run_cycle()
-                registry.counter(
-                    "fleet.tuning_cycles", "tuning cycles triggered per database"
-                ).inc(database=name)
                 for index in result.created:
                     managed.detector.note_index_created(index)
                 if result.changed:
@@ -117,13 +110,4 @@ class FleetCoordinator:
             if flagged:
                 managed.replica_set.apply_ddl()
             span.set(events=len(events), reverted=len(flagged))
-        registry = get_registry()
-        if events:
-            registry.counter(
-                "fleet.regression.events", "detected per-query regressions"
-            ).inc(len(events), database=name)
-        if flagged:
-            registry.counter(
-                "fleet.indexes_reverted", "automation indexes reverted"
-            ).inc(len(flagged), database=name)
         return events

@@ -13,16 +13,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..catalog import Index
-from ..obs import BoundMetric, RegressionFlagged, emit
+from ..obs import RegressionFlagged, emit
 from ..sqlparser import ast, parse
 from ..workload import WorkloadMonitor
-
-_WINDOWS = BoundMetric(
-    "counter", "regression.windows_observed", "observation windows processed"
-)
-_EVENTS = BoundMetric(
-    "counter", "regression.events_detected", "per-query regressions flagged"
-)
 
 
 def _referenced_tables(*sql_texts: str) -> set[str]:
@@ -127,9 +120,6 @@ class ContinuousRegressionDetector:
                         database=database,
                     )
                 )
-        _WINDOWS.inc()
-        if events:
-            _EVENTS.inc(len(events))
         self._baseline.update(current)
         # Age the suspect list.
         aged: dict[str, tuple[Index, int]] = {}

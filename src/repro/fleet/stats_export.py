@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..obs import WorkloadDigest, emit, get_registry
+from ..obs import WorkloadDigest, emit
 from ..workload import QueryStatistics, WorkloadMonitor
 from .replica import ReplicaSet
 
@@ -49,9 +49,6 @@ class StatsWarehouse:
         for record in records:
             staging.stats[record.normalized_sql] = record
         monitor.merge(staging)
-        get_registry().counter(
-            "warehouse.records_ingested", "statistics records ingested"
-        ).inc(len(records), database=database)
 
     def monitor_for(self, database: str) -> WorkloadMonitor:
         return self.monitors.setdefault(database, WorkloadMonitor())
@@ -97,7 +94,4 @@ class StatsExportDaemon:
                 )
             )
         self.export_runs += 1
-        get_registry().counter(
-            "fleet.stats.records_exported", "records drained to the warehouse"
-        ).inc(exported, database=self.database)
         return exported

@@ -253,7 +253,6 @@ class EventJournal:
         path: when given, every record is appended (and flushed) to this
             file as one JSON line; the in-memory buffer is kept either way
             so tests and the CLI can inspect a run without a file.
-        enabled: when False :meth:`emit` is a no-op returning ``None``.
         max_events: in-memory retention cap.  File emission continues past
             the cap (the file is the durable record); overflowed in-memory
             records are counted in ``dropped``.
@@ -262,10 +261,8 @@ class EventJournal:
     def __init__(
         self,
         path: Optional[str] = None,
-        enabled: bool = True,
         max_events: int = 100_000,
     ):
-        self.enabled = enabled
         self.max_events = max_events
         self.dropped = 0
         self._lock = threading.Lock()
@@ -293,10 +290,8 @@ class EventJournal:
 
     # -- recording -----------------------------------------------------------
 
-    def emit(self, event: Any) -> Optional[dict]:
+    def emit(self, event: Any) -> dict:
         """Append one typed event; returns the serialized record."""
-        if not self.enabled:
-            return None
         event_type = getattr(event, "TYPE", None)
         if event_type not in EVENT_TYPES:
             raise TypeError(f"not a journal event: {event!r}")
@@ -448,6 +443,6 @@ def set_journal(journal: EventJournal) -> EventJournal:
     return previous
 
 
-def emit(event: Any) -> Optional[dict]:
+def emit(event: Any) -> dict:
     """Emit one event into the process-wide journal."""
     return get_journal().emit(event)

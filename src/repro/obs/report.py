@@ -1,11 +1,11 @@
 """Human-readable summaries of exported telemetry.
 
 ``repro.cli obs-report FILE`` renders any of the JSON artifacts the
-subsystem produces -- a Chrome trace (``--trace`` output), a nested span
-dump, a bench result carrying a ``telemetry`` block, or a bare
-registry/telemetry snapshot -- into the terminal summary a human reads
-first: where the time went per phase, how many optimizer calls each phase
-spent, and the headline counters.
+subsystem produces -- a Chrome trace (``--trace`` output), a bench
+result carrying a ``telemetry`` block, or a bare registry/telemetry
+snapshot -- into the terminal summary a human reads first: where the
+time went per phase, how many optimizer calls each phase spent, and the
+headline counters.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ def render_report(payload: Any) -> str:
     if isinstance(payload, dict):
         if "traceEvents" in payload:
             sections.append(_render_chrome(load_chrome_trace(payload)))
-        if payload.get("format") == "repro.obs.trace":
-            sections.append(_render_span_trees(payload.get("spans", [])))
         telemetry = payload.get("telemetry")
         if isinstance(telemetry, dict):
             sections.append(_render_telemetry(telemetry))
@@ -76,29 +74,6 @@ def _render_chrome(spans: list[ChromeSpan]) -> str:
                 int(entry["calls"]) if entry["calls"] else "-",
             )
         )
-    return "\n".join(lines)
-
-
-# -- nested span dump --------------------------------------------------------
-
-
-def _render_span_trees(spans: list[dict]) -> str:
-    lines = ["span tree:"]
-
-    def walk(node: dict, depth: int) -> None:
-        attrs = node.get("attrs") or {}
-        detail = ""
-        if "optimizer_calls" in attrs:
-            detail = f"  [{attrs['optimizer_calls']} optimizer calls]"
-        lines.append(
-            f"  {'  ' * depth}{node.get('name', '?')}: "
-            f"{node.get('duration_seconds', 0.0) * 1e3:.2f} ms{detail}"
-        )
-        for child in node.get("children", []):
-            walk(child, depth + 1)
-
-    for root in spans:
-        walk(root, 0)
     return "\n".join(lines)
 
 

@@ -1,16 +1,16 @@
 """Hierarchical tracing.
 
-A :class:`Tracer` records *spans*: named, nested, wall-clock +
-monotonic-timed intervals around units of work (an advisor phase, a
-baseline run, a fleet sweep).  Spans form per-thread trees -- the span
-opened last on a thread is the parent of any span opened underneath it --
-and are exported either as nested JSON or as Chrome ``trace_event``
-objects loadable in ``chrome://tracing`` / Perfetto.
+A :class:`Tracer` records *spans*: named, nested, monotonic-timed
+intervals around units of work (an advisor phase, a baseline run, a fleet
+sweep).  Spans form per-thread trees -- the span opened last on a thread
+is the parent of any span opened underneath it -- and are exported as
+Chrome ``trace_event`` objects loadable in ``chrome://tracing`` /
+Perfetto.
 
 The module keeps one process-wide tracer (:func:`get_tracer`); the
-``with trace("advisor.merge"):`` context manager and the ``@traced``
-decorator record into whichever tracer is current, so library code never
-needs a tracer argument threaded through it.
+``with trace("advisor.merge"):`` context manager records into whichever
+tracer is current, so library code never needs a tracer argument threaded
+through it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import wraps
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 __all__ = [
     "Span",
@@ -30,7 +29,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "trace",
-    "traced",
     "load_chrome_trace",
 ]
 
@@ -43,7 +41,6 @@ class Span:
     span_id: int
     parent_id: Optional[int]
     thread_id: int
-    start_wall: float               # epoch seconds (time.time)
     start: float                    # monotonic seconds (perf_counter)
     end: Optional[float] = None     # monotonic seconds; None while open
     attrs: dict[str, Any] = field(default_factory=dict)
@@ -60,54 +57,22 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def to_dict(self) -> dict:
-        """Nested plain-JSON representation."""
-        return {
-            "name": self.name,
-            "start_wall": self.start_wall,
-            "duration_seconds": self.duration,
-            "attrs": dict(self.attrs),
-            "children": [child.to_dict() for child in self.children],
-        }
-
-
-class _NullSpan:
-    """Stand-in yielded when tracing is disabled; absorbs attribute sets."""
-
-    name = ""
-    children: list = []
-    duration = 0.0
-
-    @property
-    def attrs(self) -> dict:
-        return {}
-
-    def set(self, **attrs: Any) -> "_NullSpan":
-        return self
-
-
-_NULL_SPAN = _NullSpan()
-
 
 class Tracer:
     """Thread-safe hierarchical span recorder.
 
     Args:
-        enabled: when False every ``span()`` yields a shared null span
-            (near-zero overhead).
         max_spans: retention cap; spans finished beyond the cap are
             dropped (counted in ``dropped``) so long-running processes
             cannot grow without bound.
     """
 
-    def __init__(self, enabled: bool = True, max_spans: int = 100_000):
-        self.enabled = enabled
+    def __init__(self, max_spans: int = 100_000):
         self.max_spans = max_spans
         self.dropped = 0
         self._lock = threading.Lock()
         self._next_id = 0
         self._finished: list[Span] = []
-        self._roots: list[Span] = []
         self._local = threading.local()
 
     # -- recording ------------------------------------------------------------
@@ -130,7 +95,6 @@ class Tracer:
             span_id=span_id,
             parent_id=parent.span_id if parent is not None else None,
             thread_id=threading.get_ident(),
-            start_wall=time.time(),
             start=time.perf_counter(),
             attrs=dict(attrs),
         )
@@ -155,15 +119,10 @@ class Tracer:
                 self.dropped += 1
                 return
             self._finished.append(span)
-            if span.parent_id is None:
-                self._roots.append(span)
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
         """``with tracer.span("advisor.ranking") as s: ...``"""
-        if not self.enabled:
-            yield _NULL_SPAN  # type: ignore[misc]
-            return
         span = self.start_span(name, **attrs)
         try:
             yield span
@@ -181,11 +140,6 @@ class Tracer:
         """All finished spans, in finish order."""
         with self._lock:
             return list(self._finished)
-
-    def roots(self) -> list[Span]:
-        """Finished root spans (trace trees)."""
-        with self._lock:
-            return list(self._roots)
 
     def find(self, name: str) -> list[Span]:
         """Finished spans with the given name."""
@@ -217,19 +171,10 @@ class Tracer:
     def reset(self) -> None:
         with self._lock:
             self._finished.clear()
-            self._roots.clear()
             self.dropped = 0
         self._local = threading.local()
 
     # -- export ---------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """Nested span trees as plain JSON."""
-        return {
-            "format": "repro.obs.trace",
-            "dropped": self.dropped,
-            "spans": [root.to_dict() for root in self.roots()],
-        }
 
     def to_chrome_trace(self) -> dict:
         """Chrome ``trace_event`` JSON (load in chrome://tracing/Perfetto).
@@ -324,20 +269,3 @@ def trace(name: str, **attrs: Any) -> Iterator[Span]:
     """Record a span on the process-wide tracer."""
     with get_tracer().span(name, **attrs) as span:
         yield span
-
-
-def traced(name: Optional[str] = None) -> Callable:
-    """Decorator form: ``@traced("advisor.ranking")`` (defaults to the
-    function's qualified name)."""
-
-    def decorate(fn: Callable) -> Callable:
-        span_name = name or fn.__qualname__
-
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            with trace(span_name):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from ..catalog import Index, Schema, Table
 from ..engine.pages import CostParams
-from ..obs import BoundMetric
 from ..sqlparser import ast
 from ..stats import ColumnStats, StatsCatalog
 from .access_path import (
@@ -35,13 +34,6 @@ from .switches import DEFAULT_SWITCHES, OptimizerSwitches
 
 #: Maximum bindings handled by exhaustive DP; larger queries go greedy.
 DP_LIMIT = 10
-
-_ENUM_DP = BoundMetric(
-    "counter", "optimizer.join_enumeration",
-    "join-order strategy per planned join query", strategy="dp",
-)
-_ENUM_GREEDY = BoundMetric("counter", "optimizer.join_enumeration", strategy="greedy")
-_ENUM_STRAIGHT = BoundMetric("counter", "optimizer.join_enumeration", strategy="straight")
 
 
 class PlanMemo:
@@ -355,15 +347,12 @@ class SelectPlanner:
 
     def _join_plan(self, bindings: list[str]) -> Plan:
         if self.info.straight_join:
-            _ENUM_STRAIGHT.inc()
             order = bindings
             steps, rows = self._build_pipeline(order)
             return self._finalize(steps, rows)
         if len(bindings) <= DP_LIMIT:
-            _ENUM_DP.inc()
             order = self._dp_order(bindings)
         else:
-            _ENUM_GREEDY.inc()
             order = self._greedy_order(bindings)
         steps, rows = self._build_pipeline(order)
         plan = self._finalize(steps, rows)

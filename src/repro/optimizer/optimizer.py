@@ -31,9 +31,6 @@ _CALLS_SELECT = BoundMetric(
     kind="select",
 )
 _CALLS_DML = BoundMetric("counter", "optimizer.calls", kind="dml")
-_PLAN_COST = BoundMetric(
-    "histogram", "optimizer.plan_cost", "total estimated cost per produced plan"
-)
 
 
 class Optimizer:
@@ -87,7 +84,6 @@ class Optimizer:
         else:
             _CALLS_DML.inc()
             plan = self._explain_dml(info, extra_indexes, memo or PlanMemo())
-        _PLAN_COST.observe(plan.total_cost)
         return plan
 
     def cost(self, stmt: Statement, extra_indexes: Sequence[Index] = ()) -> float:

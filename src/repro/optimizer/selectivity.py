@@ -11,21 +11,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..obs import BoundMetric
 from ..sqlparser import ast
 from ..sqlparser.predicates import AtomicPredicate, classify_atomic
 from ..stats import ColumnStats
 from ..stats.column_stats import DEFAULT_RANGE_SELECTIVITY
-
-_SEL_ATOMIC = BoundMetric(
-    "counter", "optimizer.selectivity.calls",
-    "selectivity estimations by entry point", entry="atomic",
-)
-_SEL_EXPR = BoundMetric("counter", "optimizer.selectivity.calls", entry="expr")
-_SEL_MEMO_HITS = BoundMetric(
-    "counter", "selectivity.memo_hits",
-    "per-(column, op, value) selectivity memo hits",
-)
 
 #: Floor applied to conjunctions so long predicate chains never hit zero.
 MIN_SELECTIVITY = 1e-9
@@ -138,7 +127,6 @@ def atomic_selectivity(pred: AtomicPredicate, stats: ColumnStats) -> float:
     memo = _stats_memo(stats)
     cached = memo.get(key)
     if cached is not None:
-        _SEL_MEMO_HITS.inc()
         return cached
     sel = _atomic_selectivity_uncached(pred, stats)
     memo[key] = sel
@@ -146,7 +134,6 @@ def atomic_selectivity(pred: AtomicPredicate, stats: ColumnStats) -> float:
 
 
 def _atomic_selectivity_uncached(pred: AtomicPredicate, stats: ColumnStats) -> float:
-    _SEL_ATOMIC.inc()
     expr = pred.expr
     op = pred.op
     if op in ("=", "<=>"):
@@ -217,7 +204,6 @@ def combined_range_selectivity(
         memo = _stats_memo(stats)
         cached = memo.get(memo_key)
         if cached is not None:
-            _SEL_MEMO_HITS.inc()
             return cached
     sel = _combined_range_selectivity_uncached(preds, stats)
     if memo_key is not None:
@@ -295,7 +281,6 @@ def expr_selectivity(expr: Optional[ast.Expr], lookup: StatsLookup) -> float:
     """
     if expr is None:
         return 1.0
-    _SEL_EXPR.inc()
     if isinstance(expr, ast.And):
         sel = 1.0
         for item in expr.items:

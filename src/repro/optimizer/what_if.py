@@ -80,9 +80,6 @@ _CANONICAL_HITS = BoundMetric(
 _EVICTIONS = BoundMetric(
     "counter", "whatif.cache_evictions", "what-if plan cache LRU evictions"
 )
-_PLAN_COST = BoundMetric(
-    "histogram", "whatif.plan_cost", "plan costs of uncached what-if evaluations"
-)
 _SCORED = BoundMetric(
     "counter", "whatif.coster.scored",
     "configurations scored incrementally by WorkloadCoster",
@@ -222,7 +219,6 @@ class CostEvaluator:
         if is_select and relevant:
             used_keys = relevant_keys.intersection(plan.used_index_keys)
             self._canonical_store(sql, used_keys, relevant_keys, plan)
-        _PLAN_COST.observe(plan.total_cost)
         return plan
 
     def _drop_caches(self) -> None:

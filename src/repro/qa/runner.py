@@ -3,9 +3,9 @@
 ``run_fuzz`` drives ``iters`` seeded cases through the selected oracles.
 Every violating case is (optionally) minimized with
 :mod:`repro.qa.shrink` and written to ``qa_failures/seed<N>.json``
-together with its violations and a replay command; the run is also
-observable -- ``qa.fuzz.*`` counters in the metrics registry and one
-``oracle_violation`` journal event per violation.
+together with its violations and a replay command.  The returned
+:class:`FuzzReport` counts the cases run and lists every violation, and
+each violation is also one ``oracle_violation`` journal event.
 
 ``replay_case`` re-runs a persisted failure file, which is how a written
 repro is debugged (and how CI validates that a nightly failure is still
@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..obs import OracleViolation, counter, emit
+from ..obs import OracleViolation, emit
 from .generator import Case, GenConfig, generate_case
 from .oracles import ORACLES, OracleConfig, Violation, run_oracles
 from .shrink import shrink_case
@@ -85,11 +85,6 @@ def run_fuzz(
     for i in range(iters):
         case_seed = seed + i
         case = generate_case(case_seed, gen_config)
-        counter("qa.fuzz.cases", "fuzz cases generated and checked").inc()
-        for name in names:
-            counter("qa.fuzz.oracle_checks", "oracle runs by oracle").labels(
-                oracle=name
-            ).inc()
         violations = run_oracles(case, names, config)
         report.cases_run += 1
         if violations:
@@ -101,9 +96,6 @@ def run_fuzz(
             if path is not None:
                 report.failure_files.append(path)
             for violation in violations:
-                counter(
-                    "qa.fuzz.violations", "oracle violations by oracle"
-                ).labels(oracle=violation.oracle).inc()
                 emit(OracleViolation(
                     oracle=violation.oracle,
                     seed=violation.seed,

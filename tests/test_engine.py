@@ -74,6 +74,19 @@ def test_full_clone_copies_rows(db):
     assert db.storage["users"].row_count == 500
 
 
+def test_clones_plan_with_the_source_switches(db):
+    """A skip-scan plan on the source is the plan on either clone."""
+    from repro.optimizer import Optimizer, OptimizerSwitches
+
+    db.create_index(Index("users", ("city", "age")))
+    db.switches = OptimizerSwitches(skip_scan=True)
+    sql = "SELECT age FROM users WHERE age = 30"
+    assert Optimizer(db).explain(sql).steps[0].path.skip_scan
+    for clone in (db.stats_clone(), db.full_clone()):
+        assert clone.switches == db.switches
+        assert Optimizer(clone).explain(sql).steps[0].path.skip_scan
+
+
 def test_stats_only_database_rejects_loads():
     stats_db = Database.from_tables([users_table()], with_storage=False)
     with pytest.raises(RuntimeError):

@@ -83,12 +83,6 @@ def test_emit_rejects_non_events(journal):
         emit("not an event")
 
 
-def test_disabled_journal_is_noop():
-    j = EventJournal(enabled=False)
-    assert j.emit(IndexRollback(index="x")) is None
-    assert len(j) == 0
-
-
 def test_in_memory_cap_counts_drops(journal):
     j = EventJournal(max_events=3)
     for i in range(5):
