@@ -84,9 +84,12 @@ class CophyAlgorithm(SelectionAlgorithm):
         z_pos = {key: n_idx + i for i, key in enumerate(z_keys)}
         n_vars = n_idx + len(z_keys)
 
+        # Gains in units of the largest one: raw costs up to ~1e10 leave
+        # HiGHS with no solution (as do byte sizes in the budget row below).
+        top = max(benefits.values()) or 1.0
         c = [0.0] * n_vars
         for key, gain in benefits.items():
-            c[z_pos[key]] = -gain   # linprog minimizes
+            c[z_pos[key]] = -gain / top   # linprog minimizes
 
         # A_ub as (row, column, value) triplets: every row has a handful of
         # nonzeros out of n_vars columns.
@@ -109,10 +112,13 @@ class CophyAlgorithm(SelectionAlgorithm):
             by_query.setdefault(key[0], []).append(z_pos[key])
         for positions in by_query.values():   # one index serves each query
             add_row(((pos, 1.0) for pos in positions), 1.0)
-        add_row(   # storage budget; a zero size stores no entry
-            ((idx_pos[name], float(sizes[name]))
+        # Storage budget, in units of the budget (bound 1.0).  A zero size
+        # stores no entry.
+        scale = max(budget_bytes, 1)
+        add_row(
+            ((idx_pos[name], sizes[name] / scale)
              for name in index_names if sizes[name]),
-            float(budget_bytes),
+            budget_bytes / scale,
         )
         a_ub = coo_matrix((vals, (rows, cols)), shape=(len(b_ub), n_vars))
 

@@ -86,9 +86,10 @@ class QueryInfo:
             unless the index holds every column).
         straight_join: join order is predetermined (MySQL STRAIGHT_JOIN).
         limit: LIMIT value if present (``-1`` for a parameterized limit).
-        cache_sql: the statement's canonical SQL text, rendered once at
-            analysis time.  What-if caches key on it instead of calling
-            ``stmt.to_sql()`` per plan request.
+        cache_sql: the statement's canonical SQL text.  The what-if
+            evaluator renders it at the statement's first plan request and
+            keys its caches on it; empty until then, so statements that are
+            never what-if planned never render it.
     """
 
     stmt: ast.Statement
@@ -177,7 +178,6 @@ def analyze_query(stmt: ast.Statement, schema: Schema) -> QueryInfo:
         info = _analyze_dml(stmt, schema)
     else:
         raise TypeError(f"cannot analyze {type(stmt).__name__}")
-    info.cache_sql = stmt.to_sql()
     return info
 
 

@@ -190,7 +190,9 @@ class CostEvaluator:
             self._drop_caches()
         info = self.analyze(stmt)
         relevant = self._relevant(info, config)
-        sql = info.cache_sql or info.stmt.to_sql()
+        sql = info.cache_sql
+        if not sql:
+            sql = info.cache_sql = info.stmt.to_sql()
         relevant_keys = frozenset(idx.key for idx in relevant)
         key = (sql, relevant_keys)
         _EVALS.inc()

@@ -35,9 +35,8 @@ from ..catalog import (
     char,
     varchar,
 )
-from .lexer import tokenize
 from .parser import _Parser
-from .tokens import TokenKind
+from .tokens import EOF, IDENT, KEYWORDS, NUMBER, STRING
 
 _TYPE_MAP: dict[str, ColumnType] = {
     "INT": INT, "INTEGER": INT, "SMALLINT": INT, "TINYINT": INT,
@@ -72,7 +71,7 @@ class ParsedDdl:
 
 def parse_ddl(sql: str) -> ParsedDdl:
     """Parse a script of semicolon-separated DDL statements."""
-    return _DdlParser(tokenize(sql)).parse_script()
+    return _DdlParser(sql).parse_script()
 
 
 class _DdlParser(_Parser):
@@ -83,38 +82,40 @@ class _DdlParser(_Parser):
 
     def parse_script(self) -> ParsedDdl:
         result = ParsedDdl()
-        while self._cur.kind is not TokenKind.EOF:
-            if self._accept_symbol(";"):
+        while self._tags[self._pos] is not EOF:
+            if self._accept(";"):
                 continue
-            self._expect_keyword("CREATE")
-            if self._cur.is_keyword("TABLE"):
+            self._expect("CREATE")
+            tag = self._tags[self._pos]
+            if tag == "TABLE":
                 result.tables.append(self._parse_create_table())
-            elif self._cur.is_keyword("UNIQUE", "INDEX"):
+            elif tag == "UNIQUE" or tag == "INDEX":
                 result.indexes.append(self._parse_create_index())
             else:
                 raise DdlError(
-                    f"unsupported CREATE {self._cur.text!r} at offset {self._cur.pos}"
+                    f"unsupported CREATE {self._texts[self._pos]!r} "
+                    f"at offset {self._offsets[self._pos]}"
                 )
         return result
 
     def _parse_create_table(self) -> Table:
-        self._expect_keyword("TABLE")
+        self._expect("TABLE")
         name = self._expect_ident()
-        self._expect_symbol("(")
+        self._expect("(")
         columns: list[Column] = []
         primary_key: tuple[str, ...] = ()
         while True:
-            if self._accept_keyword("PRIMARY"):
-                self._expect_keyword("KEY")
+            if self._accept("PRIMARY"):
+                self._expect("KEY")
                 primary_key = self._parse_column_list()
             else:
                 column, inline_pk = self._parse_column_def()
                 columns.append(column)
                 if inline_pk:
                     primary_key = (column.name,)
-            if self._accept_symbol(","):
+            if self._accept(","):
                 continue
-            self._expect_symbol(")")
+            self._expect(")")
             break
         if not primary_key:
             # Convention: a leading 'id' column acts as the clustered PK.
@@ -130,35 +131,34 @@ class _DdlParser(_Parser):
         nullable = True
         inline_pk = False
         # Trailing column attributes: [NOT NULL | NULL], DEFAULT ... etc.
-        while not self._cur.is_symbol(",", ")"):
-            if self._accept_keyword("NOT"):
-                self._expect_keyword("NULL")
+        while (tag := self._tags[self._pos]) != "," and tag != ")":
+            if self._accept("NOT"):
+                self._expect("NULL")
                 nullable = False
-            elif self._accept_keyword("NULL"):
+            elif self._accept("NULL"):
                 nullable = True
-            elif self._accept_keyword("PRIMARY"):
-                self._expect_keyword("KEY")
+            elif self._accept("PRIMARY"):
+                self._expect("KEY")
                 inline_pk = True
                 nullable = False
-            elif self._cur.kind in (TokenKind.IDENT, TokenKind.KEYWORD,
-                                    TokenKind.NUMBER, TokenKind.STRING):
-                self._advance()   # DEFAULT <value>, AUTO_INCREMENT, UNIQUE, ...
+            elif tag is IDENT or tag is NUMBER or tag is STRING or tag in KEYWORDS:
+                self._pos += 1   # DEFAULT <value>, AUTO_INCREMENT, UNIQUE, ...
             else:
                 raise DdlError(
-                    f"unexpected token {self._cur.text!r} in column definition"
+                    f"unexpected token {self._texts[self._pos]!r} in column definition"
                 )
         return Column(name, ctype, nullable=nullable), inline_pk
 
     def _parse_type(self) -> ColumnType:
         type_name = self._expect_ident().upper()
         length = None
-        if self._accept_symbol("("):
-            if self._cur.kind is not TokenKind.NUMBER:   # not even LIMIT's `?`
+        if self._accept("("):
+            if self._tags[self._pos] is not NUMBER:   # not even LIMIT's `?`
                 raise self._error("expected a length in type parentheses")
-            length = int(float(self._advance().text))
-            if self._accept_symbol(","):
+            length = int(float(self._advance()))
+            if self._accept(","):
                 self._advance()    # scale, ignored
-            self._expect_symbol(")")
+            self._expect(")")
         if type_name in ("VARCHAR", "VARBINARY", "NVARCHAR"):
             return varchar(max(1, (length or 32) // 2))   # avg ~ half max
         if type_name in ("CHAR", "BINARY", "NCHAR"):
@@ -168,11 +168,11 @@ class _DdlParser(_Parser):
         return varchar(16)
 
     def _parse_create_index(self) -> Index:
-        unique = self._accept_keyword("UNIQUE") is not None
-        self._expect_keyword("INDEX")
-        if self._cur.kind is TokenKind.IDENT:
-            self._advance()   # index name: ours are derived from columns
-        self._expect_keyword("ON")
+        unique = self._accept("UNIQUE")
+        self._expect("INDEX")
+        if self._tags[self._pos] is IDENT:
+            self._pos += 1   # index name: ours are derived from columns
+        self._expect("ON")
         table = self._expect_ident()
         columns = self._parse_column_list()
         return Index(table, columns, unique=unique)

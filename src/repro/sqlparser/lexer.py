@@ -1,11 +1,30 @@
-"""Hand-written lexer for the SQL subset used across the reproduction."""
+"""Regex lexer for the SQL subset used across the reproduction.
+
+One compiled master pattern is matched at each offset; the name of the
+alternative that matched (``lastgroup``) says what the token is.  The lexer
+emits three parallel lists -- tags, texts and offsets -- that the parser
+walks directly.  A keyword's or a symbol's tag is its canonical text;
+every other token's tag is one of the sentinels :data:`~.tokens.IDENT`,
+``NUMBER``, ``STRING``, ``PARAM`` and ``EOF``.
+
+The pattern's classes stand in for the ``str`` predicates a hand-written
+loop would call: ``\\s`` accepts exactly what ``str.isspace`` accepts and
+``\\w`` what ``str.isalnum`` or ``_`` accepts.  An identifier starts with
+an ``isalpha()`` character or ``_``; numbers are ASCII only.
+"""
 
 from __future__ import annotations
 
+import re
+
 from .tokens import (
+    EOF,
+    IDENT,
     KEYWORDS,
-    MULTI_CHAR_SYMBOLS,
-    SINGLE_CHAR_SYMBOLS,
+    NUMBER,
+    PARAM,
+    STRING,
+    SYMBOLS,
     Token,
     TokenKind,
 )
@@ -15,125 +34,129 @@ class LexError(ValueError):
     """Raised when the input contains a character the lexer cannot handle."""
 
 
-#: Numbers are ASCII only: ``str.isdigit`` also accepts ``²`` and ``٣``,
-#: which ``int()`` then rejects or silently reads as another digit.
-_DIGITS = frozenset("0123456789")
+def _symbol_pattern(symbol: str) -> str:
+    # A lone '/' must not start an unterminated '/*': that is an error.
+    return r"/(?!\*)" if symbol == "/" else re.escape(symbol)
 
 
-def tokenize(sql: str) -> list[Token]:
-    """Tokenize *sql* into a list of tokens terminated by an EOF token.
+_MASTER = re.compile(
+    r"\s*(?:"
+    # Identifiers and keywords.  An ASCII start is the common case; a
+    # non-ASCII start ([^\W\d] also admits '²' and '½') is checked apart.
+    r"(?P<word>[A-Za-z_]\w*)"
+    # Numbers are ASCII only: str.isdigit also accepts '²' and '٣', which
+    # int() then rejects or silently reads as another digit.
+    r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<comment>--[^\n]*\n?|/\*(?s:.*?)\*/)"
+    r"|(?P<symbol>" + "|".join(_symbol_pattern(s) for s in SYMBOLS) + ")"
+    # A string closes at a quote that no second quote follows ('' escapes).
+    r"|(?P<single>'[^']*(?:''[^']*)*'(?!'))"
+    r"|(?P<double>\"[^\"]*(?:\"\"[^\"]*)*\"(?!\"))"
+    r"|(?P<quoted>`[^`]*`)"
+    r"|(?P<param>\?)"
+    r"|(?P<uword>[^\W\d]\w*)"
+    # Anything else starts no token: finditer then never skips a character
+    # (only trailing whitespace goes unmatched).
+    r"|(?P<error>\S)"
+    r")"
+)
+
+#: Keyword tags: one string object per keyword, so the parser's
+#: comparisons with keyword literals hit the identity fast path.
+_KEYWORD_TAGS = {word: word for word in KEYWORDS}
+_SENTINEL_KINDS = {
+    IDENT: TokenKind.IDENT,
+    NUMBER: TokenKind.NUMBER,
+    STRING: TokenKind.STRING,
+    PARAM: TokenKind.PARAM,
+    EOF: TokenKind.EOF,
+}
+
+
+def lex(sql: str) -> tuple[list[str], list[str], list[int]]:
+    """Lex *sql* into parallel ``(tags, texts, offsets)`` lists ending at EOF.
 
     String literals accept single or double quotes with ``''`` escaping,
     identifiers may be backquoted (MySQL style), and ``--`` / ``/* */``
-    comments are skipped.
+    comments are skipped.  A text is the token's canonical text: keywords
+    upper-cased, strings and backquoted identifiers without their quotes.
 
     Raises:
         LexError: on an unterminated string/comment or unexpected character.
     """
-    tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end == -1:
-                raise LexError(f"unterminated comment at offset {i}")
-            i = end + 2
-            continue
-        if ch == "?":
-            tokens.append(Token(TokenKind.PARAM, "?", i))
-            i += 1
-            continue
-        if ch in "'\"":
-            start = i
-            text, i = _lex_string(sql, i)
-            tokens.append(Token(TokenKind.STRING, text, start))
-            continue
-        if ch == "`":
-            end = sql.find("`", i + 1)
-            if end == -1:
-                raise LexError(f"unterminated quoted identifier at offset {i}")
-            tokens.append(Token(TokenKind.IDENT, sql[i + 1:end], i))
-            i = end + 1
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and sql[i + 1] in _DIGITS):
-            start = i
-            text, i = _lex_number(sql, i)
-            tokens.append(Token(TokenKind.NUMBER, text, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, start))
+    tags: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    add_tag, add_text, add_offset = tags.append, texts.append, offsets.append
+    keyword_tag = _KEYWORD_TAGS.get
+    for m in _MASTER.finditer(sql):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        if kind == "word" or kind == "uword" and sql[start].isalpha():
+            text = sql[start:end]
+            tag = keyword_tag(text.upper())
+            if tag is None:
+                add_tag(IDENT)
+                add_text(text)
             else:
-                tokens.append(Token(TokenKind.IDENT, word, start))
+                add_tag(tag)
+                add_text(tag)
+        elif kind == "symbol":
+            tag = sql[start:end]
+            add_tag(tag)
+            add_text(tag)
+        elif kind == "comment":
             continue
-        matched = False
-        for sym in MULTI_CHAR_SYMBOLS:
-            if sql.startswith(sym, i):
-                tokens.append(Token(TokenKind.SYMBOL, sym, i))
-                i += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in SINGLE_CHAR_SYMBOLS:
-            tokens.append(Token(TokenKind.SYMBOL, ch, i))
-            i += 1
-            continue
-        raise LexError(f"unexpected character {ch!r} at offset {i}")
-    tokens.append(Token(TokenKind.EOF, "", n))
-    return tokens
+        elif kind == "number":
+            add_tag(NUMBER)
+            add_text(sql[start:end])
+        elif kind == "single":
+            add_tag(STRING)
+            add_text(sql[start + 1:end - 1].replace("''", "'"))
+        elif kind == "double":
+            add_tag(STRING)
+            add_text(sql[start + 1:end - 1].replace('""', '"'))
+        elif kind == "quoted":
+            add_tag(IDENT)
+            add_text(sql[start + 1:end - 1])
+        elif kind == "param":
+            add_tag(PARAM)
+            add_text("?")
+        else:   # an error, or a uword that starts with a non-letter
+            raise LexError(_error_message(sql, start))
+        add_offset(start)
+    add_tag(EOF)
+    add_text("")
+    add_offset(len(sql))
+    return tags, texts, offsets
 
 
-def _lex_string(sql: str, i: int) -> tuple[str, int]:
-    """Lex a quoted string starting at *i*; return (content, next offset)."""
-    start = i
-    quote = sql[i]
-    i += 1
-    parts: list[str] = []
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == quote:
-            if i + 1 < n and sql[i + 1] == quote:   # '' escape
-                parts.append(quote)
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise LexError(f"unterminated string literal starting at offset {start}")
+def _error_message(sql: str, i: int) -> str:
+    """Why no token starts at offset *i* of *sql*."""
+    ch = sql[i]
+    if ch in "'\"":
+        return f"unterminated string literal starting at offset {i}"
+    if ch == "`":
+        return f"unterminated quoted identifier at offset {i}"
+    if sql.startswith("/*", i):
+        return f"unterminated comment at offset {i}"
+    return f"unexpected character {ch!r} at offset {i}"
 
 
-def _lex_number(sql: str, i: int) -> tuple[str, int]:
-    """Lex an (optionally fractional / exponent) numeric literal."""
-    start = i
-    n = len(sql)
-    while i < n and sql[i] in _DIGITS:
-        i += 1
-    if i < n and sql[i] == ".":
-        i += 1
-        while i < n and sql[i] in _DIGITS:
-            i += 1
-    if i < n and sql[i] in "eE":
-        j = i + 1
-        if j < n and sql[j] in "+-":
-            j += 1
-        if j < n and sql[j] in _DIGITS:
-            i = j
-            while i < n and sql[i] in _DIGITS:
-                i += 1
-    return sql[start:i], i
+def tokenize(sql: str) -> list[Token]:
+    """Tokenize *sql* into a list of :class:`Token` terminated by an EOF token.
+
+    The parser reads :func:`lex`'s lists directly; this is the same token
+    stream as objects, for callers that want them.
+
+    Raises:
+        LexError: as :func:`lex`.
+    """
+    tags, texts, offsets = lex(sql)
+    out = []
+    for tag, text, pos in zip(tags, texts, offsets):
+        kind = _SENTINEL_KINDS.get(tag)
+        if kind is None:
+            kind = TokenKind.KEYWORD if tag in _KEYWORD_TAGS else TokenKind.SYMBOL
+        out.append(Token(kind, text, pos))
+    return out

@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import Optional
 
 from . import ast
-from .lexer import tokenize
-from .tokens import Token, TokenKind
+from .lexer import lex
+from .tokens import EOF, IDENT, KEYWORDS, NUMBER, PARAM, STRING
 
 
 class ParseError(ValueError):
@@ -37,7 +37,7 @@ class ParseError(ValueError):
 
 def parse(sql: str) -> ast.Statement:
     """Parse a single SQL statement and return its AST."""
-    return _Parser(tokenize(sql)).parse_statement()
+    return _Parser(sql).parse_statement()
 
 
 def parse_select(sql: str) -> ast.Select:
@@ -48,126 +48,140 @@ def parse_select(sql: str) -> ast.Select:
     return stmt
 
 
-class _Parser:
-    """Stateful cursor over a token list.
+#: Comparison operator tags -> the AST's operator (``<>`` reads as ``!=``).
+_COMPARISONS = {
+    "=": "=", "<=>": "<=>", "!=": "!=", "<>": "!=",
+    "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+}
+_ADDITIVE = frozenset(("+", "-"))
+_MULTIPLICATIVE = frozenset(("*", "/", "%"))
+_NEGATABLE = frozenset(("IN", "BETWEEN", "LIKE"))
+_AGGREGATES = frozenset(("COUNT", "SUM", "AVG", "MIN", "MAX"))
+_KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
+_JOIN_KINDS = frozenset(("INNER", "LEFT", "RIGHT", "CROSS"))
 
+
+class _Parser:
+    """Cursor over the lexer's parallel tag, text and offset lists.
+
+    A keyword's or a symbol's tag is its text, so ``_accept("FROM")`` and
+    ``_accept("(")`` each compare one list element; identifiers, literals,
+    parameters and EOF carry the sentinel tags of :mod:`.tokens`.
     ``_error`` is the exception the cursor primitives and ``_parse_int``
     raise; a grammar that reuses them (the DDL parser) sets its own.
     """
 
     _error: type[ValueError] = ParseError
 
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    def __init__(self, sql: str):
+        self._tags, self._texts, self._offsets = lex(sql)
         self._pos = 0
 
     # -- cursor primitives -------------------------------------------------
 
-    @property
-    def _cur(self) -> Token:
-        return self._tokens[self._pos]
+    def _advance(self) -> str:
+        """Step past the current token (never past EOF); return its text."""
+        pos = self._pos
+        if self._tags[pos] is not EOF:
+            self._pos = pos + 1
+        return self._texts[pos]
 
-    def _advance(self) -> Token:
-        token = self._cur
-        if token.kind is not TokenKind.EOF:
+    def _accept(self, tag: str) -> bool:
+        if self._tags[self._pos] == tag:
             self._pos += 1
-        return token
+            return True
+        return False
 
-    def _accept_keyword(self, *words: str) -> Optional[Token]:
-        if self._cur.is_keyword(*words):
-            return self._advance()
-        return None
-
-    def _accept_symbol(self, *symbols: str) -> Optional[Token]:
-        if self._cur.is_symbol(*symbols):
-            return self._advance()
-        return None
-
-    def _expect_keyword(self, word: str) -> Token:
-        if not self._cur.is_keyword(word):
-            raise self._error(f"expected {word} at offset {self._cur.pos}, got {self._cur.text!r}")
-        return self._advance()
-
-    def _expect_symbol(self, symbol: str) -> Token:
-        if not self._cur.is_symbol(symbol):
+    def _expect(self, tag: str) -> None:
+        pos = self._pos
+        if self._tags[pos] != tag:
+            wanted = tag if tag in KEYWORDS else repr(tag)
             raise self._error(
-                f"expected {symbol!r} at offset {self._cur.pos}, got {self._cur.text!r}"
+                f"expected {wanted} at offset {self._offsets[pos]}, "
+                f"got {self._texts[pos]!r}"
             )
-        return self._advance()
+        self._pos = pos + 1
 
     def _expect_ident(self) -> str:
-        if self._cur.kind is not TokenKind.IDENT:
+        pos = self._pos
+        if self._tags[pos] is not IDENT:
             raise self._error(
-                f"expected identifier at offset {self._cur.pos}, got {self._cur.text!r}"
+                f"expected identifier at offset {self._offsets[pos]}, "
+                f"got {self._texts[pos]!r}"
             )
-        return self._advance().text
+        self._pos = pos + 1
+        return self._texts[pos]
 
     def _parse_column_list(self) -> tuple[str, ...]:
         """``(ident [, ident ...])``: INSERT's and the DDL's column lists."""
-        self._expect_symbol("(")
+        self._expect("(")
         columns = [self._expect_ident()]
-        while self._accept_symbol(","):
+        while self._accept(","):
             columns.append(self._expect_ident())
-        self._expect_symbol(")")
+        self._expect(")")
         return tuple(columns)
 
     # -- statements ----------------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:
-        if self._cur.is_keyword("SELECT"):
+        tag = self._tags[0]
+        if tag == "SELECT":
             stmt: ast.Statement = self._parse_select()
-        elif self._cur.is_keyword("INSERT"):
+        elif tag == "INSERT":
             stmt = self._parse_insert()
-        elif self._cur.is_keyword("UPDATE"):
+        elif tag == "UPDATE":
             stmt = self._parse_update()
-        elif self._cur.is_keyword("DELETE"):
+        elif tag == "DELETE":
             stmt = self._parse_delete()
         else:
-            raise ParseError(f"unsupported statement starting with {self._cur.text!r}")
-        self._accept_symbol(";")
-        if self._cur.kind is not TokenKind.EOF:
-            raise ParseError(f"trailing input at offset {self._cur.pos}: {self._cur.text!r}")
+            raise ParseError(f"unsupported statement starting with {self._texts[0]!r}")
+        self._accept(";")
+        pos = self._pos
+        if self._tags[pos] is not EOF:
+            raise ParseError(
+                f"trailing input at offset {self._offsets[pos]}: {self._texts[pos]!r}"
+            )
         return stmt
 
     def _parse_select(self) -> ast.Select:
-        self._expect_keyword("SELECT")
-        distinct = self._accept_keyword("DISTINCT") is not None
+        self._pos += 1   # SELECT
+        distinct = self._accept("DISTINCT")
         items = [self._parse_select_item()]
-        while self._accept_symbol(","):
+        while self._accept(","):
             items.append(self._parse_select_item())
-        self._expect_keyword("FROM")
+        self._expect("FROM")
         tables = [self._parse_table_ref()]
         joins: list[ast.Join] = []
         while True:
-            if self._accept_symbol(","):
+            if self._accept(","):
                 tables.append(self._parse_table_ref())
                 continue
             join = self._try_parse_join()
             if join is None:
                 break
             joins.append(join)
-        where = self._parse_expr() if self._accept_keyword("WHERE") else None
+        where = self._parse_expr() if self._accept("WHERE") else None
         group_by: tuple[ast.Expr, ...] = ()
-        if self._accept_keyword("GROUP"):
-            self._expect_keyword("BY")
+        if self._accept("GROUP"):
+            self._expect("BY")
             exprs = [self._parse_expr()]
-            while self._accept_symbol(","):
+            while self._accept(","):
                 exprs.append(self._parse_expr())
             group_by = tuple(exprs)
-        having = self._parse_expr() if self._accept_keyword("HAVING") else None
+        having = self._parse_expr() if self._accept("HAVING") else None
         order_by: tuple[ast.OrderItem, ...] = ()
-        if self._accept_keyword("ORDER"):
-            self._expect_keyword("BY")
+        if self._accept("ORDER"):
+            self._expect("BY")
             order_items = [self._parse_order_item()]
-            while self._accept_symbol(","):
+            while self._accept(","):
                 order_items.append(self._parse_order_item())
             order_by = tuple(order_items)
         limit = offset = None
-        if self._accept_keyword("LIMIT"):
+        if self._accept("LIMIT"):
             limit = self._parse_int()
-            if self._accept_keyword("OFFSET"):
+            if self._accept("OFFSET"):
                 offset = self._parse_int()
-            elif self._accept_symbol(","):   # MySQL LIMIT offset, count
+            elif self._accept(","):   # MySQL LIMIT offset, count
                 offset = limit
                 limit = self._parse_int()
         return ast.Select(
@@ -184,121 +198,117 @@ class _Parser:
         )
 
     def _parse_select_item(self) -> ast.SelectItem:
-        if self._cur.is_symbol("*"):
-            self._advance()
+        tags = self._tags
+        pos = self._pos
+        if tags[pos] == "*":
+            self._pos = pos + 1
             return ast.SelectItem(ast.Star())
         # t.* projection
-        if (
-            self._cur.kind is TokenKind.IDENT
-            and self._tokens[self._pos + 1].is_symbol(".")
-            and self._tokens[self._pos + 2].is_symbol("*")
-        ):
-            table = self._advance().text
-            self._advance()
-            self._advance()
-            return ast.SelectItem(ast.Star(table))
+        if tags[pos] is IDENT and tags[pos + 1] == "." and tags[pos + 2] == "*":
+            self._pos = pos + 3
+            return ast.SelectItem(ast.Star(self._texts[pos]))
         expr = self._parse_expr()
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_ident()
-        elif self._cur.kind is TokenKind.IDENT:
-            alias = self._advance().text
-        return ast.SelectItem(expr, alias)
+        return ast.SelectItem(expr, self._parse_alias())
+
+    def _parse_alias(self) -> Optional[str]:
+        """``[AS] ident`` after a select item or a table name."""
+        if self._accept("AS"):
+            return self._expect_ident()
+        pos = self._pos
+        if self._tags[pos] is IDENT:
+            self._pos = pos + 1
+            return self._texts[pos]
+        return None
 
     def _parse_table_ref(self) -> ast.TableRef:
         name = self._expect_ident()
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_ident()
-        elif self._cur.kind is TokenKind.IDENT:
-            alias = self._advance().text
-        return ast.TableRef(name, alias)
+        return ast.TableRef(name, self._parse_alias())
 
     def _try_parse_join(self) -> Optional[ast.Join]:
-        kind = None
-        if self._accept_keyword("STRAIGHT_JOIN"):
+        tag = self._tags[self._pos]
+        if tag == "STRAIGHT_JOIN":
             kind = "STRAIGHT"
-        elif self._cur.is_keyword("JOIN"):
-            self._advance()
+            self._pos += 1
+        elif tag == "JOIN":
             kind = "INNER"
-        elif self._cur.is_keyword("INNER", "LEFT", "RIGHT", "CROSS"):
-            kw = self._advance().text
-            self._accept_keyword("OUTER")
-            self._expect_keyword("JOIN")
-            kind = "INNER" if kw == "INNER" else kw
-        if kind is None:
+            self._pos += 1
+        elif tag in _JOIN_KINDS:
+            self._pos += 1
+            self._accept("OUTER")
+            self._expect("JOIN")
+            kind = tag
+        else:
             return None
         table = self._parse_table_ref()
-        condition = self._parse_expr() if self._accept_keyword("ON") else None
+        condition = self._parse_expr() if self._accept("ON") else None
         return ast.Join(kind, table, condition)
 
     def _parse_order_item(self) -> ast.OrderItem:
         expr = self._parse_expr()
-        desc = False
-        if self._accept_keyword("DESC"):
-            desc = True
-        else:
-            self._accept_keyword("ASC")
+        desc = self._accept("DESC")
+        if not desc:
+            self._accept("ASC")
         return ast.OrderItem(expr, desc)
 
     def _parse_int(self) -> int:
-        if self._cur.kind is TokenKind.NUMBER:
-            return int(float(self._advance().text))
-        if self._cur.kind is TokenKind.PARAM:
+        pos = self._pos
+        tag = self._tags[pos]
+        if tag is NUMBER:
+            self._pos = pos + 1
+            return int(float(self._texts[pos]))
+        if tag is PARAM:
             # Normalized queries carry `LIMIT ?`; treat as a nominal bound.
-            self._advance()
+            self._pos = pos + 1
             return -1
-        raise self._error(f"expected integer at offset {self._cur.pos}")
+        raise self._error(f"expected integer at offset {self._offsets[pos]}")
 
     def _parse_insert(self) -> ast.Insert:
-        self._expect_keyword("INSERT")
-        self._expect_keyword("INTO")
+        self._pos += 1   # INSERT
+        self._expect("INTO")
         table = self._parse_table_ref()
         columns = self._parse_column_list()
-        self._expect_keyword("VALUES")
+        self._expect("VALUES")
         rows = [self._parse_value_row()]
-        while self._accept_symbol(","):
+        while self._accept(","):
             rows.append(self._parse_value_row())
         return ast.Insert(table, columns, tuple(rows))
 
     def _parse_value_row(self) -> tuple[ast.Expr, ...]:
-        self._expect_symbol("(")
+        self._expect("(")
         values = [self._parse_expr()]
-        while self._accept_symbol(","):
+        while self._accept(","):
             values.append(self._parse_expr())
-        self._expect_symbol(")")
+        self._expect(")")
         return tuple(values)
 
     def _parse_update(self) -> ast.Update:
-        self._expect_keyword("UPDATE")
+        self._pos += 1   # UPDATE
         table = self._parse_table_ref()
-        self._expect_keyword("SET")
+        self._expect("SET")
         assignments = [self._parse_assignment()]
-        while self._accept_symbol(","):
+        while self._accept(","):
             assignments.append(self._parse_assignment())
-        where = self._parse_expr() if self._accept_keyword("WHERE") else None
+        where = self._parse_expr() if self._accept("WHERE") else None
         return ast.Update(table, tuple(assignments), where)
 
     def _parse_assignment(self) -> tuple[str, ast.Expr]:
         column = self._expect_ident()
-        self._expect_symbol("=")
+        self._expect("=")
         return column, self._parse_expr()
 
     def _parse_delete(self) -> ast.Delete:
-        self._expect_keyword("DELETE")
-        self._expect_keyword("FROM")
+        self._pos += 1   # DELETE
+        self._expect("FROM")
         table = self._parse_table_ref()
-        where = self._parse_expr() if self._accept_keyword("WHERE") else None
+        where = self._parse_expr() if self._accept("WHERE") else None
         return ast.Delete(table, where)
 
     # -- expressions ---------------------------------------------------------
 
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
         items = [self._parse_and()]
-        while self._accept_keyword("OR"):
+        while self._tags[self._pos] == "OR":
+            self._pos += 1
             items.append(self._parse_and())
         if len(items) == 1:
             return items[0]
@@ -306,133 +316,130 @@ class _Parser:
 
     def _parse_and(self) -> ast.Expr:
         items = [self._parse_not()]
-        while self._accept_keyword("AND"):
+        while self._tags[self._pos] == "AND":
+            self._pos += 1
             items.append(self._parse_not())
         if len(items) == 1:
             return items[0]
         return ast.And(tuple(items))
 
     def _parse_not(self) -> ast.Expr:
-        if self._accept_keyword("NOT"):
+        if self._accept("NOT"):
             return ast.Not(self._parse_not())
         return self._parse_predicate()
 
     def _parse_predicate(self) -> ast.Expr:
         left = self._parse_operand()
-        if self._cur.is_symbol("=", "<=>", "!=", "<>", "<", "<=", ">", ">="):
-            op = self._advance().text
-            if op == "<>":
-                op = "!="
-            right = self._parse_operand()
-            return ast.Comparison(op, left, right)
+        tags = self._tags
+        pos = self._pos
+        tag = tags[pos]
+        op = _COMPARISONS.get(tag)
+        if op is not None:
+            self._pos = pos + 1
+            return ast.Comparison(op, left, self._parse_operand())
         negated = False
-        if self._cur.is_keyword("NOT"):
-            nxt = self._tokens[self._pos + 1]
-            if nxt.is_keyword("IN", "BETWEEN", "LIKE"):
-                self._advance()
-                negated = True
-        if self._accept_keyword("IN"):
-            self._expect_symbol("(")
+        if tag == "NOT" and tags[pos + 1] in _NEGATABLE:
+            pos += 1
+            self._pos = pos
+            tag = tags[pos]
+            negated = True
+        if tag == "IN":
+            self._pos = pos + 1
+            self._expect("(")
             items = [self._parse_operand()]
-            while self._accept_symbol(","):
+            while self._accept(","):
                 items.append(self._parse_operand())
-            self._expect_symbol(")")
+            self._expect(")")
             return ast.InList(left, tuple(items), negated)
-        if self._accept_keyword("BETWEEN"):
+        if tag == "BETWEEN":
+            self._pos = pos + 1
             low = self._parse_operand()
-            self._expect_keyword("AND")
+            self._expect("AND")
             high = self._parse_operand()
             return ast.Between(left, low, high, negated)
-        if self._accept_keyword("LIKE"):
-            pattern = self._parse_operand()
-            cmp = ast.Comparison("LIKE", left, pattern)
+        if tag == "LIKE":
+            self._pos = pos + 1
+            cmp = ast.Comparison("LIKE", left, self._parse_operand())
             return ast.Not(cmp) if negated else cmp
-        if self._accept_keyword("IS"):
-            is_negated = self._accept_keyword("NOT") is not None
-            self._expect_keyword("NULL")
+        if tag == "IS":
+            self._pos = pos + 1
+            is_negated = self._accept("NOT")
+            self._expect("NULL")
             return ast.IsNull(left, is_negated)
         return left
 
     def _parse_operand(self) -> ast.Expr:
-        return self._parse_additive()
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._cur.is_symbol("+", "-"):
-            op = self._advance().text
-            right = self._parse_multiplicative()
-            left = ast.Arithmetic(op, left, right)
+        left = self._parse_term()
+        tags = self._tags
+        while tags[self._pos] in _ADDITIVE:
+            op = tags[self._pos]
+            self._pos += 1
+            left = ast.Arithmetic(op, left, self._parse_term())
         return left
 
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_term(self) -> ast.Expr:
         left = self._parse_factor()
-        while self._cur.is_symbol("*", "/", "%"):
-            op = self._advance().text
-            right = self._parse_factor()
-            left = ast.Arithmetic(op, left, right)
+        tags = self._tags
+        while tags[self._pos] in _MULTIPLICATIVE:
+            op = tags[self._pos]
+            self._pos += 1
+            left = ast.Arithmetic(op, left, self._parse_factor())
         return left
 
     def _parse_factor(self) -> ast.Expr:
-        token = self._cur
-        if token.kind is TokenKind.NUMBER:
-            self._advance()
-            text = token.text
-            value: float | int
-            if any(c in text for c in ".eE"):
-                value = float(text)
-            else:
-                value = int(text)
-            return ast.Literal(value)
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return ast.Literal(token.text)
-        if token.kind is TokenKind.PARAM:
-            self._advance()
+        tags = self._tags
+        texts = self._texts
+        pos = self._pos
+        tag = tags[pos]
+        if tag is IDENT:
+            nxt = tags[pos + 1]
+            if nxt == "(":
+                self._pos = pos + 1
+                return self._parse_func_call(texts[pos].upper())
+            if nxt == ".":
+                self._pos = pos + 2
+                return ast.ColumnRef(texts[pos], self._expect_ident())
+            self._pos = pos + 1
+            return ast.ColumnRef(None, texts[pos])
+        if tag is NUMBER:
+            self._pos = pos + 1
+            text = texts[pos]
+            if "." in text or "e" in text or "E" in text:
+                return ast.Literal(float(text))
+            return ast.Literal(int(text))
+        if tag is PARAM:
+            self._pos = pos + 1
             return ast.Param()
-        if token.is_keyword("NULL"):
-            self._advance()
-            return ast.Literal(None)
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return ast.Literal(True)
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return ast.Literal(False)
-        if token.is_symbol("-"):
-            self._advance()
+        if tag is STRING:
+            self._pos = pos + 1
+            return ast.Literal(texts[pos])
+        if tag in _KEYWORD_LITERALS:
+            self._pos = pos + 1
+            return ast.Literal(_KEYWORD_LITERALS[tag])
+        if tag == "-":
+            self._pos = pos + 1
             inner = self._parse_factor()
             if isinstance(inner, ast.Literal) and isinstance(inner.value, (int, float)):
                 return ast.Literal(-inner.value)
             return ast.Arithmetic("-", ast.Literal(0), inner)
-        if token.is_keyword("COUNT", "SUM", "AVG", "MIN", "MAX"):
-            return self._parse_func_call(self._advance().text)
-        if token.kind is TokenKind.IDENT:
-            nxt = self._tokens[self._pos + 1]
-            if nxt.is_symbol("("):
-                return self._parse_func_call(self._advance().text.upper())
-            return self._parse_column_ref()
-        if token.is_symbol("("):
-            self._advance()
+        if tag in _AGGREGATES:
+            self._pos = pos + 1
+            return self._parse_func_call(tag)
+        if tag == "(":
+            self._pos = pos + 1
             expr = self._parse_expr()
-            self._expect_symbol(")")
+            self._expect(")")
             return expr
-        raise ParseError(f"unexpected token {token.text!r} at offset {token.pos}")
+        raise ParseError(f"unexpected token {texts[pos]!r} at offset {self._offsets[pos]}")
 
     def _parse_func_call(self, name: str) -> ast.FuncCall:
-        self._expect_symbol("(")
-        if self._accept_symbol("*"):
-            self._expect_symbol(")")
+        self._expect("(")
+        if self._accept("*"):
+            self._expect(")")
             return ast.FuncCall(name, star=True)
-        distinct = self._accept_keyword("DISTINCT") is not None
+        distinct = self._accept("DISTINCT")
         args = [self._parse_expr()]
-        while self._accept_symbol(","):
+        while self._accept(","):
             args.append(self._parse_expr())
-        self._expect_symbol(")")
+        self._expect(")")
         return ast.FuncCall(name, tuple(args), distinct=distinct)
-
-    def _parse_column_ref(self) -> ast.ColumnRef:
-        first = self._expect_ident()
-        if self._accept_symbol("."):
-            second = self._expect_ident()
-            return ast.ColumnRef(first, second)
-        return ast.ColumnRef(None, first)

@@ -40,11 +40,13 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so the lexer can match greedily.
-MULTI_CHAR_SYMBOLS = ("<=>", "<>", "<=", ">=", "!=", "||")
+#: Operators and punctuation, longest first so the lexer matches greedily.
+SYMBOLS = ("<=>", "<>", "<=", ">=", "!=", "||", *"(),.;*+-/<>=%")
 
-#: Single-character operators and punctuation.
-SINGLE_CHAR_SYMBOLS = frozenset("(),.;*+-/<>=%")
+#: Tags of the tokens whose text is not their tag (see :mod:`.lexer`).
+#: A keyword's or a symbol's tag is its canonical text; these sentinels
+#: match neither.
+IDENT, NUMBER, STRING, PARAM, EOF = "<ident>", "<number>", "<string>", "<param>", "<eof>"
 
 
 @dataclass(frozen=True)
@@ -60,11 +62,3 @@ class Token:
     kind: TokenKind
     text: str
     pos: int
-
-    def is_keyword(self, *words: str) -> bool:
-        """Return True if this token is one of the given keywords."""
-        return self.kind is TokenKind.KEYWORD and self.text in words
-
-    def is_symbol(self, *symbols: str) -> bool:
-        """Return True if this token is one of the given symbols."""
-        return self.kind is TokenKind.SYMBOL and self.text in symbols

@@ -119,6 +119,28 @@ def test_pinned_outputs(db, monkeypatch, name, budget, lp):
     assert result.optimizer_calls == calls
 
 
+def test_cophy_lp_solves_product_a(monkeypatch):
+    """Product A's 643 x 853 LP at 20 MiB has a solution.  Gains up to
+    ~1e10 and index sizes up to ~1e9 as raw coefficients make HiGHS stop
+    with a solve error, and CoPhy then falls back to greedy rounding."""
+    pytest.importorskip("scipy.optimize")
+    from repro.baselines.cophy import CophyAlgorithm
+    from repro.workloads.production import PRODUCTS, build_product
+
+    solved = []
+    solve_lp = CophyAlgorithm._solve_lp
+
+    def spy(*args):
+        fractional = solve_lp(*args)
+        solved.append(fractional is not None)
+        return fractional
+
+    monkeypatch.setattr(CophyAlgorithm, "_solve_lp", staticmethod(spy))
+    product = build_product(PRODUCTS["A"])
+    CophyAlgorithm(product.db).select(product.workload, BUDGET)
+    assert solved == [True]
+
+
 @pytest.mark.parametrize(
     "name", ["aim", "extend", "dta", "autoadmin", "db2advis", "drop",
              "relaxation", "dexter", "cophy"]

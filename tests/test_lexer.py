@@ -1,10 +1,13 @@
 """Lexer unit tests."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sqlparser import ParseError, parse
 from repro.sqlparser.lexer import LexError, tokenize
 from repro.sqlparser.tokens import TokenKind
+
+from .reference_lexer import reference_tokenize
 
 
 def kinds(sql):
@@ -89,15 +92,6 @@ def test_eof_token_always_present():
     assert tokens[0].kind is TokenKind.EOF
 
 
-def test_token_helpers():
-    token = tokenize("SELECT")[0]
-    assert token.is_keyword("SELECT", "FROM")
-    assert not token.is_keyword("FROM")
-    sym = tokenize("(")[0]
-    assert sym.is_symbol("(", ")")
-    assert not sym.is_symbol(")")
-
-
 @pytest.mark.parametrize("sql", [
     "SELECT a FROM t WHERE b = ²",         # superscript two
     "SELECT a FROM t LIMIT ٣",             # Arabic-Indic three
@@ -122,3 +116,38 @@ def test_parse_errors_report_literal_start_offsets():
         parse("SELECT a FROM t WHERE 'abc' 'd'")
     with pytest.raises(LexError, match="starting at offset 7"):
         tokenize("SELECT 'never closed")
+
+
+#: SQL punctuation, quotes and comment openers, ASCII letters and digits, and
+#: the non-ASCII characters where a regex class and a ``str`` predicate could
+#: part: a letter, a lower-case letter whose upper case is two letters, a
+#: digit that is not decimal, a decimal digit that is not ASCII, and four
+#: whitespace characters (no-break space, file separator, line separator).
+_ALPHABET = (
+    list("()[],.;*+-/<>=!|%?'\"`") + ["--", "/*", "*/", "''", '""', "\n", " "]
+    + list("abcexyzESLT_019") + ["SELECT", "from", "Null"]
+    + list("éß²٣\xa0\x1c\u2028")
+)
+
+
+def _lexed(lexer, sql):
+    try:
+        return [
+            tuple(t) if isinstance(t, tuple) else (t.kind, t.text, t.pos)
+            for t in lexer(sql)
+        ]
+    except LexError as err:
+        return str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=24).map("".join))
+@example("'abc''")
+@example("/*/")
+@example("x ²y ½")
+@example("1.e5 1e .5.3 1.2.3 7e+ 8E-2")
+@example("\x1cSELECT\u2028a\xa0-- tail")
+def test_tokenize_matches_reference_loop(sql):
+    """tokenize's (kind, text, pos) list, or its LexError message, equals
+    the character loop's on the same input."""
+    assert _lexed(tokenize, sql) == _lexed(reference_tokenize, sql)
