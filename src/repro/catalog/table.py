@@ -35,10 +35,14 @@ class Table:
     _by_name: dict[str, Column] = field(init=False, repr=False)
     #: Column names in order; computed once (read per stored row).
     column_names: tuple[str, ...] = field(init=False, repr=False)
+    #: Average stored row width in bytes (payload + row overhead); computed
+    #: once (read by every scan and index path the planner costs).
+    row_width: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._by_name = {col.name: col for col in self.columns}
         self.column_names = tuple(self._by_name)
+        self.row_width = sum(col.width for col in self.columns) + self.row_overhead
         if len(self._by_name) != len(self.columns):
             raise CatalogError(f"duplicate column names in table {self.name}")
         if not self.primary_key:
@@ -59,11 +63,6 @@ class Table:
     def has_column(self, name: str) -> bool:
         """True if the table defines a column with this name."""
         return name in self._by_name
-
-    @property
-    def row_width(self) -> int:
-        """Average stored row width in bytes (payload + row overhead)."""
-        return sum(col.width for col in self.columns) + self.row_overhead
 
     @property
     def pk_width(self) -> int:

@@ -1,7 +1,9 @@
 """Plan execution: runs statements against stored rows.
 
-The executor asks the optimizer for a plan (materialized indexes only)
-and prepares it once per statement: every expression is compiled into a
+The executor asks the optimizer for a plan (materialized indexes only),
+through a cache that reuses a statement shape's plan while the planner's
+inputs repeat (:meth:`Executor._plan`), and prepares it once per
+statement: every expression is compiled into a
 closure (:mod:`repro.executor.operators`), and each join step gets its
 filter kernels, its join-edge checks and the multi-table conjuncts that
 become evaluable there.  Index/seq scans filter :data:`SCAN_CHUNK` row
@@ -17,20 +19,23 @@ from __future__ import annotations
 
 import itertools
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Collection, Iterator, Optional, Sequence
 
 from ..engine import Database, ExecutionMetrics
 from ..engine.btree import wrap_key
-from ..engine.storage import TableStorage
+from ..engine.storage import StorageError, TableStorage
 from ..obs import PlanEstimate, emit
 from ..optimizer import Optimizer
+from ..optimizer.analysis_cache import LRUCache
+from ..optimizer.optimizer import locator_select
 from ..optimizer.plan import AccessPath, JoinStep, Plan
-from ..optimizer.query_info import QueryInfo
-from ..optimizer.selectivity import constant_value
+from ..optimizer.query_info import QueryInfo, require_column
+from ..optimizer.selectivity import atomic_selectivity, constant_value
 from ..sqlparser import ast, normalize_statement, parse
+from ..sqlparser.predicates import IPP_OPS
 from .analyze import ActualPlanStats
 from .operators import (
     Aggregator, Compiled, ExprEvaluator, GroupEvaluator, Kernel, edge_kernel,
@@ -41,6 +46,9 @@ MAX_SUBRANGES = 200
 
 #: Rows a scan reads and filters at a time.
 SCAN_CHUNK = 1024
+
+#: Plans an executor's plan cache holds (least recently used evicted).
+PLAN_CACHE_SIZE = 256
 
 
 @dataclass
@@ -65,9 +73,13 @@ class Executor:
             raise RuntimeError("executor requires a stored database")
         self.db = db
         self.optimizer = Optimizer(db)
+        self._plans = LRUCache(PLAN_CACHE_SIZE)
 
     def execute(
-        self, stmt: str | ast.Statement, analyze: bool = False
+        self,
+        stmt: str | ast.Statement,
+        analyze: bool = False,
+        normalized: Optional[str] = None,
     ) -> ExecutionResult:
         """Execute a statement and return rows/rowcount plus metrics.
 
@@ -75,21 +87,25 @@ class Executor:
         carries an :class:`ActualPlanStats` tree of per-operator actuals
         -- EXPLAIN ANALYZE -- and per-node estimate-vs-actual comparisons
         are emitted into the decision journal as ``plan_estimate`` events.
+
+        *normalized* is the statement's normalized SQL text when the
+        caller has rendered it already (the workload monitor keys on it);
+        otherwise the executor renders it when it needs it.
         """
         if isinstance(stmt, str):
             stmt = parse(stmt)
         if isinstance(stmt, ast.Select):
-            result = self._execute_select(stmt, analyze=analyze)
+            result = self._execute_select(stmt, analyze, normalized)
         elif isinstance(stmt, ast.Insert):
             result = self._execute_insert(stmt)
         elif isinstance(stmt, ast.Update):
-            result = self._execute_update(stmt)
+            result = self._execute_update(stmt, normalized)
         elif isinstance(stmt, ast.Delete):
-            result = self._execute_delete(stmt)
+            result = self._execute_delete(stmt, normalized)
         else:
             raise TypeError(f"cannot execute {type(stmt).__name__}")
         if result.actual is not None:
-            sql = normalize_statement(stmt).to_sql()
+            sql = normalized or normalize_statement(stmt).to_sql()
             for _depth, node in result.actual.walk():
                 emit(PlanEstimate(
                     sql=sql,
@@ -100,13 +116,73 @@ class Executor:
                 ))
         return result
 
+    # -- planning ----------------------------------------------------------------
+
+    def _plan(
+        self, select: ast.Select, served: ast.Statement, normalized: Optional[str]
+    ) -> Plan:
+        """The plan of *select* over materialized indexes.
+
+        *select* is the statement *served* itself or, for an UPDATE or
+        DELETE, the SELECT that locates its rows; *normalized* is
+        *served*'s normalized text, if known.  On a cache hit the plan the
+        optimizer returned for an earlier statement with the same key is
+        reused with *select*'s own analysis attached.
+        """
+        info = self.optimizer.analyze(select)
+        key = self._plan_key(info, served, normalized)
+        if key is None:
+            return self.optimizer.explain(info, materialized_only=True)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self.optimizer.explain(info, materialized_only=True)
+            self._plans.put(key, plan)
+            return plan
+        return replace(plan, info=info)
+
+    def _plan_key(
+        self, info: QueryInfo, served: ast.Statement, normalized: Optional[str]
+    ) -> Optional[tuple]:
+        """The plan cache key of *info*, or None when its shape is not
+        cached: more than one binding, a complex conjunct, or a filter
+        that is not equality-class (``=``, ``<=>``, ``IN``, ``IS NULL``).
+
+        Statements with one normalized text differ only in literals, and
+        for a cached shape the planner reads literals only through each
+        filter's selectivity (in filter order) and the LIMIT, which
+        normalization erases.  The text names the statement kind, so a
+        SELECT's plan and a DML locator never share a key; the index
+        configuration, the statistics epoch, the switches and the cost
+        parameters are the planner's other inputs.
+        """
+        if len(info.bindings) != 1 or info.complex_conjuncts:
+            return None
+        ((binding, table),) = info.bindings.items()
+        filters = info.filters[binding]
+        if any(pred.op not in IPP_OPS for pred in filters):
+            return None
+        db = self.db
+        stats = db.stats.table(table)
+        return (
+            normalized or normalize_statement(served).to_sql(),
+            tuple([
+                atomic_selectivity(pred, stats.column(pred.column.column))
+                for pred in filters
+            ]),
+            info.limit,
+            db.schema.index_version,
+            db.stats.epoch,
+            db.switches,
+            db.params,
+        )
+
     # -- SELECT ----------------------------------------------------------------
 
     def _execute_select(
-        self, stmt: ast.Select, analyze: bool = False
+        self, stmt: ast.Select, analyze: bool, normalized: Optional[str]
     ) -> ExecutionResult:
         started = time.perf_counter() if analyze else 0.0
-        plan = self.optimizer.explain(stmt, materialized_only=True)
+        plan = self._plan(stmt, stmt, normalized)
         info = plan.info
         metrics = ExecutionMetrics()
         evaluator = ExprEvaluator(info, self.db.schema)
@@ -204,35 +280,65 @@ class Executor:
 
     # -- DML -----------------------------------------------------------------------
 
+    # INSERT and UPDATE check their columns and primary keys before the
+    # first write, so a statement that raises leaves storage unchanged.
+
     def _execute_insert(self, stmt: ast.Insert) -> ExecutionResult:
         metrics = ExecutionMetrics()
         storage = self.db._storage_for(stmt.table.name)
-        for value_row in stmt.rows:
-            row = {
-                col: constant_value(expr)
-                for col, expr in zip(stmt.columns, value_row)
-            }
+        table = storage.table
+        for col in stmt.columns:
+            require_column(table, stmt.table.binding, col)
+        rows = [
+            {col: constant_value(expr) for col, expr in zip(stmt.columns, value_row)}
+            for value_row in stmt.rows
+        ]
+        _check_primary_keys(
+            storage, [tuple(map(row.get, table.primary_key)) for row in rows]
+        )
+        for row in rows:
             storage.insert_row(row, metrics)
             metrics.pages_written += 1
-        return ExecutionResult(rowcount=len(stmt.rows), metrics=metrics)
+        return ExecutionResult(rowcount=len(rows), metrics=metrics)
 
-    def _execute_update(self, stmt: ast.Update) -> ExecutionResult:
+    def _execute_update(
+        self, stmt: ast.Update, normalized: Optional[str]
+    ) -> ExecutionResult:
         metrics = ExecutionMetrics()
-        row_ids, plan = self._locate(stmt.table, stmt.where, metrics)
         storage = self.db._storage_for(stmt.table.name)
-        info = self.optimizer.analyze(stmt)
-        evaluator = ExprEvaluator(info, self.db.schema)
+        binding, table = stmt.table.binding, storage.table
+        for col, _expr in stmt.assignments:
+            require_column(table, binding, col)
+        row_ids, plan = self._locate(stmt, metrics, normalized)
+        # The locator's analysis has the UPDATE's one binding, so the SET
+        # expressions compile against it.
+        evaluator = ExprEvaluator(plan.info, self.db.schema)
         setters = [(col, evaluator.value(expr)) for col, expr in stmt.assignments]
+        changes = []
         for row_id in row_ids:
-            scope = {stmt.table.binding: storage.get_row(row_id)}
-            changes = {col: value(scope) for col, value in setters}
-            storage.update_row(row_id, changes, metrics)
+            scope = {binding: storage.get_row(row_id)}
+            changes.append({col: value(scope) for col, value in setters})
+        if any(col in table.primary_key for col, _expr in stmt.assignments):
+            columns = storage.columns
+            _check_primary_keys(
+                storage,
+                [
+                    tuple(change.get(col, columns[col][row_id])
+                          for col in table.primary_key)
+                    for row_id, change in zip(row_ids, changes)
+                ],
+                moving=set(row_ids),
+            )
+        for row_id, change in zip(row_ids, changes):
+            storage.update_row(row_id, change, metrics)
             metrics.pages_written += 1
         return ExecutionResult(rowcount=len(row_ids), metrics=metrics, plan=plan)
 
-    def _execute_delete(self, stmt: ast.Delete) -> ExecutionResult:
+    def _execute_delete(
+        self, stmt: ast.Delete, normalized: Optional[str]
+    ) -> ExecutionResult:
         metrics = ExecutionMetrics()
-        row_ids, plan = self._locate(stmt.table, stmt.where, metrics)
+        row_ids, plan = self._locate(stmt, metrics, normalized)
         storage = self.db._storage_for(stmt.table.name)
         for row_id in row_ids:
             storage.delete_row(row_id, metrics)
@@ -240,19 +346,36 @@ class Executor:
         return ExecutionResult(rowcount=len(row_ids), metrics=metrics, plan=plan)
 
     def _locate(
-        self, table_ref: ast.TableRef, where: Optional[ast.Expr], metrics
+        self, stmt: ast.Update | ast.Delete, metrics, normalized: Optional[str]
     ) -> tuple[list[int], Plan]:
-        """Row ids matching a DML WHERE clause, via the planned access path."""
-        select = ast.Select(
-            items=(ast.SelectItem(ast.Star()),),
-            tables=(table_ref,),
-            where=where,
-        )
-        plan = self.optimizer.explain(select, materialized_only=True)
+        """Row ids an UPDATE or DELETE writes, via its locator's planned
+        access path."""
+        plan = self._plan(locator_select(stmt), stmt, normalized)
         info = plan.info
         evaluator = ExprEvaluator(info, self.db.schema)
         pipeline = _Pipeline(self.db, info, plan, evaluator, metrics)
         return pipeline.row_ids(), plan
+
+
+def _check_primary_keys(
+    storage: TableStorage, keys: list[tuple], moving: Collection[int] = ()
+) -> None:
+    """Raise :class:`StorageError` unless the primary keys *keys*, one per
+    row a statement writes, are non-NULL, distinct and held by no stored
+    row outside *moving* (the rows an UPDATE re-keys)."""
+    stored, rids = storage.pk_index.keys, storage.pk_index.rids
+    name = storage.table.name
+    seen: set[tuple] = set()
+    for key in keys:
+        if None in key:
+            raise StorageError(f"NULL primary key {key} in table {name}")
+        flat = wrap_key(key)
+        pos = bisect_left(stored, flat)
+        while pos < len(stored) and stored[pos] == flat and rids[pos] in moving:
+            pos += 1
+        if flat in seen or (pos < len(stored) and stored[pos] == flat):
+            raise StorageError(f"duplicate primary key {key} in table {name}")
+        seen.add(flat)
 
 
 def _actual_tree(

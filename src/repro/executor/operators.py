@@ -150,8 +150,8 @@ def _const(value: Any) -> Compiled:
 class ExprEvaluator:
     """Compiles the expressions of one analyzed statement.
 
-    Unqualified column names are resolved against the statement's
-    bindings at compile time.
+    Column names are resolved against the statement's bindings at compile
+    time; a name no binding's table has raises :class:`ResolutionError`.
     """
 
     def __init__(self, info: QueryInfo, schema):
@@ -160,6 +160,11 @@ class ExprEvaluator:
 
     def resolve_binding(self, ref: ast.ColumnRef) -> str:
         if ref.table is not None:
+            table = self._info.bindings.get(ref.table)
+            if table is None or not self._schema.table(table).has_column(ref.column):
+                raise ResolutionError(
+                    f"cannot resolve column {ref.table}.{ref.column}"
+                )
             return ref.table
         matches = [
             binding

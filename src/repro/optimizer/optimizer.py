@@ -130,11 +130,13 @@ class Optimizer:
 
     def _locator_info(self, info: QueryInfo) -> QueryInfo:
         """Re-cast a DML statement as the SELECT that finds its rows."""
-        stmt = info.stmt
-        assert isinstance(stmt, (ast.Update, ast.Delete))
-        select = ast.Select(
-            items=(ast.SelectItem(ast.Star()),),
-            tables=(stmt.table,),
-            where=stmt.where,
-        )
-        return analyze_query(select, self.db.schema)
+        return analyze_query(locator_select(info.stmt), self.db.schema)
+
+
+def locator_select(stmt: Union[ast.Update, ast.Delete]) -> ast.Select:
+    """The SELECT that finds the rows an UPDATE or DELETE writes."""
+    return ast.Select(
+        items=(ast.SelectItem(ast.Star()),),
+        tables=(stmt.table,),
+        where=stmt.where,
+    )

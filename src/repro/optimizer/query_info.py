@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..catalog import CatalogError, Schema
+from ..catalog import CatalogError, Schema, Table
 from ..sqlparser import ast
 from ..sqlparser.predicates import (
     AtomicPredicate,
@@ -249,11 +249,21 @@ def _analyze_dml(stmt: ast.Statement, schema: Schema) -> QueryInfo:
         resolver.add_conjunct(conjunct)
     if isinstance(stmt, ast.Update):
         for col, expr in stmt.assignments:
+            require_column(table, binding, col)
             info.referenced[binding].add(col)
             resolver.note_references(expr)
     if isinstance(stmt, ast.Insert):
+        for col in stmt.columns:
+            require_column(table, binding, col)
         info.referenced[binding] |= set(stmt.columns)
     return info
+
+
+def require_column(table: Table, binding: str, column: str) -> None:
+    """Raise :class:`ResolutionError` unless *table* has *column* (a DML
+    statement's written column)."""
+    if not table.has_column(column):
+        raise ResolutionError(f"no column {column!r} in {binding} ({table.name})")
 
 
 class _Resolver:

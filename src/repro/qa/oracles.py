@@ -25,6 +25,12 @@ of :class:`Violation` -- empty when every invariant holds:
     gate, never raise any SELECT's estimated cost, and the *executed*
     SELECT workload under the recommended configuration is not
     materially worse than the no-index execution.
+``plan_cache``
+    Every plan one executor serves -- from its plan cache or freshly
+    planned -- equals a fresh ``Optimizer.explain`` of the statement (its
+    DML locator for UPDATE/DELETE) step for step and bit for bit, over
+    two passes of the case's statements and a third after an index is
+    created.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ from ..catalog import Index
 from ..core import AimAdvisor, AimConfig
 from ..executor import Executor
 from ..executor.analyze import q_error
-from ..optimizer import CostEvaluator
+from ..engine import StorageError
+from ..optimizer import CostEvaluator, Optimizer
+from ..optimizer.optimizer import locator_select
 from ..optimizer.selectivity import MIN_SELECTIVITY, expr_selectivity
 from ..sqlparser import ast, parse
 from ..workload import Workload, WorkloadQuery
@@ -499,12 +507,64 @@ def _executed_select_cost(case: Case, indexes) -> tuple[float, float]:
     return total, worst
 
 
+# -- plan cache ---------------------------------------------------------------
+
+
+def plan_cache_oracle(case: Case, config: OracleConfig) -> list[Violation]:
+    violations: list[Violation] = []
+    db = case.database()
+    index = _first_sargable(CostEvaluator(db), case)
+    executor = Executor(db)
+    optimizer = Optimizer(db)
+    for run in (1, 2, 3):
+        if run == 3:
+            if index is None:
+                break
+            db.create_index(index.materialized())
+        for sql in case.statements:
+            stmt = parse(sql)
+            try:
+                result = executor.execute(stmt)
+            except StorageError:
+                continue    # a repeated INSERT's duplicate key
+            except Exception as exc:
+                violations.append(Violation(
+                    "plan_cache", case.seed, sql,
+                    f"run {run}: engine raised {type(exc).__name__}: {exc}",
+                ))
+                continue
+            if result.plan is None:     # INSERT: nothing planned
+                continue
+            select = stmt if isinstance(stmt, ast.Select) else locator_select(stmt)
+            served = result.plan
+            fresh = optimizer.explain(select, materialized_only=True)
+            same = _plan_fields(served) == _plan_fields(fresh)
+            if served.info.stmt != select or not same:
+                violations.append(Violation(
+                    "plan_cache", case.seed, sql,
+                    f"run {run}: served plan [{_describe(served)}] != fresh "
+                    f"plan [{_describe(fresh)}]",
+                ))
+    return violations
+
+
+def _plan_fields(plan) -> tuple:
+    return plan.steps, plan.total_cost.hex(), plan.rows_out, plan.sort_rows
+
+
+def _describe(plan) -> str:
+    steps = " -> ".join(step.path.describe() for step in plan.steps)
+    return (f"{steps}; cost {plan.total_cost!r}, rows {plan.rows_out!r}, "
+            f"sorted {plan.sort_rows!r}")
+
+
 ORACLES: dict[str, Oracle] = {
     "differential": differential_oracle,
     "selectivity": selectivity_oracle,
     "cost": cost_oracle,
     "whatif": whatif_oracle,
     "advisor": advisor_oracle,
+    "plan_cache": plan_cache_oracle,
 }
 
 

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .column_stats import ColumnStats
+
+#: Source of :attr:`StatsCatalog.epoch` values, shared by every catalog.
+_EPOCHS = count(1)
 
 
 @dataclass
@@ -55,6 +59,13 @@ class StatsCatalog:
     """
 
     tables: dict[str, TableStats] = field(default_factory=dict)
+    #: Changes whenever :meth:`set_table` installs statistics, so a plan
+    #: cache keyed on it never serves a plan costed on older statistics.
+    #: Values are unique across catalogs: a database given another catalog
+    #: also shows another epoch.
+    epoch: int = field(
+        default_factory=_EPOCHS.__next__, init=False, compare=False, repr=False
+    )
 
     def table(self, name: str) -> TableStats:
         """Stats for a table; empty stats if never analyzed."""
@@ -64,6 +75,7 @@ class StatsCatalog:
 
     def set_table(self, name: str, stats: TableStats) -> None:
         self.tables[name] = stats
+        self.epoch = next(_EPOCHS)
 
     def row_count(self, table: str) -> int:
         return self.table(table).row_count

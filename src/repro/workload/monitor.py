@@ -18,7 +18,7 @@ from typing import Optional
 from ..engine import Database, ExecutionMetrics
 from ..executor import ExecutionResult, Executor
 from ..optimizer.plan import Plan
-from ..sqlparser import ast, normalize_sql, normalize_statement, parse
+from ..sqlparser import normalize_sql, normalize_statement, parse
 from .query import QueryStatistics
 
 
@@ -28,13 +28,9 @@ class WorkloadMonitor:
 
     stats: dict[str, QueryStatistics] = field(default_factory=dict)
 
-    def _entry(
-        self, sql: str, stmt: Optional[ast.Statement] = None
-    ) -> QueryStatistics:
-        if stmt is None:
+    def _entry(self, sql: str, normalized: Optional[str] = None) -> QueryStatistics:
+        if normalized is None:
             normalized = normalize_sql(sql)
-        else:
-            normalized = normalize_statement(stmt).to_sql()
         entry = self.stats.get(normalized)
         if entry is None:
             entry = QueryStatistics(normalized_sql=normalized, example_sql=sql)
@@ -48,14 +44,14 @@ class WorkloadMonitor:
         sql: str,
         metrics: ExecutionMetrics,
         cpu_seconds: float,
-        stmt: Optional[ast.Statement] = None,
+        normalized: Optional[str] = None,
     ) -> QueryStatistics:
         """Record one measured execution.
 
-        *stmt*, when given, is *sql* already parsed; the monitor then
-        normalizes it without parsing the text again.
+        *normalized*, when given, is *sql*'s normalized text; the monitor
+        then neither parses nor renders the statement.
         """
-        entry = self._entry(sql, stmt)
+        entry = self._entry(sql, normalized)
         entry.record(cpu_seconds, metrics.rows_read, metrics.rows_sent)
         return entry
 
@@ -117,8 +113,11 @@ class MonitoredExecutor:
         self.monitor = monitor or WorkloadMonitor()
 
     def execute(self, sql: str, analyze: bool = False) -> ExecutionResult:
-        stmt = parse(sql)     # once, for the executor and the monitor
-        result = self.executor.execute(stmt, analyze=analyze)
+        # Parsed and normalized once, for the executor's plan cache and the
+        # monitor.
+        stmt = parse(sql)
+        normalized = normalize_statement(stmt).to_sql()
+        result = self.executor.execute(stmt, analyze=analyze, normalized=normalized)
         cpu = result.metrics.cpu_seconds(self.db.params)
-        self.monitor.record_execution(sql, result.metrics, cpu, stmt=stmt)
+        self.monitor.record_execution(sql, result.metrics, cpu, normalized=normalized)
         return result

@@ -5,9 +5,10 @@ from collections import Counter
 import pytest
 
 from repro.catalog import Index
-from repro.engine import ExecutionMetrics
+from repro.engine import ExecutionMetrics, StorageError
 from repro.executor import Executor, ExprEvaluator
 from repro.executor.executor import SCAN_CHUNK, _Pipeline
+from repro.optimizer import ResolutionError
 from repro.qa.reference import ReferenceDatabase
 from repro.sqlparser import parse
 
@@ -179,3 +180,57 @@ def test_seq_scan_never_yields_a_row_deleted_mid_scan(db):
                     deleted.add(victim)
     assert deleted and not deleted & set(yielded)
     assert yielded == [i for i in passing if i not in deleted]
+
+
+def _snapshot(db, table):
+    storage = db.storage[table]
+    return (
+        dict(storage.rows.items()),
+        (storage.pk_index.keys[:], storage.pk_index.rids[:]),
+        {name: (index.keys[:], index.rids[:])
+         for name, index in storage.secondary.items()},
+    )
+
+
+@pytest.mark.parametrize("sql", [
+    "UPDATE orders SET nosuch = 1 WHERE oid = 3",
+    "UPDATE orders SET amount = 5, nosuch = 1 WHERE oid = 3",
+    "UPDATE orders SET amount = orders.nosuch WHERE oid < 10",
+    "INSERT INTO orders (nosuch) VALUES (1)",
+    "INSERT INTO orders (oid, nosuch) VALUES (90000, 1)",
+])
+def test_dml_naming_an_unknown_column_raises_before_writing(indexed_db, sql):
+    before = _snapshot(indexed_db, "orders")
+    with pytest.raises(ResolutionError, match="nosuch"):
+        Executor(indexed_db).execute(sql)
+    assert _snapshot(indexed_db, "orders") == before
+
+
+@pytest.mark.parametrize("sql", [
+    "INSERT INTO orders (oid, user_id) VALUES (1, 7)",             # existing key
+    "INSERT INTO orders (user_id, amount) VALUES (7, 10)",         # NULL key
+    "INSERT INTO orders (oid, user_id) VALUES (NULL, 7)",
+    "INSERT INTO orders (oid) VALUES (90000), (90001), (90000)",   # repeated key
+    "UPDATE orders SET oid = 5 WHERE oid = 3",                     # onto a key
+    "UPDATE orders SET oid = 90000 WHERE oid < 3",                 # two rows, one key
+    "UPDATE orders SET oid = NULL WHERE oid = 3",
+])
+def test_dml_breaking_primary_key_integrity_raises_before_writing(indexed_db, sql):
+    before = _snapshot(indexed_db, "orders")
+    with pytest.raises(StorageError, match="primary key"):
+        Executor(indexed_db).execute(sql)
+    assert _snapshot(indexed_db, "orders") == before
+
+
+def test_primary_keys_are_checked_on_the_statements_final_keys(indexed_db):
+    """Keys held by rows the UPDATE itself moves away are free: the last
+    two orders shift up by one although the first lands on the second's
+    old key."""
+    executor = Executor(indexed_db)
+    first = len(indexed_db.storage["orders"].rows) - 2
+    moved = executor.execute(f"UPDATE orders SET oid = oid + 1 WHERE oid >= {first}")
+    assert moved.rowcount == 2
+    keys = executor.execute(f"SELECT oid FROM orders WHERE oid >= {first} ORDER BY oid")
+    assert keys.rows == [(first + 1,), (first + 2,)]
+    inserted = executor.execute("INSERT INTO orders (oid) VALUES (90000), (90001)")
+    assert inserted.rowcount == 2

@@ -1,0 +1,147 @@
+"""The executor's plan cache: a hit must equal a fresh plan bit for bit.
+
+The executor keys each cached plan on the statement's normalized text and
+the planner's literal-derived inputs (see ``Executor._plan_key``).  These
+tests compare every served plan with a fresh ``Optimizer.explain`` over
+the tune_serve statement stream, check each input that must invalidate a
+plan, the LRU bound, and that an UPDATE is analyzed once.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import repro.executor.executor as executor_module
+import repro.optimizer.optimizer as optimizer_module
+from repro.catalog import Index
+from repro.core import ContinuousTuner
+from repro.executor import Executor
+from repro.optimizer import Optimizer, OptimizerSwitches
+from repro.optimizer.optimizer import locator_select
+from repro.qa.oracles import _plan_fields
+from repro.sqlparser import ast, parse
+from repro.workload import MonitoredExecutor
+from repro.workloads.tpch.datagen import load_tpch
+
+NO_PUSHDOWN = OptimizerSwitches(index_condition_pushdown=False)
+
+
+def _serve_inputs():
+    """perfbench's seeded tune_serve inputs (``perfbench/inputs.py``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses resolve their module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_fresh(db, sql, result) -> None:
+    """*result*'s plan equals a fresh plan of *sql* (its locator for DML)."""
+    stmt = parse(sql)
+    select = stmt if isinstance(stmt, ast.Select) else locator_select(stmt)
+    fresh = Optimizer(db).explain(select, materialized_only=True)
+    assert result.plan.info.stmt == select, sql
+    assert _plan_fields(result.plan) == _plan_fields(fresh), sql
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_served_plans_equal_fresh_plans_over_tune_serve(seed):
+    """Four windows of the stream (both phases) with a tuning cycle after
+    each, so the cache also crosses index creations and drops."""
+    inputs = _serve_inputs()
+    db = load_tpch(inputs.SCALE_FACTOR, seed)
+    stream = inputs.ServeStream(seed)
+    served = MonitoredExecutor(db)
+    tuner = ContinuousTuner(db, budget_bytes=8 << 20, monitor=served.monitor)
+    planned = 0
+    for window in range(4):
+        for statement in stream.window(window % 2, 100):
+            result = served.execute(statement.sql)
+            if result.plan is not None:
+                planned += 1
+                _assert_fresh(db, statement.sql, result)
+        tuner.run_cycle()
+        served.monitor.clear()
+    assert tuner.history and any(cycle.created for cycle in tuner.history)
+    # Most point statements reuse a plan: the optimizer ran for fewer
+    # than half of the planned statements.
+    assert served.executor.optimizer.calls < planned / 2
+
+
+@pytest.fixture()
+def executor(db):
+    return Executor(db)
+
+
+def _calls_for(executor, sql) -> int:
+    """Optimizer calls *executor* makes serving *sql* (0 on a cache hit)."""
+    before = executor.optimizer.calls
+    result = executor.execute(sql)
+    _assert_fresh(executor.db, sql, result)
+    return executor.optimizer.calls - before
+
+
+def test_same_shape_and_selectivity_hits(executor):
+    assert _calls_for(executor, "SELECT name FROM users WHERE city = 'c1'") == 1
+    assert _calls_for(executor, "SELECT name FROM users WHERE city = 'c1'") == 0
+    assert _calls_for(executor, "UPDATE users SET age = 1 WHERE id = 3") == 1
+    assert _calls_for(executor, "UPDATE users SET age = 2 WHERE id = 4") == 0
+    # LIMIT is erased by normalization but read by the planner.
+    assert _calls_for(executor, "SELECT name FROM users WHERE city = 'c1' LIMIT 3") == 1
+    assert _calls_for(executor, "SELECT name FROM users WHERE city = 'c1' LIMIT 4") == 1
+    # Shapes with a range filter or a join always plan.
+    assert _calls_for(executor, "SELECT name FROM users WHERE age > 30") == 1
+    assert _calls_for(executor, "SELECT name FROM users WHERE age > 30") == 1
+
+
+@pytest.mark.parametrize("change", [
+    lambda db: db.create_index(Index("users", ("city",))),
+    lambda db: db.drop_index("idx_users_city_age"),
+    lambda db: db.analyze(["users"]),
+    lambda db: setattr(db, "switches", NO_PUSHDOWN),
+    lambda db: setattr(db, "params", replace(db.params, random_page_cost=9.0)),
+], ids=["create_index", "drop_index", "set_table", "switches", "params"])
+def test_planner_input_changes_invalidate(indexed_db, change):
+    executor = Executor(indexed_db)
+    sql = "SELECT name, age FROM users WHERE city = 'c1'"
+    assert _calls_for(executor, sql) == 1
+    assert _calls_for(executor, sql) == 0
+    change(indexed_db)
+    assert _calls_for(executor, sql) == 1
+    assert _calls_for(executor, sql) == 0
+
+
+def test_cache_is_bounded_lru(db, monkeypatch):
+    monkeypatch.setattr(executor_module, "PLAN_CACHE_SIZE", 2)
+    executor = Executor(db)
+    shapes = [
+        "SELECT name FROM users WHERE id = 1",
+        "SELECT age FROM users WHERE id = 1",
+        "SELECT city FROM users WHERE id = 1",
+    ]
+    for sql in shapes:
+        assert _calls_for(executor, sql) == 1
+    assert len(executor._plans) == 2
+    assert _calls_for(executor, shapes[2]) == 0
+    assert _calls_for(executor, shapes[0]) == 1       # evicted first
+
+
+def test_update_is_analyzed_once(db, monkeypatch):
+    calls = []
+    analyze_query = optimizer_module.analyze_query
+
+    def spy(stmt, schema):
+        calls.append(type(stmt).__name__)
+        return analyze_query(stmt, schema)
+
+    monkeypatch.setattr(optimizer_module, "analyze_query", spy)
+    executor = Executor(db)
+    result = executor.execute("UPDATE users SET age = age + 1 WHERE city = 'c1'")
+    assert result.rowcount > 0
+    assert calls == ["Select"]      # the locator; SET compiles against it

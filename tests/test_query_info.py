@@ -6,6 +6,8 @@ from repro.catalog import Schema
 from repro.optimizer import analyze_query
 from repro.optimizer.query_info import ResolutionError
 from repro.sqlparser import parse
+from repro.workload import Workload, WorkloadQuery
+from repro.workload.intake import admit
 
 from .conftest import orders_table, users_table
 
@@ -124,6 +126,28 @@ def test_dml_update_analysis(schema):
 def test_dml_insert_analysis(schema):
     info = analyze("INSERT INTO users (id, age) VALUES (1, 2)", schema)
     assert info.referenced["users"] == {"id", "age"}
+
+
+@pytest.mark.parametrize("sql", [
+    "UPDATE orders SET nosuch = 1 WHERE oid = 3",
+    "UPDATE orders SET status = 'x', nosuch = 1",
+    "INSERT INTO orders (nosuch) VALUES (1)",
+    "INSERT INTO orders (oid, nosuch) VALUES (1, 2)",
+])
+def test_dml_writing_an_unknown_column_raises(schema, sql):
+    with pytest.raises(ResolutionError, match="nosuch"):
+        analyze(sql, schema)
+
+
+def test_intake_skips_dml_writing_an_unknown_column(schema):
+    workload = Workload([
+        WorkloadQuery("UPDATE orders SET nosuch = 1 WHERE oid = 3", 1.0),
+        WorkloadQuery("INSERT INTO orders (nosuch) VALUES (1)", 1.0),
+        WorkloadQuery("UPDATE orders SET status = 'x' WHERE oid = 3", 1.0),
+    ])
+    admitted, skipped = admit(workload, schema)
+    assert [q.sql for q in admitted] == ["UPDATE orders SET status = 'x' WHERE oid = 3"]
+    assert [(e.position, e.reason) for e in skipped] == [(1, "resolve"), (2, "resolve")]
 
 
 def test_sargable_filters_excludes_residuals(schema):
