@@ -6,9 +6,7 @@ Lets the benchmark harness sweep AIM and the baselines uniformly
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core import AimAdvisor, AimConfig
+from ..core import AimAdvisor
 from ..optimizer import CostEvaluator
 from ..workload import Workload
 from .base import SelectionAlgorithm
@@ -19,23 +17,11 @@ class AimAlgorithm(SelectionAlgorithm):
 
     name = "aim"
 
-    def __init__(self, db, config: Optional[AimConfig] = None):
-        super().__init__(db)
-        self.config = config or AimConfig()
-
     def _select(self, evaluator: CostEvaluator, workload: Workload, budget_bytes: int):
-        advisor = AimAdvisor(self.db, self.config)
-        if self.config.relative_to_current:
-            # The shared evaluator sees a bare schema; continuous-tuning
-            # mode needs its own.  Merge the optimizer usage back so
-            # runtime/call comparisons stay uniform.
-            recommendation = advisor.recommend(workload, budget_bytes)
-            evaluator.optimizer.calls += recommendation.optimizer_calls
-        else:
-            # Drive AIM through the shared evaluator: call accounting is
-            # uniform, and a caller-held evaluator keeps its caches warm
-            # across repeated runs.
-            recommendation = advisor.recommend(
-                workload, budget_bytes, evaluator=evaluator
-            )
+        # Drive AIM through the shared evaluator: call accounting is
+        # uniform, and a caller-held evaluator keeps its caches warm
+        # across repeated runs.
+        recommendation = AimAdvisor(self.db).recommend(
+            workload, budget_bytes, evaluator=evaluator
+        )
         return [idx.as_dataless() for idx in recommendation.indexes]

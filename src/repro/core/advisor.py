@@ -74,8 +74,8 @@ class AimConfig:
         max_index_width: optional width cap (None = unbounded, as AIM).
         merge_orders: Sec. III-E merging (ablation switch).
         use_dataless_guidance: use dataless-index costs to pick the range
-            column in Algorithm 5 (ablation switch; falls back to
-            histogram selectivity).
+            column in Algorithm 5 (ablation switch; when off, the first
+            range column by name is picked, with no statistics consulted).
         covering: covering-phase policy.
         covering_phase: enable the second phase entirely.
         covering_weight_fraction: a query enters the covering phase only

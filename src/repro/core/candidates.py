@@ -37,7 +37,6 @@ class GeneratorConfig:
         max_index_width: optional cap on candidate width (AIM itself needs
             none; useful for like-for-like baseline comparisons).
         merge_orders: disable to ablate Sec. III-E merging.
-        max_orders_per_table: fixpoint safety cap.
         ipp_relaxation_rows: Sec. V-A's third granularity lever --
             "relaxation / reduction of the number of sub-predicates in the
             index prefix predicates".  When set, IPP columns whose additive
@@ -50,7 +49,6 @@ class GeneratorConfig:
     join_parameter: int = 2
     max_index_width: Optional[int] = None
     merge_orders: bool = True
-    max_orders_per_table: int = 512
     ipp_relaxation_rows: Optional[float] = None
     #: Optimizer switch awareness (Sec. VIII-a): with skip scan enabled,
     #: candidates another candidate serves via skip scan are pruned.
@@ -230,9 +228,7 @@ class CandidateGenerator:
 
         with trace("advisor.merge") as span:
             if self.config.merge_orders:
-                merged = merge_by_table(
-                    all_orders, self.config.max_orders_per_table
-                )
+                merged = merge_by_table(all_orders)
             else:
                 merged = set(all_orders)
             span.set(orders_in=len(all_orders), orders_out=len(merged))

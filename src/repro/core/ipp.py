@@ -140,8 +140,9 @@ class RangeColumnChooser:
 
     With an evaluator, builds the dataless candidate per range column and
     asks the optimizer (the paper's "role of dataless indexes",
-    Sec. V-B).  Without one -- the ablation's degraded mode -- falls back
-    to the first range column in catalog order.
+    Sec. V-B).  Without one, *stats_lookup* picks the most selective
+    range column by histogram; without either -- the ablation's degraded
+    mode -- the first range column by name is picked.
     """
 
     evaluator: Optional[object] = None    # CostEvaluator, avoided import cycle

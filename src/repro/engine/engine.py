@@ -87,6 +87,12 @@ class Database:
         """Install synthetic statistics (stats-only benchmarks)."""
         self.stats.set_table(table, stats)
 
+    @property
+    def plan_version(self) -> tuple:
+        """Every planner input but the statement and a hypothetical
+        configuration; a plan cache drops its plans when this changes."""
+        return (self.schema.index_version, self.stats.epoch, self.switches, self.params)
+
     # -- index DDL -----------------------------------------------------------
 
     def create_index(self, index: Index) -> Index:

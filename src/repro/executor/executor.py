@@ -74,6 +74,7 @@ class Executor:
         self.db = db
         self.optimizer = Optimizer(db)
         self._plans = LRUCache(PLAN_CACHE_SIZE)
+        self._plan_version = db.plan_version
 
     def execute(
         self,
@@ -127,12 +128,17 @@ class Executor:
         DELETE, the SELECT that locates its rows; *normalized* is
         *served*'s normalized text, if known.  On a cache hit the plan the
         optimizer returned for an earlier statement with the same key is
-        reused with *select*'s own analysis attached.
+        reused with *select*'s own analysis attached.  The cache holds
+        plans of one :attr:`Database.plan_version`.
         """
         info = self.optimizer.analyze(select)
         key = self._plan_key(info, served, normalized)
         if key is None:
             return self.optimizer.explain(info, materialized_only=True)
+        version = self.db.plan_version
+        if version != self._plan_version:
+            self._plans.clear()
+            self._plan_version = version
         plan = self._plans.get(key)
         if plan is None:
             plan = self.optimizer.explain(info, materialized_only=True)
@@ -151,9 +157,9 @@ class Executor:
         for a cached shape the planner reads literals only through each
         filter's selectivity (in filter order) and the LIMIT, which
         normalization erases.  The text names the statement kind, so a
-        SELECT's plan and a DML locator never share a key; the index
-        configuration, the statistics epoch, the switches and the cost
-        parameters are the planner's other inputs.
+        SELECT's plan and a DML locator never share a key.  The planner's
+        other inputs are :attr:`Database.plan_version`, which
+        :meth:`_plan` checks for the whole cache.
         """
         if len(info.bindings) != 1 or info.complex_conjuncts:
             return None
@@ -161,8 +167,7 @@ class Executor:
         filters = info.filters[binding]
         if any(pred.op not in IPP_OPS for pred in filters):
             return None
-        db = self.db
-        stats = db.stats.table(table)
+        stats = self.db.stats.table(table)
         return (
             normalized or normalize_statement(served).to_sql(),
             tuple([
@@ -170,10 +175,6 @@ class Executor:
                 for pred in filters
             ]),
             info.limit,
-            db.schema.index_version,
-            db.stats.epoch,
-            db.switches,
-            db.params,
         )
 
     # -- SELECT ----------------------------------------------------------------

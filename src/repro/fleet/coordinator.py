@@ -83,8 +83,6 @@ class FleetCoordinator:
                     result = managed.tuner.run_cycle()
                 for index in result.created:
                     managed.detector.note_index_created(index)
-                if result.changed:
-                    managed.replica_set.apply_ddl()   # flush replica plan caches
                 results[name] = result
             span.set(tuned=len(results))
         return results
@@ -107,7 +105,5 @@ class FleetCoordinator:
                         reason="regression",
                     )
                 )
-            if flagged:
-                managed.replica_set.apply_ddl()
             span.set(events=len(events), reverted=len(flagged))
         return events

@@ -8,9 +8,11 @@ including the paper's "indexes were created incrementally with sleeps in
 between in order to clearly observe the impact".
 
 Per-statement costs come from the optimizer under the *current* index
-configuration, cached per (normalized statement, configuration version):
-re-planning happens exactly when the configuration changes, which is also
-how the estimated series responds to each index build.
+configuration, through one what-if evaluator whose plan cache holds while
+:attr:`~repro.engine.Database.plan_version` does: re-planning happens
+exactly when the configuration changes -- however the DDL reaches
+``sim.db`` -- which is also how the estimated series responds to each
+index build.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class ReplaySimulator:
         self.config = config
         self.sampler = WorkloadSampler(workload, seed=config.seed)
         self._evaluator = CostEvaluator(db, include_schema_indexes=True)
-        self._cost_cache: dict[str, float] = {}
         self.timeline = Timeline()
 
     # -- configuration events --------------------------------------------------
@@ -92,29 +93,18 @@ class ReplaySimulator:
     def create_indexes(self, indexes: Iterable[Index]) -> None:
         for index in indexes:
             self.db.create_index(index.materialized())
-        self._invalidate()
 
     def drop_all_indexes(self) -> None:
         self.db.drop_all_secondary_indexes()
-        self._invalidate()
 
     def set_workload(self, workload: Workload) -> None:
         self.workload = workload
         self.sampler.replace_workload(workload)
-        self._cost_cache.clear()
-
-    def _invalidate(self) -> None:
-        self._evaluator = CostEvaluator(self.db, include_schema_indexes=True)
-        self._cost_cache.clear()
 
     # -- execution ------------------------------------------------------------------
 
     def statement_cost(self, query: WorkloadQuery) -> float:
-        cached = self._cost_cache.get(query.sql)
-        if cached is None:
-            cached = self._evaluator.cost(query.sql)
-            self._cost_cache[query.sql] = cached
-        return cached
+        return self._evaluator.cost(query.sql)
 
     def run(self, events: Optional[dict[int, Event]] = None) -> Timeline:
         """Run the full replay; *events* maps tick -> callback."""

@@ -35,17 +35,13 @@ class Replica:
         self.monitor.record_plan(query.sql, plan)
         return plan.total_cost
 
-    def invalidate_plans(self) -> None:
-        """Flush the plan cache after a configuration change."""
-        self._evaluator = CostEvaluator(self.db, include_schema_indexes=True)
-
 
 class ReplicaSet:
     """A primary plus N-1 replicas sharing one schema object.
 
-    The schema (and therefore the index configuration) is shared by
-    reference: index DDL applied through :meth:`apply_ddl` is visible on
-    every replica at once, mirroring replicated DDL.
+    The schema (and therefore the index configuration) and statistics are
+    shared by reference: index DDL on the primary is visible on every
+    replica at once, mirroring replicated DDL.
     """
 
     def __init__(self, db: Database, n_replicas: int = 3):
@@ -76,14 +72,12 @@ class ReplicaSet:
         return self.serve_read(query)
 
     def apply_ddl(self, create=(), drop=()) -> None:
-        """Apply index DDL fleet-wide and flush plan caches."""
+        """Apply index DDL fleet-wide."""
         db = self.primary.db
         for index in drop:
             db.drop_index(index)
         for index in create:
             db.create_index(index.materialized())
-        for replica in self.replicas:
-            replica.invalidate_plans()
 
 
 def _share(db: Database, i: int) -> Database:

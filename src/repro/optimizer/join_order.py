@@ -45,7 +45,9 @@ class PlanMemo:
     private memo per plan; a what-if evaluator keeps one per statement
     (:class:`~repro.optimizer.what_if.CostEvaluator`), so a configuration
     that adds one index to a statement costs only that index's paths and
-    the join search runs over cached numbers.
+    the join search runs over cached numbers.  The evaluator drops its
+    memos when :attr:`~repro.engine.Database.plan_version` changes, the
+    one staleness rule of every plan cache.
 
     Attributes:
         paths: ``(binding, probe items, with_order)`` -> that binding's

@@ -317,24 +317,31 @@ class _Resolver:
             self._info.referenced[binding].add(column)
 
     def add_conjunct(self, conjunct: ast.Expr) -> None:
-        """Classify one top-level conjunct into the QueryInfo buckets."""
+        """Classify one top-level conjunct into the QueryInfo buckets.
+
+        Each column reference is resolved once, in traversal order, so a
+        bad statement raises the error of its first unresolvable
+        reference.
+        """
         info = self._info
-        self.note_references(conjunct)
-        joined = join_predicate(conjunct)
-        if joined is not None:
-            left_b, left_c = self.resolve(joined[0])
-            right_b, right_c = self.resolve(joined[1])
+        refs = [self.resolve(ref) for ref in ast.column_refs(conjunct)]
+        for binding, column in refs:
+            info.referenced[binding].add(column)
+        # A join predicate is two bare columns, so *refs* is its two sides.
+        if join_predicate(conjunct) is not None:
+            (left_b, left_c), (right_b, right_c) = refs
             if left_b != right_b:
                 info.join_edges.append(JoinEdge(left_b, left_c, right_b, right_c))
                 return
             # Same binding on both sides: treat as a residual predicate.
         atomic = classify_atomic(conjunct)
         if atomic is not None:
-            binding, column = self.resolve(atomic.column)
+            # One column against constants: *refs* holds just that column.
+            ((binding, column),) = refs
             resolved = AtomicPredicate(
                 ast.ColumnRef(binding, column), atomic.op, atomic.expr
             )
             info.filters[binding].append(resolved)
             return
-        touched = frozenset(self.resolve(r)[0] for r in ast.column_refs(conjunct))
+        touched = frozenset(binding for binding, _column in refs)
         info.complex_conjuncts.append((touched, conjunct))

@@ -36,10 +36,10 @@ not met before and the join search runs over cached numbers.
 
 Every tier returns exactly the plan an uncached :class:`Optimizer` on a
 bare stats clone would; the tests in ``tests/test_whatif_cache.py``
-check costs and used-index subsets against one.  All tiers assume the
-statistics do not change while the evaluator lives, and are dropped
-together when the evaluated schema's index configuration changes
-(``include_schema_indexes`` mode).
+check costs and used-index subsets against one.  Every tier holds plans
+of one :attr:`Database.plan_version` (index configuration, statistics
+epoch, switches, cost parameters) and all are dropped together when it
+changes, so no caller flushes an evaluator by hand.
 
 :class:`WorkloadCoster` lifts the relevance rule to whole workloads: a
 greedy move that adds, drops or replaces a few indexes re-plans only the
@@ -108,8 +108,9 @@ class CostEvaluator:
         db: the database (stats are shared; schema may be cloned).
         include_schema_indexes: when False (the default for advisor runs),
             configurations are evaluated against a bare schema -- only the
-            clustered PKs plus the hypothetical configuration exist.  When
-            True, the database's current secondary indexes stay visible
+            clustered PKs plus the hypothetical configuration exist (a
+            stats clone sharing *db*'s statistics catalog).  When True,
+            the database's current secondary indexes stay visible
             (continuous-tuning mode).
         max_cache_entries: L1 LRU bound.
     """
@@ -133,7 +134,7 @@ class CostEvaluator:
         # sql -> [(used keys, config keys, plan), ...] newest last.
         self._canonical: dict[str, list[tuple[frozenset, frozenset, Plan]]] = {}
         self._memos: LRUCache = LRUCache(MEMO_STATEMENTS)
-        self._index_version = self._db.schema.index_version
+        self._plan_version = self._db.plan_version
         self.cache_hits = 0
         self.canonical_hits = 0
         self.cache_evictions = 0
@@ -186,8 +187,9 @@ class CostEvaluator:
 
     def plan(self, stmt: Statement, config: Collection[Index] = ()) -> Plan:
         """Plan *stmt* under hypothetical configuration *config*."""
-        if self._db.schema.index_version != self._index_version:
-            self._drop_caches()
+        version = self._db.plan_version
+        if version != self._plan_version:
+            self._drop_caches(version)
         info = self.analyze(stmt)
         relevant = self._relevant(info, config)
         sql = info.cache_sql
@@ -223,12 +225,12 @@ class CostEvaluator:
             self._canonical_store(sql, used_keys, relevant_keys, plan)
         return plan
 
-    def _drop_caches(self) -> None:
-        """Forget every plan and memo: the index configuration changed."""
+    def _drop_caches(self, version: tuple) -> None:
+        """Forget every plan and memo: a planner input changed."""
         self._plan_cache.clear()
         self._canonical.clear()
         self._memos.clear()
-        self._index_version = self._db.schema.index_version
+        self._plan_version = version
 
     def _canonical_lookup(
         self, sql: str, config_keys: frozenset

@@ -28,9 +28,10 @@ of :class:`Violation` -- empty when every invariant holds:
 ``plan_cache``
     Every plan one executor serves -- from its plan cache or freshly
     planned -- equals a fresh ``Optimizer.explain`` of the statement (its
-    DML locator for UPDATE/DELETE) step for step and bit for bit, over
-    two passes of the case's statements and a third after an index is
-    created.
+    DML locator for UPDATE/DELETE) step for step and bit for bit, and so
+    does a live what-if evaluator's cost, over two passes of the case's
+    statements and a third after an index is created, re-analyzing after
+    each pass.
 """
 
 from __future__ import annotations
@@ -515,6 +516,7 @@ def plan_cache_oracle(case: Case, config: OracleConfig) -> list[Violation]:
     db = case.database()
     index = _first_sargable(CostEvaluator(db), case)
     executor = Executor(db)
+    evaluator = CostEvaluator(db, include_schema_indexes=True)
     optimizer = Optimizer(db)
     for run in (1, 2, 3):
         if run == 3:
@@ -533,6 +535,13 @@ def plan_cache_oracle(case: Case, config: OracleConfig) -> list[Violation]:
                     f"run {run}: engine raised {type(exc).__name__}: {exc}",
                 ))
                 continue
+            cost, fresh_cost = evaluator.cost(stmt), optimizer.cost(stmt)
+            if cost != fresh_cost:
+                violations.append(Violation(
+                    "plan_cache", case.seed, sql,
+                    f"run {run}: what-if cost {cost!r} != fresh cost "
+                    f"{fresh_cost!r}",
+                ))
             if result.plan is None:     # INSERT: nothing planned
                 continue
             select = stmt if isinstance(stmt, ast.Select) else locator_select(stmt)
@@ -545,6 +554,7 @@ def plan_cache_oracle(case: Case, config: OracleConfig) -> list[Violation]:
                     f"run {run}: served plan [{_describe(served)}] != fresh "
                     f"plan [{_describe(fresh)}]",
                 ))
+        db.analyze()    # the pass's DML moved the statistics
     return violations
 
 

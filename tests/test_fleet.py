@@ -1,5 +1,7 @@
 """Fleet / operational layer tests (Sec. VII, VIII)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.catalog import Index
@@ -17,6 +19,7 @@ from repro.fleet import (
     StatsWarehouse,
     incremental_index_events,
 )
+from repro.optimizer import CostEvaluator
 from repro.workload import Workload, WorkloadMonitor, WorkloadQuery
 from repro.workloads.production import PRODUCTS, build_product
 
@@ -52,6 +55,31 @@ def test_ddl_is_replicated(replica_set, product):
     replica_set.apply_ddl(create=[Index(table, (column,))])
     for replica in replica_set.replicas:
         assert replica.db.schema.indexes(table)
+
+
+def test_replicas_replan_without_a_flush(db):
+    """Index DDL and new statistics on the primary's database reach every
+    replica's cached plans with no call into the replica set."""
+    replica_set = ReplicaSet(db, n_replicas=2)
+    read = WorkloadQuery("SELECT amount FROM orders WHERE user_id = 7", 1.0)
+
+    def served() -> list[float]:
+        return [replica_set.serve_read(read) for _ in replica_set.replicas]
+
+    def fresh() -> list[float]:
+        cost = CostEvaluator(db, include_schema_indexes=True).cost(read.sql)
+        return [cost] * len(replica_set.replicas)
+
+    unindexed = served()
+    db.create_index(Index("orders", ("user_id",)))
+    indexed = served()
+    assert indexed == fresh()
+    assert indexed[0] < unindexed[0]
+    orders = db.stats.table("orders")
+    db.set_stats("orders", replace(orders, row_count=orders.row_count * 10))
+    rescaled = served()
+    assert rescaled == fresh()
+    assert rescaled[0] > indexed[0]
 
 
 def test_stats_export_aggregates_and_clears(replica_set, product):
@@ -170,6 +198,29 @@ def test_replay_cpu_drops_as_indexes_build(product):
     assert after < before
     assert timeline.points[0].n_indexes == 0
     assert timeline.points[-1].n_indexes == 6
+
+
+def test_replay_sees_ddl_made_on_its_database(product):
+    """Indexes built straight through ``sim.db`` lower the offered cost
+    exactly as ``sim.create_indexes`` does."""
+    from repro.baselines import AimAlgorithm
+
+    product.db.drop_all_secondary_indexes()
+    indexes = AimAlgorithm(product.db).select(product.workload, 1 << 30).indexes
+    config = ReplayConfig(ticks=6, arrivals_per_tick=30, capacity=2e6, seed=3)
+
+    def offered(event) -> list[float]:
+        product.db.drop_all_secondary_indexes()
+        sim = ReplaySimulator(product.db, product.workload, config)
+        return [p.offered_cost for p in sim.run({3: event}).points]
+
+    def build_directly(sim):
+        for index in indexes:
+            sim.db.create_index(index.materialized())
+
+    direct = offered(build_directly)
+    assert direct == offered(lambda sim: sim.create_indexes(indexes))
+    assert max(direct[3:]) < min(direct[:3])
 
 
 def test_replay_saturation_clips_throughput(product):

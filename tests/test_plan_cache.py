@@ -1,10 +1,12 @@
 """The executor's plan cache: a hit must equal a fresh plan bit for bit.
 
 The executor keys each cached plan on the statement's normalized text and
-the planner's literal-derived inputs (see ``Executor._plan_key``).  These
-tests compare every served plan with a fresh ``Optimizer.explain`` over
-the tune_serve statement stream, check each input that must invalidate a
-plan, the LRU bound, and that an UPDATE is analyzed once.
+the planner's literal-derived inputs (see ``Executor._plan_key``) and
+holds plans of one ``Database.plan_version``.  These tests compare every
+served plan with a fresh ``Optimizer.explain`` over the tune_serve
+statement stream, check that each input in the version invalidates a plan
+in the executor and in a live what-if evaluator, the LRU bound, and that
+an UPDATE is analyzed once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import repro.optimizer.optimizer as optimizer_module
 from repro.catalog import Index
 from repro.core import ContinuousTuner
 from repro.executor import Executor
-from repro.optimizer import Optimizer, OptimizerSwitches
+from repro.optimizer import CostEvaluator, Optimizer, OptimizerSwitches
 from repro.optimizer.optimizer import locator_select
 from repro.qa.oracles import _plan_fields
 from repro.sqlparser import ast, parse
@@ -100,21 +102,49 @@ def test_same_shape_and_selectivity_hits(executor):
     assert _calls_for(executor, "SELECT name FROM users WHERE age > 30") == 1
 
 
-@pytest.mark.parametrize("change", [
-    lambda db: db.create_index(Index("users", ("city",))),
-    lambda db: db.drop_index("idx_users_city_age"),
-    lambda db: db.analyze(["users"]),
-    lambda db: setattr(db, "switches", NO_PUSHDOWN),
-    lambda db: setattr(db, "params", replace(db.params, random_page_cost=9.0)),
-], ids=["create_index", "drop_index", "set_table", "switches", "params"])
-def test_planner_input_changes_invalidate(indexed_db, change):
-    executor = Executor(indexed_db)
+def _executor_calls(db):
+    """Serving through an executor: optimizer calls per statement."""
+    executor = Executor(db)
+    return lambda sql: _calls_for(executor, sql)
+
+
+def _whatif_calls(db):
+    """Costing through a live what-if evaluator: optimizer calls per
+    statement, each cost checked against a fresh optimizer's."""
+    evaluator = CostEvaluator(db, include_schema_indexes=True)
+
+    def calls_for(sql) -> int:
+        before = evaluator.optimizer_calls
+        cost = evaluator.cost(sql)
+        assert cost.hex() == Optimizer(db).cost(sql).hex(), sql
+        return evaluator.optimizer_calls - before
+
+    return calls_for
+
+
+PLANNER_INPUT_CHANGES = [
+    ("create_index", lambda db: db.create_index(Index("users", ("city",)))),
+    ("drop_index", lambda db: db.drop_index("idx_users_city_age")),
+    ("set_table", lambda db: db.analyze(["users"])),
+    ("switches", lambda db: setattr(db, "switches", NO_PUSHDOWN)),
+    ("params", lambda db: setattr(
+        db, "params", replace(db.params, random_page_cost=9.0))),
+]
+
+
+@pytest.mark.parametrize("planner, change", [
+    pytest.param(planner, change, id=prefix + name)
+    for planner, prefix in ((_executor_calls, ""), (_whatif_calls, "whatif-"))
+    for name, change in PLANNER_INPUT_CHANGES
+])
+def test_planner_input_changes_invalidate(indexed_db, planner, change):
+    calls_for = planner(indexed_db)
     sql = "SELECT name, age FROM users WHERE city = 'c1'"
-    assert _calls_for(executor, sql) == 1
-    assert _calls_for(executor, sql) == 0
+    assert calls_for(sql) == 1
+    assert calls_for(sql) == 0
     change(indexed_db)
-    assert _calls_for(executor, sql) == 1
-    assert _calls_for(executor, sql) == 0
+    assert calls_for(sql) == 1
+    assert calls_for(sql) == 0
 
 
 def test_cache_is_bounded_lru(db, monkeypatch):

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import gc
 import random
+from dataclasses import replace
+
+import pytest
 
 from repro.baselines import ALL_ALGORITHMS
 from repro.baselines.cost_eval import candidate_pool
@@ -237,6 +240,23 @@ def test_schema_index_ddl_never_serves_a_dropped_index(db):
                 allowed = live | {idx.key for idx in config}
                 assert plan.used_index_keys <= allowed, (action, index, sql)
     assert not db.schema.indexes()
+
+
+@pytest.mark.parametrize(
+    "include_schema_indexes", [False, True], ids=["clone", "live"]
+)
+def test_new_statistics_reach_the_evaluator(db, include_schema_indexes):
+    """Statistics installed after an evaluator was built reach its cached
+    plans, whether it plans over a stats clone or over *db* itself."""
+    sql = "SELECT name FROM users WHERE city = 'c1'"
+    evaluator = CostEvaluator(db, include_schema_indexes=include_schema_indexes)
+    before = evaluator.cost(sql)
+    users = db.stats.table("users")
+    db.set_stats("users", replace(users, row_count=users.row_count * 10))
+    after = evaluator.cost(sql)
+    fresh = CostEvaluator(db, include_schema_indexes=include_schema_indexes)
+    assert after == fresh.cost(sql)
+    assert (before, after) == (62.0, 620.0)
 
 
 def test_one_new_index_costs_one_path(db, monkeypatch):
