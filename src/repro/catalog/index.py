@@ -17,9 +17,10 @@ class Index:
         columns: key columns, in index order.  Width of the index is
             ``len(columns)``.
         unique: uniqueness constraint flag (affects selectivity clamping).
-        dataless: True for a *dataless index* (paper Sec. III-A4): catalog
-            entry + statistics only, visible to the optimizer, never used
-            by the executor.
+        dataless: True for a *dataless index* (paper Sec. III-A4):
+            statistics only, passed to the optimizer as an
+            ``extra_indexes`` argument; never a catalog entry, so never
+            used by the executor.
     """
 
     table: str

@@ -13,10 +13,9 @@ from .table import CatalogError, Table
 class Schema:
     """A named set of tables plus the current secondary index configuration.
 
-    The index configuration distinguishes *materialized* indexes (usable by
-    the executor) from *dataless* indexes (optimizer-only, paper
-    Sec. III-A4).  Both live in the same namespace so a dataless index can
-    later be materialized in place.
+    The catalog holds built indexes only.  A dataless (hypothetical)
+    index, paper Sec. III-A4, is never a catalog entry: it reaches the
+    optimizer as an ``extra_indexes`` argument of ``Optimizer.explain``.
     """
 
     tables: dict[str, Table] = field(default_factory=dict)
@@ -47,10 +46,13 @@ class Schema:
     # -- index configuration ------------------------------------------------
 
     def add_index(self, index: Index) -> Index:
-        """Register an index; validates table/columns; idempotent.
+        """Register a built index; validates table/columns; idempotent.
 
-        Re-adding an existing dataless index as materialized upgrades it.
+        A dataless index raises :class:`CatalogError`: hypothetical indexes
+        are planner arguments, not catalog entries.
         """
+        if index.dataless:
+            raise CatalogError(f"dataless index {index.name} is not a catalog entry")
         table = self.table(index.table)
         for col in index.columns:
             if not table.has_column(col):
@@ -58,8 +60,7 @@ class Schema:
                     f"index column {col!r} not in table {index.table}"
                 )
         existing = self._indexes.get(index.name)
-        upgrade = existing is not None and existing.dataless and not index.dataless
-        if existing is not None and not upgrade:
+        if existing is not None:
             return existing
         self._indexes[index.name] = index
         self.index_version += 1
@@ -71,28 +72,20 @@ class Schema:
         if self._indexes.pop(name, None) is not None:
             self.index_version += 1
 
-    def indexes(self, table: str | None = None, include_dataless: bool = True) -> list[Index]:
+    def indexes(self, table: str | None = None) -> list[Index]:
         """Current indexes, optionally restricted to one table."""
-        out = [
+        return [
             idx
             for idx in self._indexes.values()
-            if (table is None or idx.table == table)
-            and (include_dataless or not idx.dataless)
+            if table is None or idx.table == table
         ]
-        return out
 
     def has_index(self, index: Index) -> bool:
-        """True if an index with the same key exists (dataless or not)."""
+        """True if an index with the same name exists."""
         return index.name in self._indexes
 
     def get_index(self, name: str) -> Index | None:
         return self._indexes.get(name)
-
-    def clear_dataless(self) -> None:
-        """Drop every dataless index (end of a what-if session)."""
-        for name in [n for n, idx in self._indexes.items() if idx.dataless]:
-            del self._indexes[name]
-            self.index_version += 1
 
     def __iter__(self) -> Iterator[Table]:
         return iter(self.tables.values())

@@ -38,11 +38,7 @@ def find_unused_indexes(db: Database, workload: Workload) -> list[Index]:
     for query in workload:
         plan = evaluator.plan(query.sql)
         used |= plan.used_indexes
-    return [
-        idx
-        for idx in db.schema.indexes(include_dataless=False)
-        if idx.name not in used
-    ]
+    return [idx for idx in db.schema.indexes() if idx.name not in used]
 
 
 def find_prefix_redundant_indexes(db: Database) -> list[Index]:
@@ -52,7 +48,7 @@ def find_prefix_redundant_indexes(db: Database) -> list[Index]:
     narrower index is pure maintenance overhead ("drop (parts of) unused
     indexes").
     """
-    indexes = db.schema.indexes(include_dataless=False)
+    indexes = db.schema.indexes()
     redundant = []
     for narrow in indexes:
         for wide in indexes:

@@ -4,7 +4,8 @@ Two operating modes, matching how the paper's experiments use databases:
 
 * **stats-only** -- no row data; the optimizer works purely from the
   statistics catalog.  This is the mode for the estimated-cost experiments
-  (Fig 4/5) and for every dataless-index what-if evaluation.
+  (Fig 4/5) and for every what-if evaluation, whose dataless indexes are
+  planner arguments and never enter the catalog.
 * **stored** -- rows are materialized and the executor can run statements.
   Used by the replay experiments (Fig 3/6) and integration tests.
 """
@@ -47,7 +48,7 @@ class Database:
             self.storage = {t.name: TableStorage(t) for t in schema}
             # Indexes the schema declares (DDL) exist in storage from the
             # start; load_rows and DML keep them current.
-            for index in schema.indexes(include_dataless=False):
+            for index in schema.indexes():
                 self.storage[index.table].build_index(index)
 
     @classmethod
@@ -96,9 +97,9 @@ class Database:
     # -- index DDL -----------------------------------------------------------
 
     def create_index(self, index: Index) -> Index:
-        """Create an index.  Dataless indexes never touch storage."""
+        """Create (build) an index; a dataless index raises ``CatalogError``."""
         registered = self.schema.add_index(index)
-        if not index.dataless and self.storage is not None:
+        if self.storage is not None:
             self._storage_for(index.table).build_index(index)
         return registered
 
@@ -120,10 +121,6 @@ class Database:
             self.drop_index(index)
         return dropped
 
-    def clear_dataless(self) -> None:
-        """End a what-if session: remove all dataless indexes."""
-        self.schema.clear_dataless()
-
     # -- size accounting ----------------------------------------------------
 
     def index_size_bytes(self, index: Index) -> int:
@@ -133,11 +130,8 @@ class Database:
         fill_factor = 0.75   # b-tree pages are ~3/4 full in steady state
         return int(rows * index.entry_width(table) / fill_factor)
 
-    def total_secondary_index_bytes(self, include_dataless: bool = False) -> int:
-        return sum(
-            self.index_size_bytes(idx)
-            for idx in self.schema.indexes(include_dataless=include_dataless)
-        )
+    def total_secondary_index_bytes(self) -> int:
+        return sum(self.index_size_bytes(idx) for idx in self.schema.indexes())
 
     def table_size_bytes(self, table: str) -> int:
         rows = self.stats.row_count(table)
@@ -162,7 +156,11 @@ class Database:
         return clone
 
     def full_clone(self, name: Optional[str] = None) -> "Database":
-        """A deep clone with copied rows and rebuilt indexes (MyShadow)."""
+        """A deep clone with copied rows and rebuilt indexes.
+
+        Nothing in the advisor or fleet path takes one; the stored-row and
+        built-index digest checks and their tests do.
+        """
         if self.storage is None:
             return self.stats_clone(name)
         clone = Database(

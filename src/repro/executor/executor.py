@@ -1,6 +1,6 @@
 """Plan execution: runs statements against stored rows.
 
-The executor asks the optimizer for a plan (materialized indexes only),
+The executor asks the optimizer for a plan over the catalog's built indexes,
 through a cache that reuses a statement shape's plan while the planner's
 inputs repeat (:meth:`Executor._plan`), and prepares it once per
 statement: every expression is compiled into a
@@ -134,14 +134,14 @@ class Executor:
         info = self.optimizer.analyze(select)
         key = self._plan_key(info, served, normalized)
         if key is None:
-            return self.optimizer.explain(info, materialized_only=True)
+            return self.optimizer.explain(info)
         version = self.db.plan_version
         if version != self._plan_version:
             self._plans.clear()
             self._plan_version = version
         plan = self._plans.get(key)
         if plan is None:
-            plan = self.optimizer.explain(info, materialized_only=True)
+            plan = self.optimizer.explain(info)
             self._plans.put(key, plan)
             return plan
         return replace(plan, info=info)

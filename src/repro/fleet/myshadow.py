@@ -3,9 +3,9 @@
 MyShadow provides a temporary logical copy of a database and replays
 (sampled) production traffic onto it, catching regressions "that are only
 possible to detect in a production-like environment" before any index
-reaches production.  Here the clone is a stats clone (or full clone when
-storage exists) and the replay compares per-query costs between the
-current and the candidate configuration.
+reaches production.  Here the clone is always a stats clone -- the
+replay compares per-query estimated costs between the current and the
+candidate configuration, so it needs no rows.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class MyShadow:
         self.source = db
         self.sample_fraction = sample_fraction
         self._rng = random.Random(seed)
-        # Economical test bed: stats clone unless rows are needed.
         self.clone = db.stats_clone(name=f"{db.name}-myshadow")
 
     def sample_traffic(self, workload: Workload) -> list[WorkloadQuery]:

@@ -126,7 +126,7 @@ class ReplaySimulator:
                     cpu_pct=cpu_pct,
                     throughput=throughput,
                     offered_cost=offered,
-                    n_indexes=len(self.db.schema.indexes(include_dataless=False)),
+                    n_indexes=len(self.db.schema.indexes()),
                 )
             )
         return self.timeline

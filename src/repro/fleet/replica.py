@@ -3,9 +3,9 @@
 Meta's MySQL offering replicates each database across machines; reads are
 served by any replica, so execution statistics must be gathered from all
 of them and aggregated for a holistic view.  :class:`ReplicaSet` models
-that topology on top of stats-only databases: each replica owns a
-:class:`~repro.workload.WorkloadMonitor`, reads round-robin across
-replicas, writes hit every replica.
+that topology over one shared database whose costs are estimated: each
+replica owns a :class:`~repro.workload.WorkloadMonitor`, reads
+round-robin across replicas, writes hit every replica.
 """
 
 from __future__ import annotations
@@ -37,18 +37,20 @@ class Replica:
 
 
 class ReplicaSet:
-    """A primary plus N-1 replicas sharing one schema object.
+    """A primary plus N-1 replicas sharing one :class:`Database` object.
 
-    The schema (and therefore the index configuration) and statistics are
-    shared by reference: index DDL on the primary is visible on every
-    replica at once, mirroring replicated DDL.
+    Schema (and therefore the index configuration), statistics, cost
+    parameters and optimizer switches are the primary's: index DDL or a
+    setting changed on the primary reaches every replica at once,
+    mirroring replicated DDL and configuration.  Each replica keeps its
+    own monitor and plan cache.
     """
 
     def __init__(self, db: Database, n_replicas: int = 3):
         if n_replicas < 1:
             raise ValueError("need at least one replica")
         self.replicas = [
-            Replica(f"{db.name}-r{i}", _share(db, i)) for i in range(n_replicas)
+            Replica(f"{db.name}-r{i}", db) for i in range(n_replicas)
         ]
         self._next_read = 0
 
@@ -79,16 +81,3 @@ class ReplicaSet:
         for index in create:
             db.create_index(index.materialized())
 
-
-def _share(db: Database, i: int) -> Database:
-    """Replica i shares the primary's schema and stats objects."""
-    if i == 0:
-        return db
-    clone = Database.__new__(Database)
-    clone.name = f"{db.name}-r{i}"
-    clone.schema = db.schema          # shared: replicated DDL
-    clone.params = db.params
-    clone.stats = db.stats
-    clone.switches = db.switches
-    clone.storage = None
-    return clone

@@ -125,7 +125,6 @@ class SelectPlanner:
         params: CostParams,
         info: QueryInfo,
         extra_indexes: Sequence[Index] = (),
-        materialized_only: bool = False,
         switches: OptimizerSwitches = DEFAULT_SWITCHES,
         memo: Optional[PlanMemo] = None,
     ):
@@ -139,10 +138,7 @@ class SelectPlanner:
         # names contain underscores (idx_t_a_b_c is both (a_b, c) and
         # (a, b_c)), and a dropped duplicate is a lost plan choice.
         by_table: dict[str, dict[tuple, Index]] = {}
-        available = list(schema.indexes()) + list(extra_indexes)
-        if materialized_only:
-            available = [idx for idx in available if not idx.dataless]
-        for index in available:
+        for index in [*schema.indexes(), *extra_indexes]:
             by_table.setdefault(index.table, {}).setdefault(index.key, index)
         self._indexes = {t: list(found.values()) for t, found in by_table.items()}
         # This plan's view of the memo, keyed by sorted probe items: the

@@ -52,22 +52,18 @@ class Optimizer:
         self,
         stmt: Statement,
         extra_indexes: Sequence[Index] = (),
-        materialized_only: bool = False,
         memo: Optional[PlanMemo] = None,
     ) -> Plan:
         """Plan a statement under the current configuration plus
         *extra_indexes* (typically dataless candidates).
 
-        With *materialized_only* the plan may only use indexes that
-        physically exist -- the executor's planning mode (a dataless index
-        has no data to scan).  *memo* is this statement's
-        :class:`PlanMemo`, reused across calls while the statistics,
-        parameters and switches hold.
+        The catalog holds built indexes only, so a plan without
+        *extra_indexes* is one the executor can run.  *memo* is this
+        statement's :class:`PlanMemo`, reused across calls while the
+        statistics, parameters and switches hold.
         """
         self.calls += 1
         info = self.analyze(stmt)
-        if materialized_only:
-            extra_indexes = [idx for idx in extra_indexes if not idx.dataless]
         if isinstance(info.stmt, ast.Select):
             _CALLS_SELECT.inc()
             planner = SelectPlanner(
@@ -76,7 +72,6 @@ class Optimizer:
                 self.db.params,
                 info,
                 extra_indexes,
-                materialized_only=materialized_only,
                 switches=self.db.switches,
                 memo=memo,
             )

@@ -58,82 +58,8 @@ def _apply_arith(op: str, left, right):
     raise ValueError(f"unknown arithmetic op {op!r}")
 
 
-def _typed(value) -> tuple:
-    """A hashable, type-discriminating memo component (1 vs True vs 1.0)."""
-    return (type(value).__name__, value)
-
-
-def _atomic_memo_key(pred: AtomicPredicate) -> Optional[tuple]:
-    """Hashable ``(op, constants...)`` identity of an atomic predicate.
-
-    Two predicates on the same column with the same key are guaranteed to
-    estimate identically, so the result can be memoized on the column's
-    stats object.  Returns None (no memoization) for shapes whose
-    constants cannot be extracted hashably.
-    """
-    op = pred.op
-    expr = pred.expr
-    try:
-        if isinstance(expr, ast.Comparison):
-            value = constant_value(expr.right)
-            if value is None:
-                value = constant_value(expr.left)
-            return (op, _typed(value))
-        if isinstance(expr, ast.InList):
-            values = tuple(_typed(constant_value(item)) for item in expr.items)
-            return (op, len(expr.items), values)
-        if isinstance(expr, ast.Between):
-            return (
-                op,
-                _typed(constant_value(expr.low)),
-                _typed(constant_value(expr.high)),
-            )
-        if isinstance(expr, ast.Not):
-            inner = expr.item
-            if isinstance(inner, ast.Comparison):
-                return (op, _typed(constant_value(inner.right)))
-            return (op,)
-        if op in ("IS NULL", "IS NOT NULL"):
-            return (op,)
-    except TypeError:        # unhashable constant
-        return None
-    return None
-
-
-def _stats_memo(stats: ColumnStats) -> dict:
-    """The per-column memo dict, attached lazily to the (frozen) stats.
-
-    ``ColumnStats`` is immutable and replaced wholesale on ANALYZE, so
-    the memo's lifetime matches the validity of its entries exactly.
-    """
-    memo = stats.__dict__.get("_sel_memo")
-    if memo is None:
-        memo = {}
-        object.__setattr__(stats, "_sel_memo", memo)
-    return memo
-
-
 def atomic_selectivity(pred: AtomicPredicate, stats: ColumnStats) -> float:
-    """Selectivity of one atomic predicate given its column's stats.
-
-    Memoized per ``(column stats, op, constant value)``: plan enumeration
-    re-estimates the same predicate for every candidate configuration of
-    every evaluator, and the estimate depends only on the constants and
-    the column's statistics.
-    """
-    key = _atomic_memo_key(pred)
-    if key is None:
-        return _atomic_selectivity_uncached(pred, stats)
-    memo = _stats_memo(stats)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    sel = _atomic_selectivity_uncached(pred, stats)
-    memo[key] = sel
-    return sel
-
-
-def _atomic_selectivity_uncached(pred: AtomicPredicate, stats: ColumnStats) -> float:
+    """Selectivity of one atomic predicate given its column's stats."""
     expr = pred.expr
     op = pred.op
     if op in ("=", "<=>"):
@@ -194,26 +120,7 @@ def combined_range_selectivity(
     One-sided bounds are intersected into an interval before estimation
     (``col >= a AND col < b`` is the b-a span, not the product of two
     half-open estimates).  LIKE predicates multiply in separately.
-    Memoized per predicate-set shape on the column's stats (order kept in
-    the key so float accumulation stays bit-identical).
     """
-    keys = tuple(_atomic_memo_key(p) for p in preds)
-    memo_key: Optional[tuple] = None
-    if all(k is not None for k in keys):
-        memo_key = ("range-combo", keys)
-        memo = _stats_memo(stats)
-        cached = memo.get(memo_key)
-        if cached is not None:
-            return cached
-    sel = _combined_range_selectivity_uncached(preds, stats)
-    if memo_key is not None:
-        memo[memo_key] = sel
-    return sel
-
-
-def _combined_range_selectivity_uncached(
-    preds: Sequence[AtomicPredicate], stats: ColumnStats
-) -> float:
     low = high = None
     low_op = high_op = None
     extra = 1.0

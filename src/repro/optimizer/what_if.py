@@ -2,8 +2,9 @@
 
 :class:`CostEvaluator` is the service every index-selection algorithm
 drives: *what would query q cost under index configuration X?*  Indexes
-are evaluated dataless -- catalog + statistics only, exactly the
-AutoAdmin "what-if" / HypoPG mechanism the paper builds on (Sec. III-A4).
+are evaluated dataless -- statistics only, passed to the planner as
+``extra_indexes`` and never entered into the catalog, the AutoAdmin
+"what-if" / HypoPG mechanism the paper builds on (Sec. III-A4).
 
 The evaluator "rarely consults the optimizer" (paper Sec. III) through
 three tiers on one serial code path:

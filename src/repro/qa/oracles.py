@@ -546,7 +546,7 @@ def plan_cache_oracle(case: Case, config: OracleConfig) -> list[Violation]:
                 continue
             select = stmt if isinstance(stmt, ast.Select) else locator_select(stmt)
             served = result.plan
-            fresh = optimizer.explain(select, materialized_only=True)
+            fresh = optimizer.explain(select)
             same = _plan_fields(served) == _plan_fields(fresh)
             if served.info.stmt != select or not same:
                 violations.append(Violation(

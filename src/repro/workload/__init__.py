@@ -7,7 +7,6 @@ from .selection import (
     DEFAULT_BENEFIT_THRESHOLD,
     SelectionPolicy,
     select_representative_workload,
-    tuning_targets,
 )
 from .workload import Workload
 
@@ -20,6 +19,5 @@ __all__ = [
     "MonitoredExecutor",
     "SelectionPolicy",
     "select_representative_workload",
-    "tuning_targets",
     "DEFAULT_BENEFIT_THRESHOLD",
 ]

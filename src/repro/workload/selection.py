@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .monitor import WorkloadMonitor
-from .query import QueryStatistics, WorkloadQuery
+from .query import WorkloadQuery
 from .workload import Workload
 
 #: Paper's example benefit threshold: 1/20 of a CPU core (in CPU seconds
@@ -39,13 +39,12 @@ class SelectionPolicy:
 def select_representative_workload(
     monitor: WorkloadMonitor,
     policy: SelectionPolicy = SelectionPolicy(),
-    include_dml: bool = True,
 ) -> Workload:
     """Pick the queries that need tuning, weighted by execution count.
 
-    DML statements never *trigger* tuning, but when ``include_dml`` is set
-    they are carried along with zero benefit so that index maintenance
-    overhead (Eq. 8) is accounted against the same workload.
+    DML statements never *trigger* tuning, but they are carried along with
+    zero benefit so that index maintenance overhead (Eq. 8) is accounted
+    against the same workload.
     """
     selected: list[WorkloadQuery] = []
     carried: list[WorkloadQuery] = []
@@ -57,7 +56,7 @@ def select_representative_workload(
             name=stats.normalized_sql[:60],
         )
         if query.is_dml:
-            if include_dml and stats.executions >= policy.min_executions:
+            if stats.executions >= policy.min_executions:
                 carried.append(query)
             continue
         if stats.executions < policy.min_executions:
@@ -69,18 +68,3 @@ def select_representative_workload(
             break
     return Workload(selected + carried, name="representative")
 
-
-def tuning_targets(
-    monitor: WorkloadMonitor, policy: SelectionPolicy = SelectionPolicy()
-) -> list[QueryStatistics]:
-    """The SELECT statistics records passing the selection thresholds."""
-    out = []
-    for stats in monitor.top_by_benefit():
-        if stats.executions < policy.min_executions:
-            continue
-        if stats.expected_benefit < policy.min_benefit:
-            continue
-        out.append(stats)
-        if policy.max_queries is not None and len(out) >= policy.max_queries:
-            break
-    return out

@@ -48,12 +48,6 @@ class Workload:
         """(sql, weight) pairs for :meth:`CostEvaluator.workload_cost`."""
         return [(q.sql, q.weight) for q in self.queries]
 
-    def selects_only(self) -> "Workload":
-        """The read-only sub-workload (analytical benchmarks)."""
-        return Workload(
-            [q for q in self.queries if not q.is_dml], name=f"{self.name}-reads"
-        )
-
     def by_name(self, name: str) -> Optional[WorkloadQuery]:
         for q in self.queries:
             if q.name == name:

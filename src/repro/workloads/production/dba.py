@@ -56,7 +56,9 @@ def dba_index_set(
         orders = generator.generate_for_query(info, MODE_NON_COVERING)
         base = evaluator.cost(query.sql, list(chosen.values()))
         best: tuple[float, Index] | None = None
-        for po in orders:
+        # A fixed visiting order breaks gain ties the same way under every
+        # hash seed (the orders come as a set).
+        for po in sorted(orders, key=str):
             index = generator.index_for_order(po)
             if index is None:
                 continue

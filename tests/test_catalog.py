@@ -118,25 +118,16 @@ def test_schema_index_validation():
 
 def test_schema_index_lifecycle():
     schema = Schema.from_tables([make_table()])
-    idx = Index("t", ("a",), dataless=True)
-    schema.add_index(idx)
+    idx = Index("t", ("a",))
+    assert schema.add_index(idx) is idx
     assert schema.has_index(idx)
-    assert len(schema.indexes("t")) == 1
-    assert schema.indexes("t", include_dataless=False) == []
-    # Materializing upgrades in place.
-    schema.add_index(idx.materialized())
-    assert schema.indexes("t", include_dataless=False)[0].dataless is False
+    assert schema.indexes("t") == [idx]
+    # Re-adding is idempotent.
+    version = schema.index_version
+    assert schema.add_index(Index("t", ("a",))) is idx
+    assert schema.index_version == version
     schema.drop_index(idx)
     assert not schema.has_index(idx)
-
-
-def test_schema_clear_dataless():
-    schema = Schema.from_tables([make_table()])
-    schema.add_index(Index("t", ("a",), dataless=True))
-    schema.add_index(Index("t", ("b",)))
-    schema.clear_dataless()
-    names = [i.name for i in schema.indexes()]
-    assert names == ["idx_t_b"]
 
 
 def test_schema_copy_isolates_indexes():

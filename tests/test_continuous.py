@@ -39,7 +39,7 @@ def test_tuner_cycle_creates_and_cleans(db):
     result = tuner.run_cycle()
     assert result.changed
     assert any("created" in i.columns for i in result.created)
-    assert db.schema.indexes(include_dataless=False)
+    assert db.schema.indexes()
     assert tuner.history == [result]
 
 
@@ -58,7 +58,7 @@ def test_tuner_cycle_is_idempotent_when_tuned(db):
     second = tuner.run_cycle()
     # Nothing new to create; existing useful indexes are kept.
     assert not second.created
-    remaining = {i.name for i in db.schema.indexes(include_dataless=False)}
+    remaining = {i.name for i in db.schema.indexes()}
     assert created_names <= remaining
 
 

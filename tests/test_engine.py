@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.catalog import Index
+from repro.catalog import CatalogError, Index
 from repro.engine import Database, INNODB, INNODB_HDD, ROCKSDB
 
 from .conftest import make_user_rows, users_table
@@ -20,10 +20,18 @@ def test_create_materialized_index_builds_structure(db):
     assert storage.get_index(idx.name) is not None
 
 
-def test_create_dataless_index_skips_storage(db):
-    idx = db.create_index(Index("users", ("city",), dataless=True))
-    assert db.storage["users"].get_index(idx.name) is None
-    assert db.schema.has_index(idx)
+def test_dataless_index_is_not_a_catalog_entry(db):
+    """A hypothetical index is a planner argument only: the schema and the
+    database reject it and leave catalog, storage and version as they were."""
+    idx = Index("users", ("city",), dataless=True)
+    version = db.schema.index_version
+    with pytest.raises(CatalogError):
+        db.schema.add_index(idx)
+    with pytest.raises(CatalogError):
+        db.create_index(idx)
+    assert db.schema.index_version == version
+    assert db.schema.indexes() == []
+    assert not db.storage["users"].secondary
 
 
 def test_drop_index(indexed_db):
@@ -36,13 +44,6 @@ def test_drop_all_secondary_indexes(indexed_db):
     dropped = indexed_db.drop_all_secondary_indexes()
     assert len(dropped) == 3
     assert indexed_db.schema.indexes() == []
-
-
-def test_clear_dataless(db):
-    db.create_index(Index("users", ("city",), dataless=True))
-    db.create_index(Index("users", ("age",)))
-    db.clear_dataless()
-    assert [i.name for i in db.schema.indexes()] == ["idx_users_age"]
 
 
 def test_index_size_scales_with_rows_and_width(db):
@@ -58,7 +59,7 @@ def test_table_size_bytes(db):
 
 def test_stats_clone_shares_stats_owns_indexes(db):
     clone = db.stats_clone()
-    clone.create_index(Index("users", ("city",), dataless=True))
+    clone.create_index(Index("users", ("city",)))
     assert db.schema.indexes() == []
     assert clone.stats is db.stats
     assert clone.storage is None

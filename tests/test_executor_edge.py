@@ -162,7 +162,7 @@ def test_seq_scan_never_yields_a_row_deleted_mid_scan(db):
     deleted after the scan started -- later in the current chunk or in a
     later one -- is never yielded, so every yielded id is still stored."""
     stmt = parse("SELECT * FROM orders WHERE amount > 100")
-    plan = Executor(db).optimizer.explain(stmt, materialized_only=True)
+    plan = Executor(db).optimizer.explain(stmt)
     assert plan.steps[0].path.method == "seq"
     pipeline = _Pipeline(db, plan.info, plan, ExprEvaluator(plan.info, db.schema),
                          ExecutionMetrics())

@@ -82,6 +82,35 @@ def test_replicas_replan_without_a_flush(db):
     assert rescaled[0] > indexed[0]
 
 
+def test_replicas_follow_settings_changed_on_the_primary(db):
+    """Cost parameters and optimizer switches set on the primary's
+    database reach every replica, not only replica 0."""
+    db.create_index(Index("orders", ("user_id",)))
+    db.create_index(Index("users", ("city", "age")))
+    replica_set = ReplicaSet(db, n_replicas=2)
+    reads = [
+        WorkloadQuery("SELECT amount FROM orders WHERE user_id = 7", 1.0),
+        WorkloadQuery("SELECT name FROM users WHERE age = 30", 1.0),
+    ]
+
+    def served() -> list[list[float]]:
+        return [[replica_set.serve_read(q) for _ in replica_set.replicas] for q in reads]
+
+    def fresh() -> list[list[float]]:
+        evaluator = CostEvaluator(db, include_schema_indexes=True)
+        return [[evaluator.cost(q.sql)] * len(replica_set.replicas) for q in reads]
+
+    before = served()
+    db.switches = replace(db.switches, skip_scan=True)
+    skipping = served()
+    assert skipping == fresh()
+    assert skipping[1][0] < before[1][0]
+    db.params = replace(db.params, random_page_cost=9.0)
+    repriced = served()
+    assert repriced == fresh()
+    assert repriced[0][0] > skipping[0][0]
+
+
 def test_stats_export_aggregates_and_clears(replica_set, product):
     channel = PubSubChannel()
     warehouse = StatsWarehouse()
@@ -115,7 +144,7 @@ def test_coordinator_triggers_tuning(replica_set, product):
     assert coordinator.needs_tuning("F")
     results = coordinator.scan_and_tune()
     assert results["F"].created
-    assert product.db.schema.indexes(include_dataless=False)
+    assert product.db.schema.indexes()
 
 
 def test_coordinator_skips_quiet_databases(product):

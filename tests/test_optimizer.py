@@ -49,13 +49,6 @@ def test_affected_rows_estimates(db):
     assert 500 < rows < 2000   # ~1/3 of 3000
 
 
-def test_materialized_only_ignores_dataless(db):
-    db.create_index(Index("users", ("city", "name"), dataless=True))
-    opt = Optimizer(db)
-    p = opt.explain("SELECT name FROM users WHERE city = 'c1'", materialized_only=True)
-    assert not p.used_indexes
-
-
 def test_cost_evaluator_excludes_schema_indexes_by_default(indexed_db):
     ev = CostEvaluator(indexed_db)
     p = ev.plan("SELECT name FROM users WHERE city = 'c1'")

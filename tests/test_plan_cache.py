@@ -47,7 +47,7 @@ def _assert_fresh(db, sql, result) -> None:
     """*result*'s plan equals a fresh plan of *sql* (its locator for DML)."""
     stmt = parse(sql)
     select = stmt if isinstance(stmt, ast.Select) else locator_select(stmt)
-    fresh = Optimizer(db).explain(select, materialized_only=True)
+    fresh = Optimizer(db).explain(select)
     assert result.plan.info.stmt == select, sql
     assert _plan_fields(result.plan) == _plan_fields(fresh), sql
 

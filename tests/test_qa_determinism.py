@@ -6,10 +6,10 @@ Two layers:
   and recommending over the same case twice yields identical output;
 * across interpreter hash seeds -- subprocesses with different
   ``PYTHONHASHSEED`` values must produce byte-identical workloads and
-  identical advisor recommendations.  This catches accidental iteration
-  over sets or hash-keyed dicts anywhere in the generation or
-  recommendation paths (e.g. benefit attribution over
-  ``plan.used_indexes``).
+  identical advisor recommendations and DBA reference sets.  This
+  catches accidental iteration over sets or hash-keyed dicts anywhere in
+  the generation or recommendation paths (e.g. benefit attribution over
+  ``plan.used_indexes``, or the DBA model's walk over candidate orders).
 """
 
 import json
@@ -74,6 +74,19 @@ payload = {{
 print(json.dumps(payload, sort_keys=True), end="")
 """
 
+_DBA_CODE = """
+import json
+from repro.workloads.production import PRODUCTS, build_product, dba_index_set
+
+out = {{}}
+for key in {products!r}:
+    product = build_product(PRODUCTS[key])
+    db = product.db
+    budget = max(512 << 20, sum(db.table_size_bytes(t) for t in db.schema.tables))
+    out[key] = sorted(index.name for index in dba_index_set(product, budget))
+print(json.dumps(out, sort_keys=True), end="")
+"""
+
 
 def test_same_seed_same_case_in_process():
     a = generate_case(42)
@@ -120,4 +133,14 @@ def test_recommendation_identical_across_hash_seeds(seed):
     assert payloads[0]["created"], "expected a non-empty recommendation"
     assert payloads[0] == payloads[1] == payloads[2], (
         "advisor recommendation depends on PYTHONHASHSEED"
+    )
+
+
+@pytest.mark.slow
+def test_dba_reference_identical_across_hash_seeds():
+    code = _DBA_CODE.format(products=("A", "C", "E"))
+    payloads = [json.loads(_run_subprocess(code, hs)) for hs in (0, 1, 2)]
+    assert all(payloads[0][key] for key in ("A", "C", "E"))
+    assert payloads[0] == payloads[1] == payloads[2], (
+        "DBA reference set depends on PYTHONHASHSEED"
     )

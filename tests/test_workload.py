@@ -11,7 +11,6 @@ from repro.workload import (
     WorkloadMonitor,
     WorkloadQuery,
     select_representative_workload,
-    tuning_targets,
 )
 
 
@@ -26,11 +25,6 @@ def test_workload_from_sql_with_weights():
 def test_workload_query_is_dml():
     assert WorkloadQuery("INSERT INTO t (a) VALUES (1)").is_dml
     assert not WorkloadQuery("SELECT a FROM t").is_dml
-
-
-def test_selects_only():
-    w = Workload.from_sql(["SELECT a FROM t", "DELETE FROM t WHERE a = 1"])
-    assert len(w.selects_only()) == 1
 
 
 def test_query_statistics_ddr_and_benefit():
@@ -133,11 +127,6 @@ def test_selection_carries_dml_with_zero_benefit_role():
         monitor, SelectionPolicy(min_executions=2, min_benefit=0.01)
     )
     assert any(q.is_dml for q in workload)
-    without_dml = select_representative_workload(
-        monitor, SelectionPolicy(min_executions=2, min_benefit=0.01),
-        include_dml=False,
-    )
-    assert not any(q.is_dml for q in without_dml)
 
 
 def test_selection_max_queries_cap():
@@ -147,7 +136,7 @@ def test_selection_max_queries_cap():
         for _ in range(5):
             monitor.record_execution(f"SELECT a FROM t WHERE x = {i} AND y{i} = 1", m, 10.0)
     policy = SelectionPolicy(min_executions=2, min_benefit=0.01, max_queries=3)
-    assert len(tuning_targets(monitor, policy)) == 3
+    assert len(select_representative_workload(monitor, policy)) == 3
 
 
 def test_monitored_executor_records(db):
