@@ -11,8 +11,13 @@ Keys are stored flat, one ``(rank, value)`` pair per column (see
 column by column, ranks first, and sort, ``bisect`` and equality run
 natively instead of calling a Python comparison per value.
 
+A secondary index's keys hold only its own columns.  Its entries are
+ordered by ``(flat key, tail, row id)``, where the *tail* is a callable
+that reads the row's flat primary key from the live row; scans append the
+tail, so a secondary entry reads as its columns followed by the PK.
+
 :meth:`SortedIndex.build` builds an index column-wise, with one stable
-sort per key column, from entries already ordered by the key's tail.
+sort per key column, from entries already ordered by ``(tail, row id)``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 #: Rank sentinel above every real rank: ``prefix + (_ABOVE,)`` sorts after
 #: all keys extending *prefix*.
@@ -52,6 +57,34 @@ def wrap_key(values: Iterable[Any]) -> tuple:
     return tuple(flat)
 
 
+def flat_reader(columns: Sequence[Sequence[Any]]) -> Callable[[int], tuple]:
+    """``row_id -> wrap_key(column[row_id] for column in columns)``.
+
+    The storage reads a row's flat key in each index this way on every
+    index write, and a secondary index its tail (the row's flat PK) on
+    inserts into a run of equal keys, so one- and two-column keys of
+    exact ints are flattened inline.
+    """
+    if len(columns) == 1:
+        (column,) = columns
+
+        def read(row_id: int) -> tuple:
+            value = column[row_id]
+            return (1, value) if value.__class__ is int else wrap_key((value,))
+    elif len(columns) == 2:
+        first, second = columns
+
+        def read(row_id: int) -> tuple:
+            a, b = first[row_id], second[row_id]
+            if a.__class__ is int and b.__class__ is int:
+                return (1, a, 1, b)
+            return wrap_key((a, b))
+    else:
+        def read(row_id: int) -> tuple:
+            return wrap_key([column[row_id] for column in columns])
+    return read
+
+
 def unwrap_key(flat: Sequence[Any]) -> tuple:
     """Column values of a flat key, as the index compares them
     (NULL -> ``None``, bool -> int, non-numbers -> str)."""
@@ -64,15 +97,22 @@ def unwrap_key(flat: Sequence[Any]) -> tuple:
 class SortedIndex:
     """A sorted (key, row_id) mapping emulating a B+ tree.
 
-    Entries are ordered by ``(flat key, row id)`` and kept in two parallel
-    lists, ``keys`` and ``rids``, so an entry needs no pair tuple.  The
-    structure intentionally stays flat: at reproduction scale (<= a few
-    million rows) bisect operations dominate and behave exactly like tree
-    descents for cost accounting purposes.
+    Entries are kept in two parallel lists, ``keys`` and ``rids``, so an
+    entry needs no pair tuple.  Equal keys are ordered by ``(tail(row id),
+    row id)`` when the index has a *tail* (a secondary index: the row's
+    flat PK) and by row id otherwise (the PK index).  The tail is read
+    from the live row, so the row must hold the values an entry was
+    placed by for as long as the entry exists.  The structure
+    intentionally stays flat: at reproduction scale (<= a few million
+    rows) bisect operations dominate and behave exactly like tree descents
+    for cost accounting purposes.
     """
 
-    def __init__(self, n_key_columns: int):
+    def __init__(
+        self, n_key_columns: int, tail: Optional[Callable[[int], tuple]] = None
+    ):
         self.n_key_columns = n_key_columns
+        self.tail = tail
         self.keys: list[tuple] = []
         self.rids: list[int] = []
 
@@ -81,28 +121,35 @@ class SortedIndex:
         cls,
         columns: Sequence[Sequence[Any]],
         row_ids: Sequence[int],
-        suffix: Optional[Sequence[tuple]] = None,
+        tail: Optional[Callable[[int], tuple]] = None,
+        kinds: Optional[Sequence[Collection[type]]] = None,
     ) -> "SortedIndex":
-        """Build an index over ``len(row_ids)`` entries in one pass per
-        key column.
+        """Build an index over the rows *row_ids* in one pass per key
+        column.
 
-        Entry ``i`` has key column values ``columns[c][i]`` (one or more
-        columns), row id ``row_ids[i]`` and, when *suffix* is given, the
-        flat key tail ``suffix[i]`` (a secondary index's flat PK).  The
-        entries must already be sorted by ``(suffix, row id)``; for a
-        secondary index that is the PK index's order, for the PK index
-        ascending row ids.  Stable sorts by each key column, last column
-        first, then leave them sorted by ``(flat key, row id)``: entries
-        with equal flat keys keep their input order.  The result equals
-        inserting the entries one by one, entry for entry.
+        Each key column (one or more) is indexed by row id: row ``r`` has
+        the values ``columns[c][r]``; rows outside *row_ids* are ignored.
+        ``kinds[c]``, when given, holds every type of ``columns[c]``'s
+        values at *row_ids* (a superset will do); otherwise the values are
+        read for it.  *row_ids* must already be sorted by ``(tail(row
+        id), row id)``, or ascending without a *tail*: for a secondary
+        index that is the PK index's order, for the PK index ascending
+        row ids.  Stable sorts of the row ids by each key column, last
+        column first, then leave them sorted by ``(flat key, tail, row
+        id)``: rows with equal flat keys keep their input order.  The
+        result equals inserting the entries one by one, entry for entry.
         """
-        order: Sequence[int] = range(len(row_ids))
+        order: Sequence[int] = row_ids
         sorted_on: list[tuple[Optional[int], Sequence[Any]]] = []
-        for values in reversed(columns):
-            kinds = set(map(type, values))
-            if kinds <= _NUMBERS:
+        for c in reversed(range(len(columns))):
+            values = columns[c]
+            types = (
+                set(map(type, map(values.__getitem__, row_ids)))
+                if kinds is None else kinds[c]
+            )
+            if types <= _NUMBERS:
                 sort_values, rank = values, 1
-            elif kinds == _STRINGS:
+            elif types == _STRINGS:
                 sort_values, rank = values, 2
             else:               # NULLs, bools, mixed ranks: sort on pairs
                 sort_values, rank = [wrap_key((v,)) for v in values], None
@@ -119,42 +166,67 @@ class SortedIndex:
                 parts += (map(itemgetter(0), pairs), map(itemgetter(1), pairs))
             else:
                 parts += (repeat(rank), ordered)
-        index = cls(len(columns))
-        if suffix is None:
-            index.keys = list(zip(*parts))
-        else:
-            index.keys = list(map(add, zip(*parts), map(suffix.__getitem__, order)))
-        index.rids = list(map(row_ids.__getitem__, order))
+        index = cls(len(columns), tail)
+        index.keys = list(zip(*parts))
+        index.rids = list(order) if order is row_ids else order
         return index
 
     def __len__(self) -> int:
         return len(self.rids)
 
-    def _locate(self, flat: tuple, row_id: int) -> int:
-        """Position of the entry ``(flat, row_id)``, or where it would go:
-        among the entries whose key is *flat*, ordered by row id."""
-        keys, rids = self.keys, self.rids
-        pos = bisect_left(keys, flat)
-        if pos < len(keys) and keys[pos] == flat and rids[pos] < row_id:
-            pos = bisect_left(rids, row_id, pos + 1, bisect_right(keys, flat, pos))
-        return pos
-
     def insert(self, key: Sequence[Any], row_id: int) -> None:
-        """Insert an entry (duplicates allowed; ties broken by row id)."""
-        flat = wrap_key(key)
-        pos = self._locate(flat, row_id)
-        self.keys.insert(pos, flat)
-        self.rids.insert(pos, row_id)
+        """Insert an entry (duplicates allowed; ties broken by tail, then
+        row id).  The row must already hold its tail's values."""
+        self.insert_flat(wrap_key(key), row_id)
+
+    def insert_flat(self, flat: tuple, row_id: int) -> None:
+        """:meth:`insert` for a key already flattened by :func:`wrap_key`."""
+        keys, rids, tail = self.keys, self.rids, self.tail
+        pos = bisect_right(keys, flat)
+        if pos and keys[pos - 1] == flat:
+            # pos ends a run of equal keys; a new row usually sorts last.
+            last = rids[pos - 1]
+            if tail is None:
+                inside = last > row_id
+            else:
+                mine, theirs = tail(row_id), tail(last)
+                inside = theirs > mine or (theirs == mine and last > row_id)
+            if inside:
+                lo = bisect_left(keys, flat, 0, pos)
+                if tail is None:
+                    pos = bisect_left(rids, row_id, lo, pos - 1)
+                else:
+                    pos = bisect_left(rids, mine, lo, pos - 1, key=tail)
+                    while rids[pos] < row_id and tail(rids[pos]) == mine:
+                        pos += 1
+        keys.insert(pos, flat)
+        rids.insert(pos, row_id)
 
     def delete(self, key: Sequence[Any], row_id: int) -> bool:
-        """Remove an entry; returns False if it was not present."""
-        flat = wrap_key(key)
-        pos = self._locate(flat, row_id)
-        if pos < len(self.rids) and self.rids[pos] == row_id and self.keys[pos] == flat:
-            del self.keys[pos]
-            del self.rids[pos]
-            return True
-        return False
+        """Remove an entry; returns False if it was not present.
+
+        Scans ``rids`` for the row id from the start of the key's run,
+        with no bisect for the run's end and no tail calls: a stored entry
+        lies inside its run, and a row id found past the run is stored
+        under another key.  Only a missing entry scans past its run.
+        """
+        return self.delete_flat(wrap_key(key), row_id)
+
+    def delete_flat(self, flat: tuple, row_id: int) -> bool:
+        """:meth:`delete` for a key already flattened by :func:`wrap_key`."""
+        keys, rids = self.keys, self.rids
+        lo = bisect_left(keys, flat)
+        if lo == len(keys) or keys[lo] != flat:
+            return False
+        try:
+            pos = rids.index(row_id, lo)
+        except ValueError:
+            return False
+        if keys[pos] != flat:
+            return False
+        del keys[pos]
+        del rids[pos]
+        return True
 
     def span(
         self,
@@ -193,13 +265,16 @@ class SortedIndex:
         reverse: bool = False,
     ) -> Iterator[tuple[tuple, int]]:
         """The entries of :meth:`span` as ``(flat_key, row_id)`` pairs, in
-        key order, or in reverse key order with ``reverse=True``."""
+        key order, or in reverse key order with ``reverse=True``; a
+        secondary entry's flat key ends with its tail."""
         lo, hi = self.span(prefix, low, high, low_inclusive, high_inclusive)
-        positions = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
-        return zip(
-            map(self.keys.__getitem__, positions),
-            map(self.rids.__getitem__, positions),
-        )
+        keys, rids = self.keys[lo:hi], self.rids[lo:hi]
+        if reverse:
+            keys.reverse()
+            rids.reverse()
+        if self.tail is not None:
+            keys = map(add, keys, map(self.tail, rids))
+        return zip(keys, rids)
 
     def scan_all(self, reverse: bool = False) -> Iterator[tuple[tuple, int]]:
         """Full scan in key order (or reverse key order)."""

@@ -143,7 +143,9 @@ class Database:
         """A stats-only clone sharing statistics but owning its index set.
 
         This is the cheap clone advisors use for what-if evaluation: index
-        DDL on the clone never affects the production database.
+        DDL on the clone never affects the production database.  Its cost
+        parameters and switches are copies taken now; a ``CostEvaluator``
+        planning on the clone re-copies them when they change here.
         """
         clone = Database(
             self.schema.copy(),

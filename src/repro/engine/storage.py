@@ -8,7 +8,12 @@ tombstones, and no row moves.  A row dict is built only on request
 (:meth:`TableStorage.row`, the read-only :attr:`TableStorage.rows` view).
 
 The storage also holds a clustered primary key index and one
-:class:`SortedIndex` per materialized secondary index.  All row-level
+:class:`SortedIndex` per materialized secondary index.  A secondary
+index's keys hold only its own columns; it orders equal keys by the row's
+PK, which its tail reads from the column lists.  So every row-level path
+touches an index while the row still holds the values its entry was
+placed by: it deletes entries before it changes or drops the row's
+values and inserts them after it writes the new ones.  All row-level
 mutation paths account their index maintenance work in the supplied
 :class:`ExecutionMetrics`, which is what Eq. 8's ``cost_u`` is measured
 from.  Bulk loads and CREATE INDEX build indexes column-wise with
@@ -20,10 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from itertools import compress, repeat
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..catalog import Index, Table
-from .btree import SortedIndex
+from .btree import SortedIndex, flat_reader
 from .metrics import ExecutionMetrics
 
 
@@ -48,8 +53,13 @@ class TableStorage:
         self._count = 0
         self.rows = StoredRows(self)
         self.pk_index = SortedIndex(len(table.primary_key))
+        #: Row id -> the row's flat PK, read live: the PK index's key and
+        #: every secondary index's tail.
+        self._flat_pk = self._flat_reader(table.primary_key)
         self.secondary: dict[str, SortedIndex] = {}
         self.secondary_meta: dict[str, Index] = {}
+        #: Index name -> row id -> the row's flat key in that index.
+        self._flat_keys: dict[str, Callable[[int], tuple]] = {}
 
     # -- row level operations -------------------------------------------------
 
@@ -91,9 +101,9 @@ class TableStorage:
             self.kinds[name].add(type(value))
         self.alive.append(1)
         self._count += 1
-        self.pk_index.insert(self._key(self.table.primary_key, row_id), row_id)
+        self.pk_index.insert_flat(self._flat_pk(row_id), row_id)
         for name, index in self.secondary.items():
-            index.insert(self._index_key(self.secondary_meta[name], row_id), row_id)
+            index.insert_flat(self._flat_keys[name](row_id), row_id)
         if metrics is not None:
             metrics.index_entries_written += 1 + len(self.secondary)
         return row_id
@@ -103,9 +113,9 @@ class TableStorage:
     ) -> None:
         """Delete a row by id, leaving a tombstone; maintains all indexes."""
         self._check(row_id)
-        self.pk_index.delete(self._key(self.table.primary_key, row_id), row_id)
+        self.pk_index.delete_flat(self._flat_pk(row_id), row_id)
         for name, index in self.secondary.items():
-            index.delete(self._index_key(self.secondary_meta[name], row_id), row_id)
+            index.delete_flat(self._flat_keys[name](row_id), row_id)
         for column in self.columns.values():
             column[row_id] = None
         self.alive[row_id] = 0
@@ -121,30 +131,29 @@ class TableStorage:
     ) -> None:
         """Update columns of a row; only affected indexes pay maintenance."""
         self._check(row_id)
-        touched = set(changes)
         written = 0
-        pk = self.table.primary_key
-        pk_changed = bool(touched & set(pk))
+        pk_changed = not changes.keys().isdisjoint(self.table.primary_key)
         if pk_changed:
-            self.pk_index.delete(self._key(pk, row_id), row_id)
+            self.pk_index.delete_flat(self._flat_pk(row_id), row_id)
             written += 1
-        # Every secondary key ends with the PK, so a PK change re-keys all.
+        # Every secondary index orders equal keys by the PK, so a PK
+        # change moves the row in all of them.
         affected = [
-            (self.secondary[name], meta)
+            (self.secondary[name], self._flat_keys[name])
             for name, meta in self.secondary_meta.items()
-            if pk_changed or touched & set(meta.columns)
+            if pk_changed or not changes.keys().isdisjoint(meta.columns)
         ]
-        for index, meta in affected:
-            index.delete(self._index_key(meta, row_id), row_id)
+        for index, flat_key in affected:
+            index.delete_flat(flat_key(row_id), row_id)
         for name, value in changes.items():
             column = self.columns.get(name)
             if column is not None:
                 column[row_id] = value
                 self.kinds[name].add(type(value))
         if pk_changed:
-            self.pk_index.insert(self._key(pk, row_id), row_id)
-        for index, meta in affected:
-            index.insert(self._index_key(meta, row_id), row_id)
+            self.pk_index.insert_flat(self._flat_pk(row_id), row_id)
+        for index, flat_key in affected:
+            index.insert_flat(flat_key(row_id), row_id)
             written += 1
         if metrics is not None:
             # One in-place row write even when no index key changed.
@@ -185,12 +194,14 @@ class TableStorage:
         structure = self._build(index)
         self.secondary[index.name] = structure
         self.secondary_meta[index.name] = index
+        self._flat_keys[index.name] = self._flat_reader(index.columns)
         return structure
 
     def drop_index(self, index: Index | str) -> None:
         name = index if isinstance(index, str) else index.name
         self.secondary.pop(name, None)
         self.secondary_meta.pop(name, None)
+        self._flat_keys.pop(name, None)
 
     def get_index(self, name: str) -> Optional[SortedIndex]:
         return self.secondary.get(name)
@@ -205,24 +216,22 @@ class TableStorage:
 
     def _build(self, index: Optional[Index]) -> SortedIndex:
         """The PK index (*index* None) or a secondary *index*, built over
-        the current rows.
+        the current rows straight from the column lists.
 
-        The PK build starts from ascending row ids.  A secondary key is
-        its columns followed by the PK, so its build starts from the PK
-        index's ``(PK, row id)`` order, reads its key columns through the
-        PK index's row ids and reuses the PK index's flat keys as the key
-        tail.
+        The PK build starts from ascending row ids.  A secondary index
+        orders equal keys by the PK, so its build starts from the PK
+        index's ``(PK, row id)`` order: the PK index's row ids.
         """
         if index is None:
-            names, row_ids, suffix = self.table.primary_key, self.live_ids(), None
-            columns = [self.column_values(name) for name in names]
+            names, row_ids, tail = self.table.primary_key, self.live_ids(), None
         else:
-            pk = self.pk_index
-            names, row_ids, suffix = index.columns, pk.rids, pk.keys
-            columns = [
-                list(map(self.columns[name].__getitem__, row_ids)) for name in names
-            ]
-        return SortedIndex.build(columns, row_ids, suffix)
+            names, row_ids, tail = index.columns, self.pk_index.rids, self._flat_pk
+        return SortedIndex.build(
+            [self.columns[name] for name in names],
+            row_ids,
+            tail,
+            [self.kinds[name] for name in names],
+        )
 
     # -- key extraction ----------------------------------------------------------
 
@@ -230,15 +239,8 @@ class TableStorage:
         if not self.is_stored(row_id):
             raise StorageError(f"no row {row_id} in table {self.table.name}")
 
-    def _key(self, names: Sequence[str], row_id: int) -> tuple:
-        columns = self.columns
-        return tuple([columns[name][row_id] for name in names])
-
-    def _index_key(self, index: Index, row_id: int) -> tuple:
-        # Secondary keys append the PK for uniqueness / ordering stability.
-        return self._key(index.columns, row_id) + self._key(
-            self.table.primary_key, row_id
-        )
+    def _flat_reader(self, names: Sequence[str]) -> Callable[[int], tuple]:
+        return flat_reader([self.columns[name] for name in names])
 
 
 class StoredRows(Mapping):

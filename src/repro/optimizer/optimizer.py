@@ -97,7 +97,8 @@ class Optimizer:
             if memo.locator is None:
                 memo.locator = self._locator_info(info)
             planner = SelectPlanner(
-                schema, stats, params, memo.locator, extra_indexes, memo=memo
+                schema, stats, params, memo.locator, extra_indexes,
+                switches=self.db.switches, memo=memo,
             )
             locate_plan = planner.plan()
             steps = locate_plan.steps

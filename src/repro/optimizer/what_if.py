@@ -40,7 +40,9 @@ bare stats clone would; the tests in ``tests/test_whatif_cache.py``
 check costs and used-index subsets against one.  Every tier holds plans
 of one :attr:`Database.plan_version` (index configuration, statistics
 epoch, switches, cost parameters) and all are dropped together when it
-changes, so no caller flushes an evaluator by hand.
+changes, so no caller flushes an evaluator by hand.  A stats clone
+re-copies its source's switches and cost parameters whenever they
+change.
 
 :class:`WorkloadCoster` lifts the relevance rule to whole workloads: a
 greedy move that adds, drops or replaces a few indexes re-plans only the
@@ -122,6 +124,7 @@ class CostEvaluator:
         include_schema_indexes: bool = False,
         max_cache_entries: int = DEFAULT_PLAN_CACHE_SIZE,
     ):
+        self._source = db
         if include_schema_indexes:
             self._db = db
         else:
@@ -188,7 +191,11 @@ class CostEvaluator:
 
     def plan(self, stmt: Statement, config: Collection[Index] = ()) -> Plan:
         """Plan *stmt* under hypothetical configuration *config*."""
-        version = self._db.plan_version
+        db, source = self._db, self._source
+        if db.params is not source.params or db.switches is not source.switches:
+            # A stats clone copied its source's settings when it was made.
+            db.params, db.switches = source.params, source.switches
+        version = db.plan_version
         if version != self._plan_version:
             self._drop_caches(version)
         info = self.analyze(stmt)

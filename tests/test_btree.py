@@ -138,10 +138,14 @@ def entry_lists(draw, key_values=keys):
 
 
 def build_from(entries):
-    """SortedIndex.build over raw two-column entries: in row-id order, no
-    key tail."""
+    """SortedIndex.build over raw two-column entries, in row-id order, no
+    tail; the columns are indexed by row id, with gaps where no entry
+    has that id."""
     entries = sorted(entries, key=lambda e: e[1])
-    columns = [[key[c] for key, _rid in entries] for c in range(2)]
+    size = max((rid for _key, rid in entries), default=-1) + 1
+    columns = [[None] * size, [None] * size]
+    for key, rid in entries:
+        columns[0][rid], columns[1][rid] = key
     return SortedIndex.build(columns, [rid for _key, rid in entries])
 
 
@@ -161,19 +165,30 @@ def test_bulk_load_equals_one_by_one_inserts(data):
 
 @given(st.data())
 def test_build_with_key_tail_equals_one_by_one_inserts(data):
-    """A key tail (a secondary index's PK) with duplicate values: the
-    input is in (tail, row id) order and each key ends with its tail."""
+    """A tail (a secondary index's PK, read by row id) with duplicate
+    values: the build input is in (tail, row id) order, inserts come in
+    any order, and both scan as keys that end with their tail."""
     domain = data.draw(column_domains)
     entries = data.draw(entry_lists(st.tuples(domain, st.integers(0, 3))))
+    tails = {rid: wrap_key(key[1:]) for key, rid in entries}
+    inserted = SortedIndex(1, tails.__getitem__)
+    for key, rid in entries:
+        inserted.insert(key[:1], rid)
     entries.sort(key=lambda e: (model_key(e[0][1:]), e[1]))
+    column = [None] * len(entries)   # indexed by row id
+    for key, rid in entries:
+        column[rid] = key[0]
     built = SortedIndex.build(
-        [[key[0] for key, _rid in entries]],
-        [rid for _key, rid in entries],
-        [wrap_key(key[1:]) for key, _rid in entries],
+        [column], [rid for _key, rid in entries], tails.__getitem__
     )
     one_by_one = build(entries)
     assert list(built.scan_all()) == list(one_by_one.scan_all())
-    assert list(map(repr, built.keys)) == list(map(repr, one_by_one.keys))
+    assert list(inserted.scan_all()) == list(one_by_one.scan_all())
+    assert list(map(repr, built.keys)) == list(map(repr, inserted.keys))
+    for key, rid in entries:
+        assert built.delete(key[:1], rid) is True
+        assert built.delete(key[:1], rid) is False
+    assert len(built) == 0
 
 
 @given(

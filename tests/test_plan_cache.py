@@ -175,3 +175,28 @@ def test_update_is_analyzed_once(db, monkeypatch):
     result = executor.execute("UPDATE users SET age = age + 1 WHERE city = 'c1'")
     assert result.rowcount > 0
     assert calls == ["Select"]      # the locator; SET compiles against it
+
+
+def test_clone_evaluator_follows_settings_changed_on_its_source(db):
+    """A default evaluator plans on a stats clone of *db*; a later change
+    of *db*'s cost parameters or switches reaches it as it reaches a
+    fresh evaluator."""
+    evaluator = CostEvaluator(db)
+    reads = [
+        ("SELECT amount FROM orders WHERE user_id = 7", [Index("orders", ("user_id",))]),
+        ("SELECT name FROM users WHERE age = 30", [Index("users", ("city", "age"))]),
+    ]
+
+    def costs(e):
+        return [e.cost(sql, config) for sql, config in reads]
+
+    before = costs(evaluator)
+    assert [round(c, 2) for c in before] == [16.24, 58.2]
+    db.switches = replace(db.switches, skip_scan=True)
+    skipping = costs(evaluator)
+    assert [round(c, 2) for c in skipping] == [16.24, 48.12]
+    assert skipping == costs(CostEvaluator(db))
+    db.params = replace(db.params, random_page_cost=9.0)
+    repriced = costs(evaluator)
+    assert round(repriced[0], 2) == 64.26
+    assert repriced == costs(CostEvaluator(db))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Column, INT, Index, Table, varchar
 from repro.engine import Database, ExecutionMetrics
-from repro.engine.btree import SortedIndex, unwrap_key
+from repro.engine.btree import SortedIndex, unwrap_key, wrap_key
 from repro.engine.storage import StorageError, TableStorage
 
 
@@ -111,6 +111,33 @@ def test_secondary_key_includes_pk_for_stability():
     storage.insert_row({"id": 1, "a": 1, "b": "y"})
     keys = [unwrap_key(k) for k, _ in idx.scan_all()]
     assert keys == [(1, 1), (1, 2)]   # same a, ordered by appended PK
+
+
+def test_secondary_index_orders_equal_keys_by_the_live_pk():
+    """A secondary index stores no PK copy: equal keys are ordered by the
+    PK its tail reads from the row, through out-of-order PK inserts,
+    repeated values, a PK update, a key update and deletes."""
+    storage = make_storage()
+    idx = storage.build_index(Index("t", ("a",)))
+    ids = {}
+    for pk, a in [(5, 1), (3, 1), (9, 2), (1, 1), (7, 2), (4, 1), (8, None),
+                  (2, None), (6, 1)]:
+        ids[pk] = storage.insert_row({"id": pk, "a": a, "b": "x"})
+    storage.update_row(ids[5], {"id": 0})   # moves to the front of its run
+    storage.update_row(ids[9], {"a": 1})    # joins the run of 1s
+    storage.delete_row(ids[4])
+    assert idx.delete((1,), ids[4]) is False   # already deleted
+    assert idx.delete((2,), ids[3]) is False   # stored under another key
+    assert idx.delete((3,), ids[3]) is False   # no such key
+    expected = sorted(
+        (wrap_key((row["a"],)) + wrap_key((row["id"],)), row_id)
+        for row_id, row in storage.rows.items()
+    )
+    assert list(idx.scan_all()) == expected
+    assert [rid for _k, rid in idx.scan_prefix((1,))] == [
+        ids[5], ids[1], ids[3], ids[6], ids[9]]
+    storage.drop_index("idx_t_a")
+    assert list(storage.build_index(Index("t", ("a",))).scan_all()) == expected
 
 
 def test_build_index_matches_insert_path_with_nulls():
@@ -226,12 +253,13 @@ def _diff_row(rng):
 
 
 def _model_index(model, columns):
-    """``(keys, rids)`` of an index on *columns* over the model, inserted
-    entry by entry."""
-    index = SortedIndex(len(columns))
+    """The entries of an index on *columns* over the model, each key
+    followed by the PK, inserted entry by entry into an index without a
+    tail."""
+    index = SortedIndex(len(columns) + 1)
     for row_id, row in model.items():
         index.insert(tuple(row[c] for c in columns) + (row["id"],), row_id)
-    return index.keys, index.rids
+    return list(index.scan_all())
 
 
 def _pk_model_index(model):
@@ -253,13 +281,12 @@ def _assert_matches(storage, model):
     assert (storage.pk_index.keys, storage.pk_index.rids) == _pk_model_index(model)
     for index in DIFF_INDEXES:
         built = storage.get_index(index.name)
-        assert (built.keys, built.rids) == _model_index(model, index.columns)
+        assert list(built.scan_all()) == _model_index(model, index.columns)
 
 
 def _index_state(storage):
     return [(storage.pk_index.keys[:], storage.pk_index.rids[:])] + [
-        (storage.get_index(i.name).keys[:], storage.get_index(i.name).rids[:])
-        for i in DIFF_INDEXES
+        list(storage.get_index(i.name).scan_all()) for i in DIFF_INDEXES
     ]
 
 

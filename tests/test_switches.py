@@ -7,6 +7,7 @@ from repro.core import AimAdvisor, CandidateGenerator, GeneratorConfig, MODE_NON
 from repro.engine import Database
 from repro.executor import Executor
 from repro.optimizer import CostEvaluator, Optimizer, OptimizerSwitches, analyze_query
+from repro.optimizer.optimizer import locator_select
 from repro.sqlparser import parse
 from repro.stats import StatsCatalog, SyntheticColumn, synthesize_table
 from repro.workload import Workload
@@ -141,3 +142,20 @@ def test_advisor_with_skip_scan_still_improves(skip_db):
     w = Workload.from_sql([(SQL, 10.0)])
     rec = AimAdvisor(skip_db).recommend(w, 1 << 30)
     assert rec.cost_after <= rec.cost_before
+
+
+def test_dml_locate_step_plans_under_the_database_switches(db):
+    """An UPDATE's locate step is planned under the database's switches,
+    as the executor plans the locator SELECT it runs: with skip scan on,
+    the (city, age) index locates ``age = 30`` for 48.12 instead of a
+    58.2 seq scan."""
+    db.create_index(Index("users", ("city", "age")))
+    db.switches = OptimizerSwitches(skip_scan=True)
+    optimizer = Optimizer(db)
+    update = parse("UPDATE users SET score = 1 WHERE age = 30")
+    plan = optimizer.explain(update)
+    locate = optimizer.explain(locator_select(update))
+    assert locate.steps[0].path.skip_scan
+    assert round(locate.total_cost, 2) == 48.12
+    assert [step.path for step in plan.steps] == [step.path for step in locate.steps]
+    assert round(plan.total_cost, 2) == 84.12   # 94.2 with a seq locate
