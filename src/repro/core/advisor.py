@@ -21,7 +21,7 @@ The advisor never mutates the database; callers materialize
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..catalog import Index
@@ -85,11 +85,11 @@ class AimConfig:
             for the recommendation to be worth applying.
         lambda3: Eq. 4 -- maximum tolerated relative regression per query.
         validate: run the no-regression validation pass.
-        relative_to_current: evaluate gains relative to the database's
-            current secondary indexes (continuous tuning) instead of an
-            unindexed baseline (bootstrapping).
         ipp_relaxation_rows: Sec. V-A IPP relaxation threshold (estimated
             matched rows); None keeps all IPP columns.
+
+    Whether gains count over the database's current indexes is the
+    evaluator's choice (``AimAdvisor.recommend``), not a config field.
     """
 
     join_parameter: int = 2
@@ -103,7 +103,6 @@ class AimConfig:
     lambda2: float = 0.05
     lambda3: float = 0.10
     validate: bool = True
-    relative_to_current: bool = False
 
 
 class AimAdvisor:
@@ -142,16 +141,15 @@ class AimAdvisor:
     ) -> Recommendation:
         """Run Algorithm 1 on *workload* under *budget_bytes*.
 
-        Pass *evaluator* to reuse one across advisor runs: its plan
-        caches then persist between tuning cycles, which is what makes
-        repeated recommendations over a stable workload nearly free of
-        optimizer calls.  ``optimizer_calls`` on the result always counts
-        this run only.
+        The default evaluator ignores built indexes (bootstrapping); pass
+        ``CostEvaluator(db, include_schema_indexes=True)`` to measure gains
+        over the current indexes (continuous tuning).  A reused evaluator
+        keeps its plan caches across runs, which makes repeated
+        recommendations over a stable workload nearly free of optimizer
+        calls.  ``optimizer_calls`` on the result always counts this run.
         """
         if evaluator is None:
-            evaluator = CostEvaluator(
-                self.db, include_schema_indexes=self.config.relative_to_current
-            )
+            evaluator = CostEvaluator(self.db)
         calls_start = evaluator.optimizer_calls
         generator = self._generator(evaluator)
 
@@ -200,7 +198,7 @@ class AimAdvisor:
                     )
                     span.set(selected=len(selected))
 
-            # Validation: the no-regression guarantee (Eq. 4) on the clone.
+            # Validation: the no-regression guarantee (Eq. 4).
             rejected: list[Index] = []
             if self.config.validate:
                 with advisor_phase("advisor.validation", evaluator) as span:
@@ -321,12 +319,13 @@ class AimAdvisor:
 
         covering_queries = []
         for query in selects:
+            if query.weight < min_weight:
+                continue
             plan = evaluator.plan(query.sql, phase1_indexes)
             mode = try_covering_index(
                 evaluator.analyze(query.sql),
                 plan,
-                replace(self.config.covering, min_weight=min_weight),
-                weight=query.weight,
+                self.config.covering,
                 schema=self.db.schema,
             )
             if mode == MODE_COVERING:

@@ -8,7 +8,7 @@ tuner also detects and drops unused and prefix-redundant indexes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..catalog import Index
@@ -94,8 +94,7 @@ class ContinuousTuner:
         self.monitor = monitor or WorkloadMonitor()
         self.selection = selection
         self.drop_unused = drop_unused
-        # Continuous mode always evaluates against the current config.
-        self.config = replace(config, relative_to_current=True)
+        self.config = config
         self.history: list[TuningCycleResult] = []
 
     def run_cycle(self, workload: Optional[Workload] = None) -> TuningCycleResult:
@@ -121,7 +120,12 @@ class ContinuousTuner:
         if len(workload):
             advisor = AimAdvisor(self.db, self.config, self.monitor)
             remaining = self.budget_bytes - self.db.total_secondary_index_bytes()
-            recommendation = advisor.recommend(workload, max(0, remaining))
+            # Gains are measured relative to the current indexes.
+            recommendation = advisor.recommend(
+                workload,
+                max(0, remaining),
+                evaluator=CostEvaluator(self.db, include_schema_indexes=True),
+            )
             result.recommendation = recommendation
             for index in recommendation.indexes:
                 if not self.db.schema.has_index(index):

@@ -35,20 +35,18 @@ class CoveringPolicy:
     Attributes:
         seek_threshold: minimum PK lookups per execution before covering
             is attempted (raise for SSD-backed databases).
-        min_weight: minimum query weight (execution frequency); covering
-            indexes only pay off for queries that "execute extremely
-            frequently" (Sec. III-B).
+
+    Which queries are frequent enough to try is the advisor's
+    ``AimConfig.covering_weight_fraction``.
     """
 
     seek_threshold: float = DEFAULT_SEEK_THRESHOLD
-    min_weight: float = 0.0
 
 
 def try_covering_index(
     info: QueryInfo,
     plan: Optional[Plan],
     policy: CoveringPolicy = CoveringPolicy(),
-    weight: float = 1.0,
     schema=None,
 ) -> str:
     """Decide the candidate generation mode for one query.
@@ -63,8 +61,6 @@ def try_covering_index(
     cannot block the "selectivity cannot improve further" condition.
     """
     if plan is None:
-        return MODE_NON_COVERING
-    if weight < policy.min_weight:
         return MODE_NON_COVERING
     for step in plan.steps:
         path = step.path

@@ -59,7 +59,6 @@ class Recommendation:
     """Outcome of one advisor run (Algorithm 1's ``production_indexes``)."""
 
     created: list[IndexRecommendation] = field(default_factory=list)
-    dropped: list[Index] = field(default_factory=list)
     budget_bytes: int = 0
     cost_before: float = 0.0
     cost_after: float = 0.0
@@ -95,8 +94,6 @@ class Recommendation:
         ]
         for rec in self.created:
             lines.append(rec.explanation())
-        for index in self.dropped:
-            lines.append(f"DROP INDEX {index.name} (unused or redundant)")
         for index in self.rejected_for_regression:
             lines.append(
                 f"REJECTED {index.name} "

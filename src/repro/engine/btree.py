@@ -108,10 +108,7 @@ class SortedIndex:
     for cost accounting purposes.
     """
 
-    def __init__(
-        self, n_key_columns: int, tail: Optional[Callable[[int], tuple]] = None
-    ):
-        self.n_key_columns = n_key_columns
+    def __init__(self, tail: Optional[Callable[[int], tuple]] = None):
         self.tail = tail
         self.keys: list[tuple] = []
         self.rids: list[int] = []
@@ -166,7 +163,7 @@ class SortedIndex:
                 parts += (map(itemgetter(0), pairs), map(itemgetter(1), pairs))
             else:
                 parts += (repeat(rank), ordered)
-        index = cls(len(columns), tail)
+        index = cls(tail)
         index.keys = list(zip(*parts))
         index.rids = list(order) if order is row_ids else order
         return index

@@ -142,10 +142,12 @@ class Database:
     def stats_clone(self, name: Optional[str] = None) -> "Database":
         """A stats-only clone sharing statistics but owning its index set.
 
-        This is the cheap clone advisors use for what-if evaluation: index
-        DDL on the clone never affects the production database.  Its cost
-        parameters and switches are copies taken now; a ``CostEvaluator``
-        planning on the clone re-copies them when they change here.
+        The uncached references in tests and benchmarks plan on one with
+        its secondary indexes dropped, independently of the what-if
+        evaluator, which plans on the database itself.  Index DDL on the
+        clone never affects this database.  Its cost parameters and
+        switches are the ones set now; a later change here does not
+        reach it.
         """
         clone = Database(
             self.schema.copy(),

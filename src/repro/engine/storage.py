@@ -52,7 +52,7 @@ class TableStorage:
         self.alive = bytearray()
         self._count = 0
         self.rows = StoredRows(self)
-        self.pk_index = SortedIndex(len(table.primary_key))
+        self.pk_index = SortedIndex()
         #: Row id -> the row's flat PK, read live: the PK index's key and
         #: every secondary index's tail.
         self._flat_pk = self._flat_reader(table.primary_key)

@@ -3,9 +3,11 @@
 MyShadow provides a temporary logical copy of a database and replays
 (sampled) production traffic onto it, catching regressions "that are only
 possible to detect in a production-like environment" before any index
-reaches production.  Here the clone is always a stats clone -- the
-replay compares per-query estimated costs between the current and the
-candidate configuration, so it needs no rows.
+reaches production.  Here the replay compares per-query estimated costs
+between the current and the candidate configuration, so it needs no rows
+and no copy: it plans on the source database and sees its current
+settings and indexes.  Isolation comes from the candidate indexes being
+planner arguments (dataless what-if indexes), never catalog entries.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class MyShadow:
         self.source = db
         self.sample_fraction = sample_fraction
         self._rng = random.Random(seed)
-        self.clone = db.stats_clone(name=f"{db.name}-myshadow")
 
     def sample_traffic(self, workload: Workload) -> list[WorkloadQuery]:
         """Sample the workload to replay (MyShadow can subsample)."""
@@ -68,7 +69,7 @@ class MyShadow:
         (cost ratio above ``1 + λ3``) and as improved when it clears
         Eq. 3's bar (ratio below ``1 - λ2``).
         """
-        evaluator = CostEvaluator(self.clone, include_schema_indexes=True)
+        evaluator = CostEvaluator(self.source, include_schema_indexes=True)
         report = ShadowReport()
         traffic = self.sample_traffic(workload)
         for query in traffic:

@@ -113,9 +113,10 @@ _NO_PROBE = _Probe(ProbeContext.empty(), (), ())
 class SelectPlanner:
     """Plans one SELECT statement against a schema + statistics snapshot.
 
-    Pass *memo* to share configuration-independent planning state across
-    plans of the same statement under the same statistics, parameters and
-    switches (see :class:`PlanMemo`).
+    *indexes* are the secondary indexes the plan may use, built or
+    hypothetical alike.  Pass *memo* to share configuration-independent
+    planning state across plans of the same statement under the same
+    statistics, parameters and switches (see :class:`PlanMemo`).
     """
 
     def __init__(
@@ -124,7 +125,7 @@ class SelectPlanner:
         stats: StatsCatalog,
         params: CostParams,
         info: QueryInfo,
-        extra_indexes: Sequence[Index] = (),
+        indexes: Sequence[Index] = (),
         switches: OptimizerSwitches = DEFAULT_SWITCHES,
         memo: Optional[PlanMemo] = None,
     ):
@@ -138,7 +139,7 @@ class SelectPlanner:
         # names contain underscores (idx_t_a_b_c is both (a_b, c) and
         # (a, b_c)), and a dropped duplicate is a lost plan choice.
         by_table: dict[str, dict[tuple, Index]] = {}
-        for index in [*schema.indexes(), *extra_indexes]:
+        for index in indexes:
             by_table.setdefault(index.table, {}).setdefault(index.key, index)
         self._indexes = {t: list(found.values()) for t, found in by_table.items()}
         # This plan's view of the memo, keyed by sorted probe items: the

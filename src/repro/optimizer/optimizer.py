@@ -34,10 +34,15 @@ _CALLS_DML = BoundMetric("counter", "optimizer.calls", kind="dml")
 
 
 class Optimizer:
-    """Cost-based optimizer over a :class:`~repro.engine.Database`."""
+    """Cost-based optimizer over a :class:`~repro.engine.Database`.
 
-    def __init__(self, db: Database):
+    *include_schema_indexes* False hides the catalog's built secondary
+    indexes: plans see the clustered PKs and ``extra_indexes`` only.
+    """
+
+    def __init__(self, db: Database, include_schema_indexes: bool = True):
         self.db = db
+        self.include_schema_indexes = include_schema_indexes
         self.calls = 0
 
     def analyze(self, stmt: Statement) -> QueryInfo:
@@ -64,6 +69,10 @@ class Optimizer:
         """
         self.calls += 1
         info = self.analyze(stmt)
+        indexes = (
+            [*self.db.schema.indexes(), *extra_indexes]
+            if self.include_schema_indexes else extra_indexes
+        )
         if isinstance(info.stmt, ast.Select):
             _CALLS_SELECT.inc()
             planner = SelectPlanner(
@@ -71,14 +80,14 @@ class Optimizer:
                 self.db.stats,
                 self.db.params,
                 info,
-                extra_indexes,
+                indexes,
                 switches=self.db.switches,
                 memo=memo,
             )
             plan = planner.plan()
         else:
             _CALLS_DML.inc()
-            plan = self._explain_dml(info, extra_indexes, memo or PlanMemo())
+            plan = self._explain_dml(info, indexes, memo or PlanMemo())
         return plan
 
     def cost(self, stmt: Statement, extra_indexes: Sequence[Index] = ()) -> float:
@@ -86,7 +95,7 @@ class Optimizer:
         return self.explain(stmt, extra_indexes).total_cost
 
     def _explain_dml(
-        self, info: QueryInfo, extra_indexes: Sequence[Index], memo: PlanMemo
+        self, info: QueryInfo, indexes: Sequence[Index], memo: PlanMemo
     ) -> Plan:
         stmt = info.stmt
         schema, stats, params = self.db.schema, self.db.stats, self.db.params
@@ -97,7 +106,7 @@ class Optimizer:
             if memo.locator is None:
                 memo.locator = self._locator_info(info)
             planner = SelectPlanner(
-                schema, stats, params, memo.locator, extra_indexes,
+                schema, stats, params, memo.locator, indexes,
                 switches=self.db.switches, memo=memo,
             )
             locate_plan = planner.plan()
@@ -106,10 +115,8 @@ class Optimizer:
 
         base = dml_base_cost(info, schema, stats, params, locate_cost, rows)
         table_name = next(iter(info.bindings.values()))
-        all_indexes = {
-            idx.key: idx for idx in self.db.schema.indexes(table=table_name)
-        }
-        for idx in extra_indexes:
+        all_indexes: dict[tuple, Index] = {}
+        for idx in indexes:
             if idx.table == table_name:
                 all_indexes.setdefault(idx.key, idx)
         maintenance = sum(

@@ -35,14 +35,16 @@ seq/PK paths, each index's path once per probe context, join
 selectivities -- so the optimizer costs only indexes the statement has
 not met before and the join search runs over cached numbers.
 
-Every tier returns exactly the plan an uncached :class:`Optimizer` on a
-bare stats clone would; the tests in ``tests/test_whatif_cache.py``
-check costs and used-index subsets against one.  Every tier holds plans
-of one :attr:`Database.plan_version` (index configuration, statistics
-epoch, switches, cost parameters) and all are dropped together when it
-changes, so no caller flushes an evaluator by hand.  A stats clone
-re-copies its source's switches and cost parameters whenever they
-change.
+The evaluator plans on the database it is given, never on a copy: the
+hypothetical configuration reaches the planner only as an argument, so
+the database's current statistics, switches and cost parameters are
+always the ones planned with.  Every tier returns exactly the plan an
+uncached :class:`Optimizer` would; the tests in
+``tests/test_whatif_cache.py`` check costs and used-index subsets
+against one.  Every tier holds plans of one
+:attr:`Database.plan_version` (index configuration, statistics epoch,
+switches, cost parameters) and all are dropped together when it
+changes, so no caller flushes an evaluator by hand.
 
 :class:`WorkloadCoster` lifts the relevance rule to whole workloads: a
 greedy move that adds, drops or replaces a few indexes re-plans only the
@@ -108,13 +110,13 @@ class CostEvaluator:
     """Cached what-if cost evaluation over a database.
 
     Args:
-        db: the database (stats are shared; schema may be cloned).
+        db: the database planned on; the evaluator never modifies it.
         include_schema_indexes: when False (the default for advisor runs),
-            configurations are evaluated against a bare schema -- only the
-            clustered PKs plus the hypothetical configuration exist (a
-            stats clone sharing *db*'s statistics catalog).  When True,
-            the database's current secondary indexes stay visible
-            (continuous-tuning mode).
+            configurations are evaluated from scratch -- plans see only
+            the clustered PKs plus the hypothetical configuration, not
+            *db*'s built secondary indexes.  When True, the database's
+            current secondary indexes stay visible (continuous-tuning
+            mode).
         max_cache_entries: L1 LRU bound.
     """
 
@@ -124,14 +126,8 @@ class CostEvaluator:
         include_schema_indexes: bool = False,
         max_cache_entries: int = DEFAULT_PLAN_CACHE_SIZE,
     ):
-        self._source = db
-        if include_schema_indexes:
-            self._db = db
-        else:
-            self._db = db.stats_clone(name=f"{db.name}-whatif")
-            for index in self._db.schema.indexes():
-                self._db.schema.drop_index(index)
-        self.optimizer = Optimizer(self._db)
+        self._db = db
+        self.optimizer = Optimizer(db, include_schema_indexes=include_schema_indexes)
         self._plan_cache: LRUCache = LRUCache(
             max_cache_entries, on_evict=self._record_eviction
         )
@@ -186,16 +182,12 @@ class CostEvaluator:
         for idx in config:
             columns = rule.get(idx.table, _EMPTY)
             if columns is None or not columns.isdisjoint(idx.columns):
-                out.append(idx.as_dataless())
+                out.append(idx)
         return out
 
     def plan(self, stmt: Statement, config: Collection[Index] = ()) -> Plan:
         """Plan *stmt* under hypothetical configuration *config*."""
-        db, source = self._db, self._source
-        if db.params is not source.params or db.switches is not source.switches:
-            # A stats clone copied its source's settings when it was made.
-            db.params, db.switches = source.params, source.switches
-        version = db.plan_version
+        version = self._db.plan_version
         if version != self._plan_version:
             self._drop_caches(version)
         info = self.analyze(stmt)

@@ -128,6 +128,28 @@ def test_covering_phase_produces_covering_indexes(db):
     assert "covering" in phases
 
 
+def test_covering_phase_skips_queries_below_the_weight_fraction(db):
+    """Only a query carrying at least covering_weight_fraction of the
+    workload weight can get a covering index."""
+    from repro.core import CoveringPolicy
+
+    def covered(fraction: float) -> set[str]:
+        config = AimConfig(
+            covering=CoveringPolicy(seek_threshold=5.0),
+            covering_weight_fraction=fraction,
+        )
+        rec = AimAdvisor(db, config).recommend(simple_workload(), 50 << 20)
+        return {
+            name
+            for r in rec.created if r.phase == "covering"
+            for name, _gain in r.benefiting_queries
+        }
+
+    # q3, the join query, carries 20 of the workload's 100 weight units.
+    assert covered(0.19) == {"q1", "q2", "q3"}
+    assert covered(0.21) == {"q1", "q2"}
+
+
 def test_eq3_gate_empty_when_no_improvement(db):
     # A workload with nothing to optimize: PK point lookups.
     w = Workload.from_sql([("SELECT name FROM users WHERE id = 5", 10.0)])
@@ -135,15 +157,19 @@ def test_eq3_gate_empty_when_no_improvement(db):
     assert rec.created == []
 
 
-def test_relative_to_current_mode(indexed_db):
-    """Continuous mode evaluates marginal gains over existing indexes."""
+def test_live_evaluator_mode(indexed_db):
+    """A live evaluator makes gains marginal over existing indexes."""
     w = Workload.from_sql(
         [("SELECT amount FROM orders WHERE created < 10000", 10.0)]
     )
-    advisor = AimAdvisor(indexed_db, AimConfig(relative_to_current=True))
-    rec = advisor.recommend(w, 50 << 20)
+    advisor = AimAdvisor(indexed_db)
+    live = CostEvaluator(indexed_db, include_schema_indexes=True)
+    rec = advisor.recommend(w, 50 << 20, evaluator=live)
     # idx_orders_created already exists: no marginal gain to find.
     assert all("created" != idx.columns[0] for idx in rec.indexes)
+    # A bare advisor ignores it and finds the gain again.
+    bare = advisor.recommend(w, 50 << 20)
+    assert any("created" == idx.columns[0] for idx in bare.indexes)
 
 
 def test_ranked_order_is_by_utility(db):

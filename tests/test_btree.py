@@ -6,7 +6,7 @@ from repro.engine.btree import SortedIndex, wrap_key
 
 
 def build(entries):
-    idx = SortedIndex(2)
+    idx = SortedIndex()
     for key, rid in entries:
         idx.insert(key, rid)
     return idx
@@ -171,7 +171,7 @@ def test_build_with_key_tail_equals_one_by_one_inserts(data):
     domain = data.draw(column_domains)
     entries = data.draw(entry_lists(st.tuples(domain, st.integers(0, 3))))
     tails = {rid: wrap_key(key[1:]) for key, rid in entries}
-    inserted = SortedIndex(1, tails.__getitem__)
+    inserted = SortedIndex(tails.__getitem__)
     for key, rid in entries:
         inserted.insert(key[:1], rid)
     entries.sort(key=lambda e: (model_key(e[0][1:]), e[1]))

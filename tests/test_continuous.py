@@ -99,8 +99,8 @@ def test_tuner_noop_on_empty_monitor(db):
 
 
 def test_tuner_keeps_every_config_field(db):
-    """Continuous mode overrides relative_to_current and nothing else."""
-    from dataclasses import fields, replace
+    """The tuner runs the advisor with the config it was given, unchanged."""
+    from dataclasses import fields
 
     from repro.core import AimConfig, CoveringPolicy
 
@@ -110,7 +110,7 @@ def test_tuner_keeps_every_config_field(db):
         merge_orders=False,
         use_dataless_guidance=False,
         ipp_relaxation_rows=5_000.0,
-        covering=CoveringPolicy(seek_threshold=7.0, min_weight=2.0),
+        covering=CoveringPolicy(seek_threshold=7.0),
         covering_phase=False,
         covering_weight_fraction=0.5,
         lambda2=0.2,
@@ -118,11 +118,11 @@ def test_tuner_keeps_every_config_field(db):
         validate=False,
     )
     defaults = AimConfig()
-    # Every field but the overridden one differs from its default, so a
-    # field the tuner dropped would come back as its default and show.
+    # Every field differs from its default, so a field the tuner dropped
+    # would come back as its default and show.
     assert [
         f.name for f in fields(AimConfig)
         if getattr(config, f.name) == getattr(defaults, f.name)
-    ] == ["relative_to_current"]
+    ] == []
     tuner = ContinuousTuner(db, budget_bytes=20 << 20, config=config)
-    assert tuner.config == replace(config, relative_to_current=True)
+    assert tuner.config == config

@@ -60,16 +60,6 @@ def test_no_ipp_seq_scan_triggers_covering(db):
     assert try_covering_index(info, plan, policy) == MODE_COVERING
 
 
-def test_weight_gate(db):
-    ev = CostEvaluator(db)
-    sql = "SELECT amount FROM orders WHERE amount > 990"
-    plan = ev.plan(sql, [])
-    info = ev.analyze(sql)
-    policy = CoveringPolicy(seek_threshold=100.0, min_weight=1000.0)
-    assert try_covering_index(info, plan, policy, weight=1.0) == MODE_NON_COVERING
-    assert try_covering_index(info, plan, policy, weight=2000.0) == MODE_COVERING
-
-
 def test_covering_extension_lists_missing_referenced(db):
     ev = CostEvaluator(db)
     info = ev.analyze("SELECT name, score FROM users WHERE city = 'c1'")

@@ -51,14 +51,12 @@ def test_recommendation_improvement_guards_zero_base():
     assert recommendation.improvement == 0.0
 
 
-def test_summary_includes_drops():
+def test_summary_reports_improvement():
     recommendation = Recommendation(
         created=[rec()],
-        dropped=[Index("t", ("z",))],
         budget_bytes=10 << 20,
         cost_before=100.0,
         cost_after=60.0,
     )
     text = recommendation.summary()
-    assert "DROP INDEX idx_t_z" in text
     assert "-40.0%" in text

@@ -168,6 +168,28 @@ def test_myshadow_flags_regressions(db):
     assert report.cost_after < report.cost_before
 
 
+def test_myshadow_follows_changes_on_its_source(db):
+    """Validation plans with the source's current settings and indexes,
+    whenever they changed."""
+    sql = "SELECT amount FROM orders WHERE user_id = 7"
+    w = Workload.from_sql([(sql, 1.0)])
+    candidate = Index("orders", ("user_id",), dataless=True)
+    shadow = MyShadow(db)
+    assert shadow.validate(w, [candidate]).cost_after == 16.2421875
+
+    params = db.params
+    db.params = replace(params, random_page_cost=9.0)
+    report = shadow.validate(w, [candidate])
+    assert report.cost_after == CostEvaluator(db).cost(sql, [candidate])
+    assert report.cost_after == 64.2578125
+
+    db.params = params
+    db.create_index(candidate.materialized())
+    report = shadow.validate(w, [])
+    live = CostEvaluator(db, include_schema_indexes=True)
+    assert report.cost_before == live.cost(sql) == 16.2421875
+
+
 def test_myshadow_sampling(db):
     shadow = MyShadow(db, sample_fraction=0.5, seed=1)
     w = Workload.from_sql([(f"SELECT name FROM users WHERE id = {i}", 1.0) for i in range(10)])

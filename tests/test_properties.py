@@ -101,7 +101,7 @@ def test_self_merge_identity(po):
     )
 )
 def test_sorted_index_matches_sorted_list_model(entries):
-    index = SortedIndex(1)
+    index = SortedIndex()
     model = []
     for key, rid in entries:
         index.insert((key,), rid)
@@ -118,7 +118,7 @@ def test_sorted_index_matches_sorted_list_model(entries):
 def test_sorted_index_range_scan_model(entries, low, high):
     if low > high:
         low, high = high, low
-    index = SortedIndex(1)
+    index = SortedIndex()
     for key, rid in entries:
         index.insert((key,), rid)
     got = sorted(rid for _k, rid in index.scan_prefix((), low=low, high=high))

@@ -256,14 +256,14 @@ def _model_index(model, columns):
     """The entries of an index on *columns* over the model, each key
     followed by the PK, inserted entry by entry into an index without a
     tail."""
-    index = SortedIndex(len(columns) + 1)
+    index = SortedIndex()
     for row_id, row in model.items():
         index.insert(tuple(row[c] for c in columns) + (row["id"],), row_id)
     return list(index.scan_all())
 
 
 def _pk_model_index(model):
-    index = SortedIndex(1)
+    index = SortedIndex()
     for row_id, row in model.items():
         index.insert((row["id"],), row_id)
     return index.keys, index.rids

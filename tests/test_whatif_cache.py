@@ -4,8 +4,10 @@ Relevance pruning, the exact LRU, the canonical subset tier and the
 per-statement planning memo are pure optimizations: every cost and every
 used-index subset the evaluator returns must be bit-identical to an
 uncached reference -- a plain :class:`Optimizer` on a stats clone with its
-secondary indexes dropped, planning each request from scratch.  These tests drive the evaluator
-through a 200-case ``repro.qa`` corpus and through full advisor runs.
+secondary indexes dropped, planning each request from scratch, which
+keeps the reference independent of the evaluator's own path.  These
+tests drive the evaluator through a 200-case ``repro.qa`` corpus and
+through full advisor runs.
 """
 
 from __future__ import annotations
@@ -211,28 +213,34 @@ def test_memo_matches_uncached_reference_one_index_moves():
                 assert used == used_expected, (seed, sql, config)
 
 
+_DDL_EXTRA = [Index("orders", ("created",), dataless=True)]
+
+
+def _index_ddl(db):
+    """Create three indexes on *db*, then drop them, one at a time;
+    yields ``(action, index)`` before the first step and after each."""
+    candidates = [
+        Index("orders", ("user_id",)),
+        Index("users", ("city", "age")),
+        Index("orders", ("status",)),
+    ]
+    yield None, None
+    for action, apply in (("create", db.create_index), ("drop", db.drop_index)):
+        for index in candidates:
+            apply(index)
+            yield action, index
+
+
 def test_schema_index_ddl_never_serves_a_dropped_index(db):
     """With the database's own indexes visible, create and drop indexes
     between requests: every answer matches a fresh optimizer on the current
     schema, and no plan reads an index that no longer exists."""
     evaluator = CostEvaluator(db, include_schema_indexes=True)
     statements = [q.sql for q in _workload()]
-    candidates = [
-        Index("orders", ("user_id",)),
-        Index("users", ("city", "age")),
-        Index("orders", ("status",)),
-    ]
-    extra = [Index("orders", ("created",), dataless=True)]
-    steps = [("create", idx) for idx in candidates]
-    steps += [("drop", idx) for idx in candidates]
-    for action, index in [(None, None)] + steps:
-        if action == "create":
-            db.create_index(index)
-        elif action == "drop":
-            db.drop_index(index)
+    for action, index in _index_ddl(db):
         live = {idx.key for idx in db.schema.indexes()}
         reference = Optimizer(db)
-        for config in ([], extra):
+        for config in ([], _DDL_EXTRA):
             for sql in statements:
                 expected = reference.explain(sql, extra_indexes=config)
                 plan = evaluator.plan(sql, config)
@@ -242,12 +250,30 @@ def test_schema_index_ddl_never_serves_a_dropped_index(db):
     assert not db.schema.indexes()
 
 
+def test_bare_evaluator_never_plans_with_a_built_index(db):
+    """Without the database's own indexes, create and drop indexes between
+    requests: every answer matches the uncached reference bit for bit, and
+    no plan reads a built index."""
+    evaluator = CostEvaluator(db)
+    reference = uncached_plan(db)
+    statements = [q.sql for q in _workload()]
+    for action, index in _index_ddl(db):
+        for config in ([], _DDL_EXTRA):
+            for sql in statements:
+                expected = reference(sql, config)
+                plan = evaluator.plan(sql, config)
+                assert plan.total_cost == expected.total_cost, (action, index, sql)
+                assert plan.used_index_keys == expected.used_index_keys
+                assert plan.used_index_keys <= {idx.key for idx in config}
+    assert not db.schema.indexes()
+
+
 @pytest.mark.parametrize(
     "include_schema_indexes", [False, True], ids=["clone", "live"]
 )
 def test_new_statistics_reach_the_evaluator(db, include_schema_indexes):
     """Statistics installed after an evaluator was built reach its cached
-    plans, whether it plans over a stats clone or over *db* itself."""
+    plans, whether or not it sees *db*'s built indexes."""
     sql = "SELECT name FROM users WHERE city = 'c1'"
     evaluator = CostEvaluator(db, include_schema_indexes=include_schema_indexes)
     before = evaluator.cost(sql)
