@@ -264,18 +264,12 @@ def build_stored_database(
     )
     for table, rows in tables:
         rng = random.Random(f"{seed}:{table.name}")   # str seeds hash stably
-        db.load_rows(
-            table.name,
-            [
-                {
-                    column.name: synthesize_row_value(
-                        table, column, rows, i, rng
-                    )
-                    for column in table.columns
-                }
-                for i in range(rows)
-            ],
-        )
+        columns = {column.name: [] for column in table.columns}
+        appends = [(column, columns[column.name].append) for column in table.columns]
+        for i in range(rows):   # row-major, so each row draws as it always did
+            for column, append in appends:
+                append(synthesize_row_value(table, column, rows, i, rng))
+        db.load_columns(table.name, columns)
     db.analyze()
     return db
 

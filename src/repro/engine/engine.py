@@ -12,7 +12,7 @@ Two operating modes, matching how the paper's experiments use databases:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from ..catalog import Index, Schema, Table
 from ..stats import StatsCatalog, TableStats, analyze_table
@@ -70,6 +70,13 @@ class Database:
         materialized index on it are rebuilt over all of its rows.
         """
         return self._storage_for(table).load(rows)
+
+    def load_columns(self, table: str, columns: Mapping[str, Sequence[Any]]) -> int:
+        """:meth:`load_rows` for rows given column-wise: *columns* maps each
+        column to the new rows' values, in order; a column it lacks is
+        NULL.  Raises ``StorageError`` for an unknown column or lists of
+        unequal length, and then loads nothing."""
+        return self._storage_for(table).load_columns(columns)
 
     def analyze(self, tables: Optional[Iterable[str]] = None) -> None:
         """Refresh the statistics catalog from stored data (ANALYZE TABLE)."""

@@ -77,8 +77,24 @@ class TableStorage:
     def load_columns(self, values: Mapping[str, Sequence[Any]]) -> int:
         """:meth:`load` for rows given column-wise: *values* maps each
         column to the new rows' values, in order (a column it lacks is
-        NULL)."""
-        count = len(next(iter(values.values()), ()))
+        NULL).
+
+        Raises :class:`StorageError`, before anything is written, when
+        *values* names a column the table lacks or its lists differ in
+        length.
+        """
+        unknown = values.keys() - self.columns.keys()
+        if unknown:
+            raise StorageError(
+                f"no column {min(unknown)!r} in table {self.table.name}"
+            )
+        lengths = sorted({len(column) for column in values.values()})
+        if len(lengths) > 1:
+            raise StorageError(
+                f"bulk load into {self.table.name} has columns of "
+                f"{lengths[0]} and {lengths[-1]} values"
+            )
+        count = lengths[0] if lengths else 0
         for name, column in self.columns.items():
             added = values.get(name) or [None] * count
             column.extend(added)
@@ -208,10 +224,11 @@ class TableStorage:
 
     def column_values(self, column: str) -> list:
         """The stored rows' values of one column, in row-id order (ANALYZE
-        input)."""
+        input): the live column list itself when no row was deleted, so a
+        caller must not change it."""
         values = self.columns[column]
         if self._count == len(values):
-            return values[:]
+            return values
         return list(compress(values, self.alive))
 
     def _build(self, index: Optional[Index]) -> SortedIndex:

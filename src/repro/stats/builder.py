@@ -21,13 +21,13 @@ def analyze_column(values: Sequence) -> ColumnStats:
     total = len(values)
     if total == 0:
         return ColumnStats()
-    non_null = [v for v in values if v is not None]
-    null_frac = (total - len(non_null)) / total
-    ndv = max(1, len(set(non_null)))
+    # At most one NULL filter and one sort; the sorted copy feeds both
+    # the NDV count and the histogram.
+    ordered = sorted([v for v in values if v is not None] if None in values else values)
     return ColumnStats(
-        ndv=ndv,
-        null_frac=null_frac,
-        histogram=Histogram.from_values(non_null),
+        ndv=max(1, len(set(ordered))),
+        null_frac=(total - len(ordered)) / total,
+        histogram=Histogram.from_sorted(ordered),
     )
 
 

@@ -28,11 +28,17 @@ class Histogram:
         cls, values: Sequence, sample_size: int = DEFAULT_SAMPLE_SIZE
     ) -> "Histogram":
         """Build a histogram from raw (possibly unsorted, non-null) values."""
-        cleaned = sorted(v for v in values if v is not None)
-        if len(cleaned) > sample_size:
-            step = len(cleaned) / sample_size
-            cleaned = [cleaned[int(i * step)] for i in range(sample_size)]
-        return cls(tuple(cleaned))
+        return cls.from_sorted(sorted(v for v in values if v is not None), sample_size)
+
+    @classmethod
+    def from_sorted(
+        cls, ordered: Sequence, sample_size: int = DEFAULT_SAMPLE_SIZE
+    ) -> "Histogram":
+        """Build a histogram from sorted non-null values."""
+        if len(ordered) > sample_size:
+            step = len(ordered) / sample_size
+            ordered = [ordered[int(i * step)] for i in range(sample_size)]
+        return cls(tuple(ordered))
 
     @property
     def empty(self) -> bool:

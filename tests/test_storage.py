@@ -178,6 +178,41 @@ def test_load_builds_the_pk_and_every_secondary_index():
         (1, 1), (1, 9), (2, 3)]
 
 
+def snapshot(storage):
+    return (
+        {name: list(values) for name, values in storage.columns.items()},
+        bytes(storage.alive), storage.row_count, entries(storage.pk_index),
+        {name: entries(index) for name, index in storage.secondary.items()},
+    )
+
+
+@pytest.mark.parametrize("columns", [
+    {"id": [4, 5, 6], "a": [10, 20]},                  # ragged
+    {"id": [4, 5], "a": [10, 20], "bogus": [1, 2]},    # unknown column
+], ids=["ragged", "unknown"])
+def test_load_columns_rejects_bad_input_and_writes_nothing(columns):
+    storage = make_storage()
+    storage.build_index(Index("t", ("a",)))
+    storage.load_columns({"id": [1, 2], "a": [7, 8], "b": ["x", "y"]})
+    before = snapshot(storage)
+    with pytest.raises(StorageError):
+        storage.load_columns(columns)
+    assert snapshot(storage) == before
+    # The table still takes rows that line up.
+    assert storage.load_columns({"id": [3], "a": [9]}) == 1
+    assert storage.get_row(2) == {"id": 3, "a": 9, "b": None}
+
+
+def test_database_load_columns_equals_load_rows():
+    table = make_storage().table
+    by_rows, by_columns = (Database.from_tables([table]) for _ in range(2))
+    rows = [{"id": 2, "a": 5, "b": "q"}, {"id": 1, "a": None}]
+    assert by_rows.load_rows("t", rows) == 2
+    assert by_columns.load_columns("t", {"id": [2, 1], "a": [5, None],
+                                         "b": ["q", None]}) == 2
+    assert snapshot(by_columns.storage["t"]) == snapshot(by_rows.storage["t"])
+
+
 # ---------------------------------------------------------------------------
 # built indexes equal incrementally maintained ones
 #

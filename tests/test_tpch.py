@@ -1,5 +1,8 @@
 """TPC-H workload package tests."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.catalog import Index
@@ -130,3 +133,59 @@ def test_full_clone_reproduces_every_index():
         for original, cloned in pairs:
             assert len(original) == storage.row_count
             assert list(cloned.scan_all()) == list(original.scan_all())
+
+
+# ---------------------------------------------------------------------------
+# Pinned data: the generators draw column-wise but must store what the
+# dict-per-row generators stored, row for row and statistic for statistic.
+
+
+def stored_rows_digest(database):
+    """Every stored row with its row id (the CI "Stored rows" digest)."""
+    h = hashlib.sha256()
+    for name in sorted(database.storage):
+        columns = database.schema.table(name).column_names
+        h.update(f"{name}:".encode())
+        for row_id, row in database.storage[name].rows.items():
+            h.update(repr((row_id, [row[c] for c in columns])).encode())
+    return h.hexdigest()[:16]
+
+
+def stats_digest(database):
+    """Every table's row count and every column's NDV, NULL fraction and
+    histogram sample (the CI "Stored rows" statistics digest)."""
+    h = hashlib.sha256()
+    for name in sorted(database.schema.tables):
+        stats = database.stats.table(name)
+        h.update(f"{name}:{stats.row_count}:".encode())
+        for column in database.schema.table(name).column_names:
+            c = stats.columns[column]
+            h.update(repr((column, c.ndv, c.null_frac, c.histogram.values)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def sf001():
+    return load_tpch(scale_factor=0.01, seed=1)
+
+
+def test_load_tpch_rows_are_pinned(sf001):
+    assert stored_rows_digest(sf001) == "5269f3e7b263746d"
+
+
+def test_load_tpch_stats_are_pinned(sf001):
+    assert stats_digest(sf001) == "5800c8ac3f83d675"
+
+
+def test_cli_stored_database_is_pinned():
+    from repro.cli import build_stored_database
+
+    schema = Path(__file__).parent.parent / "examples" / "cli_files" / "schema.sql"
+    db = build_stored_database(schema.read_text(), {}, 1000, "innodb")
+    assert (stored_rows_digest(db), stats_digest(db)) == (
+        "6ca53a6cbf0323d3", "86178dc0c4b9184c")
+
+
+def test_load_tpch_rejects_a_scale_factor_with_no_supplier():
+    with pytest.raises(ValueError):
+        load_tpch(scale_factor=0.00005, seed=1)
