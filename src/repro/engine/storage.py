@@ -68,8 +68,16 @@ class TableStorage:
         index over all rows; returns the number of rows appended.
 
         A bulk load pays one column-wise build per index rather than a
-        sorted insert per row and index.  Charges no metrics.
+        sorted insert per row and index.  Charges no metrics.  Raises
+        :class:`StorageError`, before anything is written, when a row
+        names a column the table lacks.
         """
+        rows = list(rows)
+        unknown = set().union(*rows) - self.columns.keys()
+        if unknown:
+            raise StorageError(
+                f"no column {min(unknown)!r} in table {self.table.name}"
+            )
         names = self.table.column_names
         by_row = [list(map(row.get, names)) for row in rows]
         return self.load_columns(dict(zip(names, zip(*by_row))))

@@ -47,6 +47,14 @@ MAX_SUBRANGES = 200
 #: Rows a scan reads and filters at a time.
 SCAN_CHUNK = 1024
 
+#: Outer rows a single-edge hash join probes with a kernel over its build
+#: side before it builds buckets.  A join with one outer row (a pinned
+#: primary key, the measured case) skips the build; one with more pays a
+#: single kernel probe on top of it, at most about a third of a build
+#: (one build costs about 12 probes over 15k unfiltered rows, 7 over 60k
+#: and 3.2 over a filtered 7k-row build side).
+SMALL_PROBES = 1
+
 #: Plans an executor's plan cache holds (least recently used evicted).
 PLAN_CACHE_SIZE = 256
 
@@ -150,30 +158,33 @@ class Executor:
         self, info: QueryInfo, served: ast.Statement, normalized: Optional[str]
     ) -> Optional[tuple]:
         """The plan cache key of *info*, or None when its shape is not
-        cached: more than one binding, a complex conjunct, or a filter
-        that is not equality-class (``=``, ``<=>``, ``IN``, ``IS NULL``).
+        cached: a complex conjunct, or a filter that is not
+        equality-class (``=``, ``<=>``, ``IN``, ``IS NULL``).
 
         Statements with one normalized text differ only in literals, and
         for a cached shape the planner reads literals only through each
-        filter's selectivity (in filter order) and the LIMIT, which
-        normalization erases.  The text names the statement kind, so a
+        filter's selectivity (per binding in binding order, each in filter
+        order) and the LIMIT, which normalization erases; join edges
+        compare columns.  The text names the statement kind, so a
         SELECT's plan and a DML locator never share a key.  The planner's
         other inputs are :attr:`Database.plan_version`, which
         :meth:`_plan` checks for the whole cache.
         """
-        if len(info.bindings) != 1 or info.complex_conjuncts:
+        if info.complex_conjuncts:
             return None
-        ((binding, table),) = info.bindings.items()
-        filters = info.filters[binding]
-        if any(pred.op not in IPP_OPS for pred in filters):
-            return None
-        stats = self.db.stats.table(table)
-        return (
-            normalized or normalize_statement(served).to_sql(),
-            tuple([
+        selectivities = []
+        for binding, table in info.bindings.items():
+            filters = info.filters.get(binding, ())
+            if any(pred.op not in IPP_OPS for pred in filters):
+                return None
+            stats = self.db.stats.table(table)
+            selectivities.append(tuple([
                 atomic_selectivity(pred, stats.column(pred.column.column))
                 for pred in filters
-            ]),
+            ]))
+        return (
+            normalized or normalize_statement(served).to_sql(),
+            tuple(selectivities),
             info.limit,
         )
 
@@ -687,7 +698,7 @@ class _Pipeline:
     def row_ids(self) -> list[int]:
         """Ids of the rows a single-table statement (DML WHERE) selects."""
         step = self.steps[0]
-        ids = self._scan_all(step)
+        ids = list(itertools.chain.from_iterable(self._scan_all(step)))
         if not step.conjuncts:
             return ids
         binding, conjuncts, row = step.binding, step.conjuncts, step.storage.row
@@ -746,26 +757,9 @@ class _Pipeline:
         edges, conjuncts = step.edges, step.conjuncts
         if node is not None:
             node.loops += 1      # one build-side scan
-        ids = self._scan_all(step)
-        # Buckets hold build-side row ids, keyed by the join column (a
-        # scalar for the common single-edge join, else a tuple).
-        buckets: defaultdict[Any, list[int]] = defaultdict(list)
-        if len(edges) == 1:
-            (values, other, other_column), = edges
-            for key, row_id in zip(map(values.__getitem__, ids), ids):
-                buckets[key].append(row_id)
-
-            def probe_key(scope: dict) -> Any:
-                return scope[other].get(other_column)
-        else:
-            columns = [values for values, _b, _c in edges]
-            for row_id in ids:
-                buckets[tuple([values[row_id] for values in columns])].append(row_id)
-
-            def probe_key(scope: dict) -> Any:
-                return tuple([scope[b].get(c) for _values, b, c in edges])
-        for scope in stream:
-            for row_id in buckets.get(probe_key(scope), ()):
+        chunks = self._scan_all(step)
+        for scope, row_ids in _hash_probes(stream, edges, chunks):
+            for row_id in row_ids:
                 if not self._edges_ok(edges, row_id, scope):
                     continue
                 joined = {**scope, binding: row(row_id)}
@@ -835,15 +829,16 @@ class _Pipeline:
                 sum(map(len, tested)) - evals_charged, lookups,
             )
 
-    def _scan_all(self, step: _Step) -> list[int]:
-        """The ids :meth:`_scan` would yield, charged a chunk at a time:
-        for a consumer that reads the whole scan before it produces a row
-        (a hash-join build, a DML locate), where the totals are all an
-        observer can see."""
-        out: list[int] = []
+    def _scan_all(self, step: _Step) -> list[Sequence[int]]:
+        """The ids :meth:`_scan` would yield, one sequence per chunk (a
+        range chunk no kernel filtered stays a range), charged a chunk at
+        a time: for a consumer that reads the whole scan before it
+        produces a row (a hash-join build, a DML locate), where the totals
+        are all an observer can see."""
+        out: list[Sequence[int]] = []
         for chunk, survivors, _tested, lookups in self._chunks(step, {}, ()):
             self._charge(step, len(chunk), 0, lookups)
-            out += survivors
+            out.append(survivors)
         return out
 
     def _charge(self, step: _Step, rows: int, edge_evals: int,
@@ -1012,6 +1007,56 @@ class _Pipeline:
                 if hi is not None and (high is None or hi < high):
                     high, high_inc = hi, True
         return low, high, low_inc, high_inc
+
+
+def _hash_probes(
+    stream: Iterator[dict], edges: list, chunks: list[Sequence[int]]
+) -> Iterator[tuple[dict, Sequence[int]]]:
+    """Each outer scope of a hash join with the build row ids its hash
+    bucket holds, in build order; *chunks* are the build side's ids.
+
+    A single-edge join reads its first :data:`SMALL_PROBES` outer rows one
+    at a time and finds each one's bucket with a kernel over the chunks;
+    the buckets are built only when another outer row arrives.  Buckets
+    key the join column (a scalar for one edge, else a tuple).
+    """
+    stream = iter(stream)
+    if len(edges) == 1:
+        ((values, other, other_column),) = edges
+        for scope in itertools.islice(stream, SMALL_PROBES):
+            bucket = _bucket_kernel(values, scope[other].get(other_column))
+            yield scope, list(itertools.chain.from_iterable(map(bucket, chunks)))
+        build_key = values.__getitem__
+
+        def probe_key(scope: dict) -> Any:
+            return scope[other].get(other_column)
+    else:
+        columns = [values for values, _b, _c in edges]
+
+        def build_key(row_id: int) -> Any:
+            return tuple([values[row_id] for values in columns])
+
+        def probe_key(scope: dict) -> Any:
+            return tuple([scope[b].get(c) for _values, b, c in edges])
+    first = next(stream, None)
+    if first is None:
+        return
+    buckets: defaultdict[Any, list[int]] = defaultdict(list)
+    ids = list(itertools.chain.from_iterable(chunks))
+    for key, row_id in zip(map(build_key, ids), ids):
+        buckets[key].append(row_id)
+    for scope in itertools.chain((first,), stream):
+        yield scope, buckets.get(probe_key(scope), ())
+
+
+def _bucket_kernel(values: Sequence[Any], key: Any) -> Kernel:
+    """The build rows a hash bucket of *key* holds, as a kernel over the
+    join column's *values*.  A dict lookup matches an equal key or the
+    identical one, so a NULL or NaN key's bucket holds its identical
+    values, which the edge check then charges and rejects."""
+    if key is None or key != key:
+        return lambda sel: [i for i in sel if values[i] is key]
+    return edge_kernel(values, key)
 
 
 def _distinct_keys(values: list) -> list:

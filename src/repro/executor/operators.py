@@ -22,10 +22,12 @@ evaluation would take it there.  The common shapes -- ``column <op>
 constant`` and ``column BETWEEN number AND number`` -- inline their test
 in a list comprehension.  Over a column whose values all have the
 constant's kind (the storage's ``kinds``) the test is the bare
-comparison; over any other, ``column = str``, ``column <op> number`` and
-BETWEEN fall back to the shared semantics for an off-type value, any
-other ``column op constant`` calls its :data:`_COMPARE` test.  Every
-other predicate calls its compiled row closure.
+comparison, and ``=`` searches a range chunk in C with ``list.index``,
+as the join-edge kernel does; over any other column, ``column = str``,
+``column <op> number`` and BETWEEN fall back to the shared semantics for
+an off-type value, any other ``column op constant`` calls its
+:data:`_COMPARE` test.  Every other predicate calls its compiled row
+closure.
 
 SQL three-valued logic is approximated with Python ``None`` propagation
 -- a comparison involving NULL is not satisfied, matching WHERE-clause
@@ -374,13 +376,48 @@ def _column_kernel(
     return lambda sel: [i for i in sel if test(values[i], constant)]
 
 
+#: Matches an equality kernel finds in a range chunk with ``list.index``
+#: before it tests the rest of the chunk in the comprehension: a search
+#: costs about three comprehension steps per match, so it only pays while
+#: matches are sparse.
+SEARCH_MATCHES = 32
+
+
+def _equal_kernel(values: Sequence[Any], c: Any) -> Kernel:
+    """``[i for i in sel if values[i] == c]``, with a range chunk searched
+    in C by ``values.index(c, i, stop)``.
+
+    ``list.index`` also takes the identical object as equal, so a *c* that
+    does not equal itself (NaN) keeps the comprehension.
+    """
+    if c != c:
+        return lambda sel: [i for i in sel if values[i] == c]
+    find = values.index
+    searches = range(SEARCH_MATCHES)
+
+    def kernel(sel):
+        if type(sel) is not range or sel.step != 1:
+            return [i for i in sel if values[i] == c]
+        out: list[int] = []
+        i, stop = sel.start, sel.stop
+        try:
+            for _ in searches:
+                i = find(c, i, stop) + 1
+                out.append(i - 1)
+        except ValueError:
+            return out
+        out += [j for j in range(i, stop) if values[j] == c]
+        return out
+    return kernel
+
+
 # One factory per operator: the comparison then runs as inline bytecode in
 # the comprehension instead of as a call per row.
 
 #: Comparison operator -> kernel factory ``(values, c)`` for a uniform
 #: column, where ``_COMPARE[op]`` is the bare comparison.
 _UNIFORM_KERNELS: dict[str, Callable[[Sequence[Any], Any], Kernel]] = {
-    "=": lambda values, c: lambda sel: [i for i in sel if values[i] == c],
+    "=": _equal_kernel,
     "!=": lambda values, c: lambda sel: [i for i in sel if values[i] != c],
     "<": lambda values, c: lambda sel: [i for i in sel if values[i] < c],
     "<=": lambda values, c: lambda sel: [i for i in sel if values[i] <= c],
@@ -469,7 +506,7 @@ def edge_kernel(values: Sequence[Any], value: Any) -> Kernel:
     ``left is not None and right is not None and left == right``."""
     if value is None:
         return lambda sel: []
-    return lambda sel: [i for i in sel if values[i] == value]
+    return _equal_kernel(values, value)
 
 
 class Aggregator:

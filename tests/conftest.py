@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +96,24 @@ def indexed_db(db) -> Database:
     db.create_index(Index("orders", ("user_id", "status")))
     db.create_index(Index("orders", ("created",)))
     return db
+
+
+#: The secondary indexes the tune_serve benchmark's tuner creates on stored
+#: TPC-H sf 0.01 (``perfbench/``), as ``(table, columns)``.
+TUNE_SERVE_INDEXES = [
+    ("lineitem", ("l_partkey",)),
+    ("lineitem", ("l_suppkey", "l_quantity")),
+    ("orders", ("o_custkey",)),
+    ("orders", ("o_clerk", "o_orderpriority")),
+    ("orders", ("o_orderdate",)),
+]
+
+
+def serve_inputs():
+    """perfbench's seeded tune_serve inputs (``perfbench/inputs.py``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses resolve their module
+    spec.loader.exec_module(module)
+    return module

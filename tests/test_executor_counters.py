@@ -14,6 +14,8 @@ node's rows, loops, rows_scanned and pages_read.
 tests.test_executor_counters``) in a separate checkout of the commit
 before expression compilation, whose executor interpreted the AST per
 row.  Only a deliberate change to the cost model may update it.
+``SERVED_DIGESTS`` pins the rows and counters of two tune_serve windows
+served on stored TPC-H.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 
 import pytest
 
+import repro.executor.executor as executor_module
 from repro.catalog import Index
 from repro.engine import Database
 from repro.executor import Executor
@@ -30,8 +33,17 @@ from repro.optimizer.what_if import CostEvaluator
 from repro.qa.generator import generate_case
 from repro.qa.oracles import _first_sargable
 from repro.sqlparser import ast, parse
+from repro.workload import MonitoredExecutor
+from repro.workloads.tpch.datagen import load_tpch
 
-from .conftest import make_order_rows, make_user_rows, orders_table, users_table
+from .conftest import (
+    TUNE_SERVE_INDEXES,
+    make_order_rows,
+    make_user_rows,
+    orders_table,
+    serve_inputs,
+    users_table,
+)
 
 QA_SEEDS = range(40)
 
@@ -346,6 +358,130 @@ def test_counters_across_chunk_boundaries(name):
             [node.label, node.rows, node.loops, node.rows_scanned, node.pages_read]
             for _depth, node in result.actual.walk()
         ] == nodes
+
+
+# -- small-probe hash joins ------------------------------------------------------
+
+#: Shared by a user's score and an order's amount: a dict lookup finds the
+#: identical NaN, so its bucket holds that order and the edge check
+#: charges and rejects it.
+NAN = float("nan")
+
+#: name -> (statement, outer rows the hash join reads).  Each plans a PK
+#: drive and a hash join over a seq scan of orders (four chunks).
+SMALL_PROBE_CASES = {
+    "one_outer_row": (
+        "SELECT u.name, o.oid FROM users u, orders o "
+        "WHERE u.id = o.user_id AND u.id IN (17, 100000)", 1,
+    ),
+    # User 1's score is NULL, user 5's is NaN: each probe charges one
+    # predicate per build row in its bucket and joins none.
+    "null_probe_key": (
+        "SELECT u.id, o.oid FROM users u, orders o "
+        "WHERE u.score = o.amount AND u.id IN (1, 100000)", 1,
+    ),
+    "nan_probe_key": (
+        "SELECT u.id, o.oid FROM users u, orders o "
+        "WHERE u.score = o.amount AND u.id IN (5, 100000)", 1,
+    ),
+    "null_and_nan_probe_keys": (
+        "SELECT u.id, o.oid FROM users u, orders o "
+        "WHERE u.score = o.amount AND u.id IN (1, 5, 14)", 3,
+    ),
+    "more_outer_rows_than_small_probes": (
+        "SELECT u.name, o.oid FROM users u, orders o "
+        "WHERE u.id = o.user_id AND u.id <= 6", 7,
+    ),
+    "limit_stops_early": (
+        "SELECT u.name, o.oid FROM users u, orders o "
+        "WHERE u.id = o.user_id AND u.id IN (3, 9, 27) LIMIT 2", 1,
+    ),
+    "two_edges": (
+        "SELECT u.name, o.oid FROM users u, orders o "
+        "WHERE u.id = o.user_id AND u.age = o.amount AND u.id IN (3, 9, 27)", 3,
+    ),
+}
+
+
+def _small_probe_db() -> Database:
+    users = make_user_rows()
+    users[5]["score"] = NAN
+    orders = make_order_rows(n=CHUNK_ORDERS)
+    for order in orders[::97]:
+        order["amount"] = None
+    orders[2500]["amount"] = NAN
+    db = Database.from_tables([users_table(), orders_table()])
+    db.load_rows("users", users)
+    db.load_rows("orders", orders)
+    db.analyze()
+    return db
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_PROBE_CASES))
+def test_small_probe_hash_join_charges_what_buckets_charge(name, monkeypatch):
+    """A hash join that finds its first outer row's bucket with a kernel
+    returns the rows, counters and EXPLAIN ANALYZE counts of one that
+    builds the buckets first."""
+    sql, outer_rows = SMALL_PROBE_CASES[name]
+    db = _small_probe_db()
+    probed = []
+    bucket_kernel = executor_module._bucket_kernel
+
+    def spy(values, key):
+        probed.append(key)
+        return bucket_kernel(values, key)
+
+    monkeypatch.setattr(executor_module, "_bucket_kernel", spy)
+
+    def run():
+        result = Executor(db).execute(sql, analyze=True)
+        assert [step.join_method for step in result.plan.steps] == ["drive", "hash"]
+        return (
+            result.rows, result.metrics.as_dict(),
+            [[node.label, node.rows, node.loops, node.rows_scanned,
+              node.pages_read] for _depth, node in result.actual.walk()],
+        )
+
+    small = run()
+    single_edge = name != "two_edges"
+    assert len(probed) == (
+        min(outer_rows, executor_module.SMALL_PROBES) if single_edge else 0
+    )
+    monkeypatch.setattr(executor_module, "SMALL_PROBES", 0)
+    probed.clear()
+    assert run() == small
+    assert probed == []
+
+
+# -- served results ----------------------------------------------------------------
+
+#: sha256 prefixes of every result's rows and counters over the first two
+#: windows of the seed-1 tune_serve stream, measured on the executor whose
+#: equality kernels were comprehensions and whose hash joins always built
+#: buckets.
+SERVED_DIGESTS = {"bare": "274a3661dd455efc", "indexed": "f3e0ba9cf18fa5bd"}
+
+
+@pytest.mark.parametrize("label", sorted(SERVED_DIGESTS))
+def test_served_results_over_tune_serve(label):
+    """The reads, joins and DML of two tune_serve windows, served through
+    MonitoredExecutor on stored TPC-H sf 0.01 with no secondary index or
+    with the five tune_serve indexes, return the pinned rows and
+    ExecutionMetrics counters, statement by statement."""
+    inputs = serve_inputs()
+    db = load_tpch(inputs.SCALE_FACTOR, 1)
+    if label == "indexed":
+        for table, columns in TUNE_SERVE_INDEXES:
+            db.create_index(Index(table, columns))
+    served = MonitoredExecutor(db)
+    stream = inputs.ServeStream(1)
+    h = hashlib.sha256()
+    for window in range(2):
+        for statement in stream.window(window, 100):
+            result = served.execute(statement.sql)
+            h.update(repr((statement.sql, result.rowcount, result.rows,
+                           result.metrics.as_dict())).encode())
+    assert h.hexdigest()[:16] == SERVED_DIGESTS[label]
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.catalog import Column, Table
 from repro.catalog.schema import Schema
 from repro.executor import ExprEvaluator
-from repro.executor.operators import edge_kernel
+from repro.executor.operators import SEARCH_MATCHES, _equal_kernel, edge_kernel
 from repro.optimizer.query_info import QueryInfo
 from repro.qa.reference import ReferenceDatabase, ReferenceError
 from repro.sqlparser import ast
@@ -285,6 +285,58 @@ def test_edge_kernel_is_the_join_edge_test():
             if left is not None and right is not None and left == right
         ]
         assert edge_kernel(column, right)(range(len(column))) == expected
+
+
+#: One NaN object drawn into columns and as a constant: ``list.index``
+#: takes it as equal to itself, the comprehension does not.
+SHARED_NAN = float("nan")
+#: Values whose equality is not identity: NULL, NaNs, ``0 == 0.0 ==
+#: False``, ``1 == 1.0 == True`` and strs that look like numbers.
+EQUALITY_VALUES = [None, SHARED_NAN, 0, 0.0, False, 1, 1.0, True, 2.5, "1", "a", ""]
+equality_values = st.one_of(
+    st.sampled_from(EQUALITY_VALUES), st.builds(float, st.just("nan"))
+)
+
+
+def _selections(n: int, start: int, stop: int) -> list:
+    """Range chunks (step 1 or not) and id lists over *n* row ids."""
+    ids = list(range(n))
+    return [
+        range(n), range(min(start, n), min(stop, n)), range(0, n, 2),
+        range(n - 1, -1, -1), ids, ids[1::2], [],
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(equality_values, max_size=120),
+    equality_values,
+    st.integers(0, 120),
+    st.integers(0, 120),
+)
+def test_equality_kernels_match_the_comprehension(column, constant, start, stop):
+    """The uniform ``=`` kernel and the join-edge kernel search a range
+    chunk with ``list.index`` and return exactly the ids the comprehension
+    returns, over any chunk, NULLs, NaNs and values equal across types."""
+    for sel in _selections(len(column), start, stop):
+        expected = [i for i in sel if column[i] == constant]
+        assert _equal_kernel(column, constant)(sel) == expected
+        assert edge_kernel(column, constant)(sel) == [
+            i for i in expected if constant is not None and column[i] is not None
+        ]
+
+
+def test_equality_kernels_finish_dense_chunks_in_the_comprehension():
+    """More matches than ``SEARCH_MATCHES`` in one chunk: the search stops
+    and the comprehension tests the rest of the chunk."""
+    column = [1, 1.0, True, 2, None, SHARED_NAN, "1"] * 40
+    assert SEARCH_MATCHES < column.count(1) < len(column)
+    for constant in (1, True, 2, SHARED_NAN, "1"):
+        for sel in _selections(len(column), 5, 250):
+            expected = [i for i in sel if column[i] == constant]
+            assert _equal_kernel(column, constant)(sel) == expected
+            assert edge_kernel(column, constant)(sel) == expected
+    assert edge_kernel(column, None)(range(len(column))) == []
 
 
 @settings(max_examples=200, deadline=None)

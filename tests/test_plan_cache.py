@@ -11,10 +11,7 @@ an UPDATE is analyzed once.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -30,17 +27,9 @@ from repro.sqlparser import ast, parse
 from repro.workload import MonitoredExecutor
 from repro.workloads.tpch.datagen import load_tpch
 
+from .conftest import serve_inputs
+
 NO_PUSHDOWN = OptimizerSwitches(index_condition_pushdown=False)
-
-
-def _serve_inputs():
-    """perfbench's seeded tune_serve inputs (``perfbench/inputs.py``)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # dataclasses resolve their module
-    spec.loader.exec_module(module)
-    return module
 
 
 def _assert_fresh(db, sql, result) -> None:
@@ -56,7 +45,7 @@ def _assert_fresh(db, sql, result) -> None:
 def test_served_plans_equal_fresh_plans_over_tune_serve(seed):
     """Four windows of the stream (both phases) with a tuning cycle after
     each, so the cache also crosses index creations and drops."""
-    inputs = _serve_inputs()
+    inputs = serve_inputs()
     db = load_tpch(inputs.SCALE_FACTOR, seed)
     stream = inputs.ServeStream(seed)
     served = MonitoredExecutor(db)
@@ -97,9 +86,47 @@ def test_same_shape_and_selectivity_hits(executor):
     # LIMIT is erased by normalization but read by the planner.
     assert _calls_for(executor, "SELECT name FROM users WHERE city = 'c1' LIMIT 3") == 1
     assert _calls_for(executor, "SELECT name FROM users WHERE city = 'c1' LIMIT 4") == 1
-    # Shapes with a range filter or a join always plan.
+    # Shapes with a range filter always plan.
     assert _calls_for(executor, "SELECT name FROM users WHERE age > 30") == 1
     assert _calls_for(executor, "SELECT name FROM users WHERE age > 30") == 1
+    # An equality join is keyed by every binding's filter selectivities.
+    join = ("SELECT u.name, o.amount FROM users u, orders o "
+            "WHERE u.id = o.user_id AND u.city = 'c1'")
+    assert _calls_for(executor, join) == 1
+    assert _calls_for(executor, join) == 0
+
+
+@pytest.mark.parametrize("where", [
+    "u.id = o.user_id AND o.amount > 5",
+    "u.id = o.user_id AND u.city = 'c1' AND o.created BETWEEN 1 AND 9",
+    "u.id = o.user_id AND (u.age = 3 OR o.status = 'new')",
+    "u.id = o.user_id AND o.amount + u.age = 9",
+])
+def test_join_with_range_filter_or_complex_conjunct_is_not_cached(executor, where):
+    stmt = parse(f"SELECT u.name FROM users u, orders o WHERE {where}")
+    info = executor.optimizer.analyze(stmt)
+    assert executor._plan_key(info, stmt, None) is None
+
+
+def test_join_hits_equal_fresh_plans_over_tune_serve_join_templates():
+    """Both tune_serve join templates served through one executor: every
+    plan equals a fresh one; the equality join (customer -> orders)
+    mostly hits, the one with a range filter (supplier -> lineitem) plans
+    every statement."""
+    inputs = serve_inputs()
+    db = load_tpch(inputs.SCALE_FACTOR, 1)
+    executor = Executor(db)
+    stream = inputs.ServeStream(1)
+    calls: dict[str, list[int]] = {}
+    for window in range(6):
+        for statement in stream.window(window % 2, 100):
+            if "join" in statement.template:
+                calls.setdefault(statement.template, []).append(
+                    _calls_for(executor, statement.sql)
+                )
+    equality, ranged = calls["a_join_cust_orders"], calls["b_join_supp_lines"]
+    assert len(equality) > 50 and sum(equality) < len(equality) / 10
+    assert len(ranged) > 50 and set(ranged) == {1}
 
 
 def _executor_calls(db):

@@ -203,6 +203,18 @@ def test_load_columns_rejects_bad_input_and_writes_nothing(columns):
     assert storage.get_row(2) == {"id": 3, "a": 9, "b": None}
 
 
+def test_load_rejects_a_row_with_an_unknown_column_and_writes_nothing():
+    """Any row naming a column the table lacks fails the load before its
+    first row is written (a misspelt key would otherwise store NULL)."""
+    db = Database.from_tables([make_storage().table])
+    db.load_rows("t", [{"id": 1, "a": 7, "b": "x"}])
+    before = snapshot(db.storage["t"])
+    with pytest.raises(StorageError, match="'aa'"):
+        db.load_rows("t", [{"id": 2, "a": 2}, {"id": 3, "aa": 5}])
+    assert snapshot(db.storage["t"]) == before
+    assert db.load_rows("t", [{"id": 3, "a": 5}]) == 1
+
+
 def test_database_load_columns_equals_load_rows():
     table = make_storage().table
     by_rows, by_columns = (Database.from_tables([table]) for _ in range(2))

@@ -17,6 +17,8 @@ from repro.workloads.tpch import (
     tpch_workload,
 )
 
+from .conftest import TUNE_SERVE_INDEXES
+
 
 @pytest.fixture(scope="module")
 def db10():
@@ -114,11 +116,7 @@ def test_full_clone_reproduces_every_index():
     tune_serve benchmark creates, holds every PK and secondary index entry
     of the original, flat key and row id alike."""
     db = load_tpch(scale_factor=0.01, seed=1)
-    for table, columns in [
-        ("lineitem", ("l_partkey",)), ("lineitem", ("l_suppkey", "l_quantity")),
-        ("orders", ("o_custkey",)), ("orders", ("o_clerk", "o_orderpriority")),
-        ("orders", ("o_orderdate",)),
-    ]:
+    for table, columns in TUNE_SERVE_INDEXES:
         db.create_index(Index(table, columns))
     clone = db.full_clone()
     assert sum(len(s.secondary) for s in clone.storage.values()) == 5
