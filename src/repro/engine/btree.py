@@ -1,88 +1,65 @@
 """Sorted index structure and its builder.
 
-A :class:`SortedIndex` emulates a B+ tree with two parallel sorted lists,
-flat keys and row ids, and binary search.  It supports the access
-patterns the executor needs: equality/prefix probes, bounded range scans
-and full in-order scans, forward or backward.  NULLs sort before every
-non-NULL value (MySQL/InnoDB semantics).
+A :class:`SortedIndex` emulates a B+ tree with one sorted list of row ids
+and binary search.  It stores no keys: the key of an entry is its row's
+values in the index's columns, read from the table's column lists (one
+list per column, indexed by row id).  It supports the access patterns the
+executor needs: equality/prefix probes, bounded range scans and full
+in-order scans, forward or backward.  NULLs sort before every non-NULL
+value (MySQL/InnoDB semantics).
 
-Keys are stored flat, one ``(rank, value)`` pair per column (see
-:func:`wrap_key`).  Every pair has the same width, so flat tuples compare
-column by column, ranks first, and sort, ``bisect`` and equality run
-natively instead of calling a Python comparison per value.
+Values compare as :func:`wrap_key` flattens them, one ``(rank, value)``
+pair per column: NULL < numbers (bools as ints) < strings.  A column
+whose values are all numbers, or all strs, has one rank, so it compares
+its raw values (``bisect`` over ``values.__getitem__``, no Python call
+per step); any other column compares through a reader that wraps each
+value into its pair.
 
-A secondary index's keys hold only its own columns.  Its entries are
-ordered by ``(flat key, tail, row id)``, where the *tail* is a callable
-that reads the row's flat primary key from the live row; scans append the
-tail, so a secondary entry reads as its columns followed by the PK.
+A secondary index's columns are its own followed by the primary key (the
+*tail*): its entries are ordered by ``(key, tail, row id)``, the PK
+index's by ``(PK, row id)``.  Every key is read from the live row, so the
+row must hold the values its entry was placed by for as long as the entry
+exists.
 
-:meth:`SortedIndex.build` builds an index column-wise, with one stable
-sort per key column, from entries already ordered by ``(tail, row id)``.
+:meth:`SortedIndex.build` builds an index with one stable sort of the row
+ids per key column, from row ids already ordered by ``(tail, row id)``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import repeat
-from operator import add, itemgetter
-from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
-
-#: Rank sentinel above every real rank: ``prefix + (_ABOVE,)`` sorts after
-#: all keys extending *prefix*.
-_ABOVE = 3
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 #: A column whose values all have types in one of these sets orders its
 #: raw values as :func:`wrap_key` orders them: every pair has one rank.
 _NUMBERS = frozenset((int, float))
 _STRINGS = frozenset((str,))
 
+#: Row ranges at most this long are searched for a row id by ``list.index``
+#: rather than narrowed further by bisection.
+_SHORT = 16
+
+
+def _pair(v: Any) -> tuple:
+    """One value's ``(rank, value)`` pair: NULL -> ``(0, 0)``, bool ->
+    ``(1, int(v))``, number -> ``(1, v)``, anything else -> ``(2, str(v))``."""
+    cls = v.__class__
+    if cls is int or cls is float:   # exact-type checks first: cheapest
+        return (1, v)
+    if cls is str:
+        return (2, v)
+    if v is None:
+        return (0, 0)
+    if isinstance(v, (int, float)):   # bool and other number subclasses
+        return (1, int(v) if cls is bool else v)
+    return (2, str(v))
+
 
 def wrap_key(values: Iterable[Any]) -> tuple:
-    """Flatten a key tuple into ``(rank0, v0, rank1, v1, ...)``: NULL ->
-    ``(0, 0)``, bool -> ``(1, int(v))``, number -> ``(1, v)``, anything
-    else -> ``(2, str(v))``, so NULL < numbers < strings."""
-    flat: list = []
-    for v in values:
-        cls = v.__class__
-        if cls is int or cls is float:   # exact-type checks first: cheapest
-            flat += (1, v)
-        elif cls is str:
-            flat += (2, v)
-        elif v is None:
-            flat += (0, 0)
-        elif isinstance(v, (int, float)):   # bool and other number subclasses
-            flat += (1, int(v) if cls is bool else v)
-        else:
-            flat += (2, str(v))
-    return tuple(flat)
-
-
-def flat_reader(columns: Sequence[Sequence[Any]]) -> Callable[[int], tuple]:
-    """``row_id -> wrap_key(column[row_id] for column in columns)``.
-
-    The storage reads a row's flat key in each index this way on every
-    index write, and a secondary index its tail (the row's flat PK) on
-    inserts into a run of equal keys, so one- and two-column keys of
-    exact ints are flattened inline.
-    """
-    if len(columns) == 1:
-        (column,) = columns
-
-        def read(row_id: int) -> tuple:
-            value = column[row_id]
-            return (1, value) if value.__class__ is int else wrap_key((value,))
-    elif len(columns) == 2:
-        first, second = columns
-
-        def read(row_id: int) -> tuple:
-            a, b = first[row_id], second[row_id]
-            if a.__class__ is int and b.__class__ is int:
-                return (1, a, 1, b)
-            return wrap_key((a, b))
-    else:
-        def read(row_id: int) -> tuple:
-            return wrap_key([column[row_id] for column in columns])
-    return read
+    """Flatten a key tuple into ``(rank0, v0, rank1, v1, ...)`` (see
+    :func:`_pair`), so NULL < numbers < strings column by column."""
+    return tuple(chain.from_iterable(map(_pair, values)))
 
 
 def unwrap_key(flat: Sequence[Any]) -> tuple:
@@ -94,136 +71,138 @@ def unwrap_key(flat: Sequence[Any]) -> tuple:
     )
 
 
-class SortedIndex:
-    """A sorted (key, row_id) mapping emulating a B+ tree.
+def _comparer(
+    values: Sequence[Any], kinds: set
+) -> tuple[Callable[[int], Any], Optional[int]]:
+    """``(key, rank)``: how an index compares a column's entries.  A column
+    of one rank compares raw values and names the rank; any other column
+    compares :func:`_pair` s (rank ``None``)."""
+    if kinds <= _NUMBERS:
+        return values.__getitem__, 1
+    if kinds == _STRINGS:
+        return values.__getitem__, 2
+    return (lambda row_id: _pair(values[row_id])), None
 
-    Entries are kept in two parallel lists, ``keys`` and ``rids``, so an
-    entry needs no pair tuple.  Equal keys are ordered by ``(tail(row id),
-    row id)`` when the index has a *tail* (a secondary index: the row's
-    flat PK) and by row id otherwise (the PK index).  The tail is read
-    from the live row, so the row must hold the values an entry was
-    placed by for as long as the entry exists.  The structure
-    intentionally stays flat: at reproduction scale (<= a few million
-    rows) bisect operations dominate and behave exactly like tree descents
-    for cost accounting purposes.
+
+class SortedIndex:
+    """A sorted list of row ids emulating a B+ tree.
+
+    ``columns[c]`` holds column ``c``'s values indexed by row id, and
+    ``kinds[c]`` every type among them (a superset will do); both belong
+    to the table and change with it.  ``rids`` is ordered by the row's
+    values in ``columns``, column by column, then by row id.  After a
+    write widens a column's kinds, :meth:`retype` must run before the
+    index is read or changed.  The structure intentionally stays flat: at
+    reproduction scale (<= a few million rows) bisect operations dominate
+    and behave exactly like tree descents for cost accounting purposes.
     """
 
-    def __init__(self, tail: Optional[Callable[[int], tuple]] = None):
-        self.tail = tail
-        self.keys: list[tuple] = []
+    def __init__(self, columns: Sequence[Sequence[Any]], kinds: Sequence[set]):
+        self.columns = columns
+        self.kinds = kinds
         self.rids: list[int] = []
+        self.retype()
+
+    def retype(self) -> None:
+        """Pick each column's comparison from its kinds.  Raw and wrapped
+        values order one-rank columns alike, so no entry moves."""
+        comparers = list(map(_comparer, self.columns, self.kinds))
+        self._keys = [key for key, _rank in comparers]
+        self._ranks = [rank for _key, rank in comparers]
 
     @classmethod
     def build(
         cls,
         columns: Sequence[Sequence[Any]],
+        kinds: Sequence[set],
         row_ids: Sequence[int],
-        tail: Optional[Callable[[int], tuple]] = None,
-        kinds: Optional[Sequence[Collection[type]]] = None,
+        sort_columns: Optional[int] = None,
     ) -> "SortedIndex":
-        """Build an index over the rows *row_ids* in one pass per key
-        column.
+        """Build an index over the rows *row_ids*, which must be ordered by
+        ``(columns[sort_columns:], row id)``: for a secondary index that
+        is the PK index's order, for the PK index ascending row ids.
 
-        Each key column (one or more) is indexed by row id: row ``r`` has
-        the values ``columns[c][r]``; rows outside *row_ids* are ignored.
-        ``kinds[c]``, when given, holds every type of ``columns[c]``'s
-        values at *row_ids* (a superset will do); otherwise the values are
-        read for it.  *row_ids* must already be sorted by ``(tail(row
-        id), row id)``, or ascending without a *tail*: for a secondary
-        index that is the PK index's order, for the PK index ascending
-        row ids.  Stable sorts of the row ids by each key column, last
-        column first, then leave them sorted by ``(flat key, tail, row
-        id)``: rows with equal flat keys keep their input order.  The
-        result equals inserting the entries one by one, entry for entry.
+        Stable sorts of the row ids by each of the first *sort_columns*
+        columns (all by default), last first, leave them ordered by every
+        column, then row id.  The result equals inserting the row ids one
+        by one.
         """
+        index = cls(columns, kinds)
         order: Sequence[int] = row_ids
-        sorted_on: list[tuple[Optional[int], Sequence[Any]]] = []
-        for c in reversed(range(len(columns))):
-            values = columns[c]
-            types = (
-                set(map(type, map(values.__getitem__, row_ids)))
-                if kinds is None else kinds[c]
-            )
-            if types <= _NUMBERS:
-                sort_values, rank = values, 1
-            elif types == _STRINGS:
-                sort_values, rank = values, 2
-            else:               # NULLs, bools, mixed ranks: sort on pairs
-                sort_values, rank = [wrap_key((v,)) for v in values], None
-            # Raw ints, floats or strs sort on CPython's type-specialised
-            # comparisons.  The sort is stable: ties keep the previous
-            # pass's order.
-            order = sorted(order, key=sort_values.__getitem__)
-            sorted_on.append((rank, sort_values))
-        parts: list[Iterable[Any]] = []
-        for rank, sort_values in reversed(sorted_on):
-            ordered = map(sort_values.__getitem__, order)
-            if rank is None:
-                pairs = list(ordered)
-                parts += (map(itemgetter(0), pairs), map(itemgetter(1), pairs))
-            else:
-                parts += (repeat(rank), ordered)
-        index = cls(tail)
-        index.keys = list(zip(*parts))
+        count = len(columns) if sort_columns is None else sort_columns
+        for key in reversed(index._keys[:count]):
+            # A raw int, float or str column sorts on CPython's
+            # type-specialised comparisons.  The sort is stable: ties keep
+            # the previous pass's order.
+            order = sorted(order, key=key)
         index.rids = list(order) if order is row_ids else order
         return index
 
     def __len__(self) -> int:
         return len(self.rids)
 
-    def insert(self, key: Sequence[Any], row_id: int) -> None:
-        """Insert an entry (duplicates allowed; ties broken by tail, then
-        row id).  The row must already hold its tail's values."""
-        self.insert_flat(wrap_key(key), row_id)
-
-    def insert_flat(self, flat: tuple, row_id: int) -> None:
-        """:meth:`insert` for a key already flattened by :func:`wrap_key`."""
-        keys, rids, tail = self.keys, self.rids, self.tail
-        pos = bisect_right(keys, flat)
-        if pos and keys[pos - 1] == flat:
-            # pos ends a run of equal keys; a new row usually sorts last.
+    def insert(self, row_id: int) -> None:
+        """Insert the entry of row *row_id*, which must hold its values."""
+        rids, keys = self.rids, self._keys
+        lo, hi = 0, len(rids)
+        for c, key in enumerate(keys):
+            value = key(row_id)
+            pos = bisect_right(rids, value, lo, hi, key=key)
+            if pos == lo or key(rids[pos - 1]) != value:
+                break
+            # pos ends a run of equal values; a new row usually sorts last.
             last = rids[pos - 1]
-            if tail is None:
-                inside = last > row_id
+            for later in keys[c + 1:]:
+                theirs, mine = later(last), later(row_id)
+                if theirs != mine:
+                    after = theirs < mine
+                    break
             else:
-                mine, theirs = tail(row_id), tail(last)
-                inside = theirs > mine or (theirs == mine and last > row_id)
-            if inside:
-                lo = bisect_left(keys, flat, 0, pos)
-                if tail is None:
-                    pos = bisect_left(rids, row_id, lo, pos - 1)
-                else:
-                    pos = bisect_left(rids, mine, lo, pos - 1, key=tail)
-                    while rids[pos] < row_id and tail(rids[pos]) == mine:
-                        pos += 1
-        keys.insert(pos, flat)
+                after = last < row_id
+            if after:
+                break
+            lo, hi = bisect_left(rids, value, lo, pos, key=key), pos
+        else:
+            pos = bisect_left(rids, row_id, lo, hi)
         rids.insert(pos, row_id)
 
-    def delete(self, key: Sequence[Any], row_id: int) -> bool:
-        """Remove an entry; returns False if it was not present.
-
-        Scans ``rids`` for the row id from the start of the key's run,
-        with no bisect for the run's end and no tail calls: a stored entry
-        lies inside its run, and a row id found past the run is stored
-        under another key.  Only a missing entry scans past its run.
-        """
-        return self.delete_flat(wrap_key(key), row_id)
-
-    def delete_flat(self, flat: tuple, row_id: int) -> bool:
-        """:meth:`delete` for a key already flattened by :func:`wrap_key`."""
-        keys, rids = self.keys, self.rids
-        lo = bisect_left(keys, flat)
-        if lo == len(keys) or keys[lo] != flat:
-            return False
+    def delete(self, row_id: int) -> bool:
+        """Remove the entry of row *row_id*, which must still hold the
+        values it was inserted with; returns False if it was not present."""
+        rids = self.rids
+        lo, hi = 0, len(rids)
+        for key in self._keys:
+            if hi - lo <= _SHORT:
+                break
+            value = key(row_id)
+            lo = bisect_left(rids, value, lo, hi, key=key)
+            hi = bisect_right(rids, value, lo, hi, key=key)
         try:
-            pos = rids.index(row_id, lo)
+            pos = rids.index(row_id, lo, hi)
         except ValueError:
-            return False
-        if keys[pos] != flat:
-            return False
-        del keys[pos]
+            # Not where its values place it: absent, or unordered by a NaN.
+            try:
+                pos = rids.index(row_id)
+            except ValueError:
+                return False
         del rids[pos]
         return True
+
+    def _probe(self, c: int, value: Any) -> tuple[Any, int]:
+        """``(probe, side)`` for *value* in column *c*: side 0 when
+        *probe* is to be bisected for; otherwise *value* sorts before
+        (-1) or after (1) every entry of the column."""
+        if c >= len(self._ranks):
+            return None, 1   # an entry has no value past its last column
+        rank, cls = self._ranks[c], value.__class__
+        if rank == 1 and (cls is int or cls is float) or rank == 2 and cls is str:
+            return value, 0
+        probe = _pair(value)
+        if rank is None:
+            return probe, 0
+        if probe[0] != rank:
+            return None, -1 if probe[0] < rank else 1
+        return probe[1], 0
 
     def span(
         self,
@@ -234,23 +213,33 @@ class SortedIndex:
         high_inclusive: bool = True,
     ) -> tuple[int, int]:
         """Positions ``[lo, hi)`` of the entries matching an equality
-        *prefix*, optionally bounded on the next key column by [low, high]
+        *prefix*, optionally bounded on the next column by [low, high]
         (``None`` = unbounded): ``rids[lo:hi]`` are their row ids in key
         order."""
-        flat = wrap_key(prefix)
-        lo_key = flat
+        rids, keys = self.rids, self._keys
+        lo, hi = 0, len(rids)
+        for c, value in enumerate(prefix):
+            probe, side = self._probe(c, value)
+            if side:
+                return (lo, lo) if side < 0 else (hi, hi)
+            lo = bisect_left(rids, probe, lo, hi, key=keys[c])
+            hi = bisect_right(rids, probe, lo, hi, key=keys[c])
+        c = len(prefix)
         if low is not None:
-            lo_key = flat + wrap_key((low,))
-            if not low_inclusive:
-                lo_key += (_ABOVE,)
-        if high is None:
-            hi_key = flat + (_ABOVE,)
-        else:
-            hi_key = flat + wrap_key((high,))
-            if high_inclusive:
-                hi_key += (_ABOVE,)
-        lo = bisect_left(self.keys, lo_key)
-        return lo, bisect_left(self.keys, hi_key, lo)
+            probe, side = self._probe(c, low)
+            if side:
+                lo = lo if side < 0 else hi
+            else:
+                bisect = bisect_left if low_inclusive else bisect_right
+                lo = bisect(rids, probe, lo, hi, key=keys[c])
+        if high is not None:
+            probe, side = self._probe(c, high)
+            if side:
+                hi = lo if side < 0 else hi
+            else:
+                bisect = bisect_right if high_inclusive else bisect_left
+                hi = bisect(rids, probe, lo, hi, key=keys[c])
+        return lo, hi
 
     def scan_prefix(
         self,
@@ -262,15 +251,15 @@ class SortedIndex:
         reverse: bool = False,
     ) -> Iterator[tuple[tuple, int]]:
         """The entries of :meth:`span` as ``(flat_key, row_id)`` pairs, in
-        key order, or in reverse key order with ``reverse=True``; a
-        secondary entry's flat key ends with its tail."""
+        key order, or in reverse key order with ``reverse=True``; the flat
+        key covers every column, so a secondary entry's ends with its
+        tail."""
         lo, hi = self.span(prefix, low, high, low_inclusive, high_inclusive)
-        keys, rids = self.keys[lo:hi], self.rids[lo:hi]
+        rids = self.rids[lo:hi]
         if reverse:
-            keys.reverse()
             rids.reverse()
-        if self.tail is not None:
-            keys = map(add, keys, map(self.tail, rids))
+        columns = self.columns
+        keys = [wrap_key([values[r] for values in columns]) for r in rids]
         return zip(keys, rids)
 
     def scan_all(self, reverse: bool = False) -> Iterator[tuple[tuple, int]]:
@@ -278,5 +267,4 @@ class SortedIndex:
         return self.scan_prefix((), reverse=reverse)
 
     def clear(self) -> None:
-        self.keys.clear()
         self.rids.clear()

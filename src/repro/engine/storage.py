@@ -8,12 +8,14 @@ tombstones, and no row moves.  A row dict is built only on request
 (:meth:`TableStorage.row`, the read-only :attr:`TableStorage.rows` view).
 
 The storage also holds a clustered primary key index and one
-:class:`SortedIndex` per materialized secondary index.  A secondary
-index's keys hold only its own columns; it orders equal keys by the row's
-PK, which its tail reads from the column lists.  So every row-level path
-touches an index while the row still holds the values its entry was
-placed by: it deletes entries before it changes or drops the row's
-values and inserts them after it writes the new ones.  All row-level
+:class:`SortedIndex` per materialized secondary index.  An index stores
+only row ids and reads every key value, its own columns and a secondary
+index's PK tail, from the column lists.  So every row-level path touches
+an index while the row still holds the values its entry was placed by:
+it deletes entries before it changes or drops the row's values and
+inserts them after it writes the new ones.  A write that adds a type to
+a column's ``kinds`` has every index re-pick how it compares values
+(:meth:`SortedIndex.retype`) before it inserts.  All row-level
 mutation paths account their index maintenance work in the supplied
 :class:`ExecutionMetrics`, which is what Eq. 8's ``cost_u`` is measured
 from.  Bulk loads and CREATE INDEX build indexes column-wise with
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from itertools import compress, repeat
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..catalog import Index, Table
-from .btree import SortedIndex, flat_reader
+from .btree import SortedIndex
 from .metrics import ExecutionMetrics
 
 
@@ -52,14 +54,9 @@ class TableStorage:
         self.alive = bytearray()
         self._count = 0
         self.rows = StoredRows(self)
-        self.pk_index = SortedIndex()
-        #: Row id -> the row's flat PK, read live: the PK index's key and
-        #: every secondary index's tail.
-        self._flat_pk = self._flat_reader(table.primary_key)
+        self.pk_index = SortedIndex(*self._index_columns(()))
         self.secondary: dict[str, SortedIndex] = {}
         self.secondary_meta: dict[str, Index] = {}
-        #: Index name -> row id -> the row's flat key in that index.
-        self._flat_keys: dict[str, Callable[[int], tuple]] = {}
 
     # -- row level operations -------------------------------------------------
 
@@ -117,17 +114,25 @@ class TableStorage:
     def insert_row(
         self, row: Mapping[str, Any], metrics: Optional[ExecutionMetrics] = None
     ) -> int:
-        """Insert a row; maintains the PK and every secondary index."""
+        """Insert a row; maintains the PK and every secondary index.
+
+        Raises :class:`StorageError`, before anything is written, when
+        *row* names a column the table lacks.
+        """
+        self._check_columns(row)
         row_id = len(self.alive)
+        widened = False
         for name, column in self.columns.items():
             value = row.get(name)
             column.append(value)
-            self.kinds[name].add(type(value))
+            widened |= self._note_kind(name, value)
         self.alive.append(1)
         self._count += 1
-        self.pk_index.insert_flat(self._flat_pk(row_id), row_id)
-        for name, index in self.secondary.items():
-            index.insert_flat(self._flat_keys[name](row_id), row_id)
+        if widened:
+            self._retype()
+        self.pk_index.insert(row_id)
+        for index in self.secondary.values():
+            index.insert(row_id)
         if metrics is not None:
             metrics.index_entries_written += 1 + len(self.secondary)
         return row_id
@@ -137,9 +142,9 @@ class TableStorage:
     ) -> None:
         """Delete a row by id, leaving a tombstone; maintains all indexes."""
         self._check(row_id)
-        self.pk_index.delete_flat(self._flat_pk(row_id), row_id)
-        for name, index in self.secondary.items():
-            index.delete_flat(self._flat_keys[name](row_id), row_id)
+        self.pk_index.delete(row_id)
+        for index in self.secondary.values():
+            index.delete(row_id)
         for column in self.columns.values():
             column[row_id] = None
         self.alive[row_id] = 0
@@ -153,35 +158,36 @@ class TableStorage:
         changes: Mapping[str, Any],
         metrics: Optional[ExecutionMetrics] = None,
     ) -> None:
-        """Update columns of a row; only affected indexes pay maintenance."""
+        """Update columns of a row; only affected indexes pay maintenance.
+
+        Raises :class:`StorageError`, before anything is written, when
+        *changes* names a column the table lacks.
+        """
         self._check(row_id)
-        written = 0
+        self._check_columns(changes)
         pk_changed = not changes.keys().isdisjoint(self.table.primary_key)
-        if pk_changed:
-            self.pk_index.delete_flat(self._flat_pk(row_id), row_id)
-            written += 1
         # Every secondary index orders equal keys by the PK, so a PK
         # change moves the row in all of them.
         affected = [
-            (self.secondary[name], self._flat_keys[name])
+            self.secondary[name]
             for name, meta in self.secondary_meta.items()
             if pk_changed or not changes.keys().isdisjoint(meta.columns)
         ]
-        for index, flat_key in affected:
-            index.delete_flat(flat_key(row_id), row_id)
-        for name, value in changes.items():
-            column = self.columns.get(name)
-            if column is not None:
-                column[row_id] = value
-                self.kinds[name].add(type(value))
         if pk_changed:
-            self.pk_index.insert_flat(self._flat_pk(row_id), row_id)
-        for index, flat_key in affected:
-            index.insert_flat(flat_key(row_id), row_id)
-            written += 1
+            affected.append(self.pk_index)
+        for index in affected:
+            index.delete(row_id)
+        widened = False
+        for name, value in changes.items():
+            self.columns[name][row_id] = value
+            widened |= self._note_kind(name, value)
+        if widened:
+            self._retype()
+        for index in affected:
+            index.insert(row_id)
         if metrics is not None:
             # One in-place row write even when no index key changed.
-            metrics.index_entries_written += max(1, written * 2)
+            metrics.index_entries_written += max(1, len(affected) * 2)
 
     def row(self, row_id: int) -> dict[str, Any]:
         """A new dict of the row's columns (the row must be stored)."""
@@ -218,14 +224,12 @@ class TableStorage:
         structure = self._build(index)
         self.secondary[index.name] = structure
         self.secondary_meta[index.name] = index
-        self._flat_keys[index.name] = self._flat_reader(index.columns)
         return structure
 
     def drop_index(self, index: Index | str) -> None:
         name = index if isinstance(index, str) else index.name
         self.secondary.pop(name, None)
         self.secondary_meta.pop(name, None)
-        self._flat_keys.pop(name, None)
 
     def get_index(self, name: str) -> Optional[SortedIndex]:
         return self.secondary.get(name)
@@ -248,24 +252,43 @@ class TableStorage:
         index's ``(PK, row id)`` order: the PK index's row ids.
         """
         if index is None:
-            names, row_ids, tail = self.table.primary_key, self.live_ids(), None
+            names, row_ids = (), self.live_ids()
+            sort_columns = len(self.table.primary_key)
         else:
-            names, row_ids, tail = index.columns, self.pk_index.rids, self._flat_pk
-        return SortedIndex.build(
-            [self.columns[name] for name in names],
-            row_ids,
-            tail,
-            [self.kinds[name] for name in names],
-        )
+            names, row_ids = index.columns, self.pk_index.rids
+            sort_columns = len(names)
+        return SortedIndex.build(*self._index_columns(names), row_ids, sort_columns)
 
-    # -- key extraction ----------------------------------------------------------
+    def _index_columns(self, names: Sequence[str]) -> tuple[list, list]:
+        """The column lists and kinds an index on *names* reads: its own
+        columns, then the PK (the PK index's are the PK alone)."""
+        names = (*names, *self.table.primary_key)
+        return [self.columns[n] for n in names], [self.kinds[n] for n in names]
+
+    def _note_kind(self, name: str, value: Any) -> bool:
+        """Record *value*'s type in its column's kinds; True if it is new."""
+        kinds = self.kinds[name]
+        if value.__class__ in kinds:
+            return False
+        kinds.add(value.__class__)
+        return True
+
+    def _retype(self) -> None:
+        """After a column's kinds widened: every index re-picks how it
+        compares values."""
+        self.pk_index.retype()
+        for index in self.secondary.values():
+            index.retype()
 
     def _check(self, row_id: int) -> None:
         if not self.is_stored(row_id):
             raise StorageError(f"no row {row_id} in table {self.table.name}")
 
-    def _flat_reader(self, names: Sequence[str]) -> Callable[[int], tuple]:
-        return flat_reader([self.columns[name] for name in names])
+    def _check_columns(self, row: Mapping[str, Any]) -> None:
+        if row.keys() <= self.columns.keys():
+            return
+        unknown = next(name for name in row if name not in self.columns)
+        raise StorageError(f"no column {unknown!r} in table {self.table.name}")
 
 
 class StoredRows(Mapping):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Collection, Iterator, Optional, Sequence
@@ -375,17 +375,16 @@ def _check_primary_keys(
     """Raise :class:`StorageError` unless the primary keys *keys*, one per
     row a statement writes, are non-NULL, distinct and held by no stored
     row outside *moving* (the rows an UPDATE re-keys)."""
-    stored, rids = storage.pk_index.keys, storage.pk_index.rids
+    pk_index = storage.pk_index
     name = storage.table.name
     seen: set[tuple] = set()
     for key in keys:
         if None in key:
             raise StorageError(f"NULL primary key {key} in table {name}")
         flat = wrap_key(key)
-        pos = bisect_left(stored, flat)
-        while pos < len(stored) and stored[pos] == flat and rids[pos] in moving:
-            pos += 1
-        if flat in seen or (pos < len(stored) and stored[pos] == flat):
+        lo, hi = pk_index.span(key)
+        holders = pk_index.rids[lo:hi]
+        if flat in seen or any(row_id not in moving for row_id in holders):
             raise StorageError(f"duplicate primary key {key} in table {name}")
         seen.add(flat)
 

@@ -5,10 +5,26 @@ from hypothesis import given, strategies as st
 from repro.engine.btree import SortedIndex, wrap_key
 
 
-def build(entries):
-    idx = SortedIndex()
+def columns_for(entries, width):
+    """*width* empty columns indexed by row id, long enough for *entries*,
+    and their kinds."""
+    size = max((rid for _key, rid in entries), default=-1) + 1
+    return [[None] * size for _ in range(width)], [set() for _ in range(width)]
+
+
+def build(entries, width=None):
+    """An index over ``(key, row id)`` entries inserted one by one, each
+    row's values written to the columns first, as the storage does."""
+    if width is None:
+        width = len(entries[0][0]) if entries else 1
+    columns, kinds = columns_for(entries, width)
+    idx = SortedIndex(columns, kinds)
     for key, rid in entries:
-        idx.insert(key, rid)
+        for column, kind, value in zip(columns, kinds, key):
+            column[rid] = value
+            kind.add(type(value))
+        idx.retype()
+        idx.insert(rid)
     return idx
 
 
@@ -19,8 +35,8 @@ def test_insert_and_len():
 
 def test_delete_existing_and_missing():
     idx = build([((1, "a"), 0)])
-    assert idx.delete((1, "a"), 0) is True
-    assert idx.delete((1, "a"), 0) is False
+    assert idx.delete(0) is True
+    assert idx.delete(0) is False
     assert len(idx) == 0
 
 
@@ -70,6 +86,24 @@ def test_duplicate_keys_tie_break_by_rowid():
     idx = build([((1,), 5), ((1,), 2), ((1,), 9)])
     rids = [rid for _k, rid in idx.scan_prefix((1,))]
     assert rids == [2, 5, 9]
+
+
+def test_span_covers_long_runs_of_equal_values():
+    """Runs of equal values longer than the range a delete searches by
+    ``list.index``, with a tail column that orders each run."""
+    entries = [((k, i), 3 * i + k) for k in (0, 1, 2) for i in range(40)]
+    idx = build(entries)
+    for k in (0, 1, 2):
+        lo, hi = idx.span((k,))
+        assert idx.rids[lo:hi] == [3 * i + k for i in range(40)]
+        lo, hi = idx.span((k,), low=5, high=30, high_inclusive=False)
+        assert idx.rids[lo:hi] == [3 * i + k for i in range(5, 30)]
+    deleted = {rid for _key, rid in entries[::7]}
+    for rid in deleted:
+        assert idx.delete(rid) is True
+        assert idx.delete(rid) is False
+    assert [rid for _k, rid in idx.scan_all()] == [
+        rid for _key, rid in sorted(entries) if rid not in deleted]
 
 
 def test_wrap_key_equality_and_ordering():
@@ -138,15 +172,19 @@ def entry_lists(draw, key_values=keys):
 
 
 def build_from(entries):
-    """SortedIndex.build over raw two-column entries, in row-id order, no
-    tail; the columns are indexed by row id, with gaps where no entry
-    has that id."""
+    """SortedIndex.build over raw two-column entries, in row-id order; the
+    columns are indexed by row id, with gaps where no entry has that id."""
     entries = sorted(entries, key=lambda e: e[1])
-    size = max((rid for _key, rid in entries), default=-1) + 1
-    columns = [[None] * size, [None] * size]
+    columns, kinds = columns_for(entries, 2)
     for key, rid in entries:
-        columns[0][rid], columns[1][rid] = key
-    return SortedIndex.build(columns, [rid for _key, rid in entries])
+        for column, kind, value in zip(columns, kinds, key):
+            column[rid] = value
+            kind.add(type(value))
+    return SortedIndex.build(columns, kinds, [rid for _key, rid in entries])
+
+
+def reprs(index):
+    return list(map(repr, index.scan_all()))
 
 
 @given(st.data())
@@ -154,9 +192,9 @@ def test_bulk_load_equals_one_by_one_inserts(data):
     domains = data.draw(st.tuples(column_domains, column_domains))
     entries = data.draw(entry_lists(st.tuples(*domains)))
     built = build_from(entries)
-    one_by_one = build(entries)
+    one_by_one = build(entries, 2)
     assert list(built.scan_all()) == list(one_by_one.scan_all())
-    assert list(map(repr, built.keys)) == list(map(repr, one_by_one.keys))
+    assert reprs(built) == reprs(one_by_one)
     expected = [rid for _k, rid in sorted(
         entries, key=lambda e: (model_key(e[0]), e[1])
     )]
@@ -165,29 +203,25 @@ def test_bulk_load_equals_one_by_one_inserts(data):
 
 @given(st.data())
 def test_build_with_key_tail_equals_one_by_one_inserts(data):
-    """A tail (a secondary index's PK, read by row id) with duplicate
-    values: the build input is in (tail, row id) order, inserts come in
-    any order, and both scan as keys that end with their tail."""
+    """A tail column (a secondary index's PK) with duplicate values: the
+    build input is in (tail, row id) order and sorts on the key column
+    only, inserts come in any order, and both equal an index that sorts
+    on both columns."""
     domain = data.draw(column_domains)
     entries = data.draw(entry_lists(st.tuples(domain, st.integers(0, 3))))
-    tails = {rid: wrap_key(key[1:]) for key, rid in entries}
-    inserted = SortedIndex(tails.__getitem__)
-    for key, rid in entries:
-        inserted.insert(key[:1], rid)
+    inserted = build(entries, 2)
     entries.sort(key=lambda e: (model_key(e[0][1:]), e[1]))
-    column = [None] * len(entries)   # indexed by row id
-    for key, rid in entries:
-        column[rid] = key[0]
+    columns, kinds = inserted.columns, inserted.kinds
     built = SortedIndex.build(
-        [column], [rid for _key, rid in entries], tails.__getitem__
+        columns, kinds, [rid for _key, rid in entries], sort_columns=1
     )
-    one_by_one = build(entries)
+    one_by_one = build(entries, 2)
     assert list(built.scan_all()) == list(one_by_one.scan_all())
     assert list(inserted.scan_all()) == list(one_by_one.scan_all())
-    assert list(map(repr, built.keys)) == list(map(repr, inserted.keys))
-    for key, rid in entries:
-        assert built.delete(key[:1], rid) is True
-        assert built.delete(key[:1], rid) is False
+    assert reprs(built) == reprs(inserted)
+    for _key, rid in entries:
+        assert built.delete(rid) is True
+        assert built.delete(rid) is False
     assert len(built) == 0
 
 
@@ -232,10 +266,10 @@ def test_delete_after_bulk_load(entries, data):
     index = build_from(entries)
     n = len(entries)
     drop = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    for (key, rid), gone in zip(entries, drop):
+    for (_key, rid), gone in zip(entries, drop):
         if gone:
-            assert index.delete(key, rid) is True
-            assert index.delete(key, rid) is False
+            assert index.delete(rid) is True
+            assert index.delete(rid) is False
     remaining = [e for e, gone in zip(entries, drop) if not gone]
     expected = build_from(remaining)
     assert list(index.scan_all()) == list(expected.scan_all())

@@ -186,9 +186,8 @@ def _snapshot(db, table):
     storage = db.storage[table]
     return (
         dict(storage.rows.items()),
-        (storage.pk_index.keys[:], storage.pk_index.rids[:]),
-        {name: (index.keys[:], index.rids[:])
-         for name, index in storage.secondary.items()},
+        list(storage.pk_index.scan_all()),
+        {name: list(index.scan_all()) for name, index in storage.secondary.items()},
     )
 
 

@@ -94,35 +94,29 @@ def test_self_merge_identity(po):
 # ---------------------------------------------------------------------------
 
 
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 20), st.integers(0, 100)),
-        max_size=60,
-    )
-)
-def test_sorted_index_matches_sorted_list_model(entries):
-    index = SortedIndex()
-    model = []
-    for key, rid in entries:
-        index.insert((key,), rid)
-        model.append(((key,), rid))
-    model.sort(key=lambda e: (wrap_key(e[0]), e[1]))
-    assert [rid for _k, rid in index.scan_all()] == [rid for _k, rid in model]
+@given(st.lists(st.integers(0, 20), max_size=60), st.data())
+def test_sorted_index_matches_sorted_list_model(keys, data):
+    """Row ``r`` has key ``keys[r]``; rows are inserted in a random order."""
+    index = SortedIndex([keys], [{int}])
+    for rid in data.draw(st.permutations(range(len(keys)))):
+        index.insert(rid)
+    model = sorted(range(len(keys)), key=lambda rid: (wrap_key((keys[rid],)), rid))
+    assert [rid for _k, rid in index.scan_all()] == model
 
 
 @given(
-    st.lists(st.tuples(st.integers(0, 10), st.integers(0, 50)), max_size=40),
+    st.lists(st.integers(0, 10), max_size=40),
     st.integers(0, 10),
     st.integers(0, 10),
 )
-def test_sorted_index_range_scan_model(entries, low, high):
+def test_sorted_index_range_scan_model(keys, low, high):
     if low > high:
         low, high = high, low
-    index = SortedIndex()
-    for key, rid in entries:
-        index.insert((key,), rid)
+    index = SortedIndex([keys], [{int}])
+    for rid in range(len(keys)):
+        index.insert(rid)
     got = sorted(rid for _k, rid in index.scan_prefix((), low=low, high=high))
-    expected = sorted(rid for key, rid in entries if low <= key <= high)
+    expected = [rid for rid, key in enumerate(keys) if low <= key <= high]
     assert got == expected
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Column, INT, Index, Table, varchar
 from repro.engine import Database, ExecutionMetrics
-from repro.engine.btree import SortedIndex, unwrap_key, wrap_key
+from repro.engine.btree import unwrap_key, wrap_key
 from repro.engine.storage import StorageError, TableStorage
 
 
@@ -126,9 +126,7 @@ def test_secondary_index_orders_equal_keys_by_the_live_pk():
     storage.update_row(ids[5], {"id": 0})   # moves to the front of its run
     storage.update_row(ids[9], {"a": 1})    # joins the run of 1s
     storage.delete_row(ids[4])
-    assert idx.delete((1,), ids[4]) is False   # already deleted
-    assert idx.delete((2,), ids[3]) is False   # stored under another key
-    assert idx.delete((3,), ids[3]) is False   # no such key
+    assert idx.delete(ids[4]) is False   # already deleted
     expected = sorted(
         (wrap_key((row["a"],)) + wrap_key((row["id"],)), row_id)
         for row_id, row in storage.rows.items()
@@ -176,6 +174,117 @@ def test_load_builds_the_pk_and_every_secondary_index():
         (1,), (3,), (9,)]
     assert [unwrap_key(k) for k, _ in storage.get_index("idx_t_a").scan_all()] == [
         (1, 1), (1, 9), (2, 3)]
+
+
+def test_insert_row_rejects_an_unknown_column_and_writes_nothing():
+    """A row naming a column the table lacks fails before anything is
+    stored (a misspelt key would otherwise be dropped silently)."""
+    storage = make_storage()
+    storage.build_index(Index("t", ("a",)))
+    storage.insert_row({"id": 1, "a": 7, "b": "x"})
+    before = snapshot(storage)
+    with pytest.raises(StorageError, match="'bogus'"):
+        storage.insert_row({"id": 99, "b": "X", "bogus": 1, "zz": 2})
+    assert snapshot(storage) == before
+    assert storage.insert_row({"id": 99, "b": "X"}) == 1
+
+
+def test_update_row_rejects_an_unknown_column_and_writes_nothing():
+    storage = make_storage()
+    storage.build_index(Index("t", ("a",)))
+    rid = storage.insert_row({"id": 1, "a": 7, "b": "x"})
+    before = snapshot(storage)
+    with pytest.raises(StorageError, match="'nope'"):
+        storage.update_row(rid, {"a": 5, "nope": 5, "zz": 1})
+    assert snapshot(storage) == before
+    storage.update_row(rid, {"a": 5})
+    assert storage.get_row(rid) == {"id": 1, "a": 5, "b": "x"}
+
+
+#: Probes of the widened column: NULL, numbers (bools as ints), strs.
+PROBES = [None, 0, 1, 1.0, True, 2.5, 3, "", "s", "zz"]
+
+
+def _span_rows(index, model_entries, prefix=(), low=None, high=None,
+               low_inc=True, high_inc=True):
+    """An index span's row ids, and the model's rows that match it."""
+    lo, hi = index.span(prefix, low, high, low_inc, high_inc)
+    k = len(prefix)
+    expected = []
+    for flat, row_id in model_entries:
+        pairs = [flat[i:i + 2] for i in range(0, len(flat), 2)]
+        if pairs[:k] != [wrap_key((v,)) for v in prefix]:
+            continue
+        if low is not None and (
+            pairs[k] < wrap_key((low,))
+            or (not low_inc and pairs[k] == wrap_key((low,)))
+        ):
+            continue
+        if high is not None and (
+            pairs[k] > wrap_key((high,))
+            or (not high_inc and pairs[k] == wrap_key((high,)))
+        ):
+            continue
+        expected.append(row_id)
+    return index.rids[lo:hi], expected
+
+
+@pytest.mark.parametrize("write", ["update", "insert"])
+def test_index_follows_a_column_whose_kinds_widen_after_the_build(write):
+    """A column of ints when its indexes were built takes a NULL, a bool
+    and a str (and a float) by UPDATE or INSERT: after each write the
+    indexes equal the model, and IS NULL, equality and range spans on
+    the column return the model's rows."""
+    storage = make_storage()
+    values = [3, 1, 2, 1, 0, 3, 2, 1]
+    storage.load_columns({"id": list(range(8)), "a": values, "b": ["x"] * 8})
+    model = {i: {"id": i, "a": a, "b": "x"} for i, a in enumerate(values)}
+    single = storage.build_index(Index("t", ("a",)))
+    double = storage.build_index(Index("t", ("b", "a")))
+    assert storage.kinds["a"] == {int}
+    for step, value in enumerate([None, True, "s", 2.5, None, "s"]):
+        if write == "update":
+            storage.update_row(step, {"a": value})
+            model[step]["a"] = value
+        else:
+            row = {"id": 100 + step, "a": value, "b": "x"}
+            model[storage.insert_row(row)] = row
+        entries_a = _model_index(model, ("a",))
+        assert list(single.scan_all()) == entries_a
+        assert list(double.scan_all()) == _model_index(model, ("b", "a"))
+        assert list(storage.pk_index.scan_all()) == _model_index(model, ())
+        for probe in PROBES:
+            got, expected = _span_rows(single, entries_a, (probe,))
+            assert got == expected, probe
+            got, expected = _span_rows(
+                double, _model_index(model, ("b", "a")), ("x", probe))
+            assert got == expected, probe
+        for low, high in [(None, None), (1, 3), (None, 1), (0, "s"),
+                          (True, 2.5), ("", None), (None, None)]:
+            for low_inc in (True, False):
+                for high_inc in (True, False):
+                    got, expected = _span_rows(
+                        single, entries_a, (), low, high, low_inc, high_inc)
+                    assert got == expected, (low, high, low_inc, high_inc)
+
+
+def test_nan_key_inserted_then_deleted_leaves_the_indexes_as_a_rebuild():
+    """NaN orders against nothing, so a NaN key is inserted where bisect
+    leaves it; deleting the row must still remove its entries."""
+    storage = make_storage()
+    ids = random.Random(5).sample(range(40), 40)
+    storage.load_columns({"id": ids, "a": [i % 7 / 2 for i in range(40)],
+                          "b": ["x"] * 40})
+    index = storage.build_index(Index("t", ("a",)))
+    before = entries(storage.pk_index), entries(index)
+    row_id = storage.insert_row({"id": -1, "a": float("nan"), "b": "n"})
+    assert len(index) == len(storage.pk_index) == 41
+    storage.delete_row(row_id)
+    assert (entries(storage.pk_index), entries(index)) == before
+    storage.drop_index("idx_t_a")
+    storage.load([])   # rebuilds the PK index
+    rebuilt = storage.build_index(Index("t", ("a",)))
+    assert (entries(storage.pk_index), entries(rebuilt)) == before
 
 
 def snapshot(storage):
@@ -301,19 +410,11 @@ def _diff_row(rng):
 
 def _model_index(model, columns):
     """The entries of an index on *columns* over the model, each key
-    followed by the PK, inserted entry by entry into an index without a
-    tail."""
-    index = SortedIndex()
-    for row_id, row in model.items():
-        index.insert(tuple(row[c] for c in columns) + (row["id"],), row_id)
-    return list(index.scan_all())
-
-
-def _pk_model_index(model):
-    index = SortedIndex()
-    for row_id, row in model.items():
-        index.insert((row["id"],), row_id)
-    return index.keys, index.rids
+    followed by the PK, sorted as flat keys, then row id."""
+    return sorted(
+        (wrap_key(tuple(row[c] for c in columns) + (row["id"],)), row_id)
+        for row_id, row in model.items()
+    )
 
 
 def _assert_matches(storage, model):
@@ -325,14 +426,14 @@ def _assert_matches(storage, model):
         assert storage.column_values(name) == [row[name] for row in model.values()]
         # Kernels compare a column bare only when kinds covers its types.
         assert {type(row[name]) for row in model.values()} <= storage.kinds[name]
-    assert (storage.pk_index.keys, storage.pk_index.rids) == _pk_model_index(model)
+    assert list(storage.pk_index.scan_all()) == _model_index(model, ())
     for index in DIFF_INDEXES:
         built = storage.get_index(index.name)
         assert list(built.scan_all()) == _model_index(model, index.columns)
 
 
 def _index_state(storage):
-    return [(storage.pk_index.keys[:], storage.pk_index.rids[:])] + [
+    return [list(storage.pk_index.scan_all())] + [
         list(storage.get_index(i.name).scan_all()) for i in DIFF_INDEXES
     ]
 

@@ -1,6 +1,8 @@
 """TPC-H workload package tests."""
 
 import hashlib
+import tracemalloc
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -182,6 +184,58 @@ def test_cli_stored_database_is_pinned():
     db = build_stored_database(schema.read_text(), {}, 1000, "innodb")
     assert (stored_rows_digest(db), stats_digest(db)) == (
         "6ca53a6cbf0323d3", "86178dc0c4b9184c")
+
+
+def test_duplicate_primary_keys_tie_by_row_id_and_delete_together(sf001):
+    """load_tpch's lineitem repeats primary keys (orders are drawn with
+    replacement).  The PK index orders each tie by row id, a DELETE by
+    the full PK removes every copy, and the indexes then equal a
+    rebuild."""
+    db = sf001.full_clone()
+    db.create_index(Index("lineitem", ("l_partkey",)))
+    storage = db.storage["lineitem"]
+    runs = [
+        [row_id for _key, row_id in run]
+        for _key, run in groupby(storage.pk_index.scan_all(), key=lambda e: e[0])
+    ]
+    ties = [run for run in runs if len(run) > 1]
+    assert sum(map(len, ties)) - len(ties) == 16_732
+    assert all(run == sorted(run) for run in ties)
+    victim = max(ties, key=len)
+    orderkey, linenumber = (storage.columns[c][victim[0]]
+                            for c in ("l_orderkey", "l_linenumber"))
+    result = Executor(db).execute(
+        f"DELETE FROM lineitem WHERE l_orderkey = {orderkey} "
+        f"AND l_linenumber = {linenumber}")
+    assert result.rowcount == len(victim)
+    lo, hi = storage.pk_index.span((orderkey, linenumber))
+    assert lo == hi
+    indexes = [storage.pk_index, *storage.secondary.values()]
+    maintained = [list(index.scan_all()) for index in indexes]
+    assert all(len(entries) == storage.row_count for entries in maintained)
+    storage.load([])   # rebuilds every index of the table
+    assert [list(index.scan_all())
+            for index in [storage.pk_index, *storage.secondary.values()]] == maintained
+
+
+def test_an_index_entry_is_a_row_id(sf001):
+    """CREATE INDEX keeps one row id per entry, no key object: building
+    lineitem(l_partkey) allocates at most 12 bytes per entry, and
+    dropping it frees them."""
+    db = sf001.full_clone()
+    index = Index("lineitem", ("l_partkey",))
+    entries = db.storage["lineitem"].row_count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        db.create_index(index)
+        built = tracemalloc.get_traced_memory()[0] - start
+        db.drop_index(index)
+        dropped = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert built <= 12 * entries, built / entries
+    assert dropped <= entries, dropped / entries
 
 
 def test_load_tpch_rejects_a_scale_factor_with_no_supplier():
