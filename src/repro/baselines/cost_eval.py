@@ -18,7 +18,7 @@ from ..catalog import Index
 from ..optimizer import CostEvaluator
 from ..optimizer.query_info import QueryInfo
 from ..workload import Workload
-from ..core.ipp import is_ipp, is_range
+from ..core.ipp import is_range
 
 #: Cap on permutation-based candidates per (query, table).
 MAX_PERMUTATIONS = 6
@@ -35,7 +35,7 @@ def indexable_columns(info: QueryInfo) -> dict[str, list[str]]:
         ordered: list[str] = []
         filters = info.filters.get(binding, [])
         for pred in filters:
-            if is_ipp(pred):
+            if pred.is_ipp:
                 ordered.append(pred.column.column)
         for edge in info.edges_of(binding):
             ordered.append(edge.column_of(binding))
@@ -48,10 +48,9 @@ def indexable_columns(info: QueryInfo) -> dict[str, list[str]]:
         for item in info.order_by:
             if item.binding == binding:
                 ordered.append(item.column)
-        deduped = _dedupe(ordered)
-        if deduped:
+        if ordered:
             existing = out.setdefault(table, [])
-            for col in deduped:
+            for col in ordered:
                 if col not in existing:
                     existing.append(col)
     return out
@@ -126,12 +125,3 @@ def candidate_pool(
 def config_size(db, indexes: Iterable[Index]) -> int:
     return sum(db.index_size_bytes(idx) for idx in indexes)
 
-
-def _dedupe(items: list[str]) -> list[str]:
-    seen: set[str] = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out

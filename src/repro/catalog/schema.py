@@ -49,7 +49,9 @@ class Schema:
         """Register a built index; validates table/columns; idempotent.
 
         A dataless index raises :class:`CatalogError`: hypothetical indexes
-        are planner arguments, not catalog entries.
+        are planner arguments, not catalog entries.  So does an index whose
+        name is held by an index with a different key (``a_b`` + ``c`` and
+        ``a`` + ``b_c``; MySQL's "Duplicate key name").
         """
         if index.dataless:
             raise CatalogError(f"dataless index {index.name} is not a catalog entry")
@@ -61,6 +63,8 @@ class Schema:
                 )
         existing = self._indexes.get(index.name)
         if existing is not None:
+            if existing.key != index.key:
+                raise CatalogError(f"duplicate index name {index.name}")
             return existing
         self._indexes[index.name] = index
         self.index_version += 1

@@ -63,8 +63,3 @@ class Table:
     def has_column(self, name: str) -> bool:
         """True if the table defines a column with this name."""
         return name in self._by_name
-
-    @property
-    def pk_width(self) -> int:
-        """Width of the primary key, paid by every secondary index entry."""
-        return sum(self.column(c).width for c in self.primary_key)

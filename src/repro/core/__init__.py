@@ -1,30 +1,24 @@
 """AIM core: partial orders, candidate generation, ranking, the advisor."""
 
-from .advisor import AimAdvisor, AimConfig
+from .advisor import AimAdvisor
 from .candidates import (
     CandidateGenerator,
     CandidateSet,
-    GeneratorConfig,
     joined_tables_powerset,
 )
+from .config import AimConfig
 from .continuous import (
     ContinuousTuner,
     TuningCycleResult,
     find_prefix_redundant_indexes,
     find_unused_indexes,
 )
-from .covering import (
-    CoveringPolicy,
-    MODE_COVERING,
-    MODE_NON_COVERING,
-    try_covering_index,
-)
+from .covering import MODE_COVERING, MODE_NON_COVERING, try_covering_index
 from .explain import IndexRecommendation, Recommendation, format_bytes
 from .ipp import (
     PredicateGroup,
     RangeColumnChooser,
     factorize_index_predicates,
-    is_ipp,
     is_range,
 )
 from .knapsack import knapsack_exact, knapsack_select
@@ -41,14 +35,11 @@ __all__ = [
     "merge_by_table",
     "CandidateGenerator",
     "CandidateSet",
-    "GeneratorConfig",
     "joined_tables_powerset",
     "PredicateGroup",
     "RangeColumnChooser",
     "factorize_index_predicates",
-    "is_ipp",
     "is_range",
-    "CoveringPolicy",
     "MODE_COVERING",
     "MODE_NON_COVERING",
     "try_covering_index",

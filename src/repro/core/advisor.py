@@ -21,7 +21,6 @@ The advisor never mutates the database; callers materialize
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..catalog import Index
@@ -35,8 +34,9 @@ from ..workload import (
     WorkloadQuery,
     select_representative_workload,
 )
-from .candidates import CandidateGenerator, CandidateSet, GeneratorConfig
-from .covering import CoveringPolicy, MODE_COVERING, MODE_NON_COVERING, try_covering_index
+from .candidates import CandidateGenerator, CandidateSet
+from .config import AimConfig
+from .covering import MODE_COVERING, MODE_NON_COVERING, try_covering_index
 from .explain import (
     IndexRecommendation,
     PHASE_COVERING,
@@ -63,46 +63,6 @@ def advisor_phase(name: str, evaluator: CostEvaluator) -> Iterator[Span]:
             yield span
         finally:
             span.set(optimizer_calls=evaluator.optimizer_calls - calls_before)
-
-
-@dataclass(frozen=True)
-class AimConfig:
-    """All AIM tunables in one place.
-
-    Attributes:
-        join_parameter: the paper's ``j`` (Sec. IV-C; Fig 6 sweeps it).
-        max_index_width: optional width cap (None = unbounded, as AIM).
-        merge_orders: Sec. III-E merging (ablation switch).
-        use_dataless_guidance: use dataless-index costs to pick the range
-            column in Algorithm 5 (ablation switch; when off, the first
-            range column by name is picked, with no statistics consulted).
-        covering: covering-phase policy.
-        covering_phase: enable the second phase entirely.
-        covering_weight_fraction: a query enters the covering phase only
-            if it carries at least this fraction of the workload weight
-            ("executes extremely frequently", Sec. III-B).
-        lambda2: Eq. 3 -- minimum relative improvement some query must see
-            for the recommendation to be worth applying.
-        lambda3: Eq. 4 -- maximum tolerated relative regression per query.
-        validate: run the no-regression validation pass.
-        ipp_relaxation_rows: Sec. V-A IPP relaxation threshold (estimated
-            matched rows); None keeps all IPP columns.
-
-    Whether gains count over the database's current indexes is the
-    evaluator's choice (``AimAdvisor.recommend``), not a config field.
-    """
-
-    join_parameter: int = 2
-    max_index_width: Optional[int] = None
-    merge_orders: bool = True
-    use_dataless_guidance: bool = True
-    ipp_relaxation_rows: Optional[float] = None
-    covering: CoveringPolicy = field(default_factory=CoveringPolicy)
-    covering_phase: bool = True
-    covering_weight_fraction: float = 0.02
-    lambda2: float = 0.05
-    lambda3: float = 0.10
-    validate: bool = True
 
 
 class AimAdvisor:
@@ -284,13 +244,8 @@ class AimAdvisor:
         return CandidateGenerator(
             self.db.schema,
             self.db.stats,
-            GeneratorConfig(
-                join_parameter=self.config.join_parameter,
-                max_index_width=self.config.max_index_width,
-                merge_orders=self.config.merge_orders,
-                ipp_relaxation_rows=self.config.ipp_relaxation_rows,
-                switches=self.db.switches,
-            ),
+            self.config,
+            switches=self.db.switches,
             range_chooser=chooser,
         )
 
@@ -325,7 +280,7 @@ class AimAdvisor:
             mode = try_covering_index(
                 evaluator.analyze(query.sql),
                 plan,
-                self.config.covering,
+                self.config.seek_threshold,
                 schema=self.db.schema,
             )
             if mode == MODE_COVERING:

@@ -21,38 +21,11 @@ from ..obs import trace
 from ..optimizer.query_info import QueryInfo
 from ..optimizer.switches import DEFAULT_SWITCHES, OptimizerSwitches
 from ..stats import StatsCatalog
+from .config import AimConfig
 from .covering import MODE_COVERING, MODE_NON_COVERING, covering_extension
 from .ipp import PredicateGroup, RangeColumnChooser, factorize_index_predicates
 from .merge import merge_by_table
 from .partial_order import PartialOrder
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Candidate generation tunables.
-
-    Attributes:
-        join_parameter: the paper's ``j`` -- tables joined with more than
-            ``j`` others are not exhaustively explored (Algorithm 3).
-        max_index_width: optional cap on candidate width (AIM itself needs
-            none; useful for like-for-like baseline comparisons).
-        merge_orders: disable to ablate Sec. III-E merging.
-        ipp_relaxation_rows: Sec. V-A's third granularity lever --
-            "relaxation / reduction of the number of sub-predicates in the
-            index prefix predicates".  When set, IPP columns whose additive
-            selectivity no longer matters are dropped: the most selective
-            columns are kept until the estimated matched rows fall to this
-            threshold, the rest are left out of the candidate.  ``None``
-            keeps every IPP column (the default, paper behaviour).
-    """
-
-    join_parameter: int = 2
-    max_index_width: Optional[int] = None
-    merge_orders: bool = True
-    ipp_relaxation_rows: Optional[float] = None
-    #: Optimizer switch awareness (Sec. VIII-a): with skip scan enabled,
-    #: candidates another candidate serves via skip scan are pruned.
-    switches: OptimizerSwitches = DEFAULT_SWITCHES
 
 
 @dataclass
@@ -97,12 +70,16 @@ class CandidateGenerator:
         self,
         schema: Schema,
         stats: StatsCatalog,
-        config: GeneratorConfig = GeneratorConfig(),
+        config: AimConfig = AimConfig(),
+        switches: OptimizerSwitches = DEFAULT_SWITCHES,
         range_chooser: Optional[RangeColumnChooser] = None,
     ):
         self.schema = schema
         self.stats = stats
         self.config = config
+        #: Optimizer switch awareness (Sec. VIII-a): with skip scan enabled,
+        #: candidates another candidate serves via skip scan are pruned.
+        self.switches = switches
         self.range_chooser = range_chooser or RangeColumnChooser(
             stats_lookup=lambda table, col: stats.table(table).column(col)
         )
@@ -182,10 +159,11 @@ class CandidateGenerator:
             if item.binding != first_binding:
                 break
             sequence.append(item.column)
+        sequence = list(dict.fromkeys(sequence))
         binding = first_binding
         table = info.bindings[binding]
         if mode == MODE_NON_COVERING:
-            out.add(PartialOrder.chain(table, _dedupe(sequence)))
+            out.add(PartialOrder.chain(table, sequence))
             return out
         for subset in joined_tables_powerset(
             info, binding, self.config.join_parameter
@@ -196,7 +174,7 @@ class CandidateGenerator:
                 groups = [PredicateGroup(binding)]
             for group in groups:
                 po = PartialOrder.build(table, [sorted(group.ipp_columns)])
-                po = po.append_chain(_dedupe(sequence))
+                po = po.append_chain(sequence)
                 po = po.append(covering_extension(info, binding, po.columns))
                 if not po.is_empty:
                     out.add(po)
@@ -247,7 +225,7 @@ class CandidateGenerator:
             result.orders.append(po)
             result.indexes.append(index)
 
-        if self.config.switches.skip_scan:
+        if self.switches.skip_scan:
             self._prune_skip_servable(result, index_by_order)
 
         for key, orders in per_query.items():
@@ -267,7 +245,7 @@ class CandidateGenerator:
         key equals another candidate's key minus a low-NDV leading column
         is redundant -- the wider candidate serves its queries via skip
         scan.  Pruning it shrinks the candidate set."""
-        max_ndv = self.config.switches.skip_scan_max_ndv
+        max_ndv = self.switches.skip_scan_max_ndv
         by_key = {(idx.table, idx.columns): idx for idx in result.indexes}
         redundant: set[str] = set()
         for index in result.indexes:
@@ -403,7 +381,7 @@ class CandidateGenerator:
             if set(prefix) == set(source.columns) and source.satisfied_by(prefix):
                 return True
             if (
-                self.config.switches.skip_scan
+                self.switches.skip_scan
                 and source.width + 1 <= index.width
                 and index.columns[0] not in source.columns
             ):
@@ -412,19 +390,10 @@ class CandidateGenerator:
                 ).ndv
                 skipped = index.columns[1 : source.width + 1]
                 if (
-                    leading_ndv <= self.config.switches.skip_scan_max_ndv
+                    leading_ndv <= self.switches.skip_scan_max_ndv
                     and set(skipped) == set(source.columns)
                     and source.satisfied_by(skipped)
                 ):
                     return True
         return False
 
-
-def _dedupe(columns: Iterable[str]) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for col in columns:
-        if col not in seen:
-            seen.add(col)
-            out.append(col)
-    return out

@@ -12,10 +12,8 @@ A covering index is only tried for a query when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Optional
 
-from ..catalog import Index
 from ..optimizer.plan import Plan
 from ..optimizer.query_info import QueryInfo
 from .ipp import factorize_index_predicates
@@ -23,30 +21,11 @@ from .ipp import factorize_index_predicates
 MODE_COVERING = "covering"
 MODE_NON_COVERING = "non-covering"
 
-#: Default seek threshold: below this many PK lookups per execution a
-#: covering index is not worth its extra storage.
-DEFAULT_SEEK_THRESHOLD = 100.0
-
-
-@dataclass(frozen=True)
-class CoveringPolicy:
-    """Tunables for the covering-index decision.
-
-    Attributes:
-        seek_threshold: minimum PK lookups per execution before covering
-            is attempted (raise for SSD-backed databases).
-
-    Which queries are frequent enough to try is the advisor's
-    ``AimConfig.covering_weight_fraction``.
-    """
-
-    seek_threshold: float = DEFAULT_SEEK_THRESHOLD
-
 
 def try_covering_index(
     info: QueryInfo,
     plan: Optional[Plan],
-    policy: CoveringPolicy = CoveringPolicy(),
+    seek_threshold: float,
     schema=None,
 ) -> str:
     """Decide the candidate generation mode for one query.
@@ -54,7 +33,7 @@ def try_covering_index(
     *plan* is the query's plan under the *current* configuration; pass
     None during bootstrapping (no indexes yet), which always yields
     non-covering mode -- narrow indexes first, covering in a later phase
-    (Sec. III-B).
+    (Sec. III-B).  *seek_threshold* is ``AimConfig.seek_threshold``.
 
     When *schema* is supplied, IPP columns that lead the table's primary
     key are ignored: the clustered index already serves them, so they
@@ -77,7 +56,7 @@ def try_covering_index(
             # provided the scan is heavy enough.
             if ipp_cols:
                 continue
-            if path.rows_examined * step.executions >= policy.seek_threshold:
+            if path.rows_examined * step.executions >= seek_threshold:
                 return MODE_COVERING
             continue
         if path.index is None:
@@ -86,7 +65,7 @@ def try_covering_index(
             # Selectivity could still improve with a better prefix.
             continue
         seeks = path.lookup_rows * step.executions
-        if seeks >= policy.seek_threshold:
+        if seeks >= seek_threshold:
             return MODE_COVERING
     return MODE_NON_COVERING
 

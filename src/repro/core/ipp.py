@@ -51,17 +51,9 @@ class PredicateGroup:
         return not self.ipp_columns and not self.range_predicates
 
 
-def is_ipp(pred: AtomicPredicate) -> bool:
-    """Index prefix predicate test (Sec. IV-B2).
-
-    LIKE is special-cased: only a constant-prefix pattern bounds a scan,
-    and even then the matching rows do *not* share one constant full
-    prefix -- so LIKE is never an IPP, at best a range predicate.
-    """
-    return pred.op in ("=", "<=>", "IN", "IS NULL")
-
-
 def is_range(pred: AtomicPredicate) -> bool:
+    """Range-scan test: LIKE bounds a scan only with a constant-prefix
+    pattern, and is never an IPP (its matches share no full prefix)."""
     if pred.op == "LIKE":
         from ..sqlparser.predicates import like_has_constant_prefix
         from ..optimizer.selectivity import constant_value
@@ -75,7 +67,6 @@ def factorize_index_predicates(
     info: QueryInfo,
     binding: str,
     join_columns: Iterable[str] = (),
-    max_factors: int = MAX_FACTORS,
 ) -> list[PredicateGroup]:
     """DNF-factorize the predicates on *binding* into predicate groups.
 
@@ -93,7 +84,7 @@ def factorize_index_predicates(
         if touched != frozenset({binding}):
             continue
         disjunct_preds: list[list[AtomicPredicate]] = []
-        for factor in to_dnf(expr, max_terms=max_factors):
+        for factor in to_dnf(expr, max_terms=MAX_FACTORS):
             atoms = []
             for leaf in factor:
                 atomic = classify_atomic(leaf)
@@ -106,7 +97,7 @@ def factorize_index_predicates(
             existing + extra
             for existing in factor_sets
             for extra in disjunct_preds
-        ][:max_factors]
+        ][:MAX_FACTORS]
 
     join_cols = set(join_columns)
     groups: list[PredicateGroup] = []
@@ -115,7 +106,7 @@ def factorize_index_predicates(
         group = PredicateGroup(binding=binding, ipp_columns=set(join_cols))
         for pred in atoms:
             col = pred.column.column
-            if is_ipp(pred):
+            if pred.is_ipp:
                 group.ipp_columns.add(col)
             elif is_range(pred):
                 group.range_predicates.setdefault(col, []).append(pred)

@@ -265,6 +265,3 @@ class SortedIndex:
     def scan_all(self, reverse: bool = False) -> Iterator[tuple[tuple, int]]:
         """Full scan in key order (or reverse key order)."""
         return self.scan_prefix((), reverse=reverse)
-
-    def clear(self) -> None:
-        self.rids.clear()

@@ -47,14 +47,6 @@ class ExecutionMetrics:
             + sort_cost
         )
 
-    def discarded_data_ratio(self) -> float:
-        """``rows_sent / rows_read`` clamped to [0, 1] (paper Sec. III-A2:
-        "the ratio of data sent to data read").  1.0 means every row read
-        was returned; values near 0 mean almost all I/O was wasted."""
-        if self.rows_read <= 0:
-            return 1.0
-        return min(1.0, max(0.0, self.rows_sent / self.rows_read))
-
     def as_dict(self) -> dict[str, int]:
         """All counters as a plain dict (telemetry export, stats export)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}

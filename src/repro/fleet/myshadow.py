@@ -16,9 +16,12 @@ import random
 from dataclasses import dataclass, field
 
 from ..catalog import Index
+from ..core import AimConfig
 from ..engine import Database
 from ..optimizer import CostEvaluator
 from ..workload import Workload, WorkloadQuery
+
+_AIM = AimConfig()
 
 
 @dataclass
@@ -60,14 +63,13 @@ class MyShadow:
         self,
         workload: Workload,
         candidate_indexes: list[Index],
-        regression_lambda: float = 0.10,
-        improvement_lambda: float = 0.05,
     ) -> ShadowReport:
         """Replay traffic against current vs candidate configuration.
 
         A query counts as regressed when Eq. 4's bound is violated
         (cost ratio above ``1 + λ3``) and as improved when it clears
-        Eq. 3's bar (ratio below ``1 - λ2``).
+        Eq. 3's bar (ratio below ``1 - λ2``); both λ are AIM's
+        (:class:`~repro.core.AimConfig`).
         """
         evaluator = CostEvaluator(self.source, include_schema_indexes=True)
         report = ShadowReport()
@@ -81,9 +83,9 @@ class MyShadow:
                 report.unchanged += 1
                 continue
             ratio = after / before
-            if not query.is_dml and ratio > 1.0 + regression_lambda:
+            if not query.is_dml and ratio > 1.0 + _AIM.lambda3:
                 report.regressed.append((query.name or query.sql[:60], ratio))
-            elif ratio < 1.0 - improvement_lambda:
+            elif ratio < 1.0 - _AIM.lambda2:
                 report.improved.append((query.name or query.sql[:60], ratio))
             else:
                 report.unchanged += 1

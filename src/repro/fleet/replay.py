@@ -97,10 +97,6 @@ class ReplaySimulator:
     def drop_all_indexes(self) -> None:
         self.db.drop_all_secondary_indexes()
 
-    def set_workload(self, workload: Workload) -> None:
-        self.workload = workload
-        self.sampler.replace_workload(workload)
-
     # -- execution ------------------------------------------------------------------
 
     def statement_cost(self, query: WorkloadQuery) -> float:

@@ -73,11 +73,3 @@ class ReplicaSet:
             return self.serve_write(query)
         return self.serve_read(query)
 
-    def apply_ddl(self, create=(), drop=()) -> None:
-        """Apply index DDL fleet-wide."""
-        db = self.primary.db
-        for index in drop:
-            db.drop_index(index)
-        for index in create:
-            db.create_index(index.materialized())
-

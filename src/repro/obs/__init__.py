@@ -5,10 +5,11 @@ Three complementary instruments share this package:
 * :mod:`~repro.obs.tracer` -- hierarchical spans answering *where did the
   time go* (advisor phases, baseline runs, fleet sweeps), exportable as
   Chrome ``trace_event`` files;
-* :mod:`~repro.obs.metrics` -- a process-wide registry of labeled
-  counters/gauges/histograms answering *how often* (optimizer
-  invocations by statement kind, what-if and analyze cache hits,
-  statements quarantined at intake);
+* :mod:`~repro.obs.metrics` -- a process-wide registry of eight labeled
+  counters answering *how often* (optimizer invocations by statement
+  kind, what-if and analyze cache hits, statements quarantined at
+  intake); ``Gauge`` and ``Histogram`` remain only because
+  ``perfbench/layers.py`` names ``MetricsRegistry.gauge/histogram``;
 * :mod:`~repro.obs.events` -- an append-only, schema-versioned decision
   journal answering *why does the database look the way it does*
   (advisor accept/reject decisions, tuning cycles, applied DDL,

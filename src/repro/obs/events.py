@@ -59,6 +59,9 @@ __all__ = [
 #: instead of silently mis-rendering.
 SCHEMA_VERSION = 1
 
+#: In-memory retention cap per journal.
+MAX_EVENTS = 100_000
+
 #: Envelope keys the journal adds around an event's own fields.
 _ENVELOPE_KEYS = ("seq", "ts", "v", "type", "span_id", "span")
 
@@ -253,17 +256,13 @@ class EventJournal:
         path: when given, every record is appended (and flushed) to this
             file as one JSON line; the in-memory buffer is kept either way
             so tests and the CLI can inspect a run without a file.
-        max_events: in-memory retention cap.  File emission continues past
-            the cap (the file is the durable record); overflowed in-memory
-            records are counted in ``dropped``.
+
+    The in-memory buffer keeps at most :data:`MAX_EVENTS` records.  File
+    emission continues past the cap (the file is the durable record);
+    overflowed in-memory records are counted in ``dropped``.
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        max_events: int = 100_000,
-    ):
-        self.max_events = max_events
+    def __init__(self, path: Optional[str] = None):
         self.dropped = 0
         self._lock = threading.Lock()
         self._seq = 0
@@ -312,7 +311,7 @@ class EventJournal:
             }
             record.update(payload)
             self._seq += 1
-            if len(self._records) < self.max_events:
+            if len(self._records) < MAX_EVENTS:
                 self._records.append(record)
             else:
                 self.dropped += 1

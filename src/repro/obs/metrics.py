@@ -1,4 +1,8 @@
-"""Process-wide metrics registry: labeled counters, gauges, histograms.
+"""Process-wide metrics registry of labeled counters.
+
+The program registers eight counters (``KEPT_METRICS`` in
+``tests/test_obs.py``).  ``Gauge`` and ``Histogram`` remain only because
+``perfbench/layers.py`` names ``MetricsRegistry.gauge/histogram``.
 
 The registry is the quantitative half of :mod:`repro.obs`: while the
 tracer answers *where did the time go*, the registry answers *how often*

@@ -32,6 +32,9 @@ __all__ = [
     "load_chrome_trace",
 ]
 
+#: Retention cap on finished spans per tracer.
+MAX_SPANS = 100_000
+
 
 @dataclass
 class Span:
@@ -61,14 +64,11 @@ class Span:
 class Tracer:
     """Thread-safe hierarchical span recorder.
 
-    Args:
-        max_spans: retention cap; spans finished beyond the cap are
-            dropped (counted in ``dropped``) so long-running processes
-            cannot grow without bound.
+    Spans finished beyond :data:`MAX_SPANS` are dropped (counted in
+    ``dropped``) so long-running processes cannot grow without bound.
     """
 
-    def __init__(self, max_spans: int = 100_000):
-        self.max_spans = max_spans
+    def __init__(self):
         self.dropped = 0
         self._lock = threading.Lock()
         self._next_id = 0
@@ -115,7 +115,7 @@ class Tracer:
             if stack:
                 stack.pop()
         with self._lock:
-            if len(self._finished) >= self.max_spans:
+            if len(self._finished) >= MAX_SPANS:
                 self.dropped += 1
                 return
             self._finished.append(span)

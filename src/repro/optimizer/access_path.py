@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from ..catalog import Index, Table
 from ..engine.pages import CostParams
-from ..sqlparser.predicates import AtomicPredicate
+from ..sqlparser.predicates import IPP_OPS, RANGE_OPS, AtomicPredicate
 from ..stats import TableStats
 from .plan import AccessPath
 from .query_info import OrderColumn
@@ -37,11 +37,10 @@ from .selectivity import (
 )
 from .switches import DEFAULT_SWITCHES, OptimizerSwitches
 
-#: Equality-class operators that keep the index prefix growing.
+#: Equality-class operators that keep the index prefix growing and the
+#: index order; IN (the rest of ``IPP_OPS``) also extends the prefix
+#: (multiple subranges) but breaks ordering.
 _EQ_OPS = frozenset({"=", "<=>", "IS NULL"})
-#: IN also extends the prefix (multiple subranges) but breaks ordering.
-_EQ_CLASS_OPS = _EQ_OPS | {"IN"}
-_RANGE_OPS = frozenset({"<", "<=", ">", ">=", "BETWEEN", "LIKE"})
 
 
 @dataclass(frozen=True)
@@ -117,12 +116,12 @@ class TableContext:
         range_preds: dict[str, list[AtomicPredicate]] = {}
         for pred in filters:
             col = pred.column.column
-            if pred.op in _EQ_CLASS_OPS:
+            if pred.op in IPP_OPS:
                 sel = atomic_selectivity(pred, stats.column(col))
                 if sel < self.eq_sel.get(col, 2.0):
                     self.eq_sel[col] = sel
                     self.ordered_eq[col] = pred.op in _EQ_OPS
-            elif pred.op in _RANGE_OPS:
+            elif pred.op in RANGE_OPS:
                 range_preds.setdefault(col, []).append(pred)
             else:
                 sel = atomic_selectivity(pred, stats.column(col))

@@ -119,10 +119,6 @@ class QueryInfo:
         """Bindings sharing at least one join predicate with *binding*."""
         return {e.other(binding)[0] for e in self.edges_of(binding)}
 
-    @property
-    def is_join_query(self) -> bool:
-        return len(self.bindings) > 1
-
     def usable_columns(self) -> dict[str, frozenset[str]]:
         """Per real table: columns whose presence in an index key can
         possibly change this SELECT's plan.

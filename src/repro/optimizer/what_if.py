@@ -66,7 +66,7 @@ from .plan import Plan
 from .query_info import QueryInfo
 
 #: Bound on the per-evaluator L1 exact plan cache.
-DEFAULT_PLAN_CACHE_SIZE = 8192
+PLAN_CACHE_SIZE = 8192
 
 #: Bound on canonical entries kept per statement (L2).
 CANONICAL_ENTRIES_PER_STATEMENT = 16
@@ -117,19 +117,17 @@ class CostEvaluator:
             *db*'s built secondary indexes.  When True, the database's
             current secondary indexes stay visible (continuous-tuning
             mode).
-        max_cache_entries: L1 LRU bound.
     """
 
     def __init__(
         self,
         db: Database,
         include_schema_indexes: bool = False,
-        max_cache_entries: int = DEFAULT_PLAN_CACHE_SIZE,
     ):
         self._db = db
         self.optimizer = Optimizer(db, include_schema_indexes=include_schema_indexes)
         self._plan_cache: LRUCache = LRUCache(
-            max_cache_entries, on_evict=self._record_eviction
+            PLAN_CACHE_SIZE, on_evict=self._record_eviction
         )
         # sql -> [(used keys, config keys, plan), ...] newest last.
         self._canonical: dict[str, list[tuple[frozenset, frozenset, Plan]]] = {}

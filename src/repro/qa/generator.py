@@ -118,10 +118,6 @@ class Case:
             statements=list(payload["statements"]),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "Case":
-        return cls.from_dict(json.loads(text))
-
 
 def _table_to_dict(table: Table) -> dict:
     return {

@@ -4,7 +4,6 @@ from .builder import (
     SyntheticColumn,
     analyze_column,
     analyze_table,
-    catalog_from_tables,
     synthesize_table,
 )
 from .column_stats import ColumnStats
@@ -20,5 +19,4 @@ __all__ = [
     "analyze_table",
     "synthesize_table",
     "SyntheticColumn",
-    "catalog_from_tables",
 ]

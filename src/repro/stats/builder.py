@@ -74,8 +74,3 @@ def _uniform_histogram(lo: float, hi: float, buckets: int = 64) -> Histogram:
         return Histogram((lo,))
     step = (hi - lo) / buckets
     return Histogram(tuple(lo + i * step for i in range(buckets + 1)))
-
-
-def catalog_from_tables(stats: Mapping[str, TableStats]) -> StatsCatalog:
-    """Assemble a StatsCatalog from per-table stats."""
-    return StatsCatalog(dict(stats))

@@ -28,12 +28,6 @@ class WorkloadSampler:
         """Draw *n* statements (with replacement)."""
         return self._rng.choices(self._queries, weights=self._weights, k=n)
 
-    def replace_workload(self, workload: Workload) -> None:
-        """Swap the underlying workload (used by workload_shift)."""
-        self.workload = workload
-        self._queries = list(workload.queries)
-        self._weights = [max(1e-9, q.weight) for q in self._queries]
-
 
 def workload_shift(
     base: Workload,

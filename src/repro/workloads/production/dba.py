@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 
 from ...catalog import Index
-from ...core import CandidateGenerator, GeneratorConfig, MODE_NON_COVERING
+from ...core import AimConfig, CandidateGenerator, MODE_NON_COVERING
 from ...core.ipp import RangeColumnChooser
 from ...optimizer import CostEvaluator
 from .generator import Product
@@ -42,7 +42,7 @@ def dba_index_set(
     generator = CandidateGenerator(
         db.schema,
         db.stats,
-        GeneratorConfig(join_parameter=1, merge_orders=False),
+        AimConfig(join_parameter=1, merge_orders=False),
         range_chooser=RangeColumnChooser(evaluator=evaluator),
     )
     chosen: dict[str, Index] = {}

@@ -117,10 +117,8 @@ def test_width_cap_config(db):
 
 
 def test_covering_phase_produces_covering_indexes(db):
-    from repro.core import CoveringPolicy
-
     config = AimConfig(
-        covering=CoveringPolicy(seek_threshold=5.0),
+        seek_threshold=5.0,
         covering_weight_fraction=0.0,
     )
     rec = AimAdvisor(db, config).recommend(simple_workload(), 50 << 20)
@@ -131,11 +129,9 @@ def test_covering_phase_produces_covering_indexes(db):
 def test_covering_phase_skips_queries_below_the_weight_fraction(db):
     """Only a query carrying at least covering_weight_fraction of the
     workload weight can get a covering index."""
-    from repro.core import CoveringPolicy
-
     def covered(fraction: float) -> set[str]:
         config = AimConfig(
-            covering=CoveringPolicy(seek_threshold=5.0),
+            seek_threshold=5.0,
             covering_weight_fraction=fraction,
         )
         rec = AimAdvisor(db, config).recommend(simple_workload(), 50 << 20)

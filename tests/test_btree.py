@@ -113,12 +113,6 @@ def test_wrap_key_equality_and_ordering():
     assert wrap_key((True,)) == wrap_key((1,))
 
 
-def test_clear():
-    idx = build([((1,), 0)])
-    idx.clear()
-    assert len(idx) == 0
-
-
 # ---------------------------------------------------------------------------
 # properties over mixed NULL / bool / int / float / str keys
 #

@@ -4,8 +4,8 @@ import pytest
 
 from repro.catalog import Column, INT, Schema, Table, varchar
 from repro.core import (
+    AimConfig,
     CandidateGenerator,
-    GeneratorConfig,
     MODE_COVERING,
     MODE_NON_COVERING,
     PartialOrder,
@@ -38,7 +38,7 @@ def t1_stats():
 
 
 def generator(schema, stats, **kwargs):
-    return CandidateGenerator(schema, stats, GeneratorConfig(**kwargs))
+    return CandidateGenerator(schema, stats, AimConfig(**kwargs))
 
 
 def gen_orders(schema, stats, sql, mode=MODE_NON_COVERING, **kwargs):

@@ -36,10 +36,6 @@ def test_table_row_width_includes_overhead():
     assert t.row_width == 8 + 4 + 16 + t.row_overhead
 
 
-def test_table_pk_width():
-    assert make_table().pk_width == 8
-
-
 def test_table_column_lookup_and_error():
     t = make_table()
     assert t.column("a").ctype is INT

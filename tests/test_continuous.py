@@ -102,7 +102,7 @@ def test_tuner_keeps_every_config_field(db):
     """The tuner runs the advisor with the config it was given, unchanged."""
     from dataclasses import fields
 
-    from repro.core import AimConfig, CoveringPolicy
+    from repro.core import AimConfig
 
     config = AimConfig(
         join_parameter=3,
@@ -110,7 +110,7 @@ def test_tuner_keeps_every_config_field(db):
         merge_orders=False,
         use_dataless_guidance=False,
         ipp_relaxation_rows=5_000.0,
-        covering=CoveringPolicy(seek_threshold=7.0),
+        seek_threshold=7.0,
         covering_phase=False,
         covering_weight_fraction=0.5,
         lambda2=0.2,

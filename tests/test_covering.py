@@ -2,7 +2,7 @@
 
 from repro.catalog import Index
 from repro.core import (
-    CoveringPolicy,
+    AimConfig,
     MODE_COVERING,
     MODE_NON_COVERING,
     try_covering_index,
@@ -14,7 +14,8 @@ from repro.optimizer import CostEvaluator
 def test_bootstrap_without_plan_is_non_covering(db):
     ev = CostEvaluator(db)
     info = ev.analyze("SELECT name FROM users WHERE city = 'c1'")
-    assert try_covering_index(info, None) == MODE_NON_COVERING
+    threshold = AimConfig().seek_threshold
+    assert try_covering_index(info, None, threshold) == MODE_NON_COVERING
 
 
 def test_seek_heavy_index_plan_triggers_covering(db):
@@ -24,8 +25,7 @@ def test_seek_heavy_index_plan_triggers_covering(db):
     plan = ev.plan(sql, [idx])
     assert plan.uses_index(idx)
     info = ev.analyze(sql)
-    policy = CoveringPolicy(seek_threshold=10.0)
-    assert try_covering_index(info, plan, policy) == MODE_COVERING
+    assert try_covering_index(info, plan, 10.0) == MODE_COVERING
 
 
 def test_low_seek_count_stays_non_covering(db):
@@ -33,9 +33,9 @@ def test_low_seek_count_stays_non_covering(db):
     sql = "SELECT amount FROM orders WHERE created < 30000"
     idx = Index("orders", ("created",), dataless=True)
     plan = ev.plan(sql, [idx])
-    policy = CoveringPolicy(seek_threshold=1e9)   # SSD-high threshold
     info = ev.analyze(sql)
-    assert try_covering_index(info, plan, policy) == MODE_NON_COVERING
+    ssd_threshold = 1e9
+    assert try_covering_index(info, plan, ssd_threshold) == MODE_NON_COVERING
 
 
 def test_unsaturated_ipp_prefix_stays_non_covering(db):
@@ -46,8 +46,7 @@ def test_unsaturated_ipp_prefix_stays_non_covering(db):
     plan = ev.plan(sql, [idx])
     if plan.uses_index(idx):
         info = ev.analyze(sql)
-        policy = CoveringPolicy(seek_threshold=1.0)
-        assert try_covering_index(info, plan, policy) == MODE_NON_COVERING
+        assert try_covering_index(info, plan, 1.0) == MODE_NON_COVERING
 
 
 def test_no_ipp_seq_scan_triggers_covering(db):
@@ -56,8 +55,7 @@ def test_no_ipp_seq_scan_triggers_covering(db):
     sql = "SELECT amount FROM orders WHERE amount > 990"
     plan = ev.plan(sql, [])
     info = ev.analyze(sql)
-    policy = CoveringPolicy(seek_threshold=100.0)
-    assert try_covering_index(info, plan, policy) == MODE_COVERING
+    assert try_covering_index(info, plan, 100.0) == MODE_COVERING
 
 
 def test_covering_extension_lists_missing_referenced(db):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.catalog import CatalogError, Index
+from repro.catalog import INT, CatalogError, Column, Index, Table
 from repro.engine import Database, INNODB, INNODB_HDD, ROCKSDB
 
 from .conftest import make_user_rows, users_table
@@ -32,6 +32,23 @@ def test_dataless_index_is_not_a_catalog_entry(db):
     assert db.schema.index_version == version
     assert db.schema.indexes() == []
     assert not db.storage["users"].secondary
+
+
+def test_index_name_collision_raises():
+    """``(a_b, c)`` and ``(a, b_c)`` share the name idx_t_a_b_c; creating
+    the second is a duplicate key name, not a silent no-op that keeps the
+    first index under the second one's name."""
+    columns = [Column(name, INT) for name in ("id", "a", "a_b", "b_c", "c")]
+    db = Database.from_tables([Table("t", columns, ("id",))])
+    db.load_rows(
+        "t", [dict(id=i, a=i, a_b=-i, b_c=i % 3, c=i % 5) for i in range(20)]
+    )
+    first = db.create_index(Index("t", ("a_b", "c")))
+    with pytest.raises(CatalogError):
+        db.create_index(Index("t", ("a", "b_c")))
+    assert db.schema.get_index(first.name) is first
+    assert db.storage["t"].secondary_meta[first.name] is first
+    assert db.create_index(Index("t", ("a_b", "c"))) is first
 
 
 def test_drop_index(indexed_db):

@@ -27,6 +27,7 @@ from repro.obs import (
     set_journal,
     set_tracer,
 )
+from repro.obs import events as events_module
 from repro.obs.events import SCHEMA_VERSION
 from repro.obs.fleet_report import fleet_report_data, render_fleet_report
 from repro.optimizer import CostEvaluator
@@ -83,8 +84,9 @@ def test_emit_rejects_non_events(journal):
         emit("not an event")
 
 
-def test_in_memory_cap_counts_drops(journal):
-    j = EventJournal(max_events=3)
+def test_in_memory_cap_counts_drops(journal, monkeypatch):
+    monkeypatch.setattr(events_module, "MAX_EVENTS", 3)
+    j = EventJournal()
     for i in range(5):
         j.emit(IndexRollback(index=f"i{i}"))
     assert len(j) == 3

@@ -52,7 +52,7 @@ def test_writes_hit_every_replica(replica_set, product):
 def test_ddl_is_replicated(replica_set, product):
     table = next(iter(product.db.schema.tables))
     column = product.db.schema.table(table).column_names[1]
-    replica_set.apply_ddl(create=[Index(table, (column,))])
+    replica_set.primary.db.create_index(Index(table, (column,)))
     for replica in replica_set.replicas:
         assert replica.db.schema.indexes(table)
 
@@ -283,16 +283,3 @@ def test_replay_saturation_clips_throughput(product):
     timeline = sim.run()
     assert all(p.cpu_pct == 100.0 for p in timeline.points)
     assert all(p.throughput < 50 for p in timeline.points)
-
-
-def test_replay_workload_shift(product):
-    from repro.workloads.oltp import workload_shift
-
-    sim = ReplaySimulator(
-        product.db, product.workload,
-        ReplayConfig(ticks=4, arrivals_per_tick=10, capacity=1e9, seed=3),
-    )
-    new_query = WorkloadQuery("SELECT c0 FROM t0 WHERE c1 = 5", 1e6, name="new")
-    shifted = workload_shift(product.workload, [new_query], hot_weight=1e6)
-    sim.run({2: lambda s: s.set_workload(shifted)})
-    assert sim.workload.by_name("new") is not None

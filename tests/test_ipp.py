@@ -3,7 +3,7 @@
 import pytest
 
 from repro.catalog import Schema
-from repro.core import factorize_index_predicates, is_ipp, is_range
+from repro.core import factorize_index_predicates, is_range
 from repro.core.ipp import RangeColumnChooser
 from repro.optimizer import analyze_query
 from repro.sqlparser import classify_atomic, parse, parse_select
@@ -27,22 +27,22 @@ def info_for(sql, schema):
 
 def test_ipp_operators():
     """Sec. IV-B2: =, <=>, IN, IS NULL are IPPs."""
-    assert is_ipp(atom("x = 5"))
-    assert is_ipp(atom("x <=> 5"))
-    assert is_ipp(atom("x IN (1, 2)"))
-    assert is_ipp(atom("x IS NULL"))
+    assert atom("x = 5").is_ipp
+    assert atom("x <=> 5").is_ipp
+    assert atom("x IN (1, 2)").is_ipp
+    assert atom("x IS NULL").is_ipp
 
 
 def test_range_operators_are_not_ipp():
     for cond in ("x > 5", "x <= 5", "x BETWEEN 1 AND 2"):
         pred = atom(cond)
-        assert not is_ipp(pred)
+        assert not pred.is_ipp
         assert is_range(pred)
 
 
 def test_like_prefix_is_range_not_ipp():
     pred = atom("x LIKE 'abc%'")
-    assert not is_ipp(pred)
+    assert not pred.is_ipp
     assert is_range(pred)
     assert not is_range(atom("x LIKE '%abc'"))
 

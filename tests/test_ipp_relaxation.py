@@ -3,7 +3,7 @@
 import pytest
 
 from repro.catalog import Column, INT, Schema, Table
-from repro.core import CandidateGenerator, GeneratorConfig, MODE_NON_COVERING
+from repro.core import AimConfig, CandidateGenerator, MODE_NON_COVERING
 from repro.optimizer import analyze_query
 from repro.sqlparser import parse
 from repro.stats import StatsCatalog, SyntheticColumn, synthesize_table
@@ -41,7 +41,7 @@ SQL = (
 
 def orders_for(schema, stats, threshold):
     gen = CandidateGenerator(
-        schema, stats, GeneratorConfig(ipp_relaxation_rows=threshold)
+        schema, stats, AimConfig(ipp_relaxation_rows=threshold)
     )
     info = analyze_query(parse(SQL), schema)
     return gen.generate_for_query(info, MODE_NON_COVERING)

@@ -32,15 +32,6 @@ def test_write_amplification_scales_maintenance():
     assert m.cpu_seconds(ROCKSDB) < innodb_cost
 
 
-def test_discarded_data_ratio_definition():
-    """Paper Sec. III-A2: ddr = data sent / data read."""
-    m = ExecutionMetrics(rows_read=100, rows_sent=10)
-    assert m.discarded_data_ratio() == pytest.approx(0.1)
-    assert ExecutionMetrics().discarded_data_ratio() == 1.0
-    clamped = ExecutionMetrics(rows_read=10, rows_sent=100)
-    assert clamped.discarded_data_ratio() == 1.0
-
-
 def test_merge_accumulates():
     a = ExecutionMetrics(rows_read=5, seq_pages=1)
     b = ExecutionMetrics(rows_read=7, random_pages=2, rows_sent=3)

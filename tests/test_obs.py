@@ -22,6 +22,7 @@ from repro.obs import (
     telemetry_snapshot,
     trace,
 )
+from repro.obs import tracer as tracer_module
 from repro.obs.report import render_report
 from repro.workload import Workload
 
@@ -72,8 +73,9 @@ def test_span_attrs_and_module_level_trace(tracer):
     assert finished[0].attrs == {"size": 3, "extra": "x"}
 
 
-def test_tracer_span_cap():
-    tracer = Tracer(max_spans=5)
+def test_tracer_span_cap(monkeypatch):
+    monkeypatch.setattr(tracer_module, "MAX_SPANS", 5)
+    tracer = Tracer()
     for i in range(10):
         with tracer.span(f"s{i}"):
             pass

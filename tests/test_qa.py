@@ -51,7 +51,7 @@ def test_generate_case_structure():
 
 def test_case_roundtrips_through_json():
     case = generate_case(11)
-    again = Case.from_json(case.to_json())
+    again = Case.from_dict(json.loads(case.to_json()))
     assert again.to_json() == case.to_json()
     assert again.statements == case.statements
     assert [t.name for t in again.tables] == [t.name for t in case.tables]

@@ -12,6 +12,7 @@ Two layers:
   ``plan.used_indexes``, or the DBA model's walk over candidate orders).
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -87,6 +88,11 @@ for key in {products!r}:
 print(json.dumps(out, sort_keys=True), end="")
 """
 
+#: sha256 of the Products A, C and E DBA sets (the ``_DBA_CODE`` JSON),
+#: the Table II reference: a change to candidate generation or its
+#: settings that moves a DBA index shows here.
+DBA_REFERENCE_DIGEST = "07e260eeb3b97b22"
+
 
 def test_same_seed_same_case_in_process():
     a = generate_case(42)
@@ -144,3 +150,5 @@ def test_dba_reference_identical_across_hash_seeds():
     assert payloads[0] == payloads[1] == payloads[2], (
         "DBA reference set depends on PYTHONHASHSEED"
     )
+    text = json.dumps(payloads[0], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == DBA_REFERENCE_DIGEST

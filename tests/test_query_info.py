@@ -158,10 +158,3 @@ def test_sargable_filters_excludes_residuals(schema):
 def test_duplicate_binding_raises(schema):
     with pytest.raises(ResolutionError):
         analyze("SELECT u.name FROM users u, orders u", schema)
-
-
-def test_is_join_query(schema):
-    single = analyze("SELECT name FROM users", schema)
-    multi = analyze("SELECT u.name FROM users u, orders o WHERE u.id = o.user_id", schema)
-    assert not single.is_join_query
-    assert multi.is_join_query

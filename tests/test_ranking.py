@@ -5,7 +5,6 @@ import pytest
 from repro.catalog import Index
 from repro.core import (
     CandidateGenerator,
-    GeneratorConfig,
     MODE_NON_COVERING,
     knapsack_exact,
     knapsack_select,
@@ -18,7 +17,7 @@ from repro.workload import Workload
 
 def build_candidates(db, workload):
     ev = CostEvaluator(db)
-    gen = CandidateGenerator(db.schema, db.stats, GeneratorConfig())
+    gen = CandidateGenerator(db.schema, db.stats)
     queries = [
         (q.normalized_sql, ev.analyze(q.sql), MODE_NON_COVERING)
         for q in workload

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.catalog import Column, INT, Index, Table, varchar
-from repro.core import AimAdvisor, CandidateGenerator, GeneratorConfig, MODE_NON_COVERING
+from repro.core import AimAdvisor, CandidateGenerator, MODE_NON_COVERING
 from repro.engine import Database
 from repro.executor import Executor
 from repro.optimizer import CostEvaluator, Optimizer, OptimizerSwitches, analyze_query
@@ -122,8 +122,7 @@ def test_candidate_generation_switch_awareness(skip_db):
 
     def generate(switches):
         gen = CandidateGenerator(
-            skip_db.schema, skip_db.stats,
-            GeneratorConfig(switches=switches),
+            skip_db.schema, skip_db.stats, switches=switches
         )
         return gen.generate([
             (key, analyze_query(parse(sql), skip_db.schema), mode)

@@ -23,7 +23,7 @@ from repro.baselines.cost_eval import candidate_pool
 from repro.catalog import INT, Column, Index, Table
 from repro.engine import Database
 from repro.optimizer import CostEvaluator, Optimizer, WorkloadCoster, analysis_cache
-from repro.optimizer import join_order, optimizer as optimizer_module
+from repro.optimizer import join_order, optimizer as optimizer_module, what_if
 from repro.qa.generator import generate_case
 from repro.workload import Workload
 
@@ -81,12 +81,13 @@ def test_corpus_matches_uncached_reference():
     assert canonical_hits > 0
 
 
-def test_corpus_lru_eviction_invariance():
+def test_corpus_lru_eviction_invariance(monkeypatch):
     """A tiny LRU bound evicts constantly but never changes a cost."""
+    monkeypatch.setattr(what_if, "PLAN_CACHE_SIZE", 2)
     total_evictions = 0
     for seed in range(0, CORPUS_CASES, 10):
         case, db, reference, pool = _corpus_case(seed)
-        small = CostEvaluator(db, max_cache_entries=2)
+        small = CostEvaluator(db)
         for _round in range(2):
             for config in (pool, pool[::2], []):
                 for sql in case.statements:

@@ -36,6 +36,14 @@ def test_query_statistics_ddr_and_benefit():
     assert stats.expected_benefit == pytest.approx(0.9 * 10.0)
 
 
+def test_discarded_data_ratio_definition():
+    """Paper Sec. III-A2: ddr = data sent / data read, clamped to [0, 1]."""
+    assert QueryStatistics("q").ddr_avg == 1.0
+    clamped = QueryStatistics("q")
+    clamped.record(cpu=1.0, rows_read=10, rows_sent=100)
+    assert clamped.ddr_avg == 1.0
+
+
 def test_efficient_query_has_low_benefit():
     stats = QueryStatistics("q")
     stats.record(cpu=10.0, rows_read=100, rows_sent=100)
