@@ -77,7 +77,8 @@ def main() -> None:
     check = monitored.execute(
         "SELECT user_id, score FROM events WHERE kind = 'k1' AND score > 900"
     )
-    print(f"plan uses: {check.plan.used_indexes or 'seq scan'}")
+    used = [s.path.index.name for s in check.plan.steps if s.path.index]
+    print(f"plan uses: {used or 'seq scan'}")
     print(f"rows read: {check.metrics.rows_read} (of 25,000)")
 
 

@@ -39,8 +39,6 @@ class CophyAlgorithm(SelectionAlgorithm):
         per_query = per_query_candidates(
             evaluator, workload, self.max_width, with_permutations=False
         )
-        # Keyed by the structural index key (names can collide when
-        # table/column names contain underscores).
         pool: dict[tuple, Index] = {}
         benefits: dict[tuple[int, tuple], float] = {}
         for qi, query in enumerate(queries):

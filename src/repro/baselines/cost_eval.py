@@ -86,9 +86,6 @@ def per_query_candidates(
         info = query.analyze(evaluator.schema)
         if query.is_dml:
             continue
-        # Dedupe on the structural key, not the formatted name: names
-        # collide when table/column names contain underscores
-        # (idx_a_b_c is both a_b(c) and a(b_c)).
         candidates: dict[tuple, Index] = {}
         for table, columns in indexable_columns(info).items():
             for width in range(1, min(max_width, len(columns)) + 1):

@@ -35,8 +35,6 @@ class Db2AdvisAlgorithm(SelectionAlgorithm):
         per_query = per_query_candidates(
             evaluator, workload, self.max_width, with_permutations=False
         )
-        # Structural index keys: formatted names can collide when
-        # table/column names contain underscores.
         benefit: dict[tuple, float] = {}
         pool: dict[tuple, Index] = {}
         for query in workload:

@@ -28,20 +28,20 @@ class DexterAlgorithm(SelectionAlgorithm):
         self.min_improvement = min_improvement
 
     def _select(self, evaluator: CostEvaluator, workload: Workload, budget_bytes: int):
-        kept: dict[str, Index] = {}
-        gain_by_index: dict[str, float] = {}
+        kept: dict[tuple, Index] = {}
+        gain_by_index: dict[tuple, float] = {}
         for query in workload:
             if query.is_dml:
                 continue
             info = evaluator.analyze(query.sql)
-            hypothetical: dict[str, Index] = {}
+            hypothetical: dict[tuple, Index] = {}
             for table, columns in indexable_columns(info).items():
                 for col in columns:
                     idx = Index(table, (col,), dataless=True)
-                    hypothetical[idx.name] = idx
+                    hypothetical[idx.key] = idx
                 if self.TWO_COLUMN and len(columns) >= 2:
                     idx = Index(table, tuple(columns[:2]), dataless=True)
-                    hypothetical[idx.name] = idx
+                    hypothetical[idx.key] = idx
             if not hypothetical:
                 continue
             base = evaluator.cost(query.sql, [])
@@ -52,18 +52,15 @@ class DexterAlgorithm(SelectionAlgorithm):
             if improvement < self.min_improvement:
                 continue
             gain = (base - plan.total_cost) * query.weight
-            used = [
-                hypothetical[name]
-                for name in plan.used_indexes
-                if name in hypothetical
-            ]
+            used_keys = plan.used_index_keys
+            used = [idx for idx in hypothetical.values() if idx.key in used_keys]
             for idx in used:
-                kept[idx.name] = idx
-                gain_by_index[idx.name] = gain_by_index.get(idx.name, 0.0) + gain / len(used)
+                kept[idx.key] = idx
+                gain_by_index[idx.key] = gain_by_index.get(idx.key, 0.0) + gain / len(used)
 
         ordered = sorted(
             kept.values(),
-            key=lambda c: gain_by_index[c.name] / max(1, self.db.index_size_bytes(c)),
+            key=lambda c: gain_by_index[c.key] / max(1, self.db.index_size_bytes(c)),
             reverse=True,
         )
         return fill(self.db, ordered, budget_bytes)

@@ -38,20 +38,21 @@ class Index:
     def name(self) -> str:
         """Deterministic name derived from table and key columns.
 
-        Computed once per instance: the name appears in every cache key,
-        dedup map and plan-attribution lookup of the advisor hot path, so
-        rebuilding the string per access measurably costs.
+        Computed once per instance: sort keys read it on hot paths.  It
+        is not an identity; see :attr:`key`.
         """
         return f"idx_{self.table}_" + "_".join(self.columns)
 
     @cached_property
     def key(self) -> tuple:
-        """Structural identity: ``(table, columns, unique)``.
+        """The identity of an index: ``(table, columns, unique)``.
 
-        Unlike :attr:`name`, the structural key cannot collide when
-        underscores appear in table or column names (``a_b`` + ``(c,)``
-        and ``a`` + ``(b_c,)`` share a name but not a key), so caches and
-        dedup maps should key on it.
+        Caches, dedup maps, plans and the advisor's pipeline identify an
+        index by its key.  Names collide when underscores appear in table
+        or column names (``a_b`` + ``(c,)`` and ``a`` + ``(b_c,)`` are
+        both ``idx_a_b_c``), so :attr:`name` serves only DDL text,
+        journal fields and tie-breaking sort keys, and the catalog's rule
+        of one index per name (:meth:`Schema.add_index`).
         """
         return (self.table, self.columns, self.unique)
 

@@ -14,7 +14,7 @@ from .continuous import (
     find_unused_indexes,
 )
 from .covering import MODE_COVERING, MODE_NON_COVERING, try_covering_index
-from .explain import IndexRecommendation, Recommendation, format_bytes
+from .explain import Recommendation, format_bytes
 from .ipp import (
     PredicateGroup,
     RangeColumnChooser,
@@ -47,7 +47,6 @@ __all__ = [
     "rank_candidates",
     "knapsack_select",
     "knapsack_exact",
-    "IndexRecommendation",
     "Recommendation",
     "format_bytes",
     "ContinuousTuner",

@@ -10,9 +10,12 @@
 5. greedy knapsack selection under the storage budget,
 6. a second *covering phase* for high-frequency queries whose plans still
    pay heavy PK-lookup seeks under the phase-1 configuration (Sec. III-B),
-7. clone-validated "no regression" filtering (Eq. 4 with λ3) and the
-   Eq. 3 minimum-improvement gate (λ2).
+7. "no regression" validation (Eq. 4 with λ3), planned on the source
+   database with dataless indexes, and the Eq. 3 minimum-improvement
+   gate (λ2).
 
+One :class:`~repro.core.ranking.RankedCandidate` per candidate carries
+it from ranking to the :class:`~repro.core.explain.Recommendation`.
 The advisor never mutates the database; callers materialize
 ``recommendation.indexes`` themselves (or via
 :class:`~repro.core.continuous.ContinuousTuner`).
@@ -37,12 +40,7 @@ from ..workload import (
 from .candidates import CandidateGenerator, CandidateSet
 from .config import AimConfig
 from .covering import MODE_COVERING, MODE_NON_COVERING, try_covering_index
-from .explain import (
-    IndexRecommendation,
-    PHASE_COVERING,
-    PHASE_NARROW,
-    Recommendation,
-)
+from .explain import PHASE_COVERING, Recommendation
 from .ipp import RangeColumnChooser
 from .knapsack import knapsack_select
 from .ranking import RankedCandidate, default_cpu_basis, rank_candidates
@@ -136,27 +134,22 @@ class AimAdvisor:
             with advisor_phase("advisor.knapsack", evaluator) as span:
                 selected = knapsack_select(ranked, budget_bytes)
                 span.set(selected=len(selected))
-            phases = {c.index.name: PHASE_NARROW for c in selected}
-            picked = {c.index.name for c in selected}
             for candidate in selected:
-                self._emit_decision(
-                    "accepted", "knapsack_selected", candidate, PHASE_NARROW
-                )
+                self._emit_decision("accepted", "knapsack_selected", candidate)
             for candidate in ranked:
-                if candidate.index.name not in picked:
-                    self._emit_decision(
-                        "rejected", "knapsack_evicted", candidate, PHASE_NARROW
-                    )
+                if candidate not in selected:
+                    self._emit_decision("rejected", "knapsack_evicted", candidate)
 
             # Phase 2: covering indexes for very frequent, still-seek-heavy
             # queries, evaluated on top of the phase-1 configuration.
             if self.config.covering_phase:
                 with advisor_phase("advisor.covering_phase", evaluator) as span:
-                    selected, phases = self._covering_phase(
+                    selected = self._covering_phase(
                         evaluator, generator, workload, selects,
-                        selected, phases, budget_bytes,
+                        selected, budget_bytes,
                     )
                     span.set(selected=len(selected))
+            selected = self._one_index_per_name(selected)
 
             # Validation: the no-regression guarantee (Eq. 4).
             rejected: list[Index] = []
@@ -178,10 +171,7 @@ class AimAdvisor:
                 ):
                     for candidate in selected:
                         self._emit_decision(
-                            "rejected",
-                            "below_min_improvement",
-                            candidate,
-                            phases.get(candidate.index.name, PHASE_NARROW),
+                            "rejected", "below_min_improvement", candidate
                         )
                     selected, chosen_indexes = [], []
                     cost_after = cost_before
@@ -189,17 +179,9 @@ class AimAdvisor:
 
             root.set(optimizer_calls=evaluator.optimizer_calls - calls_start)
 
-        created = [
-            IndexRecommendation(
-                index=c.index.materialized(),
-                benefit=c.benefit,
-                maintenance=c.maintenance,
-                size_bytes=c.size_bytes,
-                benefiting_queries=c.benefiting_queries,
-                phase=phases.get(c.index.name, PHASE_NARROW),
-            )
-            for c in sorted(selected, key=lambda c: c.utility, reverse=True)
-        ]
+        created = sorted(selected, key=lambda c: c.utility, reverse=True)
+        for candidate in created:
+            candidate.index = candidate.index.materialized()
         return Recommendation(
             created=created,
             budget_bytes=budget_bytes,
@@ -213,11 +195,7 @@ class AimAdvisor:
     # -- pipeline pieces --------------------------------------------------------
 
     def _emit_decision(
-        self,
-        action: str,
-        reason: str,
-        candidate: RankedCandidate,
-        phase: str = "",
+        self, action: str, reason: str, candidate: RankedCandidate
     ) -> None:
         """Journal one accept/reject transition of Algorithm 1."""
         index = candidate.index
@@ -228,7 +206,7 @@ class AimAdvisor:
                 index=index.name,
                 table=index.table,
                 columns=tuple(index.columns),
-                phase=phase,
+                phase=candidate.phase,
                 benefit=candidate.benefit,
                 maintenance=candidate.maintenance,
                 size_bytes=candidate.size_bytes,
@@ -265,9 +243,8 @@ class AimAdvisor:
         workload: Workload,
         selects: list[WorkloadQuery],
         selected: list[RankedCandidate],
-        phases: dict[str, str],
         budget_bytes: int,
-    ) -> tuple[list[RankedCandidate], dict[str, str]]:
+    ) -> list[RankedCandidate]:
         phase1_indexes = [c.index for c in selected]
         total_weight = max(1e-9, workload.total_weight)
         min_weight = self.config.covering_weight_fraction * total_weight
@@ -288,31 +265,29 @@ class AimAdvisor:
                     (query.normalized_sql, evaluator.analyze(query.sql), mode)
                 )
         if not covering_queries:
-            return selected, phases
+            return selected
 
         covering_candidates = generator.generate(covering_queries)
         # Drop covering candidates already selected in phase 1.
-        existing = {c.index.name for c in selected}
+        phase1_keys = {idx.key for idx in phase1_indexes}
         fresh = CandidateSet(
             orders=covering_candidates.orders,
             indexes=[
                 idx for idx in covering_candidates.indexes
-                if idx.name not in existing
+                if idx.key not in phase1_keys
             ],
             attribution=covering_candidates.attribution,
         )
         if not fresh.indexes:
-            return selected, phases
+            return selected
         ranked2 = rank_candidates(
             evaluator, self.db, workload, fresh, self._cpu_basis
         )
         remaining = budget_bytes - sum(c.size_bytes for c in selected)
         extra = knapsack_select(ranked2, remaining)
         for candidate in extra:
-            phases[candidate.index.name] = PHASE_COVERING
-            self._emit_decision(
-                "accepted", "covering_promoted", candidate, PHASE_COVERING
-            )
+            candidate.phase = PHASE_COVERING
+            self._emit_decision("accepted", "covering_promoted", candidate)
         merged = selected + extra
 
         # A covering index may subsume a narrower phase-1 pick; drop
@@ -322,18 +297,31 @@ class AimAdvisor:
             subsumed = any(
                 candidate.index.is_prefix_of(other.index)
                 for other in merged
-                if other.index.name != candidate.index.name
+                if other is not candidate
             )
             if not subsumed:
                 final.append(candidate)
             else:
-                self._emit_decision(
-                    "rejected",
-                    "subsumed_by_covering",
-                    candidate,
-                    phases.get(candidate.index.name, PHASE_NARROW),
-                )
-        return final, phases
+                self._emit_decision("rejected", "subsumed_by_covering", candidate)
+        return final
+
+    def _one_index_per_name(
+        self, selected: list[RankedCandidate]
+    ) -> list[RankedCandidate]:
+        """Drop a pick whose name an earlier pick or a built index with
+        another key holds: the catalog holds one index per name
+        (:meth:`~repro.catalog.Schema.add_index`).  Picks come in knapsack
+        order, phase 1 first, so of two picks sharing a name the denser
+        one stays."""
+        holders = {idx.name: idx.key for idx in self.db.schema.indexes()}
+        kept: list[RankedCandidate] = []
+        for candidate in selected:
+            index = candidate.index
+            if holders.setdefault(index.name, index.key) == index.key:
+                kept.append(candidate)
+            else:
+                self._emit_decision("rejected", "name_taken", candidate)
+        return kept
 
     def _validate(
         self,
@@ -343,8 +331,8 @@ class AimAdvisor:
     ) -> tuple[list[RankedCandidate], list[Index]]:
         """Eq. 4: drop indexes until no query's *plan* regresses beyond λ3.
 
-        Validation covers SELECT plans (the clone-replay catches optimizer
-        plan regressions).  DML maintenance overhead is intentionally out
+        Validation covers SELECT plans, which catches optimizer plan
+        regressions.  DML maintenance overhead is intentionally out
         of scope here: it is already charged against each index's utility
         via Eq. 8, and any nonzero maintenance would otherwise "regress" a
         cheap point-write by more than λ3 and veto every index on a
@@ -375,7 +363,7 @@ class AimAdvisor:
             if not affecting:
                 return current, rejected
             victim = min(affecting, key=lambda c: c.utility)
-            current = [c for c in current if c.index.name != victim.index.name]
+            current = [c for c in current if c is not victim]
             rejected.append(victim.index)
             self._emit_decision("rejected", "validation_regression", victim)
         return current, rejected

@@ -212,42 +212,39 @@ class CandidateGenerator:
             span.set(orders_in=len(all_orders), orders_out=len(merged))
 
         result = CandidateSet()
-        index_by_order: dict[PartialOrder, Index] = {}
-        seen_names: set[str] = set()
+        seen: set[tuple] = set()
         for po in sorted(merged, key=str):
             index = self.index_for_order(po)   # truncates to max width
-            if index is None:
-                continue
-            index_by_order[po] = index
-            if index.name in seen_names:
+            if index is None or index.key in seen:
                 continue   # width truncation can collapse two orders
-            seen_names.add(index.name)
+            seen.add(index.key)
             result.orders.append(po)
             result.indexes.append(index)
 
         if self.switches.skip_scan:
-            self._prune_skip_servable(result, index_by_order)
+            self._prune_skip_servable(result)
 
+        # A query's orders can only be served by indexes on their tables.
+        by_table: dict[str, list[Index]] = {}
+        for index in result.indexes:
+            by_table.setdefault(index.table, []).append(index)
         for key, orders in per_query.items():
-            compatible: dict[str, Index] = {}
-            for _po, index in index_by_order.items():
-                if index.name not in compatible and self._serves(orders, index):
-                    compatible[index.name] = index
-            result.attribution[key] = list(compatible.values())
+            result.attribution[key] = [
+                index
+                for table in sorted({po.table for po in orders})
+                for index in by_table.get(table, ())
+                if self._serves(orders, index)
+            ]
         return result
 
-    def _prune_skip_servable(
-        self,
-        result: CandidateSet,
-        index_by_order: dict[PartialOrder, Index],
-    ) -> None:
+    def _prune_skip_servable(self, result: CandidateSet) -> None:
         """Sec. VIII-a switch awareness: with skip scan ON, an index whose
         key equals another candidate's key minus a low-NDV leading column
         is redundant -- the wider candidate serves its queries via skip
         scan.  Pruning it shrinks the candidate set."""
         max_ndv = self.switches.skip_scan_max_ndv
         by_key = {(idx.table, idx.columns): idx for idx in result.indexes}
-        redundant: set[str] = set()
+        redundant: set[tuple] = set()
         for index in result.indexes:
             for (table, columns), wider in by_key.items():
                 if table != index.table or len(columns) != index.width + 1:
@@ -256,15 +253,13 @@ class CandidateGenerator:
                     continue
                 leading_ndv = self.stats.table(table).column(columns[0]).ndv
                 if leading_ndv <= max_ndv:
-                    redundant.add(index.name)
+                    redundant.add(index.key)
                     break
         if not redundant:
             return
-        keep = [i for i, idx in enumerate(result.indexes) if idx.name not in redundant]
+        keep = [i for i, idx in enumerate(result.indexes) if idx.key not in redundant]
         result.orders = [result.orders[i] for i in keep]
         result.indexes = [result.indexes[i] for i in keep]
-        for po in [p for p, idx in index_by_order.items() if idx.name in redundant]:
-            del index_by_order[po]
 
     def index_for_order(self, po: PartialOrder) -> Optional[Index]:
         """``GenerateCandidateIndexPerPO``: pick one linear extension.

@@ -34,11 +34,10 @@ from .explain import Recommendation
 def find_unused_indexes(db: Database, workload: Workload) -> list[Index]:
     """Materialized indexes no plan of *workload* uses."""
     evaluator = CostEvaluator(db, include_schema_indexes=True)
-    used: set[str] = set()
+    used: set[tuple] = set()
     for query in workload:
-        plan = evaluator.plan(query.sql)
-        used |= plan.used_indexes
-    return [idx for idx in db.schema.indexes() if idx.name not in used]
+        used |= evaluator.plan(query.sql).used_index_keys
+    return [idx for idx in db.schema.indexes() if idx.key not in used]
 
 
 def find_prefix_redundant_indexes(db: Database) -> list[Index]:
@@ -52,7 +51,7 @@ def find_prefix_redundant_indexes(db: Database) -> list[Index]:
     redundant = []
     for narrow in indexes:
         for wide in indexes:
-            if narrow.name != wide.name and narrow.is_prefix_of(wide):
+            if narrow.key != wide.key and narrow.is_prefix_of(wide):
                 redundant.append(narrow)
                 break
     return redundant

@@ -1,4 +1,4 @@
-"""Recommendation records with metrics-driven explanations.
+"""The advisor's outcome with metrics-driven explanations.
 
 "Each index recommendation from AIM is accompanied with a metrics driven
 explanation, making it easier to verify machine driven changes"
@@ -8,9 +8,12 @@ explanation, making it easier to verify machine driven changes"
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from ..catalog import Index
+
+if TYPE_CHECKING:
+    from .ranking import RankedCandidate
 
 PHASE_NARROW = "narrow"
 PHASE_COVERING = "covering"
@@ -25,40 +28,14 @@ def format_bytes(n: float) -> str:
 
 
 @dataclass
-class IndexRecommendation:
-    """One recommended index with its accounting."""
-
-    index: Index
-    benefit: float
-    maintenance: float
-    size_bytes: int
-    benefiting_queries: list[tuple[str, float]] = field(default_factory=list)
-    phase: str = PHASE_NARROW
-
-    @property
-    def utility(self) -> float:
-        return self.benefit - self.maintenance
-
-    def explanation(self) -> str:
-        """Metrics-driven justification for this index."""
-        lines = [
-            self.index.create_statement(),
-            f"  phase: {self.phase}  size: {format_bytes(self.size_bytes)}",
-            f"  expected gain: {self.benefit:.3f} cost units/interval, "
-            f"maintenance overhead: {self.maintenance:.3f}, "
-            f"net utility: {self.utility:.3f}",
-        ]
-        top = sorted(self.benefiting_queries, key=lambda t: -t[1])[:3]
-        for name, gain in top:
-            lines.append(f"  benefits: {name!r} (+{gain:.3f})")
-        return "\n".join(lines)
-
-
-@dataclass
 class Recommendation:
-    """Outcome of one advisor run (Algorithm 1's ``production_indexes``)."""
+    """Outcome of one advisor run (Algorithm 1's ``production_indexes``).
 
-    created: list[IndexRecommendation] = field(default_factory=list)
+    ``created`` holds the selected ranking records, by descending utility,
+    each with its index materialized.
+    """
+
+    created: list[RankedCandidate] = field(default_factory=list)
     budget_bytes: int = 0
     cost_before: float = 0.0
     cost_after: float = 0.0

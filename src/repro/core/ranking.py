@@ -20,25 +20,29 @@ expressed directly in optimizer cost units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from ..catalog import Index
 from ..engine import Database
 from ..optimizer import CostEvaluator, maintenance_cost
 from ..workload import Workload, WorkloadQuery
 from .candidates import CandidateSet
+from .explain import PHASE_NARROW, format_bytes
 
 CpuBasis = Callable[[WorkloadQuery, float], float]
 
 
-@dataclass
+@dataclass(eq=False)
 class RankedCandidate:
-    """A candidate index with its accounted utility.
+    """A candidate index with its accounted utility: AIM's one record per
+    candidate, from ranking to :class:`~repro.core.explain.Recommendation`.
 
     ``query_gains`` maps each query key to the gain this candidate can
     deliver for it (direct plan attribution plus inherited merged-order
     benefits); the knapsack uses it for marginal-coverage accounting so
     two orderings of one column set never double-claim a query.
+    ``phase`` is the pipeline phase that picked the candidate.  Records
+    compare by identity.
     """
 
     index: Index
@@ -47,6 +51,7 @@ class RankedCandidate:
     size_bytes: int = 0
     benefiting_queries: list[tuple[str, float]] = field(default_factory=list)
     query_gains: dict[str, float] = field(default_factory=dict)
+    phase: str = PHASE_NARROW
 
     @property
     def utility(self) -> float:
@@ -59,6 +64,20 @@ class RankedCandidate:
         if self.size_bytes <= 0:
             return self.utility
         return self.utility / self.size_bytes
+
+    def explanation(self) -> str:
+        """Metrics-driven justification for this index."""
+        lines = [
+            self.index.create_statement(),
+            f"  phase: {self.phase}  size: {format_bytes(self.size_bytes)}",
+            f"  expected gain: {self.benefit:.3f} cost units/interval, "
+            f"maintenance overhead: {self.maintenance:.3f}, "
+            f"net utility: {self.utility:.3f}",
+        ]
+        top = sorted(self.benefiting_queries, key=lambda t: -t[1])[:3]
+        for name, gain in top:
+            lines.append(f"  benefits: {name!r} (+{gain:.3f})")
+        return "\n".join(lines)
 
 
 def default_cpu_basis(query: WorkloadQuery, base_cost: float) -> float:
@@ -77,21 +96,22 @@ def rank_candidates(
 
     SELECT queries contribute gains via their attributed candidates; DML
     statements contribute maintenance overhead against *every* candidate
-    on their table (an index pays maintenance whether or not it helps).
+    on the table they write (an index pays maintenance whether or not it
+    helps).
 
     Returns candidates ordered by density, descending.
     """
-    ranked: dict[str, RankedCandidate] = {
-        idx.name: RankedCandidate(index=idx, size_bytes=db.index_size_bytes(idx))
-        for idx in candidates.indexes
-    }
-    # Per query: (used index name, used key prefix, contribution) triples
-    # for merged-benefit inheritance (see below).  The *used prefix* --
-    # the equality chain plus range column the plan actually matched --
-    # is what another ordering must offer to play the same role.
-    contributions: list[
-        tuple[str, list[tuple[str, frozenset[str], str, float]]]
-    ] = []
+    ranked: dict[tuple, RankedCandidate] = {}
+    by_table: dict[str, list[RankedCandidate]] = {}
+    for idx in candidates.indexes:
+        candidate = RankedCandidate(index=idx, size_bytes=db.index_size_bytes(idx))
+        ranked[idx.key] = candidate
+        by_table.setdefault(idx.table, []).append(candidate)
+    # Per query: (used key prefix, table, contribution) triples for
+    # merged-benefit inheritance (see below).  The *used prefix* -- the
+    # equality chain plus range column the plan actually matched -- is
+    # what another ordering must offer to play the same role.
+    contributions: list[tuple[str, list[tuple[frozenset[str], str, float]]]] = []
     display_names: dict[str, str] = {}
 
     for query in workload:
@@ -101,7 +121,7 @@ def rank_candidates(
             continue
         if query.is_dml:
             info = evaluator.analyze(query.sql)
-            for candidate in ranked.values():
+            for candidate in by_table.get(info.stmt.table.name, ()):
                 overhead = maintenance_cost(
                     info,
                     candidate.index,
@@ -123,29 +143,26 @@ def rank_candidates(
         if gain_fraction <= 0:
             continue
         u_plus = gain_fraction * basis
+        paths = {
+            step.path.index.key: step.path
+            for step in plan.steps
+            if step.path.index is not None
+        }
         savings = plan.io_savings()
         total_saved = sum(savings.values())
         if total_saved <= 0:
             # The plan improved without attributable index I/O savings
-            # (e.g. sort elision only); split equally across used indexes.
-            # Sorted: used_indexes is a set, and the attribution order
-            # below must not depend on the process hash seed.
-            used = sorted(n for n in plan.used_indexes if n in ranked)
-            savings = {n: 1.0 for n in used}
+            # (e.g. sort elision only); split equally across used indexes,
+            # in name order, which fixes the inheritance sums' order below.
+            used = sorted(
+                (path.index for key, path in paths.items() if key in ranked),
+                key=lambda idx: (idx.name, idx.key),
+            )
+            savings = {idx.key: 1.0 for idx in used}
             total_saved = float(len(used))
-        used_prefixes: dict[str, frozenset[str]] = {}
-        used_tables: dict[str, str] = {}
-        for step in plan.steps:
-            path = step.path
-            if path.index_name is not None:
-                prefix = set(path.eq_columns)
-                if path.range_column is not None:
-                    prefix.add(path.range_column)
-                used_prefixes[path.index_name] = frozenset(prefix)
-                used_tables[path.index_name] = path.table
-        query_contributions: list[tuple[str, frozenset[str], str, float]] = []
-        for name, saved in savings.items():
-            candidate = ranked.get(name)
+        query_contributions: list[tuple[frozenset[str], str, float]] = []
+        for key, saved in savings.items():
+            candidate = ranked.get(key)
             if candidate is None:
                 continue
             share = saved / total_saved
@@ -154,12 +171,13 @@ def rank_candidates(
             candidate.benefiting_queries.append(
                 (query.name or query.sql[:60], contribution)
             )
-            query_contributions.append((
-                name,
-                used_prefixes.get(name, frozenset(candidate.index.columns)),
-                used_tables.get(name, candidate.index.table),
-                contribution,
-            ))
+            path = paths[key]
+            prefix = set(path.eq_columns)
+            if path.range_column is not None:
+                prefix.add(path.range_column)
+            query_contributions.append(
+                (frozenset(prefix), path.table, contribution)
+            )
         contributions.append((_query_key(query), query_contributions))
         display_names[_query_key(query)] = query.name or query.sql[:60]
 
@@ -172,9 +190,9 @@ def rank_candidates(
 
 
 def _inherit_merged_benefits(
-    ranked: dict[str, RankedCandidate],
+    ranked: dict[tuple, RankedCandidate],
     candidates: CandidateSet,
-    contributions: list[tuple[str, list[tuple[str, frozenset[str], str, float]]]],
+    contributions: list[tuple[str, list[tuple[frozenset[str], str, float]]]],
     display_names: dict[str, str],
 ) -> None:
     """Paper Sec. III-F: "When index candidates are merged, the benefits
@@ -190,13 +208,13 @@ def _inherit_merged_benefits(
     candidates); the knapsack's marginal accounting then prevents two
     orderings from double-claiming the same query.
     """
-    for candidate in ranked.values():
-        for query_key, used in contributions:
-            attributed = candidates.attribution.get(query_key, [])
-            if all(candidate.index.name != idx.name for idx in attributed):
+    for query_key, used in contributions:
+        for index in candidates.attribution.get(query_key, []):
+            candidate = ranked.get(index.key)
+            if candidate is None:
                 continue
             transferable = 0.0
-            for _used_name, used_prefix, used_table, contribution in used:
+            for used_prefix, used_table, contribution in used:
                 if used_table != candidate.index.table:
                     continue
                 # The candidate must offer the plan's matched key prefix
@@ -209,6 +227,7 @@ def _inherit_merged_benefits(
                     transferable += contribution
             if transferable > candidate.query_gains.get(query_key, 0.0):
                 candidate.query_gains[query_key] = transferable
+    for candidate in ranked.values():
         inheritable = sum(candidate.query_gains.values())
         if inheritable > candidate.benefit:
             candidate.benefit = inheritable

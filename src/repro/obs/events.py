@@ -75,7 +75,7 @@ class AdvisorDecision:
     """One accept/reject transition of a candidate index in Algorithm 1.
 
     A candidate may appear several times along the pipeline (selected by
-    the knapsack, later rejected by clone validation); the sequence of its
+    the knapsack, later rejected by validation); the sequence of its
     events *is* its audit trail.
     """
 

@@ -135,9 +135,7 @@ class SelectPlanner:
         self.switches = switches
         self.info = info
         self.memo = memo if memo is not None else PlanMemo()
-        # Dedup on the structural key: names collide when table or column
-        # names contain underscores (idx_t_a_b_c is both (a_b, c) and
-        # (a, b_c)), and a dropped duplicate is a lost plan choice.
+        # Dedup on the key: a wrongly dropped duplicate is a lost plan choice.
         by_table: dict[str, dict[tuple, Index]] = {}
         for index in indexes:
             by_table.setdefault(index.table, {}).setdefault(index.key, index)

@@ -53,10 +53,6 @@ class AccessPath:
     group_satisfied: bool = False
     skip_scan: bool = False
 
-    @property
-    def index_name(self) -> Optional[str]:
-        return self.index.name if self.index is not None else None
-
     def describe(self) -> str:
         """Human-readable one-liner (EXPLAIN-style)."""
         if self.method == "seq":
@@ -65,7 +61,7 @@ class AccessPath:
             return f"PkRange({self.binding} eq={list(self.eq_columns)})"
         cov = " covering" if self.covering else ""
         return (
-            f"IndexScan({self.binding} via {self.index_name}"
+            f"IndexScan({self.binding} via {self.index.name}"
             f" eq={list(self.eq_columns)} range={self.range_column}{cov})"
         )
 
@@ -99,50 +95,33 @@ class Plan:
     maintenance_cost: float = 0.0   # DML index maintenance component
 
     @property
-    def used_indexes(self) -> set[str]:
-        """Names of all secondary indexes the plan reads."""
-        return {
-            step.path.index_name
-            for step in self.steps
-            if step.path.index_name is not None
-        }
-
-    @property
     def used_index_keys(self) -> set[tuple]:
-        """Structural keys (:attr:`Index.key`) of the indexes the plan reads.
-
-        Unlike :attr:`used_indexes`, keys cannot collide: ``(a_b, c)`` and
-        ``(a, b_c)`` on one table share a name.
-        """
+        """Keys (:attr:`Index.key`) of the secondary indexes the plan reads."""
         return {
             step.path.index.key
             for step in self.steps
             if step.path.index is not None
         }
 
-    def uses_index(self, index: Index | str) -> bool:
-        name = index if isinstance(index, str) else index.name
-        return name in self.used_indexes
-
     @property
     def rows_examined(self) -> float:
         """Total rows touched across all steps (monitor's ``rows_read``)."""
         return sum(step.path.rows_examined * step.executions for step in self.steps)
 
-    def io_savings(self) -> dict[str, float]:
-        """Per-index cost reduction vs. the best index-free path.
+    def io_savings(self) -> dict[tuple, float]:
+        """Per-index cost reduction vs. the best index-free path, by key.
 
         This is the quantity used to split Eq. 7's gain ``U+`` across the
         indexes a query uses (share ``s_{i,q}`` proportional to the
         reduction in I/O due to each index).
         """
-        savings: dict[str, float] = {}
+        savings: dict[tuple, float] = {}
         for step in self.steps:
-            name = step.path.index_name
-            if name is None:
+            index = step.path.index
+            if index is None:
                 continue
             saved = max(0.0, step.no_index_cost - step.step_cost)
-            savings[name] = savings.get(name, 0.0) + saved
+            savings[index.key] = savings.get(index.key, 0.0) + saved
         return savings
 
     def describe(self) -> str:

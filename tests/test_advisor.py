@@ -3,7 +3,7 @@
 import pytest
 
 from repro.catalog import Index
-from repro.core import AimAdvisor, AimConfig
+from repro.core import MODE_NON_COVERING, AimAdvisor, AimConfig
 from repro.optimizer import CostEvaluator
 from repro.workload import Workload, WorkloadMonitor
 
@@ -172,3 +172,55 @@ def test_ranked_order_is_by_utility(db):
     rec = AimAdvisor(db).recommend(simple_workload(), 50 << 20)
     utilities = [r.utility for r in rec.created]
     assert utilities == sorted(utilities, reverse=True)
+
+
+def _name_collision_db():
+    """``t(id, a, a_b, b_c, c)``: ``(a_b, c)`` and ``(a, b_c)`` are both
+    ``idx_t_a_b_c``."""
+    import random
+
+    from repro.catalog import Column, INT, Table
+    from repro.engine import Database
+
+    rng = random.Random(3)
+    db = Database.from_tables([Table(
+        "t", [Column(name, INT) for name in ("id", "a", "a_b", "b_c", "c")], ("id",)
+    )])
+    db.load_rows("t", [
+        {"id": i, "a": rng.randrange(5000), "a_b": rng.randrange(5000),
+         "b_c": rng.randrange(1000), "c": rng.randrange(1000)}
+        for i in range(5000)
+    ])
+    db.analyze()
+    return db
+
+
+def _name_collision_workload():
+    return Workload.from_sql([
+        ("SELECT id FROM t WHERE a_b = 1 AND c = 2", 10.0),
+        ("SELECT id FROM t WHERE a = 1 AND b_c = 2", 1.0),
+    ])
+
+
+def test_indexes_sharing_a_name_reach_ranking_and_the_denser_wins():
+    db = _name_collision_db()
+    pair = {("t", ("a_b", "c"), False), ("t", ("a", "b_c"), False)}
+    assert len({Index(t, c).name for t, c, _u in pair}) == 1
+    advisor = AimAdvisor(db)
+    evaluator = CostEvaluator(db)
+    candidates = advisor._generator(evaluator).generate([
+        (q.normalized_sql, evaluator.analyze(q.sql), MODE_NON_COVERING)
+        for q in _name_collision_workload()
+    ])
+    assert pair <= {idx.key for idx in candidates.indexes}
+    rec = advisor.recommend(_name_collision_workload(), 10 << 20)
+    assert [idx.key for idx in rec.indexes] == [("t", ("a_b", "c"), False)]
+
+
+def test_recommendation_skips_a_name_a_built_index_holds():
+    db = _name_collision_db()
+    db.create_index(Index("t", ("a", "b_c")))
+    # The bare evaluator ignores the built index, so its key comes back;
+    # the denser (a_b, c) would need the name it holds.
+    rec = AimAdvisor(db).recommend(_name_collision_workload(), 10 << 20)
+    assert [idx.key for idx in rec.indexes] == [("t", ("a", "b_c"), False)]

@@ -23,7 +23,7 @@ def test_seek_heavy_index_plan_triggers_covering(db):
     sql = "SELECT amount FROM orders WHERE created < 30000"
     idx = Index("orders", ("created",), dataless=True)
     plan = ev.plan(sql, [idx])
-    assert plan.uses_index(idx)
+    assert idx.key in plan.used_index_keys
     info = ev.analyze(sql)
     assert try_covering_index(info, plan, 10.0) == MODE_COVERING
 
@@ -44,7 +44,7 @@ def test_unsaturated_ipp_prefix_stays_non_covering(db):
     sql = "SELECT amount FROM orders WHERE status = 'paid' AND user_id = 3"
     idx = Index("orders", ("status",), dataless=True)   # user_id missing
     plan = ev.plan(sql, [idx])
-    if plan.uses_index(idx):
+    if idx.key in plan.used_index_keys:
         info = ev.analyze(sql)
         assert try_covering_index(info, plan, 1.0) == MODE_NON_COVERING
 

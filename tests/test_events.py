@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.catalog import Index
-from repro.core import AimAdvisor
+from repro.core import AimAdvisor, AimConfig
 from repro.core.continuous import ContinuousTuner
 from repro.obs import (
     AdvisorDecision,
@@ -188,6 +188,50 @@ def test_advisor_emits_decisions(db, journal, tracer):
     # Decisions are emitted inside advisor phase spans (span linkage).
     assert all(d["span"] for d in decisions)
     assert all(d["database"] == db.name for d in decisions)
+
+
+class _RegressingEvaluator(CostEvaluator):
+    """Reports every statement at twice its base cost under a
+    configuration holding an index on *column*, so validation (Eq. 4)
+    rejects such indexes."""
+
+    def __init__(self, db, column: str):
+        super().__init__(db)
+        self.column = column
+
+    def cost(self, stmt, config=()):
+        if any(self.column in idx.columns for idx in config):
+            return 2.0 * super().cost(stmt)
+        return super().cost(stmt, config)
+
+
+@pytest.mark.parametrize(
+    "covering_phase, column, phase",
+    [(False, "created", "narrow"), (True, "amount", "covering")],
+)
+def test_validation_regression_journals_the_victims_phase(
+    db, journal, covering_phase, column, phase
+):
+    workload = Workload.from_sql([
+        *[(q.sql, q.weight) for q in tuning_workload()],
+        ("SELECT u.name, o.amount FROM users u, orders o "
+         "WHERE u.id = o.user_id AND o.status = 'paid' AND u.city = 'c1'", 20.0),
+    ])
+    config = AimConfig(
+        seek_threshold=5.0,
+        covering_weight_fraction=0.0,
+        covering_phase=covering_phase,
+    )
+    evaluator = _RegressingEvaluator(db, column)
+    rec = AimAdvisor(db, config).recommend(workload, 50 << 20, evaluator=evaluator)
+    victims = [
+        d for d in journal.events_of(AdvisorDecision)
+        if d["reason"] == "validation_regression"
+    ]
+    assert [d["index"] for d in victims] == [
+        idx.name for idx in rec.rejected_for_regression
+    ]
+    assert victims and {d["phase"] for d in victims} == {phase}
 
 
 def test_tuning_cycle_emits_lifecycle_events(db, journal, tracer):

@@ -43,7 +43,7 @@ def test_index_scan_matches_seq_scan_results(indexed_ex, order_rows):
     indexed = indexed_ex.execute(sql)
     expected = sorted(o["amount"] for o in order_rows if o["created"] < 10000)
     assert sorted(r[0] for r in indexed.rows) == expected
-    assert indexed.plan.used_indexes == {"idx_orders_created"}
+    assert indexed.plan.used_index_keys == {Index("orders", ("created",)).key}
     # Far fewer rows touched than the 3000-row table.
     assert indexed.metrics.rows_read < 100
 
@@ -235,7 +235,7 @@ def test_update_maintains_indexes(indexed_ex, indexed_db):
     direct = indexed_ex.execute(
         "SELECT COUNT(*) FROM orders WHERE user_id = 10 AND status = 'void'"
     )
-    assert direct.plan.used_indexes   # via idx_orders_user_id_status
+    assert direct.plan.used_index_keys   # via idx_orders_user_id_status
     brute = sum(
         1
         for row in indexed_db.storage["orders"].rows.values()
@@ -287,6 +287,8 @@ def test_desc_index_scan_with_eq_prefix_under_limit(where, limit):
     expected = ex.execute(sql).rows
     db.create_index(Index("orders", ("o_custkey", "o_orderdate")))
     result = ex.execute(sql)
-    assert result.plan.used_indexes == {"idx_orders_o_custkey_o_orderdate"}
+    assert result.plan.used_index_keys == {
+        Index("orders", ("o_custkey", "o_orderdate")).key
+    }
     assert result.rows == expected
     assert len(expected) == limit

@@ -1,11 +1,11 @@
 """Recommendation / explanation record tests."""
 
 from repro.catalog import Index
-from repro.core import IndexRecommendation, Recommendation, format_bytes
+from repro.core import RankedCandidate, Recommendation, format_bytes
 
 
 def rec(benefit=10.0, maintenance=2.0, size=1 << 20):
-    return IndexRecommendation(
+    return RankedCandidate(
         index=Index("t", ("a", "b")),
         benefit=benefit,
         maintenance=maintenance,

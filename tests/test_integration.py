@@ -59,7 +59,7 @@ def test_monitor_driven_end_to_end(db):
     for index in rec.indexes:
         db.create_index(index)
     result = monitored.execute(hot.format(9000))
-    assert result.plan.used_indexes
+    assert result.plan.used_index_keys
 
 
 def test_continuous_tuning_reacts_to_workload_shift(db):
@@ -84,7 +84,7 @@ def test_continuous_tuning_reacts_to_workload_shift(db):
     assert any("score" in name for name in created)
     # And the query now uses it.
     result = monitored.execute("SELECT name FROM users WHERE score = 51")
-    assert result.plan.used_indexes
+    assert result.plan.used_index_keys
 
 
 def test_estimated_improvements_track_measured_ones(db):

@@ -9,7 +9,8 @@ Two layers:
   identical advisor recommendations and DBA reference sets.  This
   catches accidental iteration over sets or hash-keyed dicts anywhere in
   the generation or recommendation paths (e.g. benefit attribution over
-  ``plan.used_indexes``, or the DBA model's walk over candidate orders).
+  ``plan.used_index_keys``, a set, or the DBA model's walk over candidate
+  orders).
 """
 
 import hashlib
@@ -21,8 +22,10 @@ import sys
 import pytest
 
 from repro.core import AimAdvisor, AimConfig
+from repro.obs import AdvisorDecision, EventJournal, set_journal
 from repro.qa import generate_case
 from repro.workload import Workload, WorkloadQuery
+from repro.workloads.production import PRODUCTS, build_product
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -46,8 +49,10 @@ print(generate_case({seed}).to_json(), end="")
 _RECOMMEND_CODE = """
 import json
 from repro.core import AimAdvisor, AimConfig
+from repro.obs import AdvisorDecision, EventJournal, set_journal
 from repro.qa import generate_case
 from repro.workload import Workload, WorkloadQuery
+from repro.workloads.production import PRODUCTS, build_product
 
 case = generate_case({seed})
 db = case.database()
@@ -92,6 +97,39 @@ print(json.dumps(out, sort_keys=True), end="")
 #: the Table II reference: a change to candidate generation or its
 #: settings that moves a DBA index shows here.
 DBA_REFERENCE_DIGEST = "07e260eeb3b97b22"
+
+#: sha256 of AIM's recommendation on Products A, C and E
+#: (:func:`_aim_payload`): index keys, phases and sizes, the
+#: ``advisor_decision`` journal's (action, reason, index) sequence, and
+#: benefit, maintenance and costs to 9 significant digits, because Python
+#: 3.12's float ``sum()`` rounds differently from 3.10/3.11.
+AIM_RECOMMENDATION_DIGEST = "c890f9f966b6091c"
+
+
+def _aim_payload(key: str) -> dict:
+    product = build_product(PRODUCTS[key])
+    db = product.db
+    budget = max(512 << 20, sum(db.table_size_bytes(t) for t in db.schema.tables))
+    journal = EventJournal()
+    previous = set_journal(journal)
+    try:
+        rec = AimAdvisor(db, AimConfig()).recommend(product.workload, budget)
+    finally:
+        set_journal(previous)
+    digits = "{:.9g}".format
+    return {
+        "created": [
+            [r.index.table, list(r.index.columns), r.phase, r.size_bytes,
+             digits(r.benefit), digits(r.maintenance)]
+            for r in rec.created
+        ],
+        "cost_before": digits(rec.cost_before),
+        "cost_after": digits(rec.cost_after),
+        "decisions": [
+            [d["action"], d["reason"], d["index"]]
+            for d in journal.events_of(AdvisorDecision)
+        ],
+    }
 
 
 def test_same_seed_same_case_in_process():
@@ -152,3 +190,12 @@ def test_dba_reference_identical_across_hash_seeds():
     )
     text = json.dumps(payloads[0], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == DBA_REFERENCE_DIGEST
+
+
+def test_aim_recommendation_pinned():
+    """AIM's full output on Products A, C and E, the Table II inputs: a
+    change to what the pipeline recommends, journals or accounts shows."""
+    payload = {key: _aim_payload(key) for key in ("A", "C", "E")}
+    assert all(payload[key]["created"] for key in payload)
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == AIM_RECOMMENDATION_DIGEST

@@ -78,7 +78,7 @@ def test_icp_switch_increases_lookups_when_off(db):
     db.switches = OptimizerSwitches(index_condition_pushdown=False)
     ev_off = CostEvaluator(db)
     plan_off = ev_off.plan(sql, [idx])
-    if plan_on.uses_index(idx) and plan_off.uses_index(idx):
+    if idx.key in plan_on.used_index_keys and idx.key in plan_off.used_index_keys:
         on_path = next(s.path for s in plan_on.steps if s.path.index is not None)
         off_path = next(s.path for s in plan_off.steps if s.path.index is not None)
         assert off_path.lookup_rows >= on_path.lookup_rows

@@ -72,7 +72,7 @@ def test_corpus_matches_uncached_reference():
                 # Warm: the second identical request is a pure cache hit.
                 assert evaluator.cost(sql, config) == expected.total_cost, (seed, sql)
                 used_expected = {
-                    i.key for i in config if i.name in expected.used_indexes
+                    i.key for i in config if i.key in expected.used_index_keys
                 }
                 used = {i.key for i in evaluator.used_subset(sql, config)}
                 assert used == used_expected, (seed, sql)
