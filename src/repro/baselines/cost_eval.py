@@ -37,8 +37,7 @@ def indexable_columns(info: QueryInfo) -> dict[str, list[str]]:
         for pred in filters:
             if pred.is_ipp:
                 ordered.append(pred.column.column)
-        for edge in info.edges_of(binding):
-            ordered.append(edge.column_of(binding))
+        ordered.extend(column for column, _other, _other_column in info.joins[binding])
         for pred in filters:
             if is_range(pred):
                 ordered.append(pred.column.column)

@@ -286,12 +286,10 @@ class CandidateGenerator:
     def _join_columns(
         self, info: QueryInfo, binding: str, subset: frozenset[str]
     ) -> set[str]:
-        cols: set[str] = set()
-        for edge in info.edges_of(binding):
-            other, _ = edge.other(binding)
-            if other in subset:
-                cols.add(edge.column_of(binding))
-        return cols
+        return {
+            column for column, other, _other_column in info.joins[binding]
+            if other in subset
+        }
 
     def _index_predicates_order(
         self,

@@ -72,9 +72,7 @@ def try_covering_index(
 
 def _ipp_columns(info: QueryInfo, binding: str) -> set[str]:
     """All IPP columns of a binding across its DNF factors."""
-    join_cols = {
-        edge.column_of(binding) for edge in info.edges_of(binding)
-    }
+    join_cols = {column for column, _other, _other_column in info.joins[binding]}
     groups = factorize_index_predicates(info, binding, join_cols)
     out: set[str] = set()
     for group in groups:

@@ -620,11 +620,9 @@ class _Pipeline:
             [pred.expr for pred in info.filters.get(binding, [])],
             columns, storage.kinds,
         )
-        for edge in info.join_edges:
-            if edge.touches(binding) and edge.other(binding)[0] in bound:
-                step.edges.append(
-                    (columns[edge.column_of(binding)], *edge.other(binding))
-                )
+        for column, other, other_column in info.joins[binding]:
+            if other in bound:
+                step.edges.append((columns[column], other, other_column))
         available = bound | {binding}
         step.conjuncts = [
             evaluator.predicate(expr)
@@ -668,12 +666,9 @@ class _Pipeline:
                     return _distinct_keys(values), None
             elif pred.op == "IS NULL":
                 return [None], None
-        for edge in self.info.join_edges:
-            if not edge.touches(binding) or edge.column_of(binding) != column:
-                continue
-            other = edge.other(binding)
-            if other[0] in outer:
-                return None, other
+        for edge_column, other, other_column in self.info.joins[binding]:
+            if edge_column == column and other in outer:
+                return None, (other, other_column)
         return None
 
     # -- the pipeline ----------------------------------------------------------

@@ -4,7 +4,7 @@ from .access_path import ProbeContext, TableContext, best_path, enumerate_paths
 from .cost_model import affected_rows, index_is_affected, maintenance_cost
 from .optimizer import Optimizer
 from .plan import AccessPath, JoinStep, Plan
-from .query_info import JoinEdge, OrderColumn, QueryInfo, ResolutionError, analyze_query
+from .query_info import OrderColumn, QueryInfo, ResolutionError, analyze_query
 from .selectivity import atomic_selectivity, constant_value, expr_selectivity
 from .switches import DEFAULT_SWITCHES, OptimizerSwitches
 from .what_if import CostEvaluator, WorkloadCoster
@@ -17,7 +17,6 @@ __all__ = [
     "AccessPath",
     "JoinStep",
     "QueryInfo",
-    "JoinEdge",
     "OrderColumn",
     "ResolutionError",
     "analyze_query",

@@ -250,26 +250,14 @@ class SelectPlanner:
             binding=binding,
         )
 
-    def _join_edge_selectivity(self, binding: str, other: str) -> dict[str, float]:
-        """Per-probe eq selectivities on *binding* from edges to *other*."""
-        out: dict[str, float] = {}
-        stats = self._table_stats(binding)
-        for edge in self.info.join_edges:
-            if not edge.touches(binding):
-                continue
-            other_binding, _ = edge.other(binding)
-            if other_binding != other:
-                continue
-            col = edge.column_of(binding)
-            sel = 1.0 / max(1, stats.column(col).ndv)
-            out[col] = min(sel, out.get(col, 1.0))
-        return out
-
     def _probe(self, binding: str, bound: frozenset[str]) -> _Probe:
-        """Probe context for *binding* when *bound* bindings are available."""
+        """Probe context for *binding* when *bound* bindings are available:
+        each join column's equality selectivity, ``1 / ndv``."""
         key = (binding, bound)
         probe = self.memo.probes.get(key)
         if probe is None:
+            stats = self._table_stats(binding)
+            edges = self.info.joins[binding]
             merged: dict[str, float] = {}
             # Query binding order, not set order: the items' order feeds the
             # context's float products, so it must not depend on how the
@@ -277,8 +265,9 @@ class SelectPlanner:
             for other in self.info.bindings:
                 if other not in bound:
                     continue
-                for col, sel in self._join_edge_selectivity(binding, other).items():
-                    merged[col] = min(sel, merged.get(col, 1.0))
+                for column, edge_other, _other_column in edges:
+                    if edge_other == other and column not in merged:
+                        merged[column] = 1.0 / max(1, stats.column(column).ndv)
             items = tuple(merged.items())
             probe = self.memo.probes[key] = _Probe(
                 ProbeContext(merged), items, tuple(sorted(items))
@@ -288,21 +277,12 @@ class SelectPlanner:
     def _edge_result_selectivity(self, binding: str, bound: frozenset[str]) -> float:
         """Cardinality selectivity of all join edges binding<->bound."""
         sel = 1.0
-        seen: set[tuple] = set()
-        for edge in self.info.join_edges:
-            if not edge.touches(binding):
-                continue
-            other, other_col = edge.other(binding)
-            if other not in bound:
-                continue
-            key = (edge.left_binding, edge.left_column, edge.right_binding, edge.right_column)
-            if key in seen:
-                continue
-            seen.add(key)
-            my_col = edge.column_of(binding)
-            my_ndv = self._table_stats(binding).column(my_col).ndv
-            other_ndv = self._table_stats(other).column(other_col).ndv
-            sel *= 1.0 / max(1, my_ndv, other_ndv)
+        my_stats = self._table_stats(binding)
+        for column, other, other_column in self.info.joins[binding]:
+            if other in bound:
+                my_ndv = my_stats.column(column).ndv
+                other_ndv = self._table_stats(other).column(other_column).ndv
+                sel *= 1.0 / max(1, my_ndv, other_ndv)
         return sel
 
     def _filtered_rows(self, binding: str) -> float:
@@ -451,7 +431,7 @@ class SelectPlanner:
         if build is None:
             if not self.switches.hash_join:
                 build = math.inf   # switched off (MySQL < 8.0.18 posture)
-            elif not self.info.joined_bindings(binding):
+            elif not self.info.joins[binding]:
                 build = math.inf   # no equi-join key: cross product via NLJ only
             else:
                 scan = self._best(binding)

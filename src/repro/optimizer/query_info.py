@@ -28,35 +28,6 @@ class ResolutionError(ValueError):
 
 
 @dataclass(frozen=True)
-class JoinEdge:
-    """One equi-join predicate: an edge in the table join graph (Fig 2)."""
-
-    left_binding: str
-    left_column: str
-    right_binding: str
-    right_column: str
-
-    def other(self, binding: str) -> tuple[str, str]:
-        """The (binding, column) on the opposite side of *binding*."""
-        if binding == self.left_binding:
-            return self.right_binding, self.right_column
-        if binding == self.right_binding:
-            return self.left_binding, self.left_column
-        raise KeyError(binding)
-
-    def column_of(self, binding: str) -> str:
-        """The column this edge touches on *binding*'s side."""
-        if binding == self.left_binding:
-            return self.left_column
-        if binding == self.right_binding:
-            return self.right_column
-        raise KeyError(binding)
-
-    def touches(self, binding: str) -> bool:
-        return binding in (self.left_binding, self.right_binding)
-
-
-@dataclass(frozen=True)
 class OrderColumn:
     """One resolved ORDER BY column."""
 
@@ -76,7 +47,10 @@ class QueryInfo:
             WHERE/ON conjuncts (sargable and residual alike).
         complex_conjuncts: non-atomic top-level conjuncts (OR trees etc.)
             with the set of bindings they touch.
-        join_edges: equi-join predicates between bindings.
+        joins: per binding, its equi-join edges as ``(column, other
+            binding, other column)``, in statement order; each edge is
+            listed under both of its bindings, and a predicate repeated
+            in either orientation is listed once.
         group_by: resolved GROUP BY columns (binding, column), in order.
         order_by: resolved ORDER BY columns.
         referenced: per binding, every column the query touches (select
@@ -96,7 +70,7 @@ class QueryInfo:
     bindings: dict[str, str] = field(default_factory=dict)
     filters: dict[str, list[AtomicPredicate]] = field(default_factory=dict)
     complex_conjuncts: list[tuple[frozenset[str], ast.Expr]] = field(default_factory=list)
-    join_edges: list[JoinEdge] = field(default_factory=list)
+    joins: dict[str, list[tuple[str, str, str]]] = field(default_factory=dict)
     group_by: list[tuple[str, str]] = field(default_factory=list)
     order_by: list[OrderColumn] = field(default_factory=list)
     referenced: dict[str, set[str]] = field(default_factory=dict)
@@ -112,12 +86,9 @@ class QueryInfo:
         """Filter predicates an index on *binding* could serve."""
         return [p for p in self.filters.get(binding, []) if p.is_sargable]
 
-    def edges_of(self, binding: str) -> list[JoinEdge]:
-        return [e for e in self.join_edges if e.touches(binding)]
-
     def joined_bindings(self, binding: str) -> set[str]:
         """Bindings sharing at least one join predicate with *binding*."""
-        return {e.other(binding)[0] for e in self.edges_of(binding)}
+        return {other for _column, other, _other_column in self.joins[binding]}
 
     def usable_columns(self) -> dict[str, frozenset[str]]:
         """Per real table: columns whose presence in an index key can
@@ -151,9 +122,7 @@ class QueryInfo:
                 for pred in self.filters.get(binding, []):
                     if pred.is_sargable:
                         cols.add(pred.column.column)
-                for edge in self.join_edges:
-                    if edge.touches(binding):
-                        cols.add(edge.column_of(binding))
+                cols.update(column for column, _other, _other_column in self.joins[binding])
                 for g_binding, column in self.group_by:
                     if g_binding == binding:
                         cols.add(column)
@@ -185,6 +154,7 @@ def _analyze_select(stmt: ast.Select, schema: Schema) -> QueryInfo:
             raise ResolutionError(f"duplicate table binding {ref.binding!r}")
         info.bindings[ref.binding] = table.name
         info.filters[ref.binding] = []
+        info.joins[ref.binding] = []
         info.referenced[ref.binding] = set()
     info.straight_join = any(j.kind == "STRAIGHT" for j in stmt.joins)
 
@@ -239,6 +209,7 @@ def _analyze_dml(stmt: ast.Statement, schema: Schema) -> QueryInfo:
     binding = table_ref.binding
     info.bindings[binding] = table.name
     info.filters[binding] = []
+    info.joins[binding] = []
     info.referenced[binding] = set()
     resolver = _Resolver(info, schema)
     for conjunct in split_conjuncts(where):
@@ -327,7 +298,10 @@ class _Resolver:
         if join_predicate(conjunct) is not None:
             (left_b, left_c), (right_b, right_c) = refs
             if left_b != right_b:
-                info.join_edges.append(JoinEdge(left_b, left_c, right_b, right_c))
+                edge = (left_c, right_b, right_c)
+                if edge not in info.joins[left_b]:
+                    info.joins[left_b].append(edge)
+                    info.joins[right_b].append((right_c, left_b, left_c))
                 return
             # Same binding on both sides: treat as a residual predicate.
         atomic = classify_atomic(conjunct)

@@ -292,15 +292,6 @@ class CostEvaluator:
         """Per-query costs under *config*, in query order."""
         return [self.cost(stmt, config) for stmt, _weight in queries]
 
-    # -- introspection ------------------------------------------------------
-
-    def used_subset(
-        self, stmt: Statement, config: Collection[Index]
-    ) -> list[Index]:
-        """The subset of *config* the plan for *stmt* actually uses."""
-        used = self.plan(stmt, config).used_index_keys
-        return [idx for idx in config if idx.key in used]
-
 
 def weighted_sum(items: list[tuple[Statement, float]], costs: list[float]) -> float:
     """``sum w_q * cost_q`` accumulated in query order (Eq. 1)."""

@@ -26,14 +26,10 @@ class SelectionPolicy:
     Attributes:
         min_executions: executions below this are considered spurious.
         min_benefit: minimum expected benefit ``B`` per Eq. 5.
-        max_queries: optional cap on the number of selected queries
-            ("only the top few most expensive queries account for most of
-            the CPU utilization", Sec. V-A).
     """
 
     min_executions: int = 2
     min_benefit: float = DEFAULT_BENEFIT_THRESHOLD
-    max_queries: int | None = None
 
 
 def select_representative_workload(
@@ -64,7 +60,5 @@ def select_representative_workload(
         if stats.expected_benefit < policy.min_benefit:
             continue
         selected.append(query)
-        if policy.max_queries is not None and len(selected) >= policy.max_queries:
-            break
     return Workload(selected + carried, name="representative")
 

@@ -34,7 +34,7 @@ def test_queries_are_multi_join(jdb):
     for query in job_workload():
         info = evaluator.analyze(query.sql)
         assert len(info.bindings) >= 4, query.name
-        assert info.join_edges, query.name
+        assert any(info.joins.values()), query.name
 
 
 def test_self_join_families_use_aliases(jdb):

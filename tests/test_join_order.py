@@ -1,10 +1,17 @@
 """Join order planning tests."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.catalog import Index
+from repro.executor import Executor
 from repro.optimizer import Optimizer
-from repro.sqlparser import parse
+from repro.sqlparser import ast, parse
+from repro.workloads.job import job_database, job_workload
+from repro.workloads.production import PRODUCTS, build_product
+from repro.workloads.tpcds import tpcds_database, tpcds_workload
 
 
 def plan(db, sql, extra=()):
@@ -137,3 +144,91 @@ def test_many_table_greedy_fallback():
     conds = " AND ".join(f"t{i}.t{i-1}_id = t{i-1}.id" for i in range(1, 12))
     p = Optimizer(db12).explain(f"SELECT t0.v FROM {froms} WHERE {conds}")
     assert len(p.steps) == 12
+
+
+@pytest.mark.parametrize(
+    "join",
+    [
+        "u.id = o.user_id AND u.id = o.user_id",
+        "u.id = o.user_id AND o.user_id = u.id",
+    ],
+    ids=["repeated", "reversed"],
+)
+def test_repeated_join_predicate_counts_once(db, join):
+    """A join predicate written twice, in either orientation, is one edge
+    of the join graph: the estimate and the executed work equal those of
+    the predicate written once."""
+    template = "SELECT u.name, o.amount FROM users u, orders o WHERE {} AND u.age = 30"
+    single_sql = template.format("u.id = o.user_id")
+    repeated_sql = template.format(join)
+    single, repeated = plan(db, single_sql), plan(db, repeated_sql)
+    assert repeated.total_cost == single.total_cost
+    assert repeated.rows_out == single.rows_out
+    single_run = Executor(db).execute(single_sql)
+    repeated_run = Executor(db).execute(repeated_sql)
+    assert sorted(repeated_run.rows) == sorted(single_run.rows)
+    assert repeated_run.metrics == single_run.metrics
+
+
+#: sha256 of every join statement's plan in JOB, TPC-DS (scale 10) and
+#: Product A (:func:`_join_plan_payload`), each planned with no secondary
+#: index and with a single-column dataless index on every join column.
+JOIN_PLAN_DIGEST = "0a838c43f03563ec"
+
+
+def _join_indexes(info) -> list[Index]:
+    """One single-column index per (table, column) on a join edge."""
+    keys = {
+        (info.bindings[binding], column)
+        for binding, edges in info.joins.items()
+        for column, _other, _other_column in edges
+    }
+    return [Index(table, (column,), dataless=True) for table, column in sorted(keys)]
+
+
+def _plan_digest(p) -> list:
+    digits = "{:.9g}".format
+    return [
+        [step.path.binding for step in p.steps],
+        [
+            [step.path.describe(), step.join_method,
+             digits(step.rows_after), digits(step.step_cost)]
+            for step in p.steps
+        ],
+        digits(p.total_cost),
+        digits(p.rows_out),
+    ]
+
+
+def _join_plan_payload() -> dict:
+    product = build_product(PRODUCTS["A"])
+    sources = [
+        ("job", job_database(), job_workload()),
+        ("tpcds", tpcds_database(scale_factor=10), tpcds_workload()),
+        ("product_a", product.db, product.workload),
+    ]
+    payload: dict[str, list] = {}
+    for name, database, workload in sources:
+        optimizer = Optimizer(database)
+        plans = payload[name] = []
+        for query in workload:
+            info = optimizer.analyze(query.sql)
+            if not isinstance(info.stmt, ast.Select) or len(info.bindings) < 2:
+                continue
+            plans.append([
+                _plan_digest(optimizer.explain(info)),
+                _plan_digest(optimizer.explain(info, _join_indexes(info))),
+            ])
+    return payload
+
+
+def test_join_plans_pinned():
+    """Join order, access and join methods, row estimates and costs of
+    every join statement are pinned: a change to the join graph or the
+    join search that moves a plan shows here.  Floats are rounded to 9
+    significant digits, because Python 3.12's float ``sum()`` rounds
+    differently from 3.10/3.11."""
+    payload = _join_plan_payload()
+    assert [len(payload[name]) for name in ("job", "tpcds", "product_a")] == [22, 14, 67]
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == JOIN_PLAN_DIGEST

@@ -121,11 +121,11 @@ def test_used_subset(db):
     ev = CostEvaluator(db)
     useful = Index("users", ("city", "name"), dataless=True)
     useless = Index("users", ("score",), dataless=True)
-    used = ev.used_subset(
+    used = ev.plan(
         "SELECT name FROM users WHERE city = 'c1'", [useful, useless]
-    )
-    assert useful in used
-    assert useless not in used
+    ).used_index_keys
+    assert useful.key in used
+    assert useless.key not in used
 
 
 def test_more_indexes_never_hurt_reads(db):

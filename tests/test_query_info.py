@@ -50,10 +50,7 @@ def test_join_edges_from_where_and_on(schema):
     info = analyze(
         "SELECT u.name FROM users u JOIN orders o ON u.id = o.user_id", schema
     )
-    assert len(info.join_edges) == 1
-    edge = info.join_edges[0]
-    assert edge.other("u") == ("o", "user_id")
-    assert edge.column_of("o") == "user_id"
+    assert info.joins == {"u": [("id", "o", "user_id")], "o": [("user_id", "u", "id")]}
     assert info.joined_bindings("u") == {"o"}
 
 
@@ -63,7 +60,7 @@ def test_filters_vs_join_separation(schema):
         "WHERE u.id = o.user_id AND o.status = 'paid' AND u.age > 30",
         schema,
     )
-    assert len(info.join_edges) == 1
+    assert info.joins["o"] == [("user_id", "u", "id")]
     assert [p.op for p in info.filters["o"]] == ["="]
     assert [p.op for p in info.filters["u"]] == [">"]
 
@@ -158,3 +155,12 @@ def test_sargable_filters_excludes_residuals(schema):
 def test_duplicate_binding_raises(schema):
     with pytest.raises(ResolutionError):
         analyze("SELECT u.name FROM users u, orders u", schema)
+
+
+def test_repeated_join_predicate_listed_once(schema):
+    info = analyze(
+        "SELECT u.name FROM users u, orders o "
+        "WHERE u.id = o.user_id AND o.user_id = u.id AND u.id = o.user_id",
+        schema,
+    )
+    assert info.joins == {"u": [("id", "o", "user_id")], "o": [("user_id", "u", "id")]}

@@ -39,7 +39,7 @@ def test_queries_are_star_joins(dsdb):
         info = evaluator.analyze(query.sql)
         if len(info.bindings) > 1:
             joins += 1
-            assert info.join_edges
+            assert any(info.joins.values())
     assert joins >= 12
 
 

@@ -71,11 +71,8 @@ def test_corpus_matches_uncached_reference():
                 assert evaluator.cost(sql, config) == expected.total_cost, (seed, sql)
                 # Warm: the second identical request is a pure cache hit.
                 assert evaluator.cost(sql, config) == expected.total_cost, (seed, sql)
-                used_expected = {
-                    i.key for i in config if i.key in expected.used_index_keys
-                }
-                used = {i.key for i in evaluator.used_subset(sql, config)}
-                assert used == used_expected, (seed, sql)
+                used = evaluator.plan(sql, config).used_index_keys
+                assert used == expected.used_index_keys, (seed, sql)
         canonical_hits += evaluator.canonical_hits
     # The corpus actually exercises the canonical subset rule.
     assert canonical_hits > 0
@@ -207,11 +204,9 @@ def test_memo_matches_uncached_reference_one_index_moves():
                 expected = reference(sql, config)
                 plan = evaluator.plan(sql, config)
                 assert plan.total_cost == expected.total_cost, (seed, sql, config)
-                used_expected = {
-                    i.key for i in config if i.key in expected.used_index_keys
-                }
-                used = {i.key for i in evaluator.used_subset(sql, config)}
-                assert used == used_expected, (seed, sql, config)
+                assert plan.used_index_keys == expected.used_index_keys, (
+                    seed, sql, config,
+                )
 
 
 _DDL_EXTRA = [Index("orders", ("created",), dataless=True)]
@@ -350,4 +345,4 @@ def test_colliding_index_names_are_both_planned():
     for config in ([x, y], [y, x]):
         assert evaluator.cost(sql, config) == alone
         assert reference(sql, config).total_cost == alone
-        assert [idx.key for idx in evaluator.used_subset(sql, config)] == [y.key]
+        assert evaluator.plan(sql, config).used_index_keys == {y.key}

@@ -137,16 +137,6 @@ def test_selection_carries_dml_with_zero_benefit_role():
     assert any(q.is_dml for q in workload)
 
 
-def test_selection_max_queries_cap():
-    monitor = WorkloadMonitor()
-    m = ExecutionMetrics(rows_read=1000, rows_sent=1)
-    for i in range(10):
-        for _ in range(5):
-            monitor.record_execution(f"SELECT a FROM t WHERE x = {i} AND y{i} = 1", m, 10.0)
-    policy = SelectionPolicy(min_executions=2, min_benefit=0.01, max_queries=3)
-    assert len(select_representative_workload(monitor, policy)) == 3
-
-
 def test_monitored_executor_records(db):
     monitored = MonitoredExecutor(db)
     monitored.execute("SELECT name FROM users WHERE city = 'c1'")
