@@ -62,15 +62,6 @@ def wrap_key(values: Iterable[Any]) -> tuple:
     return tuple(chain.from_iterable(map(_pair, values)))
 
 
-def unwrap_key(flat: Sequence[Any]) -> tuple:
-    """Column values of a flat key, as the index compares them
-    (NULL -> ``None``, bool -> int, non-numbers -> str)."""
-    return tuple(
-        None if rank == 0 else value
-        for rank, value in zip(flat[::2], flat[1::2])
-    )
-
-
 def _comparer(
     values: Sequence[Any], kinds: set
 ) -> tuple[Callable[[int], Any], Optional[int]]:

@@ -12,7 +12,7 @@ Two operating modes, matching how the paper's experiments use databases:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional
 
 from ..catalog import Index, Schema, Table
 from ..stats import StatsCatalog, TableStats, analyze_table
@@ -71,12 +71,26 @@ class Database:
         """
         return self._storage_for(table).load(rows)
 
-    def load_columns(self, table: str, columns: Mapping[str, Sequence[Any]]) -> int:
+    def load_columns(self, table: str, columns: Mapping[str, Iterable[Any]]) -> int:
         """:meth:`load_rows` for rows given column-wise: *columns* maps each
         column to the new rows' values, in order; a column it lacks is
         NULL.  Raises ``StorageError`` for an unknown column or lists of
-        unequal length, and then loads nothing."""
-        return self._storage_for(table).load_columns(columns)
+        unequal length, and then loads nothing.
+
+        The caller hands its lists over: a table that never held a row
+        keeps a given list as its column (see
+        :meth:`TableStorage.load_columns`).  A list that already is a
+        column of a table here is copied."""
+        storage = self._storage_for(table)
+        held = {
+            id(column)
+            for stored in self.storage.values()
+            for column in stored.columns.values()
+        }
+        return storage.load_columns({
+            name: list(column) if id(column) in held else column
+            for name, column in columns.items()
+        })
 
     def analyze(self, tables: Optional[Iterable[str]] = None) -> None:
         """Refresh the statistics catalog from stored data (ANALYZE TABLE)."""
@@ -167,7 +181,9 @@ class Database:
         return clone
 
     def full_clone(self, name: Optional[str] = None) -> "Database":
-        """A deep clone with copied rows and rebuilt indexes.
+        """A deep clone with copied rows and rebuilt indexes: the clone's
+        column lists are copies, so DML on either database leaves the
+        other unchanged.
 
         Nothing in the advisor or fleet path takes one; the stored-row and
         built-index digest checks and their tests do.
@@ -185,7 +201,8 @@ class Database:
         # The clone's row ids are compact: tombstones are not copied.
         for table_name, storage in self.storage.items():
             clone.storage[table_name].load_columns({
-                name: storage.column_values(name) for name in storage.columns
+                name: list(storage.column_values(name))
+                for name in storage.columns
             })
         return clone
 

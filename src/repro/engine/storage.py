@@ -75,19 +75,29 @@ class TableStorage:
             raise StorageError(
                 f"no column {min(unknown)!r} in table {self.table.name}"
             )
-        names = self.table.column_names
-        by_row = [list(map(row.get, names)) for row in rows]
-        return self.load_columns(dict(zip(names, zip(*by_row))))
+        return self.load_columns({
+            name: [row.get(name) for row in rows]
+            for name in self.table.column_names
+        })
 
-    def load_columns(self, values: Mapping[str, Sequence[Any]]) -> int:
+    def load_columns(self, values: Mapping[str, Iterable[Any]]) -> int:
         """:meth:`load` for rows given column-wise: *values* maps each
         column to the new rows' values, in order (a column it lacks is
         NULL).
 
-        Raises :class:`StorageError`, before anything is written, when
-        *values* names a column the table lacks or its lists differ in
-        length.
+        The caller hands its lists over: into a table that never held a
+        row, a given list becomes the column itself, and a later write to
+        the table changes it.  A list given for a second column is
+        copied, and into a table that has row ids the values are
+        appended.  A column given as any other iterable is made into a
+        list once.  Raises :class:`StorageError`, before anything is
+        written, when *values* names a column the table lacks or its
+        columns differ in length.
         """
+        values = {
+            name: column if type(column) is list else list(column)
+            for name, column in values.items()
+        }
         unknown = values.keys() - self.columns.keys()
         if unknown:
             raise StorageError(
@@ -100,9 +110,16 @@ class TableStorage:
                 f"{lengths[0]} and {lengths[-1]} values"
             )
         count = lengths[0] if lengths else 0
+        adopt, adopted = not self.alive, set()
         for name, column in self.columns.items():
-            added = values.get(name) or [None] * count
-            column.extend(added)
+            added = values.get(name)
+            if added is None:
+                added = [None] * count
+            if adopt and id(added) not in adopted:
+                adopted.add(id(added))
+                self.columns[name] = added
+            else:
+                column.extend(added)
             self.kinds[name].update(map(type, added))
         self.alive.extend(repeat(1, count))
         self._count += count
@@ -237,7 +254,7 @@ class TableStorage:
     def column_values(self, column: str) -> list:
         """The stored rows' values of one column, in row-id order (ANALYZE
         input): the live column list itself when no row was deleted, so a
-        caller must not change it."""
+        caller must not change it, keep it or load it into a table."""
         values = self.columns[column]
         if self._count == len(values):
             return values

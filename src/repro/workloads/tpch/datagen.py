@@ -15,6 +15,14 @@ so it mirrors the ``Random`` methods draw for draw: ``randint(a, b)`` is
 ``a + (b - a) * random()``.  The draws keep their row-major order, so a
 seed gives the rows it always gave; ``tests/test_tpch.py`` pins the
 stored rows and statistics of ``load_tpch(0.01, 1)`` by digest.
+
+Each repeated value is one object, taken from one shared list: the
+dates (``o_orderdate`` and ``l_shipdate``, ``l_commitdate`` and
+``l_receiptdate``) from ``days``, ``l_partkey`` and ``ps_partkey`` from
+the list loaded as ``p_partkey``, ``o_custkey`` from ``c_custkey``'s,
+``l_orderkey`` from ``o_orderkey``'s and ``o_clerk`` from ``clerks``.
+The tables keep the lists they are loaded with; a key list is read
+after its load only while nothing has written to its table.
 """
 
 from __future__ import annotations
@@ -74,6 +82,7 @@ def load_tpch(
         tpch_tables(), params=params, with_storage=True,
         name=f"tpch-data-sf{scale_factor:g}",
     )
+    days = list(range(MAX_DAY + 1))
     db.load_columns("region", {
         "r_regionkey": list(range(5)),
         "r_name": _REGION_NAMES,
@@ -109,8 +118,9 @@ def load_tpch(
         phone.append(f"{10 + below(25)}-{100 + below(900)}")
         acctbal.append(round(-999 + 10_998 * random01(), 2))
         segment.append(_SEGMENTS[below(len(_SEGMENTS))])
+    custkeys = list(range(1, n + 1))
     db.load_columns("customer", {
-        "c_custkey": list(range(1, n + 1)),
+        "c_custkey": custkeys,
         "c_name": [f"Customer#{i:09d}" for i in range(1, n + 1)],
         "c_address": [f"caddr{i}" for i in range(n)],
         "c_nationkey": nationkey,
@@ -134,8 +144,9 @@ def load_tpch(
         size.append(1 + below(50))
         container.append(_CONTAINERS[below(len(_CONTAINERS))])
         price.append(round(900 + (i % 1000) + 100 * random01(), 2))
+    partkeys = list(range(1, n + 1))
     db.load_columns("part", {
-        "p_partkey": list(range(1, n + 1)),
+        "p_partkey": partkeys,
         "p_name": pname,
         "p_mfgr": mfgr,
         "p_brand": brand,
@@ -153,7 +164,7 @@ def load_tpch(
         availqty.append(1 + below(9999))
         supplycost.append(round(1 + 999 * random01(), 2))
     db.load_columns("partsupp", {
-        "ps_partkey": [(i % parts) + 1 for i in range(n)],
+        "ps_partkey": [partkeys[i % parts] for i in range(n)],
         "ps_suppkey": suppkey,
         "ps_availqty": availqty,
         "ps_supplycost": supplycost,
@@ -162,17 +173,17 @@ def load_tpch(
 
     n, customers = counts["orders"], counts["customer"]
     orderkey = list(range(1, n + 1))
-    clerks = max(1, n // 100)
+    clerks = [f"Clerk#{k}" for k in range(1, max(1, n // 100) + 1)]
     custkey, status, totalprice, orderdate, priority, clerk, comment = (
         [], [], [], [], [], [], []
     )
     for _ in range(n):
-        custkey.append(1 + below(customers))
+        custkey.append(custkeys[below(customers)])
         status.append(_STATUSES[below(len(_STATUSES))])
         totalprice.append(round(800 + 559_200 * random01(), 2))
-        orderdate.append(below(MAX_DAY - 150))
+        orderdate.append(days[below(MAX_DAY - 150)])
         priority.append(_PRIORITIES[below(len(_PRIORITIES))])
-        clerk.append(f"Clerk#{1 + below(clerks)}")
+        clerk.append(clerks[below(len(clerks))])
         comment.append(_ORDER_COMMENTS[below(len(_ORDER_COMMENTS))])
     db.load_columns("orders", {
         "o_orderkey": orderkey,
@@ -203,8 +214,8 @@ def load_tpch(
             ship = date + 1 + below(121)
             commit = date + 30 + below(61)
             receipt = ship + 1 + below(30)
-            l_orderkey(orderkey[order])   # shares orders' int objects, as rows did
-            l_partkey(1 + below(parts))
+            l_orderkey(orderkey[order])
+            l_partkey(partkeys[below(parts)])
             l_suppkey(1 + below(suppliers))
             l_linenumber(line)
             l_quantity(1 + below(50))
@@ -213,9 +224,9 @@ def load_tpch(
             l_tax(_PERCENTS[below(9)])
             l_returnflag(_RETURNFLAGS[below(len(_RETURNFLAGS))])
             l_linestatus(_LINESTATUSES[below(len(_LINESTATUSES))])
-            l_shipdate(min(ship, MAX_DAY))
-            l_commitdate(min(commit, MAX_DAY))
-            l_receiptdate(min(receipt, MAX_DAY))
+            l_shipdate(days[min(ship, MAX_DAY)])
+            l_commitdate(days[min(commit, MAX_DAY)])
+            l_receiptdate(days[min(receipt, MAX_DAY)])
             l_shipinstruct(_INSTRUCTS[below(len(_INSTRUCTS))])
             l_shipmode(_SHIPMODES[below(len(_SHIPMODES))])
             l_comment(f"lc{i}")

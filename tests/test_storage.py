@@ -7,8 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Column, INT, Index, Table, varchar
 from repro.engine import Database, ExecutionMetrics
-from repro.engine.btree import unwrap_key, wrap_key
+from repro.engine.btree import wrap_key
 from repro.engine.storage import StorageError, TableStorage
+
+
+def unwrap_key(flat):
+    """Column values of a flat key, as the index compares them
+    (NULL -> ``None``, bool -> int, non-numbers -> str)."""
+    return tuple(
+        None if rank == 0 else value
+        for rank, value in zip(flat[::2], flat[1::2])
+    )
 
 
 def make_storage():
@@ -298,7 +307,8 @@ def snapshot(storage):
 @pytest.mark.parametrize("columns", [
     {"id": [4, 5, 6], "a": [10, 20]},                  # ragged
     {"id": [4, 5], "a": [10, 20], "bogus": [1, 2]},    # unknown column
-], ids=["ragged", "unknown"])
+    {"id": (i for i in (4, 5, 6)), "a": [10, 20]},     # ragged, a generator
+], ids=["ragged", "unknown", "generator"])
 def test_load_columns_rejects_bad_input_and_writes_nothing(columns):
     storage = make_storage()
     storage.build_index(Index("t", ("a",)))
@@ -332,6 +342,87 @@ def test_database_load_columns_equals_load_rows():
     assert by_columns.load_columns("t", {"id": [2, 1], "a": [5, None],
                                          "b": ["q", None]}) == 2
     assert snapshot(by_columns.storage["t"]) == snapshot(by_rows.storage["t"])
+
+
+def test_load_columns_makes_any_other_iterable_into_a_list_once():
+    storage = make_storage()
+    assert storage.load_columns({"id": (i for i in range(3)), "a": range(3),
+                                 "b": ("x", "y", "z")}) == 3
+    assert all(type(values) is list for values in storage.columns.values())
+    assert storage.get_row(2) == {"id": 2, "a": 2, "b": "z"}
+    assert [unwrap_key(k) for k, _ in storage.pk_index.scan_all()] == [
+        (0,), (1,), (2,)]
+
+
+# ---------------------------------------------------------------------------
+# ownership: a bulk load keeps the lists it is given, and only those a
+# table can own alone
+
+
+def test_a_load_into_a_table_that_never_held_a_row_keeps_the_given_lists():
+    given = {"id": [2, 1, 3], "a": [5, None, 5], "b": ["q", "r", None]}
+    copy = {name: list(values) for name, values in given.items()}
+    adopting, copying = make_storage(), make_storage()
+    for storage in (adopting, copying):
+        storage.build_index(Index("t", ("a",)))
+    assert adopting.load_columns(given) == copying.load_columns(copy) == 3
+    assert all(adopting.columns[name] is values for name, values in given.items())
+    assert snapshot(adopting) == snapshot(copying)
+    assert adopting.kinds == copying.kinds
+
+
+def test_one_list_given_for_two_columns_becomes_two_columns():
+    storage = make_storage()
+    shared = [1, 2, 3]
+    storage.load_columns({"id": shared, "a": shared})
+    assert storage.columns["id"] is not storage.columns["a"]
+    storage.update_row(0, {"a": 9})
+    assert storage.columns["id"] == [1, 2, 3]
+    assert storage.columns["a"] == [9, 2, 3]
+
+
+def test_a_live_column_loaded_into_another_table_is_copied():
+    other = Table("u", [Column("id", INT), Column("a", INT)], ("id",))
+    db = Database.from_tables([make_storage().table, other])
+    db.load_columns("t", {"id": [1, 2], "a": [7, 8]})
+    live = db.storage["t"].column_values("a")
+    assert live is db.storage["t"].columns["a"]
+    db.load_columns("u", {"id": [1, 2], "a": live})
+    assert db.storage["u"].columns["a"] is not live
+    db.storage["t"].update_row(0, {"a": 0})
+    assert db.storage["u"].columns["a"] == [7, 8]
+
+
+@pytest.mark.parametrize("deleted", [False, True], ids=["rows", "tombstones"])
+def test_a_load_into_a_table_with_row_ids_appends_and_keeps_no_list(deleted):
+    storage = make_storage()
+    storage.insert_row({"id": 1, "a": 7, "b": "x"})
+    if deleted:
+        storage.delete_row(0)
+    given = {"id": [2, 3], "a": [8, 9], "b": ["y", "z"]}
+    copy = {name: list(values) for name, values in given.items()}
+    assert storage.load_columns(given) == 2
+    assert not any(storage.columns[name] is values
+                   for name, values in given.items())
+    assert storage.get_row(2) == {"id": 3, "a": 9, "b": "z"}
+    storage.update_row(1, {"a": 0})
+    storage.insert_row({"id": 4})
+    assert given == copy
+
+
+def test_dml_on_the_source_of_a_full_clone_leaves_the_clone_unchanged():
+    """A table without tombstones hands ``full_clone`` its live column
+    lists; the clone must still own copies."""
+    db = Database.from_tables([make_storage().table])
+    db.create_index(Index("t", ("a",)))
+    db.load_columns("t", {"id": [1, 2, 3], "a": [7, 8, 9], "b": ["x", "y", "z"]})
+    clone = db.full_clone().storage["t"]
+    before = snapshot(clone)
+    source = db.storage["t"]
+    source.update_row(0, {"id": 5, "a": 1, "b": "q"})
+    source.insert_row({"id": 0, "a": 2})
+    source.delete_row(1)
+    assert snapshot(clone) == before
 
 
 # ---------------------------------------------------------------------------

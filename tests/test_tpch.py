@@ -177,6 +177,21 @@ def test_load_tpch_stats_are_pinned(sf001):
     assert stats_digest(sf001) == "5800c8ac3f83d675"
 
 
+def test_repeated_generated_values_are_one_object_each(sf001):
+    """A memory guard that holds on any machine: each of these columns
+    holds one object per distinct value, and the foreign keys hold the
+    objects of the key column they reference."""
+    columns = {name: values for storage in sf001.storage.values()
+               for name, values in storage.columns.items()}
+    for name in ("l_partkey", "ps_partkey", "l_shipdate", "l_commitdate",
+                 "l_receiptdate", "o_orderdate", "o_custkey", "o_clerk"):
+        values = columns[name]
+        assert len({id(v) for v in values}) == len(set(values)), name
+    for name, key in [("l_partkey", "p_partkey"), ("ps_partkey", "p_partkey"),
+                      ("o_custkey", "c_custkey")]:
+        assert {id(v) for v in columns[name]} <= {id(v) for v in columns[key]}, name
+
+
 def test_cli_stored_database_is_pinned():
     from repro.cli import build_stored_database
 
